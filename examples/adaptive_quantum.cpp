@@ -6,6 +6,7 @@
 // budget it buys, and what each phase achieved. Watch the quantum shrink
 // when slack gets tight or workers go idle, and stretch when the workers
 // are loaded anyway (Fig. 3's motivation).
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
@@ -51,6 +52,7 @@ int main() {
   const search::SearchEngine engine(search::SearchConfig{});
 
   tasks::Batch batch;
+  std::vector<tasks::Task> culled;  // reused every phase
   std::size_t cursor = 0;
   SimTime t = SimTime::zero();
   int phase = 0;
@@ -63,7 +65,7 @@ int main() {
       arrived.push_back(all[cursor++]);
     }
     batch.merge_arrivals(arrived);
-    batch.cull_missed(t);
+    batch.cull_missed(t, culled);
     if (batch.empty()) {
       if (cursor >= all.size()) break;
       t = all[cursor].arrival;
@@ -89,13 +91,14 @@ int main() {
         t + kVertexCost * std::int64_t(result.stats.vertices_generated) +
         kPhaseOverhead;
     std::vector<machine::ScheduledAssignment> delivery;
-    std::unordered_set<tasks::TaskId> ids;
+    std::vector<std::uint32_t> placed;  // batch positions, ascending below
     for (const auto& a : result.schedule) {
       delivery.push_back({batch.tasks()[a.task_index], a.worker});
-      ids.insert(batch.tasks()[a.task_index].id);
+      placed.push_back(a.task_index);
     }
     cluster.deliver(delivery, end);
-    batch.remove_scheduled(ids);
+    std::sort(placed.begin(), placed.end());
+    batch.remove_scheduled(placed);
 
     std::cout << std::setw(5) << phase++ << std::setw(10) << std::fixed
               << std::setprecision(2) << double(t.us) / 1000.0

@@ -1,8 +1,8 @@
 #include "sched/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -70,8 +70,18 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   tasks::Batch batch;
   const SimDuration vcost = config_.vertex_generation_cost;
   const std::uint32_t num_workers = backend.num_workers();
-  // Reused across phases: schedule_phase borrows it by const reference.
+  // Per-phase buffers, declared once so each phase reuses their capacity:
+  // a steady-state phase makes no heap allocation of its own.
+  std::vector<Task> arrived;
+  std::vector<Task> culled;
+  std::vector<SimDuration> loads(num_workers);  // Load_k(t_s)
+  // schedule_phase borrows it by const reference.
   std::vector<SimDuration> base_loads(num_workers);
+  std::vector<machine::ScheduledAssignment> delivery;
+  // What became of each delivery slot, and the batch positions retired.
+  enum class Fate : std::uint8_t { kAccepted, kRejected, kReadmitted };
+  std::vector<Fate> fates;
+  std::vector<std::uint32_t> retired;
   // Deliveries refused so far, per PENDING task: a task whose budget is
   // spent is retired as rejected instead of readmitted. Entries are erased
   // as tasks reach terminal states — under open arrivals this map would
@@ -86,7 +96,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
 
     // Form Batch(j): pull tasks that arrived up to now from the source
     // (through admission control), merge them, cull unreachable.
-    std::vector<Task> arrived;
+    arrived.clear();
     std::uint64_t admission_rejected_now = 0;
     while (true) {
       const std::optional<SimTime> next_arrival = source.peek();
@@ -108,22 +118,13 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       arrived.push_back(std::move(task));
     }
     batch.merge_arrivals(arrived);
-    const std::vector<Task> culled_tasks = batch.cull_missed(t);
-    for (const Task& task : culled_tasks) {
+    batch.cull_missed(t, culled);
+    for (const Task& task : culled) {
       ledger.cull(task.id);
       delivery_attempts.erase(task.id);  // culled == terminal
     }
-    metrics.culled += culled_tasks.size();
-
-    PhaseRecord record;
-    record.algorithm = metrics.algorithm;
-    record.threads = metrics.threads;
-    record.index = metrics.phases;
-    record.start = t;
-    record.arrivals = arrived.size();
-    record.culled = culled_tasks.size();
-    record.admission_rejected = admission_rejected_now;
-    record.batch_size = batch.size();
+    metrics.culled += culled.size();
+    const std::size_t batch_size = batch.size();
 
     if (batch.empty()) {
       const std::optional<SimTime> next_arrival = source.peek();
@@ -137,9 +138,12 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     const SimDuration min_slack = batch.min_slack(t);
     RTDS_ASSERT_MSG(!min_slack.is_negative(),
                     "unreachable task survived culling");
+    // Each worker's load is read once: it feeds Min_Load here and the
+    // delivery-time residuals below.
     SimDuration min_load = SimDuration::max();
     for (std::uint32_t k = 0; k < num_workers; ++k) {
-      min_load = min_duration(min_load, backend.load(k, t));
+      loads[k] = backend.load(k, t);
+      min_load = min_duration(min_load, loads[k]);
     }
     SimDuration quantum = quantum_.allocate(min_slack, min_load);
     // The quantum must cover the fixed per-phase overhead plus at least one
@@ -160,9 +164,8 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     // workers drain previous schedules while this phase runs (Sec. 4.4).
     const SimTime planned_delivery = t + quantum;
     for (std::uint32_t k = 0; k < num_workers; ++k) {
-      const SimDuration load = backend.load(k, t);
       base_loads[k] =
-          load <= quantum ? SimDuration::zero() : load - quantum;
+          loads[k] <= quantum ? SimDuration::zero() : loads[k] - quantum;
     }
 
     const auto search_start = std::chrono::steady_clock::now();
@@ -195,16 +198,14 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     metrics.min_quantum_seen = min_duration(metrics.min_quantum_seen, quantum);
     metrics.max_quantum_seen = max_duration(metrics.max_quantum_seen, quantum);
 
-    // Materialize S_j against the batch snapshot. The scheduled tasks are
-    // retired from the batch only after deliver() reports which of them the
-    // backend actually accepted — a refused assignment must not disappear.
-    std::vector<machine::ScheduledAssignment> delivery;
-    delivery.reserve(result.schedule.size());
-    std::unordered_set<tasks::TaskId> scheduled_ids;
+    // Materialize S_j against the batch snapshot: delivery slot i holds
+    // result.schedule[i]. The scheduled tasks are retired from the batch
+    // only after deliver() reports which of them the backend actually
+    // accepted — a refused assignment must not disappear.
+    delivery.clear();
     for (const search::Assignment& a : result.schedule) {
       const Task& task = batch.tasks()[a.task_index];
       delivery.push_back({task, a.worker});
-      scheduled_ids.insert(task.id);
       ledger.schedule(task.id);
     }
 
@@ -214,16 +215,27 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     metrics.scheduled += delivered.accepted;
     metrics.overflow_drops += delivered.undelivered.size();
 
-    // Retire from the batch exactly the tasks that left the pipeline:
-    // accepted deliveries and tasks whose delivery budget is spent. A
-    // refused task with attempts remaining stays pending — that is the
-    // readmission path — so a later phase schedules it again.
-    std::unordered_set<tasks::TaskId> retired_ids = scheduled_ids;
+    // Settle each refused slot. A refused task with attempts remaining
+    // stays pending — that is the readmission path — so a later phase
+    // schedules it again; one whose delivery budget is spent leaves the
+    // pipeline for good.
+    fates.assign(delivery.size(), Fate::kAccepted);
     std::uint64_t readmitted_now = 0;
     std::uint64_t rejected_now = 0;
     SimDuration min_refused_load = SimDuration::max();
+    std::size_t slot = 0;
     for (const machine::ScheduledAssignment& refused :
          delivered.undelivered) {
+      // Backends report refusals in schedule order, or as a few ordered
+      // runs, so resuming the scan at the previous match keeps it linear.
+      std::size_t scanned = 0;
+      while (scanned < delivery.size() &&
+             delivery[slot].task.id != refused.task.id) {
+        slot = (slot + 1) % delivery.size();
+        ++scanned;
+      }
+      RTDS_CHECK_MSG(scanned < delivery.size(),
+                     "deliver() refused an assignment it was not given");
       const std::uint32_t attempts = ++delivery_attempts[refused.task.id];
       if (config_.max_delivery_attempts != 0 &&
           attempts >= config_.max_delivery_attempts) {
@@ -231,35 +243,45 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
         ledger.reject(refused.task.id);
         metrics.rejected += 1;
         rejected_now += 1;
-        continue;  // stays in retired_ids: leaves the pipeline for good
+        fates[slot] = Fate::kRejected;
+        continue;
       }
       ledger.drop(refused.task.id);
-      batch.readmit(refused.task);  // no-op when still pending (the rule)
-      retired_ids.erase(refused.task.id);
+      fates[slot] = Fate::kReadmitted;
       metrics.readmissions += 1;
       readmitted_now += 1;
       min_refused_load = min_duration(
           min_refused_load, backend.load(refused.worker, backend.now()));
     }
-    // Everything scheduled this phase that was neither readmitted nor
-    // rejected was accepted by the backend. The accepted deliveries are
+    // Retire from the batch exactly the tasks that left the pipeline:
+    // accepted deliveries and rejected ones. The accepted deliveries are
     // where schedule latency is measured: the clock now reads t_e, the
     // instant S_j landed in the worker ready queues.
-    std::unordered_set<tasks::TaskId> refused_ids;
-    for (const machine::ScheduledAssignment& refused : delivered.undelivered)
-      refused_ids.insert(refused.task.id);
-    for (const machine::ScheduledAssignment& accepted : delivery) {
-      if (refused_ids.count(accepted.task.id) != 0) continue;
-      ledger.deliver(accepted.task.id);
-      delivery_attempts.erase(accepted.task.id);  // delivered == terminal
+    retired.clear();
+    for (std::size_t i = 0; i < delivery.size(); ++i) {
+      if (fates[i] == Fate::kReadmitted) continue;
+      retired.push_back(result.schedule[i].task_index);
+      if (fates[i] == Fate::kRejected) continue;
+      const Task& task = delivery[i].task;
+      ledger.deliver(task.id);
+      delivery_attempts.erase(task.id);  // delivered == terminal
       if (stats != nullptr) {
-        stats->schedule_latency.add(
-            double((backend.now() - accepted.task.arrival).us));
+        stats->schedule_latency.add(double((backend.now() - task.arrival).us));
       }
     }
-    batch.remove_scheduled(retired_ids);
+    std::sort(retired.begin(), retired.end());
+    batch.remove_scheduled(retired);
 
     if (observer != nullptr) {
+      PhaseRecord record;
+      record.algorithm = metrics.algorithm;
+      record.threads = metrics.threads;
+      record.index = metrics.phases - 1;  // this phase, counted above
+      record.start = t;
+      record.arrivals = arrived.size();
+      record.culled = culled.size();
+      record.admission_rejected = admission_rejected_now;
+      record.batch_size = batch_size;
       record.end = phase_end;
       record.min_slack = min_slack;
       record.min_load = min_load;

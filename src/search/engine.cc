@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -47,9 +48,10 @@ struct NodeWide {
 static_assert(sizeof(NodeNarrow) <= 56);
 static_assert(sizeof(NodeWide) <= 64);
 
-/// Pool bound retained between runs per node arena: a million-task run can
-/// legitimately grow the arena to hundreds of MB, which must not stay
-/// captive on a long-lived backend thread once the phase is over.
+/// Pool bound retained between runs per node arena and for the search
+/// snapshot: a million-task run can legitimately grow the arena to hundreds
+/// of MB, which must not stay captive on a long-lived backend thread once
+/// the phase is over.
 constexpr std::size_t kArenaRetainBytes = std::size_t{64} << 20;
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
@@ -184,12 +186,18 @@ class CandidateList {
   std::vector<Entry>& entries_;
 };
 
-/// Per-thread scratch buffers reused across run() calls so the hot loop is
-/// allocation-free after the first few phases (capacity is retained by
-/// clear(); arenas pool their chunks and self-trim to kArenaRetainBytes).
-/// thread_local keeps the engine safely shareable across backend threads.
+/// Per-thread scratch buffers reused across run() calls so a run allocates
+/// nothing but its returned schedule once the capacities have grown to the
+/// largest batch seen (capacity is retained by clear()/reset(); arenas pool
+/// their chunks and self-trim to kArenaRetainBytes). thread_local keeps the
+/// engine safely shareable across backend threads.
 struct Workspace {
   std::vector<std::uint32_t> order;
+  /// Sort keys and merge buffer of task_consideration_order_into.
+  std::vector<std::int64_t> order_keys;
+  std::vector<std::uint32_t> order_merge;
+  /// The search snapshot, reset() for every run (constructed by the first).
+  std::optional<PartialSchedule> schedule;
   NodeArena<NodeNarrow> narrow;
   NodeArena<NodeWide> wide;
   std::vector<Candidate> candidates;
@@ -210,7 +218,47 @@ std::size_t workspace_bytes(const Workspace& ws) {
          ws.candidates.capacity() * sizeof(Candidate) +
          ws.cl_entries.capacity() * sizeof(CandidateList::Entry) +
          ws.order.capacity() * sizeof(std::uint32_t) +
+         ws.order_keys.capacity() * sizeof(std::int64_t) +
+         ws.order_merge.capacity() * sizeof(std::uint32_t) +
+         (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
          ws.task_ids.capacity() * sizeof(std::uint32_t);
+}
+
+/// Stable sort of the permutation `idx` by key[idx[i]] that allocates
+/// nothing once `merge` has grown: insertion-sorted runs of kRun tasks
+/// (a batch of at most kRun is one run), then bottom-up std::merge passes
+/// between `idx` and `merge` (std::merge is stable). The same scheme as
+/// libstdc++'s std::stable_sort, which allocates its buffer on every call.
+void stable_sort_by_key(std::vector<std::uint32_t>& idx,
+                        const std::vector<std::int64_t>& key,
+                        std::vector<std::uint32_t>& merge) {
+  constexpr std::size_t kRun = 16;
+  const std::size_t n = idx.size();
+  const auto less = [&key](std::uint32_t a, std::uint32_t b) {
+    return key[a] < key[b];
+  };
+  for (std::size_t lo = 0; lo < n; lo += kRun) {
+    const std::size_t hi = std::min(lo + kRun, n);
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      const std::uint32_t v = idx[i];
+      std::size_t j = i;
+      for (; j > lo && less(v, idx[j - 1]); --j) idx[j] = idx[j - 1];
+      idx[j] = v;
+    }
+  }
+  if (n <= kRun) return;
+  merge.resize(n);
+  std::uint32_t* from = idx.data();
+  std::uint32_t* to = merge.data();
+  for (std::size_t width = kRun; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, n);
+      const std::size_t hi = std::min(lo + 2 * width, n);
+      std::merge(from + lo, from + mid, from + mid, from + hi, to + lo, less);
+    }
+    std::swap(from, to);
+  }
+  if (from != idx.data()) std::copy(from, from + n, idx.data());
 }
 
 template <typename NodeT>
@@ -232,7 +280,12 @@ SearchResult run_impl(const SearchConfig& config,
   }
   const std::uint32_t* order = ws.order.empty() ? nullptr : ws.order.data();
 
-  PartialSchedule ps(&batch, base_loads, delivery_time, &net);
+  if (ws.schedule) {
+    ws.schedule->reset(&batch, base_loads, delivery_time, &net);
+  } else {
+    ws.schedule.emplace(&batch, base_loads, delivery_time, &net);
+  }
+  PartialSchedule& ps = *ws.schedule;
   ps.set_consideration_order(order);
 
   arena.clear();
@@ -330,17 +383,21 @@ SearchResult run_impl(const SearchConfig& config,
   }
 
   // Choose the returned path: the deepest (then best-balanced) vertex seen,
-  // or the vertex where the search stopped.
+  // or the vertex where the search stopped. The schedule is sized once to
+  // the path length and filled leaf to root: it is the run's only
+  // allocation, and an empty one allocates nothing.
   const std::int32_t chosen = config.return_deepest ? best_node : current;
-  std::vector<Assignment> out;
+  result.schedule.resize(node_depth(chosen));
+  std::size_t slot = result.schedule.size();
   for (std::int32_t v = chosen; v >= 0; v = arena[std::size_t(v)].parent) {
-    out.push_back(arena[std::size_t(v)].assignment);
+    result.schedule[--slot] = arena[std::size_t(v)].assignment;
   }
-  std::reverse(out.begin(), out.end());
-  result.schedule = std::move(out);
 
   ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
   arena.trim(kArenaRetainBytes);
+  // Same retention bound for the snapshot (a million-task batch sizes it
+  // at ~100 MB).
+  if (ps.footprint_bytes() > kArenaRetainBytes) ws.schedule.reset();
   return result;
 }
 
@@ -349,27 +406,20 @@ SearchResult run_impl(const SearchConfig& config,
 void task_consideration_order_into(const std::vector<Task>& batch,
                                    TaskOrder order,
                                    std::vector<std::uint32_t>& out) {
-  out.resize(batch.size());
-  for (std::uint32_t i = 0; i < batch.size(); ++i) out[i] = i;
-  switch (order) {
-    case TaskOrder::kBatchOrder:
-      break;
-    case TaskOrder::kEarliestDeadline:
-      std::stable_sort(out.begin(), out.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return batch[a].deadline < batch[b].deadline;
-                       });
-      break;
-    case TaskOrder::kMinSlack:
-      // Slack ordering (d - t - p) is time-independent within a phase:
-      // compare d - p.
-      std::stable_sort(out.begin(), out.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return batch[a].deadline - batch[a].processing <
-                                batch[b].deadline - batch[b].processing;
-                       });
-      break;
+  const std::size_t n = batch.size();
+  out.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) out[i] = i;
+  if (order == TaskOrder::kBatchOrder) return;
+  Workspace& ws = workspace();
+  ws.order_keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // EDF sorts by deadline. Slack ordering (d - t - p) is time-independent
+    // within a phase: min-slack sorts by d - p.
+    ws.order_keys[i] = order == TaskOrder::kEarliestDeadline
+                           ? batch[i].deadline.us
+                           : (batch[i].deadline - batch[i].processing).us;
   }
+  stable_sort_by_key(out, ws.order_keys, ws.order_merge);
 }
 
 std::vector<std::uint32_t> task_consideration_order(

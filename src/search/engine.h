@@ -153,8 +153,9 @@ struct SearchResult {
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bytes currently retained by the calling thread's search workspace (the
-/// pooled narrow/wide node arenas plus candidate scratch). For the bench
-/// memory column; cheap enough to call between runs.
+/// pooled narrow/wide node arenas, the reused PartialSchedule snapshot, the
+/// consideration-order buffers and candidate scratch). For the bench memory
+/// column; cheap enough to call between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
 /// High-water mark of thread_workspace_bytes() on the calling thread (the
@@ -183,10 +184,13 @@ class SearchEngine {
   /// `net`            — interconnect pricing c_lk;
   /// `vertex_budget`  — maximum number of vertices to generate (>= 1).
   ///
-  /// Thread-safe: per-thread scratch buffers are reused across calls (node
-  /// arenas grow in pooled chunks and are retained between runs), so the
-  /// search loop performs no steady-state heap allocation
-  /// (docs/ARCHITECTURE.md, "Search hot path").
+  /// Thread-safe: per-thread scratch buffers are reused across calls — the
+  /// PartialSchedule snapshot, the consideration order and its sort
+  /// buffers, the candidate list, and node arenas that grow in pooled
+  /// chunks. Once they have grown to the largest batch seen, a run's only
+  /// heap allocation is the returned schedule (one, sized to its final
+  /// length; none when it is empty). Tested by tests/alloc/
+  /// steady_state_alloc_test.cc; docs/ARCHITECTURE.md, "Search hot path".
   [[nodiscard]] SearchResult run(const std::vector<Task>& batch,
                                  const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,
@@ -204,9 +208,11 @@ std::vector<std::uint32_t> task_consideration_order(
     const std::vector<Task>& batch, TaskOrder order);
 
 /// Allocation-reusing core of task_consideration_order: fills `out` with
-/// the permutation (capacity retained across phases). kBatchOrder yields
-/// the identity permutation; the engine skips the vector entirely in that
-/// case and callers that only need identity semantics may do the same.
+/// the permutation (capacity retained across phases; the sort keys and
+/// merge buffer live in the calling thread's search workspace, so a warm
+/// call allocates nothing). kBatchOrder yields the identity permutation;
+/// the engine skips the vector entirely in that case and callers that only
+/// need identity semantics may do the same.
 void task_consideration_order_into(const std::vector<Task>& batch,
                                    TaskOrder order,
                                    std::vector<std::uint32_t>& out);

@@ -8,24 +8,30 @@
 namespace rtds::search {
 
 PartialSchedule::PartialSchedule(const std::vector<Task>* batch,
-                                 std::vector<SimDuration> base_loads,
+                                 const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,
-                                 const machine::Interconnect* net)
-    : batch_(batch),
-      net_(net),
-      delivery_time_(delivery_time),
-      base_loads_(std::move(base_loads)) {
-  RTDS_REQUIRE(batch_ != nullptr && net_ != nullptr,
+                                 const machine::Interconnect* net) {
+  reset(batch, base_loads, delivery_time, net);
+}
+
+void PartialSchedule::reset(const std::vector<Task>* batch,
+                            const std::vector<SimDuration>& base_loads,
+                            SimTime delivery_time,
+                            const machine::Interconnect* net) {
+  RTDS_REQUIRE(batch != nullptr && net != nullptr,
                "PartialSchedule: null batch or interconnect");
-  RTDS_REQUIRE(base_loads_.size() == net_->num_workers(),
+  RTDS_REQUIRE(base_loads.size() == net->num_workers(),
                "PartialSchedule: base_loads size != worker count");
-  for (SimDuration d : base_loads_) {
+  for (SimDuration d : base_loads) {
     RTDS_REQUIRE(!d.is_negative(), "PartialSchedule: negative base load");
   }
-  ce_us_.resize(base_loads_.size());
+  batch_ = batch;
+  net_ = net;
+  delivery_time_ = delivery_time;
+  ce_us_.resize(base_loads.size());
   max_ce_us_ = 0;
-  for (std::size_t k = 0; k < base_loads_.size(); ++k) {
-    ce_us_[k] = base_loads_[k].us;
+  for (std::size_t k = 0; k < base_loads.size(); ++k) {
+    ce_us_[k] = base_loads[k].us;
     max_ce_us_ = std::max(max_ce_us_, ce_us_[k]);
   }
 
@@ -53,9 +59,15 @@ PartialSchedule::PartialSchedule(const std::vector<Task>* batch,
     has_gangs_ = has_gangs_ || t.workers_required > 1;
   }
 
+  // Back to the identity order and an empty path: nothing of the previous
+  // batch's order, assignments or gang undo values may survive.
+  order_ = nullptr;
+  pos_of_task_.clear();
   unassigned_.resize((n + 63) / 64);
   reset_unassigned_bits();
+  path_.clear();
   path_.reserve(n);
+  gang_undo_.clear();
 }
 
 void PartialSchedule::reset_unassigned_bits() {
@@ -215,7 +227,7 @@ std::size_t PartialSchedule::footprint_bytes() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  return vec_bytes(base_loads_) + vec_bytes(ce_us_) + vec_bytes(p_us_) +
+  return vec_bytes(ce_us_) + vec_bytes(p_us_) +
          vec_bytes(es_us_) + vec_bytes(d_us_) + vec_bytes(aff_bits_) +
          vec_bytes(width_) + vec_bytes(unassigned_) +
          vec_bytes(pos_of_task_) + vec_bytes(path_) + vec_bytes(gang_undo_);

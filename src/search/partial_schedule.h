@@ -19,8 +19,8 @@
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "Search hot path"): the search
 // charges its entire vertex budget through evaluate/push/pop, so this class
-// keeps flat structure-of-arrays state sized at construction and touches
-// nothing else:
+// keeps flat structure-of-arrays state sized at reset() and touches nothing
+// else:
 //   * p_us_/es_us_/d_us_/aff_bits_/width_ — the per-task constants, one
 //     contiguous array per field in raw delivery-relative microseconds, so
 //     evaluation never dereferences the 56-byte Task and the search/simd.h
@@ -85,15 +85,26 @@ class PartialSchedule {
     std::uint32_t workers_required{1};
   };
 
-  /// `batch` must outlive this object and must not be mutated while it is
-  /// in use: task parameters are snapshotted into the per-task constants at
-  /// construction (delivery-relative offsets can only be precomputed once).
+  /// Equivalent to reset() on a fresh object.
+  PartialSchedule(const std::vector<Task>* batch,
+                  const std::vector<SimDuration>& base_loads,
+                  SimTime delivery_time, const machine::Interconnect* net);
+
+  /// Starts a new empty path over `batch`, refilling every array in place:
+  /// once the capacities have grown to the largest batch seen, a reset
+  /// allocates nothing, so one schedule can serve every phase. The result
+  /// is indistinguishable from a freshly constructed schedule — identity
+  /// consideration order, empty path, no gang undo state.
+  ///
+  /// `batch` must outlive the next reset and must not be mutated while it
+  /// is in use: task parameters are snapshotted into the per-task constants
+  /// here (delivery-relative offsets can only be precomputed once).
   /// `base_loads[k]` is the worker's residual load at delivery time:
   /// max(0, Load_k(j-1) - Q_s(j)). `delivery_time` is t_s + Q_s(j), the
   /// time the schedule will reach the ready queues. `net` prices c_lk.
-  PartialSchedule(const std::vector<Task>* batch,
-                  std::vector<SimDuration> base_loads, SimTime delivery_time,
-                  const machine::Interconnect* net);
+  void reset(const std::vector<Task>* batch,
+             const std::vector<SimDuration>& base_loads,
+             SimTime delivery_time, const machine::Interconnect* net);
 
   /// Declares the consideration order the search iterates tasks in, so the
   /// unassigned bitset lives in order-position space and find-first scans
@@ -266,10 +277,9 @@ class PartialSchedule {
   }
   void reset_unassigned_bits();
 
-  const std::vector<Task>* batch_;
-  const machine::Interconnect* net_;
-  SimTime delivery_time_;
-  std::vector<SimDuration> base_loads_;
+  const std::vector<Task>* batch_{nullptr};
+  const machine::Interconnect* net_{nullptr};
+  SimTime delivery_time_{SimTime::zero()};
   /// Per-worker completion offsets in raw microseconds (SoA hot vector).
   std::vector<std::int64_t> ce_us_;
   std::int64_t max_ce_us_{0};

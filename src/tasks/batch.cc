@@ -1,7 +1,5 @@
 #include "tasks/batch.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace rtds::tasks {
@@ -20,31 +18,41 @@ bool Batch::readmit(const Task& task) {
   return true;
 }
 
-void Batch::remove_scheduled(const std::unordered_set<TaskId>& scheduled_ids) {
-  if (scheduled_ids.empty()) return;
-  // Erase from ids_ inside the predicate: after remove_if the tail range
-  // holds shifted-up copies of the KEPT elements, so reading removed ids
-  // from it would unregister the wrong tasks.
-  auto removed = std::remove_if(tasks_.begin(), tasks_.end(),
-                                [&](const Task& t) {
-                                  if (scheduled_ids.count(t.id) == 0) {
-                                    return false;
-                                  }
-                                  ids_.erase(t.id);
-                                  return true;
-                                });
-  tasks_.erase(removed, tasks_.end());
+void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    RTDS_REQUIRE(indices[j] < tasks_.size() &&
+                     (j == 0 || indices[j - 1] < indices[j]),
+                 "remove_scheduled: indices must be ascending batch positions");
+  }
+  if (indices.empty()) return;
+  // Order-preserving compaction from the first removed slot on. A removed
+  // id is unregistered while its task is still in place: slots past `keep`
+  // get overwritten by survivors.
+  std::size_t keep = indices.front();
+  std::size_t next = 0;
+  for (std::size_t i = keep; i < tasks_.size(); ++i) {
+    if (next < indices.size() && indices[next] == i) {
+      ids_.erase(tasks_[i].id);
+      ++next;
+    } else {
+      tasks_[keep++] = tasks_[i];
+    }
+  }
+  tasks_.resize(keep);
 }
 
-std::vector<Task> Batch::cull_missed(SimTime t) {
-  std::vector<Task> culled;
-  auto keep_end = std::stable_partition(
-      tasks_.begin(), tasks_.end(),
-      [&](const Task& task) { return !task.deadline_unreachable(t); });
-  culled.assign(keep_end, tasks_.end());
-  for (const Task& task : culled) ids_.erase(task.id);
-  tasks_.erase(keep_end, tasks_.end());
-  return culled;
+void Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
+  culled.clear();
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (tasks_[i].deadline_unreachable(t)) {
+      ids_.erase(tasks_[i].id);
+      culled.push_back(tasks_[i]);
+    } else {
+      tasks_[keep++] = tasks_[i];
+    }
+  }
+  tasks_.resize(keep);
 }
 
 SimDuration Batch::min_slack(SimTime t) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -33,20 +34,25 @@ class Batch {
   /// Returns the number of tasks actually merged.
   std::size_t merge_arrivals(const std::vector<Task>& arrived);
 
-  /// Returns a task to the batch after its delivery was refused (the
-  /// readmission path of the overload-robustness layer). No-op returning
-  /// false when the id is already pending — which is the common case, since
-  /// the pipeline only retires tasks the backend actually accepted.
+  /// Returns a task to the batch, e.g. after its delivery was refused. No-op
+  /// returning false when the id is already pending. The pipeline does not
+  /// need it for readmission: it never retires a refused task with
+  /// delivery attempts left, so that task is still pending.
   bool readmit(const Task& task);
 
-  /// Removes tasks that were scheduled in the phase that just ended.
-  /// Ids not present are ignored (they may have been culled already).
-  void remove_scheduled(const std::unordered_set<TaskId>& scheduled_ids);
+  /// Removes the tasks at the given batch positions — the tasks that were
+  /// scheduled in the phase that just ended, named by the indices the
+  /// search reported against tasks(). `indices` must be strictly ascending
+  /// and each below size() (InvalidArgument otherwise, batch untouched).
+  /// The remaining tasks keep their order; nothing is allocated.
+  void remove_scheduled(const std::vector<std::uint32_t>& indices);
 
   /// Culls tasks whose deadlines can no longer be met at time t
-  /// (p_i + t_c > d_i, Sec. 4.1). Returns the culled tasks (the experiment
-  /// harness counts them as deadline misses).
-  std::vector<Task> cull_missed(SimTime t);
+  /// (p_i + t_c > d_i, Sec. 4.1), compacting the survivors in place in
+  /// their order. `culled` is overwritten with the culled tasks in batch
+  /// order (the experiment harness counts them as deadline misses); pass
+  /// the same vector every phase and its capacity is reused.
+  void cull_missed(SimTime t, std::vector<Task>& culled);
 
   /// Minimum slack over the batch at time t (Min_Slack in Fig. 3).
   /// Requires a non-empty batch.

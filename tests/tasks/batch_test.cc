@@ -50,7 +50,7 @@ TEST(BatchTest, ReadmitInsertsOnlyWhenAbsent) {
   EXPECT_TRUE(b.readmit(t));    // not pending: inserted
   EXPECT_FALSE(b.readmit(t));   // already pending: no-op
   EXPECT_EQ(b.size(), 1u);
-  b.remove_scheduled({5});
+  b.remove_scheduled({0});
   EXPECT_TRUE(b.readmit(t));    // removed, so readmission re-inserts
   EXPECT_EQ(b.size(), 1u);
 }
@@ -59,7 +59,7 @@ TEST(BatchTest, ReadmittedTaskKeepsBatchOrder) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000})});
-  b.remove_scheduled({1});
+  b.remove_scheduled({0});
   EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 2u);  // readmission appends
@@ -71,11 +71,11 @@ TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000}),
                     make_task(3, msec(1), SimTime{100000})});
-  b.remove_scheduled({1, 3});
+  b.remove_scheduled({0, 2});  // positions of ids 1 and 3
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b.tasks()[0].id, 2u);
-  // Unknown ids are ignored.
-  b.remove_scheduled({42});
+  // An empty list removes nothing.
+  b.remove_scheduled({});
   EXPECT_EQ(b.size(), 1u);
 }
 
@@ -88,7 +88,7 @@ TEST(BatchTest, RemoveScheduledUnregistersExactlyTheRemovedIds) {
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000}),
                     make_task(3, msec(1), SimTime{100000})});
-  b.remove_scheduled({1, 3});
+  b.remove_scheduled({0, 2});
   EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{100000})));  // pending
   EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
   EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime{100000})));
@@ -100,7 +100,7 @@ TEST(BatchTest, RemovedIdsCanReappearAsNewTasks) {
   // reuses ids, but the container must not keep ghosts).
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000})});
-  b.remove_scheduled({1});
+  b.remove_scheduled({0});
   EXPECT_TRUE(b.empty());
   b.merge_arrivals({make_task(1, msec(2), SimTime{100000})});
   EXPECT_EQ(b.size(), 1u);
@@ -111,7 +111,8 @@ TEST(BatchTest, CullMissedRemovesUnreachable) {
   // Task 1 reachable at t=0; task 2 unreachable (p=5ms, d=2ms).
   b.merge_arrivals({make_task(1, msec(1), SimTime::zero() + msec(10)),
                     make_task(2, msec(5), SimTime::zero() + msec(2))});
-  const auto culled = b.cull_missed(SimTime::zero());
+  std::vector<Task> culled;
+  b.cull_missed(SimTime::zero(), culled);
   ASSERT_EQ(culled.size(), 1u);
   EXPECT_EQ(culled[0].id, 2u);
   EXPECT_EQ(b.size(), 1u);
@@ -121,17 +122,53 @@ TEST(BatchTest, CullMissedRemovesUnreachable) {
 TEST(BatchTest, CullMissedIsTimeSensitive) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(2), SimTime::zero() + msec(10))});
-  EXPECT_TRUE(b.cull_missed(SimTime::zero() + msec(8)).empty());
-  EXPECT_EQ(b.cull_missed(SimTime::zero() + msec(9)).size(), 1u);
+  std::vector<Task> culled;
+  b.cull_missed(SimTime::zero() + msec(8), culled);
+  EXPECT_TRUE(culled.empty());
+  b.cull_missed(SimTime::zero() + msec(9), culled);
+  EXPECT_EQ(culled.size(), 1u);
   EXPECT_TRUE(b.empty());
 }
 
 TEST(BatchTest, CulledTaskIdIsReleased) {
   Batch b;
   b.merge_arrivals({make_task(7, msec(5), SimTime::zero() + msec(1))});
-  EXPECT_EQ(b.cull_missed(SimTime::zero()).size(), 1u);
+  std::vector<Task> culled;
+  b.cull_missed(SimTime::zero(), culled);
+  EXPECT_EQ(culled.size(), 1u);
   b.merge_arrivals({make_task(7, msec(1), SimTime::zero() + msec(100))});
   EXPECT_EQ(b.size(), 1u);
+}
+
+TEST(BatchTest, CullMissedCompactsInOrderAndOverwritesCulled) {
+  // Survivors keep their relative order, the culled tasks come back in
+  // batch order, and the out-vector is overwritten (not appended to) so
+  // one vector can serve every phase. At t=0: ids 2, 3 and 5 are
+  // unreachable (p > d); 1, 4 and 6 survive.
+  Batch b;
+  b.merge_arrivals({make_task(1, msec(1), SimTime::zero() + msec(50)),
+                    make_task(2, msec(5), SimTime::zero() + msec(2)),
+                    make_task(3, msec(9), SimTime::zero() + msec(1)),
+                    make_task(4, msec(1), SimTime::zero() + msec(40)),
+                    make_task(5, msec(3), SimTime::zero() + msec(2)),
+                    make_task(6, msec(2), SimTime::zero() + msec(30))});
+  std::vector<Task> culled{make_task(99, msec(1), SimTime{1})};  // stale
+  b.cull_missed(SimTime::zero(), culled);
+  ASSERT_EQ(culled.size(), 3u);
+  EXPECT_EQ(culled[0].id, 2u);
+  EXPECT_EQ(culled[1].id, 3u);
+  EXPECT_EQ(culled[2].id, 5u);
+  ASSERT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.tasks()[0].id, 1u);
+  EXPECT_EQ(b.tasks()[1].id, 4u);
+  EXPECT_EQ(b.tasks()[2].id, 6u);
+  // The culled ids are free again; the survivors' are still registered.
+  EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime::zero() + msec(60))));
+  EXPECT_FALSE(b.readmit(make_task(4, msec(1), SimTime::zero() + msec(60))));
+  // Nothing left to cull: the out-vector is emptied.
+  b.cull_missed(SimTime::zero(), culled);
+  EXPECT_TRUE(culled.empty());
+  EXPECT_EQ(b.size(), 4u);
 }
 
 TEST(BatchTest, MinSlackFindsTightestTask) {
@@ -168,7 +205,7 @@ TEST(BatchTest, ReadmitAfterPartialDelivery) {
   const Task t2 = make_task(2, msec(2), SimTime{1000000});
   const Task t3 = make_task(3, msec(3), SimTime{1000000});
   b.merge_arrivals({t1, t2, t3});
-  b.remove_scheduled({1, 2, 3});
+  b.remove_scheduled({0, 1, 2});
   EXPECT_TRUE(b.empty());
   EXPECT_TRUE(b.readmit(t2));
   ASSERT_EQ(b.size(), 1u);
@@ -193,7 +230,7 @@ TEST(BatchTest, ReadmittedTaskMergesWithDuplicateIdArrival) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 7u);
   EXPECT_EQ(b.tasks()[0].processing, msec(2));  // the readmitted copy won
-  b.remove_scheduled({7});
+  b.remove_scheduled({0});
   EXPECT_EQ(b.size(), 1u);
   EXPECT_TRUE(b.readmit(refused));
   EXPECT_EQ(b.size(), 2u);
@@ -211,8 +248,12 @@ TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
   for (int round = 0; round < 4; ++round) {
     // Schedule the whole batch...
     std::unordered_set<TaskId> scheduled;
-    for (const Task& t : b.tasks()) scheduled.insert(t.id);
-    b.remove_scheduled(scheduled);
+    std::vector<std::uint32_t> positions;
+    for (const Task& t : b.tasks()) {
+      scheduled.insert(t.id);
+      positions.push_back(std::uint32_t(positions.size()));
+    }
+    b.remove_scheduled(positions);
     EXPECT_TRUE(b.empty());
     // ...and readmit every other task, as a partial refusal would.
     std::size_t readmitted = 0;
@@ -227,13 +268,40 @@ TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
   }
 }
 
-TEST(BatchTest, RemoveScheduledIgnoresAbsentIds) {
+TEST(BatchTest, RemoveScheduledByIndexKeepsOrderAndIndex) {
+  // Interior, adjacent and last positions at once: the survivors keep
+  // their order, and exactly the removed ids become admissible again.
   Batch b;
-  b.merge_arrivals({make_task(1, msec(1), SimTime{1000000})});
-  b.remove_scheduled({1, 99});  // 99 was culled elsewhere: ignored
-  EXPECT_TRUE(b.empty());
-  // And the absent id did not poison the index.
-  EXPECT_TRUE(b.readmit(make_task(99, msec(1), SimTime{1000000})));
+  std::vector<Task> all;
+  for (TaskId id = 10; id < 20; ++id) {
+    all.push_back(make_task(id, msec(1), SimTime{5000000}));
+  }
+  b.merge_arrivals(all);
+  b.remove_scheduled({1, 4, 5, 9});
+  const std::vector<TaskId> survivors{10, 12, 13, 16, 17, 18};
+  ASSERT_EQ(b.size(), survivors.size());
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    EXPECT_EQ(b.tasks()[i].id, survivors[i]);
+  }
+  for (const Task& t : all) {
+    const bool removed = t.id == 11 || t.id == 14 || t.id == 15 || t.id == 19;
+    EXPECT_EQ(b.readmit(t), removed) << "id " << t.id;
+  }
+  EXPECT_EQ(b.size(), all.size());
+}
+
+TEST(BatchTest, RemoveScheduledRejectsBadIndices) {
+  // Positions must be ascending and in range; a bad list is refused
+  // before anything is removed.
+  Batch b;
+  b.merge_arrivals({make_task(1, msec(1), SimTime{1000000}),
+                    make_task(2, msec(1), SimTime{1000000})});
+  EXPECT_THROW(b.remove_scheduled({0, 2}), InvalidArgument);  // past the end
+  EXPECT_THROW(b.remove_scheduled({1, 0}), InvalidArgument);  // descending
+  EXPECT_THROW(b.remove_scheduled({1, 1}), InvalidArgument);  // repeated
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_FALSE(b.readmit(make_task(1, msec(1), SimTime{1000000})));
+  EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{1000000})));
 }
 
 }  // namespace
