@@ -1,6 +1,6 @@
 // Search hot-path throughput: optimized SearchEngine vs the frozen
-// pre-optimization snapshot (search/reference_engine.h), on the paper's
-// workload shapes.
+// pre-optimization snapshot (tests/support/reference_engine.h), on the
+// paper's workload shapes.
 //
 //   bench_search_throughput [--quick] [--reps N] [--iters N] [--out PATH]
 //                           [--capacity-max N]
@@ -10,21 +10,14 @@
 // bit-identical (the equivalence suite's guarantee, re-asserted here so a
 // perf number can never come from a divergent search), and reports
 // vertices/sec, ns/vertex, expansions/sec and p50/p99 per-phase search
-// latency. A second sweep scales the parallel sharded engine over
-// K ∈ {1, 2, 4, 8, 16} worker threads on the acceptance cells, verifying
-// bit-identity against the sequential engine and reporting both useful
-// (budgeted) and speculative vertices/sec with parallel efficiency —
-// interpret the scaling against `hardware_concurrency` in the JSON: on a
-// single-core host every K shares one core and the table shows overhead,
-// not speedup. A third sweep is the CAPACITY table: generous-deadline
+// latency. A second sweep is the CAPACITY table: generous-deadline
 // batches at n ∈ {10^5, 10^6} (gated by --capacity-max; 0 skips, the
 // --quick default) walked to a full-depth leaf through the wide node
 // header, reporting vertices/sec plus the memory columns — process peak
-// RSS, the engine's pooled arena/workspace bytes, and the parallel shards'
-// arena bytes. n = 10^5 is still verified bit-identical against the
-// reference engine; n = 10^6 (where the reference's per-vertex node heap
-// is the bottleneck) is checked against a from-scratch schedule-invariant
-// oracle and against the parallel engine's replay instead. Writes the
+// RSS and the engine's pooled arena/workspace bytes. n = 10^5 is still
+// verified bit-identical against the reference engine; n = 10^6 (where the
+// reference's per-vertex node heap is the bottleneck) is checked against a
+// from-scratch schedule-invariant oracle instead. Writes the
 // machine-readable trajectory to BENCH_SEARCH.json so future PRs can diff
 // throughput against this one.
 #include <sys/resource.h>
@@ -42,8 +35,7 @@
 #include "bench_util.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
-#include "search/parallel_engine.h"
-#include "search/reference_engine.h"
+#include "support/reference_engine.h"
 #include "tasks/workload.h"
 
 namespace {
@@ -427,113 +419,21 @@ int main(int argc, char** argv) {
     json << ",\n    \"speedup_vertices_per_sec\": " << exp::fmt(speedup, 3)
          << "}";
   }
-  json << "\n  ],\n";
-
-  // ---- parallel engine: threads scaling table ---------------------------
-  // Same cells, ParallelSearchEngine over K threads. Every parallel result
-  // is checked bit-identical against the sequential engine before any
-  // timing counts. Useful throughput = budgeted vertices/sec (the replay's
-  // exact sequential accounting); speculative throughput additionally
-  // counts exploration past the sequential frontier — the metric that
-  // scales with cores, since speculation is what the shards parallelize.
-  const std::uint32_t hw = std::thread::hardware_concurrency();
-  json << "  \"hardware_concurrency\": " << hw
-       << ",\n  \"threads_scaling\": [\n";
-
-  std::cout << "\nthreads scaling (parallel engine, K workers, "
-            << "hardware_concurrency=" << hw << ")\n"
-            << "cell                            |  K | wall vert/s | "
-               "spec vert/s | speedup | efficiency\n"
-            << "--------------------------------+----+-------------+----------"
-               "---+---------+-----------\n";
-
-  const std::vector<std::uint32_t> thread_axis = {1, 2, 4, 8, 16};
-  bool first_scale = true;
-  for (const Cell& cell : make_cells()) {
-    const bool scaling_cell = cell.name == "fig5_m10_n1000_dfs_assign" ||
-                              (!quick &&
-                               (cell.name == "n1000_m10_bestfirst_assign" ||
-                                cell.name == "n1000_m10_dfs_seq"));
-    if (!scaling_cell) continue;
-
-    const auto net = machine::Interconnect::cut_through(cell.m, msec(5));
-    std::vector<PhaseInput> inputs;
-    std::vector<SearchResult> sequential;
-    const search::SearchEngine seq_engine(cell.config);
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      inputs.push_back(make_input(cell, rep));
-      const PhaseInput& in = inputs.back();
-      sequential.push_back(seq_engine.run(in.batch, in.base_loads,
-                                          in.delivery, net, in.budget));
-    }
-
-    double base_vps = 0;
-    for (const std::uint32_t k : thread_axis) {
-      const search::ParallelSearchEngine engine(cell.config, k);
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const SearchResult par =
-            engine.run(inputs[i].batch, inputs[i].base_loads,
-                       inputs[i].delivery, net, inputs[i].budget);
-        require_identical(par, sequential[i],
-                          cell.name + " threads=" + std::to_string(k));
-      }
-      std::uint64_t total_ns = 0, useful = 0, speculative = 0;
-      for (const PhaseInput& in : inputs) {
-        for (std::uint32_t it = 0; it < iters; ++it) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const SearchResult r =
-              engine.run(in.batch, in.base_loads, in.delivery, net, in.budget);
-          total_ns += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-          useful += r.stats.vertices_generated;
-          // threads == 1 delegates to the sequential engine: every vertex
-          // it generates is both useful and "speculative" work performed.
-          speculative += k == 1
-                             ? r.stats.vertices_generated
-                             : engine.last_run_stats().speculative_vertices;
-        }
-      }
-      const double secs = double(total_ns) * 1e-9;
-      const double wall_vps = secs > 0 ? double(useful) / secs : 0;
-      const double spec_vps = secs > 0 ? double(speculative) / secs : 0;
-      if (k == 1) base_vps = wall_vps;
-      const double speedup = base_vps > 0 ? wall_vps / base_vps : 0;
-      const double efficiency =
-          base_vps > 0 ? 100.0 * spec_vps / (double(k) * base_vps) : 0;
-
-      std::cout << cell.name;
-      for (std::size_t pad = cell.name.size(); pad < 32; ++pad) {
-        std::cout << ' ';
-      }
-      std::cout << "| " << k << " | " << std::uint64_t(wall_vps) << " | "
-                << std::uint64_t(spec_vps) << " | " << exp::fmt(speedup, 2)
-                << "x | " << exp::fmt(efficiency, 1) << "%\n";
-
-      if (!first_scale) json << ",\n";
-      first_scale = false;
-      json << "   {\"config\": \"" << cell.name << "\", \"threads\": " << k
-           << ", \"vertices_per_sec\": " << std::uint64_t(wall_vps)
-           << ", \"speculative_vertices_per_sec\": " << std::uint64_t(spec_vps)
-           << ", \"speedup_vs_1\": " << exp::fmt(speedup, 3)
-           << ", \"efficiency_pct\": " << exp::fmt(efficiency, 1) << "}";
-    }
-  }
-  json << "\n  ],\n";
+  json << "\n  ],\n  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n";
 
   // ---- capacity table: wide-header sizes with memory columns ------------
   // Schedule-preserving by proof at 10^5 (bit-identical to the reference)
-  // and by oracle at 10^6 (full invariant re-derivation + parallel-replay
-  // bit-identity) — the reference's per-vertex node heap makes a 10^7
-  // vertex replay the memory bottleneck, not the engine under test.
+  // and by oracle at 10^6 (full invariant re-derivation) — the reference's
+  // per-vertex node heap makes a 10^7 vertex replay the memory bottleneck,
+  // not the engine under test.
   json << "  \"capacity_max\": " << capacity_max << ",\n  \"capacity\": [\n";
   std::cout << "\ncapacity sweep (wide-header sizes, --capacity-max "
             << capacity_max << ")\n"
             << "cell                            |  vert/s(opt) | ns/v(opt) | "
-               "peak_rss | workspace | par_arena\n"
+               "peak_rss | workspace\n"
             << "--------------------------------+--------------+-----------+-"
-               "---------+-----------+----------\n";
+               "---------+----------\n";
   bool first_cap = true;
   for (const std::uint32_t cap_n : {100'000u, 1'000'000u}) {
     if (std::uint64_t{cap_n} > capacity_max) continue;
@@ -557,12 +457,6 @@ int main(int argc, char** argv) {
       require_identical(opt_result, ref_result, name);
       ref_checked = true;
     }
-    const search::ParallelSearchEngine par(cfg, 2);
-    const SearchResult par_result =
-        par.run(in.batch, in.base_loads, in.delivery, net, in.budget);
-    require_identical(opt_result, par_result, name + " parallel");
-    const std::uint64_t par_arena = par.last_run_stats().arena_bytes;
-
     // Timing: the sequential engine on the pooled warm arena.
     const std::uint32_t cap_iters = cap_n >= 1'000'000u ? 1 : 2;
     std::uint64_t total_ns = 0, total_vertices = 0;
@@ -587,7 +481,7 @@ int main(int argc, char** argv) {
     for (std::size_t pad = name.size(); pad < 32; ++pad) std::cout << ' ';
     std::cout << "| " << std::uint64_t(vps) << " | " << exp::fmt(nspv, 2)
               << " | " << (rss >> 20) << "M | " << (workspace >> 20)
-              << "M | " << (par_arena >> 20) << "M\n";
+              << "M\n";
 
     if (!first_cap) json << ",\n";
     first_cap = false;
@@ -600,8 +494,7 @@ int main(int argc, char** argv) {
          << ", \"reached_leaf\": true"
          << ", \"reference_checked\": " << (ref_checked ? "true" : "false")
          << ", \"peak_rss_bytes\": " << rss
-         << ", \"workspace_peak_bytes\": " << workspace
-         << ", \"parallel_arena_bytes\": " << par_arena << "}";
+         << ", \"workspace_peak_bytes\": " << workspace << "}";
   }
   json << "\n  ]\n}\n";
 

@@ -1,7 +1,7 @@
 // Walkthrough of the self-adjusting scheduling-time criterion (Sec. 4.2).
 //
 // Composes the library's pieces by hand — Batch, Cluster, SearchEngine,
-// SelfAdjustingQuantum — instead of using PhaseScheduler, and prints a
+// SelfAdjustingQuantum — instead of using PhasePipeline, and prints a
 // per-phase trace: Min_Slack, Min_Load, the allocated Q_s(j), the vertex
 // budget it buys, and what each phase achieved. Watch the quantum shrink
 // when slack gets tight or workers go idle, and stretch when the workers

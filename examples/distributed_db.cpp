@@ -15,7 +15,8 @@
 #include "db/transaction.h"
 #include "exp/table.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sched/quantum.h"
 #include "sim/simulator.h"
@@ -61,10 +62,11 @@ int main(int argc, char** argv) {
     sim::Simulator sim;
     const auto quantum =
         sched::make_self_adjusting_quantum(usec(100), msec(20));
-    sched::DriverConfig driver_cfg;
-    driver_cfg.vertex_generation_cost = usec(2);
-    const sched::PhaseScheduler scheduler(*algo, *quantum, driver_cfg);
-    const sched::RunMetrics m = scheduler.run(workload, cluster, sim);
+    sched::PipelineConfig pipeline_cfg;
+    pipeline_cfg.vertex_generation_cost = usec(2);
+    const sched::PhasePipeline pipeline(*algo, *quantum, pipeline_cfg);
+    sched::SimBackend backend(cluster, sim);
+    const sched::RunMetrics m = pipeline.run(workload, backend);
     table.add_row({algo->name(), exp::fmt(m.hit_ratio() * 100, 1),
                    std::to_string(m.scheduled), std::to_string(m.culled),
                    std::to_string(m.phases),

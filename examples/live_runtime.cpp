@@ -7,7 +7,8 @@
 #include <iostream>
 
 #include "common/rng.h"
-#include "runtime/threaded_runtime.h"
+#include "runtime/threaded_backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sched/quantum.h"
 #include "tasks/workload.h"
@@ -39,13 +40,19 @@ int main(int argc, char** argv) {
   runtime::RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 0.25;  // execute 4x faster than nominal
+
+  // The wall clock pays for every phase as it runs, so the pipeline charges
+  // no synthetic per-phase overhead on top.
+  sched::PipelineConfig pipeline_cfg;
+  pipeline_cfg.vertex_generation_cost = usec(10);
+  pipeline_cfg.phase_overhead = SimDuration::zero();
+  const sched::PhasePipeline pipeline(*algorithm, *quantum, pipeline_cfg);
 
   std::cout << "running " << num_tasks << " tasks on " << workers
             << " worker threads (live wall-clock deadlines)...\n";
-  const runtime::RuntimeReport r =
-      runtime::run_threaded(*algorithm, *quantum, cfg, workload);
+  runtime::ThreadedBackend backend(cfg);
+  const sched::RunMetrics r = pipeline.run(workload, backend);
 
   std::cout << "tasks offered       : " << r.total_tasks << "\n"
             << "scheduled           : " << r.scheduled << "\n"

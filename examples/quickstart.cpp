@@ -8,7 +8,8 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sched/quantum.h"
 #include "sim/simulator.h"
@@ -43,8 +44,9 @@ int main() {
 
   // 4. Run the pipeline on the discrete-event simulator.
   sim::Simulator simulator;
-  const sched::PhaseScheduler scheduler(*algorithm, *quantum);
-  const sched::RunMetrics m = scheduler.run(workload, cluster, simulator);
+  const sched::PhasePipeline pipeline(*algorithm, *quantum);
+  sched::SimBackend backend(cluster, simulator);
+  const sched::RunMetrics m = pipeline.run(workload, backend);
 
   std::cout << "tasks offered        : " << m.total_tasks << "\n"
             << "scheduled            : " << m.scheduled << "\n"

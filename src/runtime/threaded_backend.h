@@ -41,9 +41,6 @@ namespace rtds::runtime {
 struct RuntimeConfig {
   std::uint32_t num_workers{4};
   SimDuration comm_cost{msec(2)};
-  /// Virtual scheduling cost per generated vertex: sets the vertex budget
-  /// of each phase exactly as in the simulation.
-  SimDuration vertex_cost{usec(10)};
   /// Execution sleep = execution cost * time_scale. Values < 1 shrink the
   /// wall time of demos; 1.0 executes in real time.
   double time_scale{1.0};
@@ -57,10 +54,6 @@ struct RuntimeConfig {
   /// stuck worker can only stall the host briefly. 0 = drop immediately.
   std::uint32_t delivery_retries{3};
   SimDuration delivery_backoff{usec(100)};
-  /// Pipeline-level delivery budget per task (PipelineConfig::
-  /// max_delivery_attempts): refused tasks are readmitted until this many
-  /// deliver() refusals, then retired as `rejected`. 0 = unbounded.
-  std::uint32_t max_delivery_attempts{8};
 };
 
 /// ExecutionBackend over std::thread workers + bounded mailboxes.

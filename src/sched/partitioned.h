@@ -34,7 +34,7 @@ struct PartitionedConfig {
   std::uint32_t total_workers{16};
   SimDuration comm_cost{msec(5)};
   machine::ReclaimMode reclaim{machine::ReclaimMode::kWorstCase};
-  DriverConfig driver;
+  PipelineConfig driver;
 };
 
 /// Combined outcome: per-shard metrics plus the totals that matter.

@@ -54,7 +54,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
                                    TaskLedger* external_ledger) const {
   RunMetrics metrics;
   metrics.algorithm = algorithm_.name();
-  metrics.threads = algorithm_.threads();
 
   const std::optional<SimTime> first_arrival = source.peek();
   if (!first_arrival.has_value()) {
@@ -275,7 +274,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     if (observer != nullptr) {
       PhaseRecord record;
       record.algorithm = metrics.algorithm;
-      record.threads = metrics.threads;
       record.index = metrics.phases - 1;  // this phase, counted above
       record.start = t;
       record.arrivals = arrived.size();

@@ -215,22 +215,10 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
     using search::TaskOrder;
     auto* r = new AlgorithmRegistry();
 
-    // Shared `threads=K` parameter for the tree-search entries: K worker
-    // threads per phase on the parallel sharded engine (results are
-    // bit-identical to K=1 for every budget).
-    const auto consume_threads = [](AlgorithmParams& p) -> std::uint32_t {
-      const std::uint32_t threads = p.u32("threads", 1);
-      RTDS_REQUIRE(threads >= 1 && threads <= 64,
-                   "algorithm spec: parameter 'threads' must be in [1, 64], "
-                   "got " + std::to_string(threads));
-      return threads;
-    };
-
     r->add("rt_sads",
            "assignment-oriented tree search (Sec. 4); cost=on|off, "
-           "order=min_end|index|min_comm, threads=K",
-           [consume_threads](AlgorithmParams& p)
-               -> std::unique_ptr<PhaseAlgorithm> {
+           "order=min_end|index|min_comm",
+           [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
              SearchConfig cfg;
              cfg.representation = Representation::kAssignmentOriented;
              cfg.task_order = TaskOrder::kEarliestDeadline;
@@ -248,16 +236,14 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
                  cfg.processor_order = ProcessorOrder::kMinCommCost;
                  break;
              }
-             const std::uint32_t threads = consume_threads(p);
              return std::make_unique<TreeSearchAlgorithm>(p.canonical_name(),
-                                                          cfg, threads);
+                                                          cfg);
            });
 
     r->add("d_cols",
            "sequence-oriented tree search (Sec. 5.2); max_successors=N, "
-           "level_order=round_robin|least_loaded, threads=K",
-           [consume_threads](AlgorithmParams& p)
-               -> std::unique_ptr<PhaseAlgorithm> {
+           "level_order=round_robin|least_loaded",
+           [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
              SearchConfig cfg;
              cfg.representation = Representation::kSequenceOriented;
              cfg.task_order = TaskOrder::kEarliestDeadline;
@@ -268,17 +254,15 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
                           {"round_robin", "least_loaded"}) == 0
                      ? LevelProcessorOrder::kRoundRobin
                      : LevelProcessorOrder::kLeastLoaded;
-             const std::uint32_t threads = consume_threads(p);
              return std::make_unique<TreeSearchAlgorithm>(p.canonical_name(),
-                                                          cfg, threads);
+                                                          cfg);
            });
 
     r->add("search",
            "generic tree search over the full config space; "
            "repr=assign|seq, strategy=dfs|best, cost=on|off, "
-           "max_successors=N, threads=K",
-           [consume_threads](AlgorithmParams& p)
-               -> std::unique_ptr<PhaseAlgorithm> {
+           "max_successors=N",
+           [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
              SearchConfig cfg;
              cfg.representation =
                  p.choice("repr", "assign", {"assign", "seq"}) == 0
@@ -291,9 +275,8 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
              cfg.use_load_balance_cost =
                  p.choice("cost", "on", {"on", "off"}) == 0;
              cfg.max_successors = p.u32("max_successors", 0);
-             const std::uint32_t threads = consume_threads(p);
              return std::make_unique<TreeSearchAlgorithm>(p.canonical_name(),
-                                                          cfg, threads);
+                                                          cfg);
            });
 
     r->add("edf_ff", "greedy EDF first-fit baseline",

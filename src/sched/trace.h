@@ -23,8 +23,6 @@ struct PhaseRecord {
   /// run; repeated per record so a trace file is self-describing even when
   /// traces from several runs are concatenated).
   std::string algorithm;
-  /// Worker threads the phase algorithm ran with (constant across a run).
-  std::uint32_t threads{1};
 
   std::uint64_t index{0};
   SimTime start{SimTime::zero()};

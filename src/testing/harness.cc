@@ -281,7 +281,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
     runtime::RuntimeConfig rcfg;
     rcfg.num_workers = scenario.workers;
     rcfg.comm_cost = comm;
-    rcfg.vertex_cost = usec(scenario.vertex_cost_us);
     rcfg.time_scale = options.threaded_time_scale;
     rcfg.mailbox_capacity = scenario.mailbox_capacity;
     rcfg.delivery_retries = scenario.delivery_retries;

@@ -252,14 +252,10 @@ Scenario generate_scenario(std::uint64_t base_seed, std::uint64_t index) {
   // Weighted portfolio mix: the paper's two search schedulers keep most of
   // the probability mass, the partitioned and greedy entrants share the
   // rest so every registry family is continuously enrolled in the oracles.
-  // Two slices run the parallel sharded engine (bit-identical to
-  // sequential), keeping it continuously under every oracle and both
-  // backends.
   const double algo_roll = rng.uniform_double();
-  s.algo_spec = algo_roll < 0.22   ? "rt_sads"
-                : algo_roll < 0.30 ? "rt_sads?threads=4"
+  s.algo_spec = algo_roll < 0.30   ? "rt_sads"
                 : algo_roll < 0.38 ? "d_cols"
-                : algo_roll < 0.45 ? "search?threads=2"
+                : algo_roll < 0.45 ? "search"
                 : algo_roll < 0.52 ? "d_cols?max_successors=4"
                 : algo_roll < 0.62 ? "packing"
                 : algo_roll < 0.69 ? "packing?fit=best&order=lpt"
@@ -406,9 +402,10 @@ void apply_big_batch_profile(Scenario& s, Xoshiro256ss& rng) {
   s.quantum_kind = 0;
   s.max_quantum_us = 200'000;
   s.vertex_cost_us = 2;
-  // Search family only (the capacity machinery under test), with a slice
-  // on the parallel engine's widened replay.
-  s.algo_spec = rng.bernoulli(0.3) ? "search?threads=2" : "rt_sads";
+  // Search family only (the capacity machinery under test). Both specs
+  // build the same search; the draw stays so that every seed keeps drawing
+  // the same scenario.
+  s.algo_spec = rng.bernoulli(0.3) ? "search" : "rt_sads";
   // DES only — the threaded backend replays wall-clock time and would
   // dominate the slice; no faults, gangs, or releases (orthogonal dials).
   s.run_threaded = 0;

@@ -4,7 +4,8 @@
 
 #include "common/rng.h"
 #include "machine/validator.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
@@ -98,8 +99,9 @@ TEST(AnalysisIntegrationTest, EndToEndRunValidatesAndAnalyzes) {
     wc.laxity_max = 10.0;
     Xoshiro256ss rng(7);
     const auto wl = tasks::generate_workload(wc, rng);
-    const sched::PhaseScheduler scheduler(*algo, *quantum);
-    const sched::RunMetrics m = scheduler.run(wl, cluster, sim);
+    const sched::PhasePipeline pipeline(*algo, *quantum);
+    sched::SimBackend backend(cluster, sim);
+    const sched::RunMetrics m = pipeline.run(wl, backend);
 
     const machine::ValidationReport vr =
         machine::validate_execution(cluster, wl);

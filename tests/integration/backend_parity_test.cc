@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "machine/cluster.h"
-#include "runtime/threaded_runtime.h"
+#include "runtime/threaded_backend.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
 #include "sched/presets.h"
@@ -49,6 +49,23 @@ std::vector<Task> parity_workload() {
   return wl;
 }
 
+/// The threaded deployment of the same pipeline: the backend's wall clock
+/// pays for every phase as it runs, so no synthetic per-phase overhead.
+RunMetrics run_threaded_backend(const sched::PhaseAlgorithm& algo,
+                                const sched::QuantumPolicy& quantum,
+                                const std::vector<Task>& wl,
+                                sched::PhaseObserver* observer = nullptr) {
+  sched::PipelineConfig pcfg;
+  pcfg.phase_overhead = SimDuration::zero();
+  const sched::PhasePipeline pipeline(algo, quantum, pcfg);
+  runtime::RuntimeConfig cfg;
+  cfg.num_workers = kWorkers;
+  cfg.comm_cost = msec(1);
+  cfg.time_scale = 0.01;  // execute 100x faster than nominal
+  runtime::ThreadedBackend backend(cfg);
+  return pipeline.run(wl, backend, observer);
+}
+
 TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
   const auto algo = sched::make_rt_sads();
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
@@ -61,12 +78,7 @@ TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
   sched::SimBackend sim_backend(cluster, sim);
   const RunMetrics sim_m = pipeline.run(wl, sim_backend);
 
-  runtime::RuntimeConfig cfg;
-  cfg.num_workers = kWorkers;
-  cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
-  cfg.time_scale = 0.01;  // execute 100x faster than nominal
-  const RunMetrics thr_m = runtime::run_threaded(*algo, *q, cfg, wl);
+  const RunMetrics thr_m = run_threaded_backend(*algo, *q, wl);
 
   EXPECT_EQ(sim_m.total_tasks, wl.size());
   EXPECT_EQ(sim_m.scheduled, wl.size());
@@ -148,13 +160,7 @@ TEST(BackendParityTest, ObserverSeesPhasesOnEveryBackend) {
   EXPECT_EQ(sim_trace.records().size(), sim_m.phases);
 
   sched::PhaseTraceRecorder thr_trace;
-  runtime::RuntimeConfig cfg;
-  cfg.num_workers = kWorkers;
-  cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
-  cfg.time_scale = 0.01;
-  const RunMetrics thr_m =
-      runtime::run_threaded(*algo, *q, cfg, wl, &thr_trace);
+  const RunMetrics thr_m = run_threaded_backend(*algo, *q, wl, &thr_trace);
   EXPECT_EQ(thr_trace.records().size(), thr_m.phases);
   ASSERT_FALSE(thr_trace.records().empty());
   EXPECT_EQ(thr_trace.records().front().batch_size, wl.size());

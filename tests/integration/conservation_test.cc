@@ -120,7 +120,6 @@ TEST(ConservationTest, ThreadedBackendConservesOnRandomWorkloads) {
     cfg.comm_cost = msec(1);
     cfg.time_scale = 0.05;
     sched::PipelineConfig pcfg;
-    pcfg.vertex_generation_cost = cfg.vertex_cost;
     pcfg.phase_overhead = SimDuration::zero();
     const sched::PhasePipeline pipeline(*algo, *q, pcfg);
     runtime::ThreadedBackend backend(cfg);
@@ -151,7 +150,6 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
   cfg.comm_cost = msec(1);
   cfg.mailbox_capacity = 1;
   sched::PipelineConfig pcfg;
-  pcfg.vertex_generation_cost = cfg.vertex_cost;
   pcfg.phase_overhead = SimDuration::zero();
   pcfg.max_delivery_attempts = 0;  // readmit until delivered or culled
   const sched::PhasePipeline pipeline(*algo, *q, pcfg);
@@ -190,7 +188,6 @@ TEST(ConservationTest, BoundedAttemptsRejectInsteadOfLosing) {
   cfg.mailbox_capacity = 1;
   cfg.delivery_retries = 0;
   sched::PipelineConfig pcfg;
-  pcfg.vertex_generation_cost = cfg.vertex_cost;
   pcfg.phase_overhead = SimDuration::zero();
   pcfg.max_delivery_attempts = 2;
   pcfg.delivery_backpressure = SimDuration::zero();  // hot loop on purpose

@@ -1,12 +1,14 @@
-// Integration tests of the live threaded runtime. Wall-clock timing is
-// inherently noisy, so deadlines here carry generous margins; the strong
-// assertions are bookkeeping invariants, not exact latencies.
-#include "runtime/threaded_runtime.h"
+// Integration tests of the live threaded runtime: the phase pipeline over a
+// ThreadedBackend. Wall-clock timing is inherently noisy, so deadlines here
+// carry generous margins; the strong assertions are bookkeeping invariants,
+// not exact latencies.
+#include "runtime/threaded_backend.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sched/quantum.h"
 #include "tasks/workload.h"
@@ -14,32 +16,46 @@
 namespace rtds::runtime {
 namespace {
 
+using sched::RunMetrics;
+
 RuntimeConfig fast_config(std::uint32_t workers) {
   RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 1.0;
   return cfg;
+}
+
+/// Runs `workload` to completion on real threads. The backend's wall clock
+/// pays for every phase as it runs, so the pipeline charges no synthetic
+/// per-phase overhead on top.
+RunMetrics run_live(const sched::PhaseAlgorithm& algorithm,
+                    const sched::QuantumPolicy& quantum,
+                    const RuntimeConfig& config,
+                    const std::vector<tasks::Task>& workload,
+                    std::uint32_t max_delivery_attempts = 8) {
+  sched::PipelineConfig pipeline_config;
+  pipeline_config.phase_overhead = SimDuration::zero();
+  pipeline_config.max_delivery_attempts = max_delivery_attempts;
+  const sched::PhasePipeline pipeline(algorithm, quantum, pipeline_config);
+  ThreadedBackend backend(config);
+  return pipeline.run(workload, backend);
 }
 
 TEST(ThreadedRuntimeTest, EmptyWorkload) {
   const auto algo = sched::make_rt_sads();
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
-  const RuntimeReport r =
-      run_threaded(*algo, *q, fast_config(2), {});
+  const RunMetrics r = run_live(*algo, *q, fast_config(2), {});
   EXPECT_EQ(r.total_tasks, 0u);
   EXPECT_DOUBLE_EQ(r.hit_ratio(), 1.0);
 }
 
 TEST(ThreadedRuntimeTest, ValidatesConfig) {
-  const auto algo = sched::make_rt_sads();
-  const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
   RuntimeConfig cfg = fast_config(0);
-  EXPECT_THROW(run_threaded(*algo, *q, cfg, {}), InvalidArgument);
+  EXPECT_THROW(ThreadedBackend{cfg}, InvalidArgument);
   cfg = fast_config(2);
   cfg.time_scale = 0.0;
-  EXPECT_THROW(run_threaded(*algo, *q, cfg, {}), InvalidArgument);
+  EXPECT_THROW(ThreadedBackend{cfg}, InvalidArgument);
 }
 
 TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
@@ -54,8 +70,7 @@ TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
   wl[1] = wl[0];
   wl[1].id = 1;
   wl[1].arrival = SimTime{0};
-  EXPECT_THROW(run_threaded(*algo, *q, fast_config(2), wl),
-               InvalidArgument);
+  EXPECT_THROW(run_live(*algo, *q, fast_config(2), wl), InvalidArgument);
 }
 
 TEST(ThreadedRuntimeTest, BooksBalanceOnBurstyWorkload) {
@@ -71,7 +86,7 @@ TEST(ThreadedRuntimeTest, BooksBalanceOnBurstyWorkload) {
   wc.laxity_max = 60.0;
   Xoshiro256ss rng(3);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(4), wl);
+  const RunMetrics r = run_live(*algo, *q, fast_config(4), wl);
   EXPECT_EQ(r.total_tasks, 60u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_LE(r.scheduled + r.culled, r.total_tasks);
@@ -102,7 +117,7 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
   bool any_gang = false;
   for (const auto& t : wl) any_gang = any_gang || t.workers_required > 1;
   ASSERT_TRUE(any_gang);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(4), wl);
+  const RunMetrics r = run_live(*algo, *q, fast_config(4), wl);
   EXPECT_EQ(r.total_tasks, 40u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_LE(r.scheduled + r.culled, r.total_tasks);
@@ -124,7 +139,7 @@ TEST(ThreadedRuntimeTest, PoissonArrivalsDrainCompletely) {
   wc.laxity_max = 100.0;
   Xoshiro256ss rng(4);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(3), wl);
+  const RunMetrics r = run_live(*algo, *q, fast_config(3), wl);
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
   EXPECT_GT(r.finish_time, SimTime::zero());
 }
@@ -141,7 +156,7 @@ TEST(ThreadedRuntimeTest, DColsAlsoRunsLive) {
   wc.laxity_max = 80.0;
   Xoshiro256ss rng(5);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(2), wl);
+  const RunMetrics r = run_live(*algo, *q, fast_config(2), wl);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_GT(r.scheduled, 0u);
 }
@@ -160,7 +175,7 @@ TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
   const auto wl = tasks::generate_workload(wc, rng);
   RuntimeConfig cfg = fast_config(2);
   cfg.time_scale = 0.25;  // execute at 4x speed
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  const RunMetrics r = run_live(*algo, *q, cfg, wl);
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
   // 20 tasks * <=4ms at scale 0.25 over 2 workers: well under a second.
   EXPECT_LT(r.finish_time - SimTime::zero(), sec(2));
@@ -186,8 +201,9 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
   }
   RuntimeConfig cfg = fast_config(1);
   cfg.mailbox_capacity = 1;
-  cfg.max_delivery_attempts = 0;  // readmit until delivered or culled
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  // A delivery budget of 0: readmit until delivered or culled.
+  const RunMetrics r =
+      run_live(*algo, *q, cfg, wl, /*max_delivery_attempts=*/0);
   EXPECT_GT(r.overflow_drops, 0u);
   EXPECT_GT(r.readmissions, 0u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
@@ -215,9 +231,10 @@ TEST(ThreadedRuntimeTest, ExhaustedDeliveryBudgetRejectsExplicitly) {
   }
   RuntimeConfig cfg = fast_config(1);
   cfg.mailbox_capacity = 1;
-  cfg.max_delivery_attempts = 1;  // no readmission
-  cfg.delivery_retries = 0;       // and no in-backend backoff either
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  cfg.delivery_retries = 0;  // and no in-backend backoff either
+  // A delivery budget of 1: no readmission.
+  const RunMetrics r =
+      run_live(*algo, *q, cfg, wl, /*max_delivery_attempts=*/1);
   EXPECT_GT(r.rejected, 0u);
   EXPECT_EQ(r.readmissions, 0u);
   EXPECT_EQ(r.overflow_drops, r.rejected);  // one refusal retires a task

@@ -1,9 +1,13 @@
-#include "sched/driver.h"
+// PhasePipeline over a SimBackend: the DES deployment every experiment,
+// bench and example runs. The suite keeps its historic name so that the
+// test ids stay stable.
+#include "sched/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sched/backend.h"
 #include "sched/presets.h"
 #include "tasks/workload.h"
 
@@ -27,6 +31,15 @@ struct Fixture {
   explicit Fixture(std::uint32_t workers, SimDuration comm = msec(2))
       : cluster(workers,
                 machine::Interconnect::cut_through(workers, comm)) {}
+
+  /// One pipeline run on this fixture's cluster and clock; both keep their
+  /// final state, so a second run continues where the first one stopped.
+  RunMetrics run(const PhasePipeline& pipeline,
+                 const std::vector<Task>& workload) {
+    SimBackend backend(cluster, sim);
+    return pipeline.run(workload, backend);
+  }
+
   machine::Cluster cluster;
   sim::Simulator sim;
 };
@@ -35,8 +48,8 @@ TEST(PhaseSchedulerTest, EmptyWorkload) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum();
-  const PhaseScheduler sched(*algo, *q);
-  const RunMetrics m = sched.run({}, f.cluster, f.sim);
+  const PhasePipeline pipeline(*algo, *q);
+  const RunMetrics m = f.run(pipeline, {});
   EXPECT_EQ(m.total_tasks, 0u);
   EXPECT_EQ(m.phases, 0u);
   EXPECT_DOUBLE_EQ(m.hit_ratio(), 1.0);
@@ -46,32 +59,32 @@ TEST(PhaseSchedulerTest, RejectsUnsortedWorkload) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum();
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl{
       make_task(0, SimTime{100}, msec(1), SimTime{100000},
                 AffinitySet::all(2)),
       make_task(1, SimTime{50}, msec(1), SimTime{100000},
                 AffinitySet::all(2))};
-  EXPECT_THROW(sched.run(wl, f.cluster, f.sim), InvalidArgument);
+  EXPECT_THROW(f.run(pipeline, wl), InvalidArgument);
 }
 
 TEST(PhaseSchedulerTest, ValidatesVertexCost) {
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum();
-  DriverConfig cfg;
+  PipelineConfig cfg;
   cfg.vertex_generation_cost = SimDuration::zero();
-  EXPECT_THROW(PhaseScheduler(*algo, *q, cfg), InvalidArgument);
+  EXPECT_THROW(PhasePipeline(*algo, *q, cfg), InvalidArgument);
 }
 
 TEST(PhaseSchedulerTest, SingleTaskIsScheduledAndHits) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(
       0, SimTime::zero(), msec(5), SimTime::zero() + msec(60),
       AffinitySet::single(1))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(m.scheduled, 1u);
   EXPECT_EQ(m.deadline_hits, 1u);
   EXPECT_EQ(m.exec_misses, 0u);
@@ -88,13 +101,13 @@ TEST(PhaseSchedulerTest, SchedulingOverheadDelaysExecution) {
   Fixture f(1, SimDuration::zero());
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  DriverConfig cfg;
+  PipelineConfig cfg;
   cfg.vertex_generation_cost = usec(10);
-  const PhaseScheduler sched(*algo, *q, cfg);
+  const PhasePipeline pipeline(*algo, *q, cfg);
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(1),
                                        SimTime::zero() + msec(50),
                                        AffinitySet::single(0))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(m.deadline_hits, 1u);
   ASSERT_EQ(f.cluster.log().size(), 1u);
   EXPECT_GT(f.cluster.log()[0].start, SimTime::zero());
@@ -108,12 +121,12 @@ TEST(PhaseSchedulerTest, UnreachableTaskIsCulledNotExecuted) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   // Deadline < processing: unreachable from the start.
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(10),
                                        SimTime::zero() + msec(2),
                                        AffinitySet::all(2))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(m.culled, 1u);
   EXPECT_EQ(m.scheduled, 0u);
   EXPECT_EQ(f.cluster.stats().executed, 0u);
@@ -124,11 +137,11 @@ TEST(PhaseSchedulerTest, TaskInfeasibleOnlyByCommCostGetsAffineWorker) {
   Fixture f(4, sec(10));
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(5),
                                        SimTime::zero() + msec(60),
                                        AffinitySet::single(3))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(m.deadline_hits, 1u);
   EXPECT_EQ(f.cluster.log()[0].worker, 3u);
 }
@@ -137,13 +150,13 @@ TEST(PhaseSchedulerTest, LateArrivalsWakeTheScheduler) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl;
   wl.push_back(make_task(0, SimTime::zero(), msec(2),
                          SimTime::zero() + msec(40), AffinitySet::all(2)));
   wl.push_back(make_task(1, SimTime::zero() + msec(100), msec(2),
                          SimTime::zero() + msec(140), AffinitySet::all(2)));
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(m.deadline_hits, 2u);
   // Second task cannot start before it arrives.
   ASSERT_EQ(f.cluster.log().size(), 2u);
@@ -156,7 +169,7 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
   Fixture f(3);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 150;
   wc.num_processors = 3;
@@ -166,7 +179,7 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
   wc.laxity_max = 12.0;
   Xoshiro256ss rng(5);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_EQ(f.cluster.stats().executed, m.scheduled);
   EXPECT_LE(m.scheduled + m.culled, m.total_tasks);
   EXPECT_EQ(m.scheduled, m.deadline_hits + m.exec_misses);
@@ -176,11 +189,11 @@ TEST(PhaseSchedulerTest, MetricsAreDeltasOnReusedCluster) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl1{make_task(0, SimTime::zero(), msec(2),
                                         SimTime::zero() + msec(40),
                                         AffinitySet::all(2))};
-  const RunMetrics m1 = sched.run(wl1, f.cluster, f.sim);
+  const RunMetrics m1 = f.run(pipeline, wl1);
   EXPECT_EQ(m1.deadline_hits, 1u);
   // Second run on the same cluster/sim: its own hit counts only.
   const std::vector<Task> wl2{
@@ -188,7 +201,7 @@ TEST(PhaseSchedulerTest, MetricsAreDeltasOnReusedCluster) {
                 AffinitySet::all(2)),
       make_task(11, f.sim.now(), msec(2), f.sim.now() + msec(40),
                 AffinitySet::all(2))};
-  const RunMetrics m2 = sched.run(wl2, f.cluster, f.sim);
+  const RunMetrics m2 = f.run(pipeline, wl2);
   EXPECT_EQ(m2.total_tasks, 2u);
   EXPECT_EQ(m2.deadline_hits, 2u);
 }
@@ -197,7 +210,7 @@ TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
   Fixture f(2);
   const auto algo = make_rt_sads();
   const auto q = make_fixed_quantum(msec(2));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
   wc.num_processors = 2;
@@ -205,7 +218,7 @@ TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
   wc.laxity_max = 10.0;
   Xoshiro256ss rng(6);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_GT(m.phases, 0u);
   EXPECT_EQ(m.exec_misses, 0u);
   // Each phase's allocation is exactly the fixed quantum.
@@ -218,7 +231,7 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
     Fixture f(3);
     const auto algo = factory();
     const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-    const PhaseScheduler sched(*algo, *q);
+    const PhasePipeline pipeline(*algo, *q);
     tasks::WorkloadConfig wc;
     wc.num_tasks = 100;
     wc.num_processors = 3;
@@ -226,7 +239,7 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
     wc.laxity_max = 10.0;
     Xoshiro256ss rng(7);
     const auto wl = tasks::generate_workload(wc, rng);
-    const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+    const RunMetrics m = f.run(pipeline, wl);
     EXPECT_EQ(m.exec_misses, 0u);
     EXPECT_EQ(m.scheduled + m.culled, m.total_tasks);
   }
@@ -236,7 +249,7 @@ TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   Fixture f(4);
   const auto algo = make_d_cols();
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 120;
   wc.num_processors = 4;
@@ -244,7 +257,7 @@ TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   wc.laxity_max = 6.0;
   Xoshiro256ss rng(8);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = f.run(pipeline, wl);
   EXPECT_GE(m.hit_ratio(), 0.0);
   EXPECT_LE(m.hit_ratio(), 1.0);
   EXPECT_EQ(m.misses() + m.deadline_hits, m.total_tasks);

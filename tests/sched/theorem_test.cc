@@ -15,7 +15,8 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
@@ -83,8 +84,9 @@ TEST_P(CorrectionTheoremTest, NoScheduledTaskMissesItsDeadline) {
     Xoshiro256ss rng(seed);
     const auto wl = tasks::generate_workload(wc, rng);
 
-    const PhaseScheduler sched(*algo, *quantum);
-    const RunMetrics m = sched.run(wl, cluster, sim);
+    const PhasePipeline pipeline(*algo, *quantum);
+    SimBackend backend(cluster, sim);
+    const RunMetrics m = pipeline.run(wl, backend);
 
     EXPECT_EQ(m.exec_misses, 0u)
         << "theorem violated: algo=" << algo_name(algo_kind)
@@ -139,8 +141,9 @@ TEST(CorrectionTheoremNegativeControl, WorkloadsWouldMissWithoutTheBound) {
   const auto wl = tasks::generate_workload(wc, rng);
   const auto algo = make_rt_sads();
   const auto quantum = make_self_adjusting_quantum(usec(100), msec(20));
-  const PhaseScheduler sched(*algo, *quantum);
-  const RunMetrics m = sched.run(wl, cluster, sim);
+  const PhasePipeline pipeline(*algo, *quantum);
+  SimBackend backend(cluster, sim);
+  const RunMetrics m = pipeline.run(wl, backend);
   ASSERT_EQ(m.exec_misses, 0u);
   // Some tasks must have finished close to their deadlines: the margin
   // distribution should reach below the max quantum, showing the bound was

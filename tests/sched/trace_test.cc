@@ -6,7 +6,8 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
@@ -35,8 +36,9 @@ TracedRun run_traced(std::uint32_t num_tasks, std::uint64_t seed) {
   wc.laxity_max = 12.0;
   Xoshiro256ss rng(seed);
   const auto wl = tasks::generate_workload(wc, rng);
-  const PhaseScheduler sched(*algo, *quantum);
-  out.metrics = sched.run(wl, cluster, sim, &out.trace);
+  const PhasePipeline pipeline(*algo, *quantum);
+  SimBackend backend(cluster, sim);
+  out.metrics = pipeline.run(wl, backend, &out.trace);
   return out;
 }
 
@@ -99,7 +101,7 @@ TEST(PhaseTraceTest, CsvHasHeaderAndOneLinePerPhase) {
   EXPECT_EQ(std::size_t(std::count(out.begin(), out.end(), '\n')),
             r.trace.records().size() + 1);
   EXPECT_NE(out.find("phase,start_us"), std::string::npos);
-  EXPECT_NE(out.find("threads,algorithm"), std::string::npos);
+  EXPECT_NE(out.find("search_wall_ns,algorithm"), std::string::npos);
 }
 
 TEST(PhaseTraceTest, ClearResets) {
@@ -119,8 +121,9 @@ TEST(PhaseTraceTest, NullObserverIsFine) {
   wc.num_processors = 2;
   Xoshiro256ss rng(7);
   const auto wl = tasks::generate_workload(wc, rng);
-  const PhaseScheduler sched(*algo, *quantum);
-  const RunMetrics m = sched.run(wl, cluster, sim, nullptr);
+  const PhasePipeline pipeline(*algo, *quantum);
+  SimBackend backend(cluster, sim);
+  const RunMetrics m = pipeline.run(wl, backend, nullptr);
   EXPECT_GT(m.phases, 0u);
 }
 

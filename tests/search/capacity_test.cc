@@ -4,7 +4,7 @@
 // frozen reference engine, which never had the cap (its nodes always
 // carried 32-bit cursors). Also pins the narrow->wide dispatch boundary,
 // bitset word-boundary sizes, and the m=1 / m=64 simd lane-remainder
-// extremes, and checks the parallel engine's replay at wide-header sizes.
+// extremes.
 //
 // The structural limit itself (kMaxBatchTasks) is asserted as a constant:
 // exercising the InvalidArgument path at runtime would need a 2^30-task
@@ -20,8 +20,7 @@
 #include "common/rng.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
-#include "search/parallel_engine.h"
-#include "search/reference_engine.h"
+#include "support/reference_engine.h"
 
 namespace rtds::search {
 namespace {
@@ -256,27 +255,6 @@ TEST(SearchCapacityTest, LaneRemainderExtremesMatchReference) {
                    " seq");
     }
   }
-}
-
-TEST(SearchCapacityTest, ParallelEngineMatchesSequentialAtWideSizes) {
-  // The parallel engine's PNode cursor/depth also widened to 32 bits; its
-  // deterministic replay must still reproduce the sequential result at
-  // wide-header sizes, and the new arena accounting must be populated.
-  Xoshiro256ss rng(0x9A4A11E1ULL);
-  const Scenario s = make_capacity_scenario(rng, 65536, 4);
-  SearchConfig cfg;
-  const SearchResult seq = SearchEngine(cfg).run(
-      s.batch, s.base_loads, s.delivery_time,
-      machine::Interconnect::cut_through(s.num_workers, s.comm),
-      s.vertex_budget);
-  ParallelSearchEngine par(cfg, 2);
-  const SearchResult got = par.run(
-      s.batch, s.base_loads, s.delivery_time,
-      machine::Interconnect::cut_through(s.num_workers, s.comm),
-      s.vertex_budget);
-  expect_identical(got, seq, "parallel n65536");
-  EXPECT_TRUE(got.stats.reached_leaf);
-  EXPECT_GT(par.last_run_stats().arena_bytes, 0u);
 }
 
 TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {

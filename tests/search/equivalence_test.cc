@@ -1,7 +1,7 @@
 // Golden equivalence suite for the search hot-path overhaul: the optimized
 // SearchEngine must return a bit-identical SearchResult — every schedule
 // field, every stat counter, every termination flag — to the frozen
-// pre-optimization snapshot (search/reference_engine.h) on randomized
+// pre-optimization snapshot (tests/support/reference_engine.h) on randomized
 // scenarios covering all strategy / task-order / representation
 // combinations, including budget-exhaustion and dead-end paths. Any drift
 // in the fast path (bulk budget charging, bitset scans, O(1) pop, heap
@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
-#include "search/reference_engine.h"
+#include "support/reference_engine.h"
 
 namespace rtds::search {
 namespace {

@@ -1,5 +1,5 @@
 // Scalar-vs-vector parity for the search/simd.h kernels — the proof
-// obligation behind taking the batched paths in expand_core.h. Three
+// obligation behind taking the batched paths in search/engine.cc. Three
 // layers:
 //   1. raw kernel vs its *_scalar reference on randomized operands,
 //      sweeping every lane-remainder shape (m and count at 1, below/at/above

@@ -1,7 +1,7 @@
 // Pre-optimization engine snapshot — see reference_engine.h for why this
 // code is deliberately kept slow. It mirrors the historic engine.cc and
 // partial_schedule.cc line for line (modulo renames into this namespace).
-#include "search/reference_engine.h"
+#include "support/reference_engine.h"
 
 #include <algorithm>
 #include <optional>

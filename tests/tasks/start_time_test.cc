@@ -5,7 +5,8 @@
 #include "machine/cluster.h"
 #include "machine/validator.h"
 #include "search/engine.h"
-#include "sched/driver.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/presets.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
@@ -117,8 +118,9 @@ TEST(StartTimeEndToEndTest, TheoremAndValidatorHoldWithConstraints) {
     }
     ASSERT_TRUE(any_constrained);
 
-    const sched::PhaseScheduler scheduler(*algo, *quantum);
-    const sched::RunMetrics m = scheduler.run(wl, cluster, sim);
+    const sched::PhasePipeline pipeline(*algo, *quantum);
+    sched::SimBackend backend(cluster, sim);
+    const sched::RunMetrics m = pipeline.run(wl, backend);
     EXPECT_EQ(m.exec_misses, 0u) << algo->name();
     const machine::ValidationReport vr =
         machine::validate_execution(cluster, wl);

@@ -47,16 +47,20 @@ TEST(PortfolioFuzzTest, MulticritPassesAllOracles) {
 }
 
 TEST(PortfolioFuzzTest, InvalidPinnedSpecIsAViolationNotACrash) {
-  Scenario scenario = generate_scenario(0xA160, 0);
-  scenario.algo_spec = "no_such_algo?x=1";
-  HarnessOptions options;
-  options.run_threaded = false;
-  const ScenarioResult result = run_scenario(scenario, options);
-  ASSERT_FALSE(result.ok());
-  ASSERT_FALSE(result.violations.empty());
-  EXPECT_NE(result.violations.front().find("harness(algorithm)"),
-            std::string::npos)
-      << result.violations.front();
+  // An unknown key, and a spec from a replay token of a build whose search
+  // entries still took a thread count.
+  for (const char* spec : {"no_such_algo?x=1", "rt_sads?threads=4"}) {
+    Scenario scenario = generate_scenario(0xA160, 0);
+    scenario.algo_spec = spec;
+    HarnessOptions options;
+    options.run_threaded = false;
+    const ScenarioResult result = run_scenario(scenario, options);
+    ASSERT_FALSE(result.ok()) << spec;
+    ASSERT_FALSE(result.violations.empty()) << spec;
+    EXPECT_NE(result.violations.front().find("harness(algorithm)"),
+              std::string::npos)
+        << result.violations.front();
+  }
 }
 
 }  // namespace

@@ -208,7 +208,7 @@ TEST(ScenarioTest, BigBatchProfileShapesAndRoundTrips) {
   EXPECT_EQ(s.num_shards, 1u);
   EXPECT_EQ(s.run_threaded, 0u);
   EXPECT_EQ(s.gang_permille, 0u);
-  EXPECT_TRUE(s.algo_spec == "rt_sads" || s.algo_spec == "search?threads=2")
+  EXPECT_TRUE(s.algo_spec == "rt_sads" || s.algo_spec == "search")
       << s.algo_spec;
   EXPECT_NE(s.to_string().find(" big-batch"), std::string::npos);
   const auto decoded = decode_token(encode_token(s));
