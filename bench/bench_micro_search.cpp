@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "search/engine.h"
 #include "sched/algorithm.h"
+#include "sched/registry.h"
 
 namespace {
 
@@ -98,21 +99,20 @@ BENCHMARK_CAPTURE(BM_PhaseSearch, sequence, Representation::kSequenceOriented)
     ->Arg(100)
     ->Arg(400);
 
-void BM_GreedyPhase(benchmark::State& state, sched::GreedyKind kind) {
+void BM_GreedyPhase(benchmark::State& state, const char* spec) {
   const std::uint32_t m = 10, n = 200;
   const auto batch = make_batch(n, m, 4);
   const auto net = machine::Interconnect::cut_through(m, msec(2));
-  const sched::GreedyAlgorithm algo(kind);
+  const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
   for (auto _ : state) {
-    const auto r = algo.schedule_phase(
+    const auto r = algo->schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}),
         SimTime::zero() + msec(1), net, 10000);
     benchmark::DoNotOptimize(r.schedule.data());
   }
 }
-BENCHMARK_CAPTURE(BM_GreedyPhase, edf_best_fit,
-                  sched::GreedyKind::kEdfBestFit);
-BENCHMARK_CAPTURE(BM_GreedyPhase, myopic, sched::GreedyKind::kMyopic);
+BENCHMARK_CAPTURE(BM_GreedyPhase, edf_best_fit, "edf_bf");
+BENCHMARK_CAPTURE(BM_GreedyPhase, myopic, "myopic");
 
 }  // namespace
 

@@ -17,8 +17,8 @@
 #include "machine/cluster.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 
 int main(int argc, char** argv) {
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   // --- run both schedulers --------------------------------------------------
   exp::TextTable table({"scheduler", "hit%", "scheduled", "culled", "phases",
                         "vertices", "host time (ms)"});
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(
         kWorkers, machine::Interconnect::cut_through(kWorkers, msec(5)));
     sim::Simulator sim;

@@ -9,8 +9,8 @@
 #include "common/rng.h"
 #include "runtime/threaded_backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 int main(int argc, char** argv) {
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   Xoshiro256ss rng(11);
   const auto workload = tasks::generate_workload(wc, rng);
 
-  const auto algorithm = sched::make_rt_sads();
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = sched::make_self_adjusting_quantum(usec(200), msec(10));
 
   runtime::RuntimeConfig cfg;

@@ -10,8 +10,8 @@
 #include "machine/cluster.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -38,11 +38,11 @@ int main() {
   const std::vector<tasks::Task> workload = tasks::generate_workload(wl, rng);
 
   // 3. The scheduler: RT-SADS with the paper's self-adjusting quantum.
-  const auto algorithm = sched::make_rt_sads();
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = sched::make_self_adjusting_quantum(
       /*min_quantum=*/usec(100), /*max_quantum=*/msec(50));
 
-  // 4. Run the pipeline on the discrete-event simulator.
+  // 4. Run the pipeline on the simulated machine and its clock.
   sim::Simulator simulator;
   const sched::PhasePipeline pipeline(*algorithm, *quantum);
   sched::SimBackend backend(cluster, simulator);

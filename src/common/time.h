@@ -1,10 +1,10 @@
 // Simulated-time types used throughout the library.
 //
 // All quantities from the paper (processing times p_i, communication cost C,
-// scheduling quanta Q_s, deadlines d_i) are expressed on the discrete-event
-// simulator's clock in integer microseconds. Integer ticks keep every
-// experiment bit-for-bit reproducible; doubles would make event ordering
-// depend on summation order.
+// scheduling quanta Q_s, deadlines d_i) are expressed on the simulated clock
+// in integer microseconds. Integer ticks keep every experiment bit-for-bit
+// reproducible; doubles would make the order of arrivals, phase boundaries
+// and completions depend on summation order.
 #pragma once
 
 #include <compare>

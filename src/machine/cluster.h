@@ -6,7 +6,8 @@
 // ready queues of non-preemptable tasks, execution is analytically
 // deterministic: when a schedule is delivered we can compute every start and
 // end time immediately, keeping only a per-worker `busy_until` horizon. The
-// DES clock (src/sim) orders schedule deliveries against task arrivals.
+// simulated host clock (src/sim) orders schedule deliveries against task
+// arrivals.
 #pragma once
 
 #include <cstdint>

@@ -76,7 +76,7 @@ void ThreadedBackend::wait_until(SimTime t) {
 
 void ThreadedBackend::advance(SimDuration /*host_busy*/) {
   // The wall clock already paid for the search as it ran; the virtual
-  // charge the DES backends apply has no threaded counterpart.
+  // charge SimBackend applies has no threaded counterpart.
 }
 
 sched::DeliveryResult ThreadedBackend::deliver(

@@ -21,23 +21,10 @@ SearchResult TreeSearchAlgorithm::schedule_phase(
   return engine_.run(batch, base_loads, delivery_time, net, vertex_budget);
 }
 
-GreedyAlgorithm::GreedyAlgorithm(GreedyKind kind, std::uint32_t window,
-                                 std::string name)
-    : kind_(kind), window_(window), name_(std::move(name)) {
+GreedyAlgorithm::GreedyAlgorithm(std::string name, GreedyKind kind,
+                                 std::uint32_t window)
+    : name_(std::move(name)), kind_(kind), window_(window) {
   RTDS_REQUIRE(window_ >= 1, "GreedyAlgorithm: window must be >= 1");
-}
-
-std::string GreedyAlgorithm::name() const {
-  if (!name_.empty()) return name_;
-  switch (kind_) {
-    case GreedyKind::kEdfFirstFit:
-      return "edf-first-fit";
-    case GreedyKind::kEdfBestFit:
-      return "edf-best-fit";
-    case GreedyKind::kMyopic:
-      return "myopic[W=" + std::to_string(window_) + "]";
-  }
-  return "greedy";
 }
 
 SearchResult GreedyAlgorithm::schedule_phase(

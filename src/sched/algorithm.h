@@ -84,22 +84,21 @@ enum class GreedyKind {
 class GreedyAlgorithm final : public PhaseAlgorithm {
  public:
   /// `window` is the myopic feasibility-window size W (ignored by the EDF
-  /// variants). A non-empty `name` overrides the kind-derived default —
-  /// the registry passes the canonical spec so name() round-trips.
-  explicit GreedyAlgorithm(GreedyKind kind, std::uint32_t window = 5,
-                           std::string name = "");
+  /// variants). The registry passes the canonical spec as `name`, so
+  /// name() round-trips.
+  GreedyAlgorithm(std::string name, GreedyKind kind, std::uint32_t window = 5);
 
   [[nodiscard]] SearchResult schedule_phase(
       const std::vector<Task>& batch,
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const override { return name_; }
 
  private:
+  std::string name_;
   GreedyKind kind_;
   std::uint32_t window_;
-  std::string name_;
 };
 
 }  // namespace rtds::sched

@@ -1,7 +1,5 @@
 #include "sched/backend.h"
 
-#include "common/error.h"
-
 namespace rtds::sched {
 
 SimBackend::SimBackend(machine::Cluster& cluster, sim::Simulator& sim)
@@ -25,11 +23,11 @@ SimDuration SimBackend::load(std::uint32_t worker, SimTime t) const {
 }
 
 void SimBackend::wait_until(SimTime t) {
-  if (t > sim_.now()) sim_.run_until(t);
+  if (t > sim_.now()) sim_.advance_to(t);
 }
 
 void SimBackend::advance(SimDuration host_busy) {
-  sim_.run_until(sim_.now() + host_busy);
+  sim_.advance_to(sim_.now() + host_busy);
 }
 
 DeliveryResult SimBackend::deliver(
@@ -39,7 +37,6 @@ DeliveryResult SimBackend::deliver(
 }
 
 BackendStats SimBackend::drain() {
-  sim_.run();  // fire any events a caller scheduled alongside the pipeline
   if (ledger_ != nullptr) {
     // Per-task terminal outcomes: everything the cluster executed during
     // this run (clusters may be reused; skip pre-existing log entries).
@@ -58,35 +55,5 @@ BackendStats SimBackend::drain() {
 }
 
 void SimBackend::bind_ledger(TaskLedger* ledger) { ledger_ = ledger; }
-
-PartitionedBackend::Host::Host(std::uint32_t workers, SimDuration comm_cost,
-                               machine::ReclaimMode reclaim)
-    : cluster(workers, machine::Interconnect::cut_through(workers, comm_cost),
-              reclaim),
-      backend(cluster, sim) {}
-
-PartitionedBackend::PartitionedBackend(std::uint32_t num_hosts,
-                                       std::uint32_t workers_per_host,
-                                       SimDuration comm_cost,
-                                       machine::ReclaimMode reclaim) {
-  RTDS_REQUIRE(num_hosts >= 1, "PartitionedBackend: need >= 1 host");
-  RTDS_REQUIRE(workers_per_host >= 1,
-               "PartitionedBackend: need >= 1 worker per host");
-  hosts_.reserve(num_hosts);
-  for (std::uint32_t h = 0; h < num_hosts; ++h) {
-    hosts_.push_back(
-        std::make_unique<Host>(workers_per_host, comm_cost, reclaim));
-  }
-}
-
-ExecutionBackend& PartitionedBackend::host(std::uint32_t h) {
-  RTDS_REQUIRE(h < hosts_.size(), "PartitionedBackend: bad host id");
-  return hosts_[h]->backend;
-}
-
-const machine::Cluster& PartitionedBackend::cluster(std::uint32_t h) const {
-  RTDS_REQUIRE(h < hosts_.size(), "PartitionedBackend: bad host id");
-  return hosts_[h]->cluster;
-}
 
 }  // namespace rtds::sched

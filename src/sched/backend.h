@@ -6,12 +6,11 @@
 // the worker ready queues. ExecutionBackend captures exactly that surface,
 // so ONE PhasePipeline (sched/pipeline.h) drives every deployment:
 //
-//   SimBackend         — machine::Cluster on the DES clock (the paper's
-//                        instrument; all figures run here)
-//   ThreadedBackend    — std::thread workers + mailboxes on the wall clock
-//                        (src/runtime/threaded_backend.h)
-//   PartitionedBackend — K scheduling hosts, each owning a shard of the
-//                        workers on its own DES clock (multi-host runs)
+//   SimBackend      — machine::Cluster on the simulated clock (the paper's
+//                     instrument; all figures run here, and run_partitioned
+//                     in sched/partitioned.h gives each shard one)
+//   ThreadedBackend — std::thread workers + mailboxes on the wall clock
+//                     (src/runtime/threaded_backend.h)
 //
 // A new deployment (async batching, work stealing, remote workers) is one
 // new backend file; the phase logic is never duplicated again.
@@ -19,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/time.h"
@@ -48,9 +46,9 @@ struct DeliveryResult {
 
 /// The machine surface the phase pipeline schedules against.
 ///
-/// Time flows differently per backend: the DES backends advance their clock
-/// only when told (advance/wait_until), while the threaded backend's wall
-/// clock runs by itself (its advance is a no-op — the real search already
+/// Time flows differently per backend: SimBackend advances its clock only
+/// when told (advance/wait_until), while the threaded backend's wall clock
+/// runs by itself (its advance is a no-op — the real search already
 /// consumed real time). The pipeline only ever observes time through now().
 class ExecutionBackend {
  public:
@@ -76,7 +74,7 @@ class ExecutionBackend {
 
   /// Appends the schedule to the worker ready queues. Backends with bounded
   /// queues report the assignments they refused (counted by the pipeline as
-  /// overflow drops and readmitted into the next batch); DES backends accept
+  /// overflow drops and readmitted into the next batch); SimBackend accepts
   /// everything.
   virtual DeliveryResult deliver(
       const std::vector<machine::ScheduledAssignment>& schedule) = 0;
@@ -93,10 +91,11 @@ class ExecutionBackend {
   virtual void bind_ledger(TaskLedger* ledger) = 0;
 };
 
-/// DES backend: machine::Cluster for execution, sim::Simulator for time.
-/// Both are borrowed and left in their final state so callers can inspect
-/// the completion log; hit/miss counts are reported as deltas against the
-/// construction-time snapshot (clusters may be reused across runs).
+/// Simulated backend: machine::Cluster for execution, sim::Simulator for
+/// the host clock. Both are borrowed and left in their final state so
+/// callers can inspect the completion log; hit/miss counts are reported as
+/// deltas against the construction-time snapshot (clusters may be reused
+/// across runs).
 class SimBackend final : public ExecutionBackend {
  public:
   SimBackend(machine::Cluster& cluster, sim::Simulator& sim);
@@ -119,32 +118,6 @@ class SimBackend final : public ExecutionBackend {
   machine::ExecutionStats initial_;
   std::size_t initial_log_size_;
   TaskLedger* ledger_{nullptr};
-};
-
-/// K scheduling hosts, each owning an equal shard of the workers with its
-/// own cluster and DES clock (the shards are independent machines; there is
-/// no cross-shard migration). host(s) is the ExecutionBackend the phase
-/// pipeline runs against for shard s.
-class PartitionedBackend {
- public:
-  PartitionedBackend(std::uint32_t num_hosts, std::uint32_t workers_per_host,
-                     SimDuration comm_cost, machine::ReclaimMode reclaim);
-
-  [[nodiscard]] std::uint32_t num_hosts() const {
-    return static_cast<std::uint32_t>(hosts_.size());
-  }
-  [[nodiscard]] ExecutionBackend& host(std::uint32_t h);
-  [[nodiscard]] const machine::Cluster& cluster(std::uint32_t h) const;
-
- private:
-  struct Host {
-    Host(std::uint32_t workers, SimDuration comm_cost,
-         machine::ReclaimMode reclaim);
-    machine::Cluster cluster;
-    sim::Simulator sim;
-    SimBackend backend;
-  };
-  std::vector<std::unique_ptr<Host>> hosts_;
 };
 
 }  // namespace rtds::sched

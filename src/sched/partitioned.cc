@@ -113,15 +113,18 @@ PartitionedMetrics run_partitioned(const PhaseAlgorithm& algorithm,
   }
 
   // One pipeline, K scheduling hosts: each shard runs the SAME phase loop
-  // (sched/pipeline.cc) against its own host backend.
+  // (sched/pipeline.cc) against a machine and clock of its own.
   PartitionedMetrics out;
   out.shards.reserve(config.num_shards);
   const PhasePipeline pipeline(algorithm, quantum, config.driver);
-  PartitionedBackend backend(config.num_shards, per_shard, config.comm_cost,
-                             config.reclaim);
   for (std::uint32_t s = 0; s < config.num_shards; ++s) {
-    out.shards.push_back(
-        pipeline.run(shard_workloads[s], backend.host(s), observer));
+    machine::Cluster cluster(
+        per_shard,
+        machine::Interconnect::cut_through(per_shard, config.comm_cost),
+        config.reclaim);
+    sim::Simulator clock;
+    SimBackend backend(cluster, clock);
+    out.shards.push_back(pipeline.run(shard_workloads[s], backend, observer));
   }
   return out;
 }

@@ -57,7 +57,8 @@ struct PartitionedMetrics {
 };
 
 /// Routes `workload` across shards and runs the shared PhasePipeline once
-/// per shard against a PartitionedBackend host (sched/backend.h). Workers
+/// per shard, each on a SimBackend over its own cluster and clock
+/// (sched/backend.h). Workers
 /// [s * (total/H), (s+1) * (total/H)) belong to shard s; requires
 /// total_workers % num_shards == 0. The algorithm and quantum policy are
 /// shared (they are stateless between phases). An optional observer sees

@@ -16,8 +16,8 @@
 // generated vertex costs `vertex_generation_cost`, and the predictive
 // feasibility test inside the search already accounted for the full
 // quantum, so delivering early can only improve timeliness (correction
-// theorem). On the DES backends the charge advances the simulated clock;
-// on the threaded backend the wall clock paid for the search as it ran.
+// theorem). On SimBackend the charge advances the simulated clock; on the
+// threaded backend the wall clock paid for the search as it ran.
 //
 // Batch maintenance, quantum computation, vertex budgeting, feasibility
 // snapshotting and metrics/trace emission all live HERE and only here; the
@@ -44,8 +44,8 @@ namespace rtds::sched {
 using tasks::Task;
 
 /// End-to-end metrics of one scheduling run — the ONE metrics struct shared
-/// by the DES, threaded and partitioned deployments, so runs are directly
-/// comparable across backends.
+/// by the simulated, threaded and partitioned deployments, so runs are
+/// directly comparable across backends.
 struct RunMetrics {
   /// Canonical spec of the algorithm that produced this run (the
   /// PhaseAlgorithm's name()) — every run is attributable by name, and the
@@ -65,7 +65,7 @@ struct RunMetrics {
   /// Admission-rejected tasks are counted in total_tasks but never batched.
   std::uint64_t admission_rejected{0};
   /// Delivery refusals by a full ready queue (bounded-mailbox backends;
-  /// always 0 on the DES backends). An event counter: one task dropped and
+  /// always 0 on SimBackend). An event counter: one task dropped and
   /// readmitted n times contributes n. Counted loudly, never blocks the
   /// host — refused tasks re-enter the next batch (see `readmissions`).
   std::uint64_t overflow_drops{0};

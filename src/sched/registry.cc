@@ -282,13 +282,13 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
     r->add("edf_ff", "greedy EDF first-fit baseline",
            [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
              return std::make_unique<GreedyAlgorithm>(
-                 GreedyKind::kEdfFirstFit, 5, p.canonical_name());
+                 p.canonical_name(), GreedyKind::kEdfFirstFit);
            });
 
     r->add("edf_bf", "greedy EDF best-fit baseline",
            [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
-             return std::make_unique<GreedyAlgorithm>(GreedyKind::kEdfBestFit,
-                                                      5, p.canonical_name());
+             return std::make_unique<GreedyAlgorithm>(
+                 p.canonical_name(), GreedyKind::kEdfBestFit);
            });
 
     r->add("myopic",
@@ -298,7 +298,7 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
              RTDS_REQUIRE(window >= 1,
                           "algorithm spec 'myopic': window must be >= 1");
              return std::make_unique<GreedyAlgorithm>(
-                 GreedyKind::kMyopic, window, p.canonical_name());
+                 p.canonical_name(), GreedyKind::kMyopic, window);
            });
 
     r->add("packing",

@@ -1,8 +1,8 @@
 // String-keyed algorithm construction: the portfolio seam.
 //
-// Every deployment of the system (driver, experiments, fuzz harness, bench
-// binaries, CLI) used to hard-code presets.h factory calls; the registry
-// replaces those call sites with one string surface so a run is
+// The registry is the single construction path for every scheduler: the
+// experiments, the fuzz harness, the bench binaries, the CLI, the examples
+// and the tests all name an algorithm by one string surface, so a run is
 // attributable and replayable by name:
 //
 //   auto algo = AlgorithmRegistry::builtin().make("d_cols?max_successors=8");

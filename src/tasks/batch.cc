@@ -4,18 +4,8 @@
 
 namespace rtds::tasks {
 
-std::size_t Batch::merge_arrivals(const std::vector<Task>& arrived) {
-  std::size_t merged = 0;
-  for (const Task& t : arrived) {
-    if (readmit(t)) ++merged;
-  }
-  return merged;
-}
-
-bool Batch::readmit(const Task& task) {
-  if (!ids_.insert(task.id).second) return false;  // already pending
-  tasks_.push_back(task);
-  return true;
+void Batch::merge_arrivals(const std::vector<Task>& arrived) {
+  tasks_.insert(tasks_.end(), arrived.begin(), arrived.end());
 }
 
 void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
@@ -25,14 +15,11 @@ void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
                  "remove_scheduled: indices must be ascending batch positions");
   }
   if (indices.empty()) return;
-  // Order-preserving compaction from the first removed slot on. A removed
-  // id is unregistered while its task is still in place: slots past `keep`
-  // get overwritten by survivors.
+  // Order-preserving compaction from the first removed slot on.
   std::size_t keep = indices.front();
   std::size_t next = 0;
   for (std::size_t i = keep; i < tasks_.size(); ++i) {
     if (next < indices.size() && indices[next] == i) {
-      ids_.erase(tasks_[i].id);
       ++next;
     } else {
       tasks_[keep++] = tasks_[i];
@@ -46,7 +33,6 @@ void Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     if (tasks_[i].deadline_unreachable(t)) {
-      ids_.erase(tasks_[i].id);
       culled.push_back(tasks_[i]);
     } else {
       tasks_[keep++] = tasks_[i];

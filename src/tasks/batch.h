@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -29,16 +28,11 @@ class Batch {
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
 
-  /// Appends newly arrived tasks. An id already pending is skipped instead
-  /// of aborting the host — a readmitted task may race a same-id arrival.
-  /// Returns the number of tasks actually merged.
-  std::size_t merge_arrivals(const std::vector<Task>& arrived);
-
-  /// Returns a task to the batch, e.g. after its delivery was refused. No-op
-  /// returning false when the id is already pending. The pipeline does not
-  /// need it for readmission: it never retires a refused task with
-  /// delivery attempts left, so that task is still pending.
-  bool readmit(const Task& task);
+  /// Appends newly arrived tasks in their order. Ids are not checked here:
+  /// the pipeline's TaskLedger rejects a repeated id when it arrives, and a
+  /// task whose delivery was refused never leaves the batch, so nothing is
+  /// ever merged twice.
+  void merge_arrivals(const std::vector<Task>& arrived);
 
   /// Removes the tasks at the given batch positions — the tasks that were
   /// scheduled in the phase that just ended, named by the indices the
@@ -61,14 +55,10 @@ class Batch {
   /// Total processing demand of the batch (used by ablation benches).
   [[nodiscard]] SimDuration total_processing() const;
 
-  void clear() {
-    tasks_.clear();
-    ids_.clear();
-  }
+  void clear() { tasks_.clear(); }
 
  private:
   std::vector<Task> tasks_;
-  std::unordered_set<TaskId> ids_;  // duplicate detection
 };
 
 }  // namespace rtds::tasks

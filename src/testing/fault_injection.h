@@ -5,13 +5,13 @@
 // would have done. Refusals are exactly what a bounded mailbox produces
 // under overload, so the pipeline's readmission / rejection / backpressure
 // machinery is driven through the SAME code paths — but deterministically,
-// on every backend including the DES ones, which makes the resulting runs
+// on every backend including SimBackend, which makes the resulting runs
 // replayable bit-for-bit from a scenario token (a real threaded overflow
 // depends on wall-clock races and is not).
 //
-// The decorator forwards everything else untouched, so wrapping a
-// SimBackend and a PartitionedBackend host with the same period keeps them
-// in exact metric parity: both see the identical refusal sequence.
+// The decorator forwards everything else untouched, so a replayed
+// scenario sees the identical refusal sequence and reproduces its original
+// run exactly.
 #pragma once
 
 #include <cstdint>

@@ -143,7 +143,6 @@ std::string ScenarioResult::to_string() const {
   std::ostringstream os;
   os << "token " << token << "\n" << scenario.to_string() << "\n";
   summarize(os, sim);
-  summarize(os, partitioned);
   if (threaded_ran) summarize(os, threaded);
   for (const BackendRun& run : shard_runs) summarize(os, run);
   if (violations.empty()) {
@@ -209,31 +208,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
     oracle_gang_occupancy("sim", sim_cluster, oracle_workload,
                           result.violations);
     oracle_stream_accounting(result.sim, result.violations);
-  }
-
-  // -- partitioned, single host: must be the same machine --------------------
-  // Wrapped in an identical fault injector, so both runs see the exact same
-  // refusal sequence and stay in field-for-field parity even under
-  // readmission / rejection / backpressure churn.
-  sched::PartitionedBackend part(1, scenario.workers, comm, reclaim);
-  FaultInjectingBackend part_backend(part.host(0), scenario.refusal_period);
-  result.partitioned.name = "partitioned";
-  const bool part_ok = run_pipeline(scenario, *algorithm, *quantum,
-                                    des_config, workload, part_backend,
-                                    result.partitioned, result.violations);
-  if (part_ok) {
-    oracle_correction_theorem(result.partitioned, result.violations);
-    oracle_conservation(result.partitioned, result.violations);
-    oracle_quantum_bound(scenario, result.partitioned, result.violations);
-    oracle_schedule_validity("partitioned", part.cluster(0), workload,
-                             result.violations);
-    oracle_gang_occupancy("partitioned", part.cluster(0), oracle_workload,
-                          result.violations);
-    oracle_stream_accounting(result.partitioned, result.violations);
-    if (sim_ok) {
-      oracle_metric_parity(result.sim, result.partitioned,
-                           result.violations);
-    }
   }
 
   // -- multi-shard audit (scenario.num_shards > 1) ---------------------------

@@ -1,26 +1,24 @@
 // Cross-backend differential fuzz harness.
 //
-// run_scenario() drives ONE Scenario through the three ExecutionBackend
+// run_scenario() drives ONE Scenario through both ExecutionBackend
 // deployments of the phase pipeline and evaluates the oracle registry
 // (testing/oracles.h) over everything observable:
 //
-//   sim          SimBackend (DES) — ledger + phase trace + execution-log
-//                validation; fault injection via FaultInjectingBackend
-//   partitioned  PartitionedBackend single host — must match the sim run
-//                field-for-field (metric-parity oracle); the same injected
-//                refusal sequence is applied so overload paths stay in
-//                lockstep. When the scenario shards > 1, an additional
-//                multi-shard run_partitioned() audits per-shard theorem +
-//                cross-shard conservation.
-//   threaded     runtime::ThreadedBackend — real threads, wall clock;
-//                conservation always, count parity on parity-class
-//                scenarios (deadlines far beyond wall-clock jitter)
+//   sim       SimBackend (simulated clock) — ledger + phase trace +
+//             execution-log validation; fault injection via
+//             FaultInjectingBackend
+//   shards    when the scenario has shards > 1, run_partitioned() over the
+//             same workload — per-shard correction theorem + cross-shard
+//             conservation
+//   threaded  runtime::ThreadedBackend — real threads, wall clock;
+//             conservation always, count parity on parity-class scenarios
+//             (deadlines far beyond wall-clock jitter)
 //
 // Open scenarios (Scenario::open_arrival != 0) drive every backend through
 // PhasePipeline::run_stream instead: each run pulls the identical
 // deterministic task stream from its own ArrivalSource, admission control
 // applies scenario.max_pending, and the schedule-latency digest is checked
-// by the stream-accounting oracle (and sample-for-sample DES parity).
+// by the stream-accounting oracle.
 //
 // Any InvariantViolation thrown inside the library (the pipeline's own
 // asserts, the ledger's transition checks) is caught and reported as a
@@ -74,7 +72,6 @@ struct ScenarioResult {
   std::vector<std::string> violations;
 
   BackendRun sim;
-  BackendRun partitioned;
   BackendRun threaded;
   std::vector<BackendRun> shard_runs;  ///< multi-shard audit (shards > 1)
   bool threaded_ran{false};

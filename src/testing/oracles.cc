@@ -27,8 +27,8 @@ void expect_eq(std::vector<std::string>& out, const std::string& oracle,
 const std::vector<std::string>& oracle_names() {
   static const std::vector<std::string> names = {
       "correction-theorem", "conservation",    "schedule-validity",
-      "quantum-bound",      "metric-parity",   "threaded-parity",
-      "stream-accounting",  "gang-occupancy",
+      "quantum-bound",      "threaded-parity", "stream-accounting",
+      "gang-occupancy",
   };
   return names;
 }
@@ -197,8 +197,8 @@ void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
             y.min_quantum_seen.us);
   expect_eq(out, oracle, pair, "max_quantum_seen.us", x.max_quantum_seen.us,
             y.max_quantum_seen.us);
-  // Streaming runs also expose a latency digest; two deterministic DES
-  // backends must agree on it sample-for-sample.
+  // Streaming runs also expose a latency digest; two replays of the same
+  // scenario must agree on it sample-for-sample.
   expect_eq(out, oracle, pair, "has_latency", a.has_latency, b.has_latency);
   if (a.has_latency && b.has_latency) {
     expect_eq(out, oracle, pair, "latency_count", a.latency_count,

@@ -8,7 +8,7 @@
 // aggregate metrics) so a bookkeeping bug cannot validate itself.
 //
 // Registry (see docs/FUZZING.md):
-//   correction-theorem  exec_misses == 0 on the DES backends — a committed
+//   correction-theorem  exec_misses == 0 on the simulated runs — a committed
 //                       task never misses during execution (Sec. 4.3)
 //   conservation        total == hits + exec_misses + culled + rejected,
 //                       ledger terminal states, and the transition-event
@@ -17,8 +17,6 @@
 //   quantum-bound       Q_s(j) == clamp(max(Min_Slack, Min_Load)) per phase
 //                       unless the progress floor bound it — and the
 //                       quantum_floor_overrides counter matches exactly
-//   metric-parity       field-for-field RunMetrics equality between two
-//                       deterministic backends driving the same workload
 //   threaded-parity     scheduled/culled/hit agreement between the DES and
 //                       the threaded backend on parity-class scenarios
 //   stream-accounting   streaming runs: one schedule-latency sample per
@@ -26,6 +24,10 @@
 //   gang-occupancy      gang jobs occupy exactly their contiguous worker
 //                       block, are never split, and no instant commits
 //                       more worker-slots than the machine has
+//
+// oracle_metric_parity is not in the registry: run_scenario has one
+// simulated run per scenario, so the replay-determinism tests apply it to
+// two runs of the same scenario instead.
 #pragma once
 
 #include <string>
@@ -42,7 +44,7 @@ namespace rtds::testing {
 
 /// Everything one backend run exposes to the oracles.
 struct BackendRun {
-  std::string name;  ///< "sim", "partitioned", "shard[2]", "threaded"
+  std::string name;  ///< "sim", "shard[2]", "threaded"
   sched::RunMetrics metrics;
   sched::LedgerCounts ledger;
   std::vector<sched::PhaseRecord> phases;
@@ -85,7 +87,8 @@ void oracle_schedule_validity(const std::string& name,
 void oracle_quantum_bound(const Scenario& scenario, const BackendRun& run,
                           std::vector<std::string>& out);
 
-/// Field-for-field RunMetrics equality (deterministic backends only).
+/// Field-for-field RunMetrics and latency-digest equality between two
+/// simulated runs (a replay must reproduce its original exactly).
 void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
                           std::vector<std::string>& out);
 

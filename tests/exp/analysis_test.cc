@@ -6,7 +6,7 @@
 #include "machine/validator.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -85,8 +85,8 @@ TEST(BalanceSummaryTest, DetectsIdleWorkers) {
 
 TEST(AnalysisIntegrationTest, EndToEndRunValidatesAndAnalyzes) {
   // Full pipeline -> oracle validation + analysis, for both schedulers.
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(4,
                              machine::Interconnect::cut_through(4, msec(2)));
     sim::Simulator sim;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 
 namespace rtds::exp {
 namespace {
@@ -38,7 +38,7 @@ TEST(ExperimentConfigTest, QuantumFactoryMatchesKind) {
 
 TEST(RunOnceTest, ProducesConsistentMetrics) {
   const ExperimentConfig cfg = tiny_config();
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto m = run_once(cfg, *algo, /*seed=*/123);
   EXPECT_EQ(m.total_tasks, 120u);
   EXPECT_EQ(m.exec_misses, 0u);  // correction theorem
@@ -49,7 +49,7 @@ TEST(RunOnceTest, ProducesConsistentMetrics) {
 
 TEST(RunOnceTest, DeterministicForSeed) {
   const ExperimentConfig cfg = tiny_config();
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto a = run_once(cfg, *algo, 77);
   const auto b = run_once(cfg, *algo, 77);
   EXPECT_EQ(a.deadline_hits, b.deadline_hits);
@@ -60,7 +60,7 @@ TEST(RunOnceTest, DeterministicForSeed) {
 
 TEST(RunOnceTest, DifferentSeedsDiffer) {
   const ExperimentConfig cfg = tiny_config();
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto a = run_once(cfg, *algo, 1);
   const auto b = run_once(cfg, *algo, 2);
   // Workloads differ, so at least one counter should differ.
@@ -71,9 +71,9 @@ TEST(RunOnceTest, DifferentSeedsDiffer) {
 
 TEST(RunRepeatedTest, AggregatesRepetitions) {
   const ExperimentConfig cfg = tiny_config();
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const Aggregate agg = run_repeated(cfg, *algo);
-  EXPECT_EQ(agg.algorithm, "RT-SADS");
+  EXPECT_EQ(agg.algorithm, "rt_sads");
   EXPECT_EQ(agg.hit_ratio.count(), 3u);
   EXPECT_GE(agg.hit_ratio.min(), 0.0);
   EXPECT_LE(agg.hit_ratio.max(), 1.0);
@@ -84,15 +84,15 @@ TEST(RunRepeatedTest, AggregatesRepetitions) {
 TEST(RunRepeatedTest, ValidatesRepetitions) {
   ExperimentConfig cfg = tiny_config();
   cfg.repetitions = 0;
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   EXPECT_THROW(run_repeated(cfg, *algo), InvalidArgument);
 }
 
 TEST(CompareHitRatiosTest, WiredToWelch) {
   ExperimentConfig cfg = tiny_config();
   cfg.repetitions = 4;
-  const auto rt = sched::make_rt_sads();
-  const auto ff = sched::make_edf_first_fit();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto ff = sched::AlgorithmRegistry::builtin().make("edf_ff");
   const Aggregate a = run_repeated(cfg, *rt);
   const Aggregate b = run_repeated(cfg, *ff);
   const WelchResult w = compare_hit_ratios(a, b);
@@ -107,7 +107,7 @@ TEST(ReplicationEffectTest, HigherReplicationDoesNotHurtRtSads) {
   low.replication_rate = 0.25;
   ExperimentConfig high = tiny_config();
   high.replication_rate = 1.0;
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const double lo = run_repeated(low, *algo).hit_ratio.mean();
   const double hi = run_repeated(high, *algo).hit_ratio.mean();
   EXPECT_GE(hi + 0.05, lo);  // allow small noise

@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 
 namespace rtds::exp {
 namespace {
@@ -35,8 +35,8 @@ ExperimentConfig fig5_m10_config() {
 
 TEST(Fig5GoldenTest, HeadlineCellMatchesPinnedNumbers) {
   const ExperimentConfig cfg = fig5_m10_config();
-  const auto rt_sads = sched::make_rt_sads();
-  const auto d_cols = sched::make_d_cols();
+  const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
   const Aggregate rt = run_repeated(cfg, *rt_sads);
   const Aggregate dc = run_repeated(cfg, *d_cols);
 
@@ -65,8 +65,8 @@ TEST(Fig5GoldenTest, ScalabilityShapeRtSadsGainsFromM2ToM10) {
   // analysis of Sec. 5.1). Pin the m=2 -> m=10 gains with wide bands.
   ExperimentConfig cfg = fig5_m10_config();
   cfg.num_workers = 2;
-  const auto rt_sads = sched::make_rt_sads();
-  const auto d_cols = sched::make_d_cols();
+  const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
   const Aggregate rt2 = run_repeated(cfg, *rt_sads);
   const Aggregate dc2 = run_repeated(cfg, *d_cols);
   cfg.num_workers = 10;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::exp {
@@ -23,17 +23,16 @@ ExperimentConfig tiny(bool reclaim) {
 }
 
 TEST(ReclaimExperimentTest, TheoremHoldsUnderReclaiming) {
-  for (const auto& factory :
-       {sched::make_rt_sads, sched::make_d_cols, sched::make_edf_best_fit}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols", "edf_bf"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     const Aggregate agg = run_repeated(tiny(true), *algo);
     EXPECT_DOUBLE_EQ(agg.exec_misses.max(), 0.0) << algo->name();
   }
 }
 
 TEST(ReclaimExperimentTest, ReclaimingNeverHurtsCompliance) {
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     const double worst = run_repeated(tiny(false), *algo).hit_ratio.mean();
     const double reclaim = run_repeated(tiny(true), *algo).hit_ratio.mean();
     // Reclaiming can shift which tasks are chosen in later phases, so allow
@@ -43,7 +42,7 @@ TEST(ReclaimExperimentTest, ReclaimingNeverHurtsCompliance) {
 }
 
 TEST(ReclaimExperimentTest, DeterministicWithReclaiming) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto a = run_once(tiny(true), *algo, 9);
   const auto b = run_once(tiny(true), *algo, 9);
   EXPECT_EQ(a.deadline_hits, b.deadline_hits);

@@ -1,15 +1,9 @@
 // Cross-backend parity: the ONE PhasePipeline must behave the same no
-// matter which ExecutionBackend it drives.
-//
-//   * SimBackend vs ThreadedBackend — a deterministic workload (all tasks
-//     present at t=0, laxity far beyond any wall-clock jitter, time_scale
-//     << 1) must yield identical scheduled/culled counts: the phase
-//     decisions depend only on the batch and the (initially idle) loads,
-//     which both backends present identically.
-//   * PartitionedBackend with K=1 — exactly one host owning all workers is
-//     the same machine as a plain SimBackend, so the full RunMetrics must
-//     match field for field (also asserted in sched/partitioned_test.cc on
-//     a generated workload; here on the shared parity workload).
+// matter which ExecutionBackend it drives. SimBackend vs ThreadedBackend: a
+// deterministic workload (all tasks present at t=0, laxity far beyond any
+// wall-clock jitter, time_scale << 1) must yield identical scheduled/culled
+// counts, because the phase decisions depend only on the batch and the
+// (initially idle) loads, which both backends present identically.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -18,8 +12,8 @@
 #include "runtime/threaded_backend.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/task.h"
 
@@ -67,7 +61,7 @@ RunMetrics run_threaded_backend(const sched::PhaseAlgorithm& algo,
 }
 
 TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const std::vector<Task> wl = parity_workload();
 
@@ -93,60 +87,10 @@ TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
   EXPECT_EQ(thr_m.deadline_hits, wl.size());
 }
 
-TEST(BackendParityTest, PartitionedSingleHostMatchesSimBackendExactly) {
-  const auto algo = sched::make_rt_sads();
-  const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
-  const std::vector<Task> wl = parity_workload();
-  const sched::PhasePipeline pipeline(*algo, *q);
-
-  machine::Cluster cluster(
-      kWorkers, machine::Interconnect::cut_through(kWorkers, msec(1)));
-  sim::Simulator sim;
-  sched::SimBackend sim_backend(cluster, sim);
-  const RunMetrics sim_m = pipeline.run(wl, sim_backend);
-
-  sched::PartitionedBackend part(1, kWorkers, msec(1),
-                                 machine::ReclaimMode::kWorstCase);
-  const RunMetrics part_m = pipeline.run(wl, part.host(0));
-
-  EXPECT_EQ(part_m.total_tasks, sim_m.total_tasks);
-  EXPECT_EQ(part_m.scheduled, sim_m.scheduled);
-  EXPECT_EQ(part_m.deadline_hits, sim_m.deadline_hits);
-  EXPECT_EQ(part_m.exec_misses, sim_m.exec_misses);
-  EXPECT_EQ(part_m.culled, sim_m.culled);
-  EXPECT_EQ(part_m.rejected, sim_m.rejected);
-  EXPECT_EQ(part_m.overflow_drops, sim_m.overflow_drops);
-  EXPECT_EQ(part_m.readmissions, sim_m.readmissions);
-  EXPECT_EQ(part_m.backpressure_waits, sim_m.backpressure_waits);
-  EXPECT_EQ(part_m.quantum_floor_overrides, sim_m.quantum_floor_overrides);
-  EXPECT_EQ(part_m.phases, sim_m.phases);
-  EXPECT_EQ(part_m.vertices_generated, sim_m.vertices_generated);
-  EXPECT_EQ(part_m.expansions, sim_m.expansions);
-  EXPECT_EQ(part_m.backtracks, sim_m.backtracks);
-  EXPECT_EQ(part_m.dead_ends, sim_m.dead_ends);
-  EXPECT_EQ(part_m.leaves, sim_m.leaves);
-  EXPECT_EQ(part_m.budget_exhaustions, sim_m.budget_exhaustions);
-  EXPECT_EQ(part_m.finish_time, sim_m.finish_time);
-  EXPECT_EQ(part_m.scheduling_time, sim_m.scheduling_time);
-  EXPECT_EQ(part_m.allocated_quantum, sim_m.allocated_quantum);
-  EXPECT_EQ(part_m.min_quantum_seen, sim_m.min_quantum_seen);
-  EXPECT_EQ(part_m.max_quantum_seen, sim_m.max_quantum_seen);
-  // Same completion log on the underlying clusters, record for record.
-  const auto& a = cluster.log();
-  const auto& b = part.cluster(0).log();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_EQ(a[i].worker, b[i].worker);
-    EXPECT_EQ(a[i].start, b[i].start);
-    EXPECT_EQ(a[i].end, b[i].end);
-  }
-}
-
 TEST(BackendParityTest, ObserverSeesPhasesOnEveryBackend) {
   // Phase tracing used to be a DES-only feature; through the unified
   // pipeline the threaded deployment reports phases identically.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const std::vector<Task> wl = parity_workload();
 

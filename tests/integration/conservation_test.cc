@@ -7,7 +7,7 @@
 // single-slot mailbox the host used to retire refused assignments as if
 // they had been delivered, so they vanished from every counter. Against
 // that behavior these tests fail; with backpressure + readmission +
-// ledger they pass on all three backends.
+// ledger they pass on SimBackend, ThreadedBackend and run_partitioned.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -20,8 +20,8 @@
 #include "sched/ledger.h"
 #include "sched/partitioned.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -72,7 +72,7 @@ std::vector<tasks::Task> random_workload(std::uint64_t seed,
 }
 
 TEST(ConservationTest, SimBackendConservesOnRandomWorkloads) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const sched::PhasePipeline pipeline(*algo, *q);
   for (std::uint64_t seed : {11u, 12u, 13u}) {
@@ -85,13 +85,13 @@ TEST(ConservationTest, SimBackendConservesOnRandomWorkloads) {
     TaskLedger ledger;
     const RunMetrics m = pipeline.run(wl, backend, nullptr, &ledger);
     expect_conserved(m, ledger, wl.size());
-    EXPECT_EQ(m.overflow_drops, 0u);  // DES queues are unbounded
+    EXPECT_EQ(m.overflow_drops, 0u);  // simulated queues are unbounded
     EXPECT_EQ(m.rejected, 0u);
   }
 }
 
-TEST(ConservationTest, PartitionedBackendConservesPerShardAndInTotal) {
-  const auto algo = sched::make_rt_sads();
+TEST(ConservationTest, RunPartitionedConservesPerShardAndInTotal) {
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   sched::PartitionedConfig cfg;
   cfg.num_shards = 2;
@@ -111,7 +111,7 @@ TEST(ConservationTest, PartitionedBackendConservesPerShardAndInTotal) {
 }
 
 TEST(ConservationTest, ThreadedBackendConservesOnRandomWorkloads) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   for (std::uint64_t seed : {31u, 32u}) {
     const auto wl = random_workload(seed, 60, 3, 30.0, 60.0);
@@ -133,7 +133,7 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
   // Regression for the PR-1 silent-loss bug: a single-slot mailbox under a
   // 24-task burst forces overflow; every refused task must later be
   // executed or explicitly rejected — never unaccounted.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -170,7 +170,7 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
 TEST(ConservationTest, BoundedAttemptsRejectInsteadOfLosing) {
   // Same flood with a delivery budget of 2: some tasks are retired as
   // explicit rejections, and the books still balance exactly.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 24; ++i) {

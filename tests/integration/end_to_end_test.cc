@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 
 namespace rtds::exp {
 namespace {
@@ -22,9 +22,8 @@ ExperimentConfig paper_like(std::uint32_t workers, double replication,
 }
 
 TEST(EndToEndTest, CorrectionTheoremHoldsOnPaperWorkload) {
-  for (const auto& factory :
-       {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     const Aggregate agg = run_repeated(paper_like(10, 0.3, 1.0), *algo);
     EXPECT_DOUBLE_EQ(agg.exec_misses.max(), 0.0) << algo->name();
   }
@@ -33,8 +32,8 @@ TEST(EndToEndTest, CorrectionTheoremHoldsOnPaperWorkload) {
 TEST(EndToEndTest, RtSadsBeatsDColsOnPaperHeadlineConfig) {
   // Figure 5's headline point: m = 10, R = 30%, SF = 1.
   const ExperimentConfig cfg = paper_like(10, 0.3, 1.0);
-  const auto rt = sched::make_rt_sads();
-  const auto dc = sched::make_d_cols();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto dc = sched::AlgorithmRegistry::builtin().make("d_cols");
   const Aggregate a = run_repeated(cfg, *rt);
   const Aggregate b = run_repeated(cfg, *dc);
   EXPECT_GT(a.hit_ratio.mean(), b.hit_ratio.mean());
@@ -42,7 +41,7 @@ TEST(EndToEndTest, RtSadsBeatsDColsOnPaperHeadlineConfig) {
 
 TEST(EndToEndTest, RtSadsScalesWithProcessors) {
   // Fig. 5's RT-SADS curve: compliance rises with m.
-  const auto rt = sched::make_rt_sads();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const double at2 = run_repeated(paper_like(2, 0.3, 1.0), *rt)
                          .hit_ratio.mean();
   const double at10 = run_repeated(paper_like(10, 0.3, 1.0), *rt)
@@ -52,9 +51,8 @@ TEST(EndToEndTest, RtSadsScalesWithProcessors) {
 
 TEST(EndToEndTest, LooserDeadlinesImproveCompliance) {
   // SF sweep direction: SF=3 is easier than SF=1 for both algorithms.
-  for (const auto& factory :
-       {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     const double tight = run_repeated(paper_like(6, 0.3, 1.0), *algo)
                              .hit_ratio.mean();
     const double loose = run_repeated(paper_like(6, 0.3, 3.0), *algo)
@@ -66,8 +64,8 @@ TEST(EndToEndTest, LooserDeadlinesImproveCompliance) {
 TEST(EndToEndTest, DColsGainsMoreFromReplicationButStaysBehind) {
   // Fig. 6 mechanism: with full replication processor selection stops
   // mattering, so D-COLS catches up — but RT-SADS stays ahead or equal.
-  const auto rt = sched::make_rt_sads();
-  const auto dc = sched::make_d_cols();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto dc = sched::AlgorithmRegistry::builtin().make("d_cols");
   const ExperimentConfig low = paper_like(10, 0.1, 1.0);
   const ExperimentConfig high = paper_like(10, 1.0, 1.0);
   const double dc_low = run_repeated(low, *dc).hit_ratio.mean();
@@ -82,7 +80,7 @@ TEST(EndToEndTest, SelfAdjustingQuantumAdaptsAcrossPhases) {
   // within a run (slack and load both move), whereas a fixed quantum is
   // constant by construction.
   ExperimentConfig cfg = paper_like(8, 0.3, 1.0);
-  const auto rt = sched::make_rt_sads();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const sched::RunMetrics adaptive = run_once(cfg, *rt, 7);
   EXPECT_LT(adaptive.min_quantum_seen, adaptive.max_quantum_seen);
 
@@ -98,8 +96,8 @@ TEST(EndToEndTest, StatisticalProtocolDetectsTheHeadlineGap) {
   // D-COLS on the headline configuration at the paper's 0.01 level.
   ExperimentConfig cfg = paper_like(10, 0.3, 1.0);
   cfg.repetitions = 5;
-  const auto rt = sched::make_rt_sads();
-  const auto dc = sched::make_d_cols();
+  const auto rt = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto dc = sched::AlgorithmRegistry::builtin().make("d_cols");
   const Aggregate a = run_repeated(cfg, *rt);
   const Aggregate b = run_repeated(cfg, *dc);
   const WelchResult w = compare_hit_ratios(a, b);
@@ -112,7 +110,7 @@ TEST(EndToEndTest, SchedulerSpreadsLoadAcrossWorkers) {
   // RT-SADS's cost function balances: on the headline config, every worker
   // should execute a non-trivial share of the transactions.
   const ExperimentConfig cfg = paper_like(10, 0.3, 1.0);
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const sched::RunMetrics m = run_once(cfg, *algo, 42);
   EXPECT_GT(m.scheduled, 0u);
   EXPECT_EQ(m.exec_misses, 0u);

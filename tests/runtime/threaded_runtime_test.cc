@@ -9,8 +9,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::runtime {
@@ -43,7 +43,7 @@ RunMetrics run_live(const sched::PhaseAlgorithm& algorithm,
 }
 
 TEST(ThreadedRuntimeTest, EmptyWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
   const RunMetrics r = run_live(*algo, *q, fast_config(2), {});
   EXPECT_EQ(r.total_tasks, 0u);
@@ -59,7 +59,7 @@ TEST(ThreadedRuntimeTest, ValidatesConfig) {
 }
 
 TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
   std::vector<tasks::Task> wl(2);
   wl[0].id = 0;
@@ -74,7 +74,7 @@ TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
 }
 
 TEST(ThreadedRuntimeTest, BooksBalanceOnBurstyWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 60;
@@ -100,7 +100,7 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
   // Gangs hold k mailboxes at once: the all-or-nothing reservation must
   // neither deadlock the host nor lose a task, and with generous laxity
   // the terminal books balance exactly like the singleton case.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
@@ -125,7 +125,7 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
 }
 
 TEST(ThreadedRuntimeTest, PoissonArrivalsDrainCompletely) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
@@ -145,7 +145,7 @@ TEST(ThreadedRuntimeTest, PoissonArrivalsDrainCompletely) {
 }
 
 TEST(ThreadedRuntimeTest, DColsAlsoRunsLive) {
-  const auto algo = sched::make_d_cols();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("d_cols");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 30;
@@ -162,7 +162,7 @@ TEST(ThreadedRuntimeTest, DColsAlsoRunsLive) {
 }
 
 TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 20;
@@ -187,7 +187,7 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
   // counted and readmitted, and with two-minute deadlines every task is
   // eventually executed (or, if its delivery budget runs out, explicitly
   // rejected). No task may simply vanish.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -217,7 +217,7 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
 TEST(ThreadedRuntimeTest, ExhaustedDeliveryBudgetRejectsExplicitly) {
   // With readmission disabled (budget of one attempt), a refused delivery
   // is retired as an explicit rejection — still never a silent loss.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 12; ++i) {

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 
 namespace rtds::sched {
 namespace {
@@ -33,17 +33,8 @@ std::vector<Task> uniform_batch(std::uint32_t n, std::uint32_t m,
   return batch;
 }
 
-TEST(PresetsTest, NamesIdentifyAlgorithms) {
-  EXPECT_EQ(make_rt_sads()->name(), "RT-SADS");
-  EXPECT_EQ(make_d_cols()->name(), "D-COLS");
-  EXPECT_EQ(make_d_cols_pruned(3)->name(), "D-COLS/b3");
-  EXPECT_EQ(make_edf_first_fit()->name(), "edf-first-fit");
-  EXPECT_EQ(make_edf_best_fit()->name(), "edf-best-fit");
-  EXPECT_EQ(make_myopic(7)->name(), "myopic[W=7]");
-}
-
 TEST(PresetsTest, RtSadsUsesAssignmentRepresentation) {
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(algo.get());
   ASSERT_NE(ts, nullptr);
   EXPECT_EQ(ts->search_config().representation,
@@ -52,7 +43,7 @@ TEST(PresetsTest, RtSadsUsesAssignmentRepresentation) {
 }
 
 TEST(PresetsTest, DColsUsesSequenceRepresentation) {
-  const auto algo = make_d_cols();
+  const auto algo = AlgorithmRegistry::builtin().make("d_cols");
   const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(algo.get());
   ASSERT_NE(ts, nullptr);
   EXPECT_EQ(ts->search_config().representation,
@@ -63,7 +54,7 @@ TEST(GreedyTest, EdfBestFitBalancesIdenticalTasks) {
   const std::uint32_t m = 4;
   const auto net = machine::Interconnect::cut_through(m, msec(2));
   const auto batch = uniform_batch(8, m, msec(2), msec(100));
-  const auto r = GreedyAlgorithm(GreedyKind::kEdfBestFit)
+  const auto r = GreedyAlgorithm("edf_bf", GreedyKind::kEdfBestFit)
                      .schedule_phase(batch, std::vector<SimDuration>(m, SimDuration{}),
                                      SimTime::zero() + msec(1), net, 100000);
   ASSERT_EQ(r.schedule.size(), 8u);
@@ -76,7 +67,7 @@ TEST(GreedyTest, EdfFirstFitPilesOnFirstFeasibleWorker) {
   const std::uint32_t m = 4;
   const auto net = machine::Interconnect::cut_through(m, msec(2));
   const auto batch = uniform_batch(4, m, msec(2), msec(100));
-  const auto r = GreedyAlgorithm(GreedyKind::kEdfFirstFit)
+  const auto r = GreedyAlgorithm("edf_ff", GreedyKind::kEdfFirstFit)
                      .schedule_phase(batch, std::vector<SimDuration>(m, SimDuration{}),
                                      SimTime::zero() + msec(1), net, 100000);
   ASSERT_EQ(r.schedule.size(), 4u);
@@ -96,7 +87,7 @@ TEST(GreedyTest, SkipsInfeasibleTasksWithoutDeadEnding) {
                             AffinitySet::all(m)));
   for (GreedyKind kind : {GreedyKind::kEdfFirstFit, GreedyKind::kEdfBestFit,
                           GreedyKind::kMyopic}) {
-    const auto r = GreedyAlgorithm(kind).schedule_phase(
+    const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}), SimTime::zero() + msec(1),
         net, 100000);
     std::set<std::uint32_t> ids;
@@ -114,7 +105,7 @@ TEST(GreedyTest, RespectsVertexBudget) {
   const auto batch = uniform_batch(50, m, msec(1), msec(500));
   for (GreedyKind kind : {GreedyKind::kEdfFirstFit, GreedyKind::kEdfBestFit,
                           GreedyKind::kMyopic}) {
-    const auto r = GreedyAlgorithm(kind).schedule_phase(
+    const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}), SimTime::zero() + msec(1),
         net, 20);
     EXPECT_LE(r.stats.vertices_generated, 20u);
@@ -134,7 +125,7 @@ TEST(GreedyTest, MyopicPrefersGloballyEarliestFinishInWindow) {
   // Task 1: later deadline, short processing, affine worker 1.
   batch.push_back(
       make_task(1, msec(1), SimTime::zero() + msec(30), AffinitySet::single(1)));
-  const auto r = GreedyAlgorithm(GreedyKind::kMyopic, /*window=*/2)
+  const auto r = GreedyAlgorithm("myopic?window=2", GreedyKind::kMyopic, 2)
                      .schedule_phase(batch, std::vector<SimDuration>(m, SimDuration{}),
                                      SimTime::zero() + msec(1), net, 100000);
   ASSERT_EQ(r.schedule.size(), 2u);
@@ -161,7 +152,7 @@ TEST(GreedyTest, ProducesOnlyFeasibleSchedules) {
         batch.push_back(t);
       }
       const SimTime delivery = SimTime::zero() + msec(2);
-      const auto r = GreedyAlgorithm(kind).schedule_phase(
+      const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
           batch, std::vector<SimDuration>(m, SimDuration{}), delivery, net, 10000);
       std::vector<SimTime> horizon(m, delivery);
       for (const Assignment& a : r.schedule) {
@@ -175,7 +166,7 @@ TEST(GreedyTest, ProducesOnlyFeasibleSchedules) {
 }
 
 TEST(GreedyTest, ValidatesWindow) {
-  EXPECT_THROW(GreedyAlgorithm(GreedyKind::kMyopic, 0),
+  EXPECT_THROW(GreedyAlgorithm("myopic?window=0", GreedyKind::kMyopic, 0),
                rtds::InvalidArgument);
 }
 

@@ -5,8 +5,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/backend.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::sched {
@@ -43,7 +43,7 @@ TEST(RouteShardTest, NoLocalAffinityStillRoutesSomewhere) {
 }
 
 TEST(RunPartitionedTest, ValidatesConfiguration) {
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
   PartitionedConfig cfg;
   cfg.num_shards = 3;
@@ -59,7 +59,7 @@ TEST(RunPartitionedTest, ValidatesConfiguration) {
 TEST(RunPartitionedTest, SingleShardMatchesSimBackendExactly) {
   // K=1 partitioned-vs-sim parity: the partitioned path must be the SAME
   // pipeline over an equivalent host, so every RunMetrics field agrees.
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 150;
@@ -104,7 +104,7 @@ TEST(RunPartitionedTest, SingleShardMatchesSimBackendExactly) {
 }
 
 TEST(RunPartitionedTest, TheoremHoldsAcrossShards) {
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 400;
@@ -132,7 +132,7 @@ TEST(RunPartitionedTest, CrossShardTasksPayCommOnce) {
   // not directly constructible through the public API; instead check the
   // aggregate: tasks with affinity entirely on one shard execute there
   // (no shard gets a foreign task when routing is free to choose).
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 20; ++i) {
@@ -151,7 +151,7 @@ TEST(RunPartitionedTest, CrossShardTasksPayCommOnce) {
 
 TEST(RunPartitionedTest, ShardingHelpsWhenHostBound) {
   // A large bursty workload on many workers: two hosts beat one.
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(20));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 2000;

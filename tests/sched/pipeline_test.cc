@@ -8,7 +8,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/backend.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::sched {
@@ -46,7 +46,7 @@ struct Fixture {
 
 TEST(PhaseSchedulerTest, EmptyWorkload) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
   const PhasePipeline pipeline(*algo, *q);
   const RunMetrics m = f.run(pipeline, {});
@@ -57,7 +57,7 @@ TEST(PhaseSchedulerTest, EmptyWorkload) {
 
 TEST(PhaseSchedulerTest, RejectsUnsortedWorkload) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
   const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl{
@@ -68,8 +68,37 @@ TEST(PhaseSchedulerTest, RejectsUnsortedWorkload) {
   EXPECT_THROW(f.run(pipeline, wl), InvalidArgument);
 }
 
+TEST(PhaseSchedulerTest, RepeatedTaskIdThrowsWhetherPendingOrExecuted) {
+  // The batch does not check ids; the task ledger does, on arrival, for
+  // every id the run has ever seen.
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
+  const auto q = make_self_adjusting_quantum(usec(100), msec(10));
+  const PhasePipeline pipeline(*algo, *q);
+  const auto task = [](std::uint32_t id, SimTime arrival) {
+    return make_task(id, arrival, msec(1), arrival + msec(60),
+                     AffinitySet::all(2));
+  };
+  {
+    // The second copy arrives while the first is still pending.
+    Fixture f(2);
+    const std::vector<Task> wl{task(0, SimTime::zero()),
+                               task(1, SimTime::zero()),
+                               task(0, SimTime::zero())};
+    EXPECT_THROW(f.run(pipeline, wl), InvariantViolation);
+  }
+  {
+    // The second copy arrives long after the first has executed.
+    Fixture f(2);
+    const std::vector<Task> wl{task(0, SimTime::zero()),
+                               task(0, SimTime::zero() + msec(500))};
+    EXPECT_THROW(f.run(pipeline, wl), InvariantViolation);
+    ASSERT_EQ(f.cluster.log().size(), 1u);
+    EXPECT_LE(f.cluster.log()[0].end, SimTime::zero() + msec(500));
+  }
+}
+
 TEST(PhaseSchedulerTest, ValidatesVertexCost) {
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
   PipelineConfig cfg;
   cfg.vertex_generation_cost = SimDuration::zero();
@@ -78,7 +107,7 @@ TEST(PhaseSchedulerTest, ValidatesVertexCost) {
 
 TEST(PhaseSchedulerTest, SingleTaskIsScheduledAndHits) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(
@@ -99,7 +128,7 @@ TEST(PhaseSchedulerTest, SingleTaskIsScheduledAndHits) {
 TEST(PhaseSchedulerTest, SchedulingOverheadDelaysExecution) {
   // The first delivery cannot happen before one phase has been paid for.
   Fixture f(1, SimDuration::zero());
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   PipelineConfig cfg;
   cfg.vertex_generation_cost = usec(10);
@@ -119,7 +148,7 @@ TEST(PhaseSchedulerTest, SchedulingOverheadDelaysExecution) {
 
 TEST(PhaseSchedulerTest, UnreachableTaskIsCulledNotExecuted) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   const PhasePipeline pipeline(*algo, *q);
   // Deadline < processing: unreachable from the start.
@@ -135,7 +164,7 @@ TEST(PhaseSchedulerTest, UnreachableTaskIsCulledNotExecuted) {
 TEST(PhaseSchedulerTest, TaskInfeasibleOnlyByCommCostGetsAffineWorker) {
   // Tight deadline, huge C: only the affine worker works.
   Fixture f(4, sec(10));
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(5),
@@ -148,7 +177,7 @@ TEST(PhaseSchedulerTest, TaskInfeasibleOnlyByCommCostGetsAffineWorker) {
 
 TEST(PhaseSchedulerTest, LateArrivalsWakeTheScheduler) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl;
@@ -167,7 +196,7 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
   // If a task were double-delivered the executed count would exceed the
   // scheduled count; run a busy workload and check the books balance.
   Fixture f(3);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
@@ -187,7 +216,7 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
 
 TEST(PhaseSchedulerTest, MetricsAreDeltasOnReusedCluster) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl1{make_task(0, SimTime::zero(), msec(2),
@@ -208,7 +237,7 @@ TEST(PhaseSchedulerTest, MetricsAreDeltasOnReusedCluster) {
 
 TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_fixed_quantum(msec(2));
   const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
@@ -226,10 +255,9 @@ TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
 }
 
 TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
-  for (const auto& factory :
-       {make_edf_first_fit, make_edf_best_fit}) {
+  for (const char* spec : {"edf_ff", "edf_bf"}) {
     Fixture f(3);
-    const auto algo = factory();
+    const auto algo = AlgorithmRegistry::builtin().make(spec);
     const auto q = make_self_adjusting_quantum(usec(100), msec(5));
     const PhasePipeline pipeline(*algo, *q);
     tasks::WorkloadConfig wc;
@@ -247,7 +275,7 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
 
 TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   Fixture f(4);
-  const auto algo = make_d_cols();
+  const auto algo = AlgorithmRegistry::builtin().make("d_cols");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;

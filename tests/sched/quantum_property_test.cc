@@ -18,8 +18,8 @@
 #include "machine/cluster.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sched/trace.h"
 #include "sim/simulator.h"
 #include "tasks/task.h"
@@ -65,7 +65,7 @@ std::pair<std::vector<sched::PhaseRecord>, RunMetrics> traced_run(
   Xoshiro256ss rng(seed);
   const auto wl = tasks::generate_workload(wc, rng);
 
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   machine::Cluster cluster(
       kWorkers, machine::Interconnect::cut_through(kWorkers, msec(1)));
   sim::Simulator sim;

@@ -1,6 +1,6 @@
 // String-keyed algorithm registry: spec parsing, canonical-name fixpoint,
-// malformed-spec rejection, and config equivalence with the presets the
-// FIG5/FIG6 goldens are pinned to.
+// malformed-spec rejection, and the search configurations the FIG5/FIG6
+// goldens are pinned to.
 #include "sched/registry.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "sched/algorithm.h"
 #include "sched/portfolio.h"
-#include "sched/presets.h"
 
 namespace rtds::sched {
 namespace {
@@ -106,31 +105,46 @@ TEST(RegistryTest, RejectsMalformedSpecs) {
 }
 
 TEST(RegistryTest, SearchEntrantsMatchThePresetConfigs) {
-  // The FIG5/FIG6 goldens pin the preset-built RT-SADS and D-COLS; the
-  // registry entries must build byte-equal SearchConfigs or the goldens
-  // and the registry would silently diverge.
-  const auto config_of = [](const PhaseAlgorithm& a) {
-    const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(&a);
-    EXPECT_NE(ts, nullptr);
+  // The FIG5/FIG6 goldens are pinned to these RT-SADS and D-COLS search
+  // configurations; a registry change that moves a field moves the goldens.
+  const auto config_of = [](const std::string& spec) {
+    const auto algo = reg().make(spec);
+    const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(algo.get());
+    EXPECT_NE(ts, nullptr) << spec;
     return ts->search_config();
   };
-  const auto expect_same = [&](const PhaseAlgorithm& a,
-                               const PhaseAlgorithm& b) {
-    const auto ca = config_of(a);
-    const auto cb = config_of(b);
-    EXPECT_EQ(ca.representation, cb.representation);
-    EXPECT_EQ(ca.strategy, cb.strategy);
-    EXPECT_EQ(ca.task_order, cb.task_order);
-    EXPECT_EQ(ca.processor_order, cb.processor_order);
-    EXPECT_EQ(ca.level_processor_order, cb.level_processor_order);
-    EXPECT_EQ(ca.use_load_balance_cost, cb.use_load_balance_cost);
-    EXPECT_EQ(ca.max_successors, cb.max_successors);
-  };
-  expect_same(*reg().make("rt_sads"), *make_rt_sads());
-  expect_same(*reg().make("d_cols"), *make_d_cols());
-  expect_same(*reg().make("d_cols?max_successors=3"), *make_d_cols_pruned(3));
+  // RT-SADS (Sec. 4): assignment-oriented, EDF task selection, the
+  // load-balancing cost function of Sec. 4.4.
+  const search::SearchConfig rt = config_of("rt_sads");
+  EXPECT_EQ(rt.representation, search::Representation::kAssignmentOriented);
+  EXPECT_EQ(rt.strategy, search::SearchStrategy::kDepthFirst);
+  EXPECT_EQ(rt.task_order, search::TaskOrder::kEarliestDeadline);
+  EXPECT_EQ(rt.processor_order, search::ProcessorOrder::kMinEndOffset);
+  EXPECT_EQ(rt.level_processor_order,
+            search::LevelProcessorOrder::kRoundRobin);
+  EXPECT_TRUE(rt.use_load_balance_cost);
+  EXPECT_EQ(rt.max_successors, 0u);
+  // D-COLS (Sec. 5.2): sequence-oriented, EDF-ordered branching, round-robin
+  // level processor, no cost function.
+  const search::SearchConfig dc = config_of("d_cols");
+  EXPECT_EQ(dc.representation, search::Representation::kSequenceOriented);
+  EXPECT_EQ(dc.strategy, search::SearchStrategy::kDepthFirst);
+  EXPECT_EQ(dc.task_order, search::TaskOrder::kEarliestDeadline);
+  EXPECT_EQ(dc.processor_order, search::ProcessorOrder::kMinEndOffset);
+  EXPECT_EQ(dc.level_processor_order,
+            search::LevelProcessorOrder::kRoundRobin);
+  EXPECT_FALSE(dc.use_load_balance_cost);
+  EXPECT_EQ(dc.max_successors, 0u);
+  EXPECT_EQ(config_of("d_cols?max_successors=3").max_successors, 3u);
   // The generic `search` key defaults to the RT-SADS configuration.
-  expect_same(*reg().make("search"), *make_rt_sads());
+  const search::SearchConfig generic = config_of("search");
+  EXPECT_EQ(generic.representation, rt.representation);
+  EXPECT_EQ(generic.strategy, rt.strategy);
+  EXPECT_EQ(generic.task_order, rt.task_order);
+  EXPECT_EQ(generic.processor_order, rt.processor_order);
+  EXPECT_EQ(generic.level_processor_order, rt.level_processor_order);
+  EXPECT_EQ(generic.use_load_balance_cost, rt.use_load_balance_cost);
+  EXPECT_EQ(generic.max_successors, rt.max_successors);
 }
 
 TEST(RegistryTest, PartitionEntrantsWireTheConfigMatrix) {

@@ -12,7 +12,7 @@
 #include "machine/interconnect.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "sched/trace.h"
 #include "sim/simulator.h"
 #include "tasks/arrival_source.h"
@@ -96,7 +96,7 @@ class RefuseFirstN final : public ExecutionBackend {
 
 TEST(StreamingTest, EmptySourceReturnsCleanMetrics) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
   const PhasePipeline pipeline(*algo, *q);
   SimBackend backend(f.cluster, f.sim);
@@ -121,7 +121,7 @@ TEST(StreamingTest, ClosedRunAndVectorStreamAreFieldForFieldEqual) {
   Xoshiro256ss rng(11);
   const auto wl = tasks::generate_workload(wc, rng);
 
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
 
@@ -159,7 +159,7 @@ TEST(StreamingTest, PoissonStreamIsDeterministicForFixedSeed) {
   cfg.body.laxity_min = 4.0;
   cfg.body.laxity_max = 12.0;
 
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
 
@@ -207,7 +207,7 @@ TEST(StreamingTest, AdmissionControlTurnsArrivalsAwayAndBooksBalance) {
   cfg.body.laxity_min = 30.0;
   cfg.body.laxity_max = 60.0;
 
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
 
@@ -248,7 +248,7 @@ TEST(StreamingTest, BackpressurePauseIsCappedByBatchMinSlack) {
   // Fixed order (floor first, cap last): pause ~ 50ms, only B expires.
   // Buggy order: pause = 500ms, B AND C expire — culled == 2, hits == 1.
   Fixture f(1, SimDuration::zero());
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
   PipelineConfig cfg;
   cfg.delivery_backpressure = msec(500);
@@ -283,7 +283,7 @@ TEST(StreamingTest, RefusalHeavyStreamRetiresEveryAttemptEntry) {
   cfg.body.laxity_min = 2.0;
   cfg.body.laxity_max = 8.0;
 
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   PipelineConfig pcfg;
   pcfg.max_delivery_attempts = 2;
@@ -317,7 +317,7 @@ TEST(StreamingTest, LatencyHistogramBoundsAreConfigurable) {
   cfg.body.laxity_min = 10.0;
   cfg.body.laxity_max = 20.0;
 
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
   const PhasePipeline pipeline(*algo, *q);
 

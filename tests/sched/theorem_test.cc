@@ -17,7 +17,7 @@
 #include "machine/cluster.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -29,13 +29,13 @@ enum class Algo { kRtSads, kDCols, kEdfBestFit, kMyopic };
 std::unique_ptr<PhaseAlgorithm> make_algo(Algo a) {
   switch (a) {
     case Algo::kRtSads:
-      return make_rt_sads();
+      return AlgorithmRegistry::builtin().make("rt_sads");
     case Algo::kDCols:
-      return make_d_cols();
+      return AlgorithmRegistry::builtin().make("d_cols");
     case Algo::kEdfBestFit:
-      return make_edf_best_fit();
+      return AlgorithmRegistry::builtin().make("edf_bf");
     case Algo::kMyopic:
-      return make_myopic();
+      return AlgorithmRegistry::builtin().make("myopic");
   }
   return nullptr;
 }
@@ -139,7 +139,7 @@ TEST(CorrectionTheoremNegativeControl, WorkloadsWouldMissWithoutTheBound) {
   wc.laxity_max = 3.0;
   Xoshiro256ss rng(44);
   const auto wl = tasks::generate_workload(wc, rng);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(100), msec(20));
   const PhasePipeline pipeline(*algo, *quantum);
   SimBackend backend(cluster, sim);

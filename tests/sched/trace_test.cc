@@ -8,7 +8,7 @@
 #include "machine/cluster.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -25,7 +25,7 @@ TracedRun run_traced(std::uint32_t num_tasks, std::uint64_t seed) {
   machine::Cluster cluster(3,
                            machine::Interconnect::cut_through(3, msec(2)));
   sim::Simulator sim;
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = num_tasks;
@@ -114,7 +114,7 @@ TEST(PhaseTraceTest, NullObserverIsFine) {
   machine::Cluster cluster(2,
                            machine::Interconnect::cut_through(2, msec(2)));
   sim::Simulator sim;
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 30;

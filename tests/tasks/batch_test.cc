@@ -34,38 +34,6 @@ TEST(BatchTest, MergePreservesOrder) {
   EXPECT_EQ(b.tasks()[2].id, 3u);
 }
 
-TEST(BatchTest, MergeSkipsDuplicateIdsInsteadOfAborting) {
-  // A readmitted task racing a same-id arrival must not crash the host:
-  // the duplicate is skipped and the pending copy wins.
-  Batch b;
-  EXPECT_EQ(b.merge_arrivals({make_task(1, msec(1), SimTime{100000})}), 1u);
-  EXPECT_EQ(b.merge_arrivals({make_task(1, msec(9), SimTime{100000})}), 0u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.tasks()[0].processing, msec(1));  // first copy kept
-}
-
-TEST(BatchTest, ReadmitInsertsOnlyWhenAbsent) {
-  Batch b;
-  const Task t = make_task(5, msec(2), SimTime{100000});
-  EXPECT_TRUE(b.readmit(t));    // not pending: inserted
-  EXPECT_FALSE(b.readmit(t));   // already pending: no-op
-  EXPECT_EQ(b.size(), 1u);
-  b.remove_scheduled({0});
-  EXPECT_TRUE(b.readmit(t));    // removed, so readmission re-inserts
-  EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(BatchTest, ReadmittedTaskKeepsBatchOrder) {
-  Batch b;
-  b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
-                    make_task(2, msec(1), SimTime{100000})});
-  b.remove_scheduled({0});
-  EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b.tasks()[0].id, 2u);  // readmission appends
-  EXPECT_EQ(b.tasks()[1].id, 1u);
-}
-
 TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
@@ -79,25 +47,9 @@ TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
   EXPECT_EQ(b.size(), 1u);
 }
 
-TEST(BatchTest, RemoveScheduledUnregistersExactlyTheRemovedIds) {
-  // Regression: the id index used to be updated from the remove_if tail
-  // range, which holds shifted copies of the KEPT elements — so removing
-  // {1,3} from [1,2,3] unregistered 2 and 3 and left a ghost id 1 that
-  // blocked readmission forever.
-  Batch b;
-  b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
-                    make_task(2, msec(1), SimTime{100000}),
-                    make_task(3, msec(1), SimTime{100000})});
-  b.remove_scheduled({0, 2});
-  EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{100000})));  // pending
-  EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
-  EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime{100000})));
-  EXPECT_EQ(b.size(), 3u);
-}
-
 TEST(BatchTest, RemovedIdsCanReappearAsNewTasks) {
-  // After a task leaves the batch its id is free again (the driver never
-  // reuses ids, but the container must not keep ghosts).
+  // The batch keeps no record of the tasks that left it (the pipeline
+  // never reuses ids; its ledger rejects a repeat before any merge).
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000})});
   b.remove_scheduled({0});
@@ -162,13 +114,10 @@ TEST(BatchTest, CullMissedCompactsInOrderAndOverwritesCulled) {
   EXPECT_EQ(b.tasks()[0].id, 1u);
   EXPECT_EQ(b.tasks()[1].id, 4u);
   EXPECT_EQ(b.tasks()[2].id, 6u);
-  // The culled ids are free again; the survivors' are still registered.
-  EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime::zero() + msec(60))));
-  EXPECT_FALSE(b.readmit(make_task(4, msec(1), SimTime::zero() + msec(60))));
   // Nothing left to cull: the out-vector is emptied.
   b.cull_missed(SimTime::zero(), culled);
   EXPECT_TRUE(culled.empty());
-  EXPECT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.size(), 3u);
 }
 
 TEST(BatchTest, MinSlackFindsTightestTask) {
@@ -196,81 +145,9 @@ TEST(BatchTest, ClearEmptiesEverything) {
   EXPECT_TRUE(b.empty());
 }
 
-TEST(BatchTest, ReadmitAfterPartialDelivery) {
-  // A phase schedules {1,2,3}, the backend accepts only {1,3}: the pipeline
-  // removes all three as scheduled, then readmits the refused task 2. The
-  // batch must end with exactly the refused task pending, once.
-  Batch b;
-  const Task t1 = make_task(1, msec(1), SimTime{1000000});
-  const Task t2 = make_task(2, msec(2), SimTime{1000000});
-  const Task t3 = make_task(3, msec(3), SimTime{1000000});
-  b.merge_arrivals({t1, t2, t3});
-  b.remove_scheduled({0, 1, 2});
-  EXPECT_TRUE(b.empty());
-  EXPECT_TRUE(b.readmit(t2));
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.tasks()[0].id, 2u);
-  // A second refusal of the same task in a later phase is a no-op while the
-  // first readmission is still pending.
-  EXPECT_FALSE(b.readmit(t2));
-  EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(BatchTest, ReadmittedTaskMergesWithDuplicateIdArrival) {
-  // The readmitted copy is already pending when an arrival with the same id
-  // shows up: the merge must skip the duplicate (pending copy wins) and
-  // report 1 merged task, and the id index must stay consistent — after the
-  // pending copy is scheduled away, the id is admissible again.
-  Batch b;
-  const Task refused = make_task(7, msec(2), SimTime{1000000});
-  EXPECT_TRUE(b.readmit(refused));
-  const Task same_id = make_task(7, msec(9), SimTime{2000000});
-  const Task fresh = make_task(8, msec(1), SimTime{2000000});
-  EXPECT_EQ(b.merge_arrivals({same_id, fresh}), 1u);
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b.tasks()[0].id, 7u);
-  EXPECT_EQ(b.tasks()[0].processing, msec(2));  // the readmitted copy won
-  b.remove_scheduled({0});
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_TRUE(b.readmit(refused));
-  EXPECT_EQ(b.size(), 2u);
-}
-
-TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
-  // Several rounds of schedule-everything / readmit-the-refused must keep
-  // the task set and the duplicate-detection index in lockstep.
-  Batch b;
-  std::vector<Task> all;
-  for (TaskId id = 0; id < 6; ++id) {
-    all.push_back(make_task(id, msec(1 + std::int64_t(id)), SimTime{5000000}));
-  }
-  b.merge_arrivals(all);
-  for (int round = 0; round < 4; ++round) {
-    // Schedule the whole batch...
-    std::unordered_set<TaskId> scheduled;
-    std::vector<std::uint32_t> positions;
-    for (const Task& t : b.tasks()) {
-      scheduled.insert(t.id);
-      positions.push_back(std::uint32_t(positions.size()));
-    }
-    b.remove_scheduled(positions);
-    EXPECT_TRUE(b.empty());
-    // ...and readmit every other task, as a partial refusal would.
-    std::size_t readmitted = 0;
-    for (const Task& t : all) {
-      if ((t.id + std::uint64_t(round)) % 2 == 0 && scheduled.count(t.id)) {
-        EXPECT_TRUE(b.readmit(t));
-        ++readmitted;
-      }
-    }
-    EXPECT_EQ(b.size(), readmitted);
-    all.assign(b.tasks().begin(), b.tasks().end());
-  }
-}
-
 TEST(BatchTest, RemoveScheduledByIndexKeepsOrderAndIndex) {
   // Interior, adjacent and last positions at once: the survivors keep
-  // their order, and exactly the removed ids become admissible again.
+  // their order, and a later merge appends behind them.
   Batch b;
   std::vector<Task> all;
   for (TaskId id = 10; id < 20; ++id) {
@@ -283,11 +160,9 @@ TEST(BatchTest, RemoveScheduledByIndexKeepsOrderAndIndex) {
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     EXPECT_EQ(b.tasks()[i].id, survivors[i]);
   }
-  for (const Task& t : all) {
-    const bool removed = t.id == 11 || t.id == 14 || t.id == 15 || t.id == 19;
-    EXPECT_EQ(b.readmit(t), removed) << "id " << t.id;
-  }
-  EXPECT_EQ(b.size(), all.size());
+  b.merge_arrivals({make_task(20, msec(1), SimTime{5000000})});
+  ASSERT_EQ(b.size(), survivors.size() + 1);
+  EXPECT_EQ(b.tasks().back().id, 20u);
 }
 
 TEST(BatchTest, RemoveScheduledRejectsBadIndices) {
@@ -300,8 +175,8 @@ TEST(BatchTest, RemoveScheduledRejectsBadIndices) {
   EXPECT_THROW(b.remove_scheduled({1, 0}), InvalidArgument);  // descending
   EXPECT_THROW(b.remove_scheduled({1, 1}), InvalidArgument);  // repeated
   ASSERT_EQ(b.size(), 2u);
-  EXPECT_FALSE(b.readmit(make_task(1, msec(1), SimTime{1000000})));
-  EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{1000000})));
+  EXPECT_EQ(b.tasks()[0].id, 1u);
+  EXPECT_EQ(b.tasks()[1].id, 2u);
 }
 
 }  // namespace

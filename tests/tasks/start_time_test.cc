@@ -7,7 +7,7 @@
 #include "search/engine.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -96,8 +96,8 @@ TEST(StartTimeClusterTest, WorkerIdlesUntilConstraint) {
 }
 
 TEST(StartTimeEndToEndTest, TheoremAndValidatorHoldWithConstraints) {
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(4,
                              machine::Interconnect::cut_through(4, msec(2)));
     sim::Simulator sim;

@@ -1,7 +1,7 @@
 // Determinism: the same scenario replayed twice yields identical results —
 // the property every replay token and every CI failure report depends on.
 //
-// The DES backends must agree field-for-field (RunMetrics is compared via
+// The simulated runs must agree field-for-field (RunMetrics is compared via
 // the metric-parity oracle, so any drift names the exact field). The
 // threaded backend runs on the wall clock, so only its clock-independent
 // counts are required to be stable, and only on parity-class workloads
@@ -28,7 +28,6 @@ TEST(DeterminismTest, SameScenarioSameMetricsOnDesBackends) {
     EXPECT_EQ(r1.token, r2.token);
     std::vector<std::string> diffs;
     oracle_metric_parity(r1.sim, r2.sim, diffs);
-    oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
     EXPECT_TRUE(diffs.empty()) << "scenario " << index << " drifted:\n  "
                                << diffs.front();
     EXPECT_EQ(r1.violations, r2.violations);
@@ -52,7 +51,6 @@ TEST(DeterminismTest, OpenScenarioReplaysIdenticallyOnDesBackends) {
     ASSERT_TRUE(r1.sim.has_latency);
     std::vector<std::string> diffs;
     oracle_metric_parity(r1.sim, r2.sim, diffs);
-    oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
     EXPECT_TRUE(diffs.empty()) << "open kind " << kind << " drifted:\n  "
                                << diffs.front();
     EXPECT_EQ(r1.violations, r2.violations);

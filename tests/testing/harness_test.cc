@@ -43,8 +43,8 @@ TEST(HarnessTest, FaultInjectionExercisesReadmissionAndStaysConserved) {
   s.refusal_period = 2;  // refuse every 2nd delivery on every backend
   const ScenarioResult r = run_scenario(s, des_only());
   EXPECT_TRUE(r.ok()) << r.to_string();
-  // The injected refusals must actually drive the overload machinery —
-  // and sim/partitioned stay in exact parity through it (checked by ok()).
+  // The injected refusals must actually drive the overload machinery, and
+  // the books still balance through it (checked by ok()).
   EXPECT_GT(r.sim.metrics.overflow_drops, 0u);
   EXPECT_GT(r.sim.metrics.readmissions + r.sim.metrics.rejected, 0u);
 }

@@ -3,8 +3,8 @@
 // fuzz_smoke already sweeps the mixed portfolio; these tests pin the
 // algorithm so every greedy baseline and both partitioned entrants each get
 // a dedicated pass through the full oracle registry (correction theorem,
-// conservation ledger, schedule validity, quantum bound, sim/partitioned
-// metric parity). The threaded backend is left off: its wall-clock runs are
+// conservation ledger, schedule validity, quantum bound, gang occupancy).
+// The threaded backend is left off: its wall-clock runs are
 // algorithm-independent plumbing and fuzz_smoke covers them.
 #include <gtest/gtest.h>
 
