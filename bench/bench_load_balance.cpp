@@ -50,7 +50,8 @@ int main() {
 
     machine::Cluster cluster(
         cfg.num_workers,
-        machine::Interconnect::cut_through(cfg.num_workers, cfg.comm_cost));
+        machine::Interconnect::cut_through(cfg.num_workers, cfg.comm_cost),
+        machine::ReclaimMode::kWorstCase, machine::CompletionLog::kKeep);
     sim::Simulator sim;
     const auto quantum = cfg.make_quantum();
     sched::PipelineConfig dc;

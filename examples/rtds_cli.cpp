@@ -185,7 +185,9 @@ int main(int argc, char** argv) {
         cfg.num_workers,
         machine::Interconnect::cut_through(cfg.num_workers, cfg.comm_cost),
         cfg.reclaim_actual_costs ? machine::ReclaimMode::kReclaim
-                                 : machine::ReclaimMode::kWorstCase);
+                                 : machine::ReclaimMode::kWorstCase,
+        gantt_path.empty() ? machine::CompletionLog::kOff
+                           : machine::CompletionLog::kKeep);
     sim::Simulator sim;
     const auto quantum = cfg.make_quantum();
     sched::PipelineConfig pipeline_cfg;
@@ -206,7 +208,7 @@ int main(int argc, char** argv) {
       std::ofstream out(gantt_path);
       machine::write_completion_csv(cluster, out);
       std::cout << "wrote completion log to " << gantt_path << " ("
-                << cluster.log().size() << " tasks)\n";
+                << cluster.stats().executed << " tasks)\n";
     }
   }
   return 0;

@@ -43,6 +43,7 @@ struct BalanceSummary {
   std::uint32_t idle_workers{0};  ///< workers that executed nothing
 };
 
+/// Reads the cluster's log, which it must keep (CompletionLog::kKeep).
 BalanceSummary balance_summary(const machine::Cluster& cluster);
 
 /// Task-conservation audit of one finished run: every offered task must sit

@@ -5,18 +5,20 @@
 namespace rtds::machine {
 
 Cluster::Cluster(std::uint32_t num_workers, Interconnect interconnect,
-                 ReclaimMode reclaim)
+                 ReclaimMode reclaim, CompletionLog log)
     : num_workers_(num_workers),
       interconnect_(interconnect),
       reclaim_(reclaim),
-      workers_(num_workers) {
+      workers_(num_workers),
+      keep_log_(log == CompletionLog::kKeep) {
   RTDS_REQUIRE(num_workers >= 1, "Cluster: need >= 1 worker");
   RTDS_REQUIRE(interconnect.num_workers() == num_workers,
                "Cluster: interconnect sized for a different worker count");
 }
 
-void Cluster::deliver(const std::vector<ScheduledAssignment>& schedule,
-                      SimTime now) {
+std::span<const CompletionRecord> Cluster::deliver(
+    const std::vector<ScheduledAssignment>& schedule, SimTime now) {
+  delivered_.clear();
   for (const ScheduledAssignment& sa : schedule) {
     const std::uint32_t k = sa.task.workers_required;
     RTDS_REQUIRE(k >= 1, "deliver: workers_required must be >= 1");
@@ -55,7 +57,7 @@ void Cluster::deliver(const std::vector<ScheduledAssignment>& schedule,
     rec.deadline = sa.task.deadline;
     rec.comm_cost = comm;
     rec.width = k;
-    log_.push_back(rec);
+    delivered_.push_back(rec);
 
     ++stats_.executed;
     if (rec.met_deadline()) {
@@ -64,6 +66,8 @@ void Cluster::deliver(const std::vector<ScheduledAssignment>& schedule,
       ++stats_.deadline_misses;
     }
   }
+  if (keep_log_) log_.insert(log_.end(), delivered_.begin(), delivered_.end());
+  return delivered_;
 }
 
 SimDuration Cluster::load(ProcessorId worker, SimTime t) const {
@@ -91,6 +95,13 @@ SimTime Cluster::makespan() const {
     if (w.busy_until > latest) latest = w.busy_until;
   }
   return latest;
+}
+
+const std::vector<CompletionRecord>& Cluster::log() const {
+  RTDS_REQUIRE(keep_log_,
+               "Cluster::log: no completion log was kept (construct the "
+               "cluster with CompletionLog::kKeep)");
+  return log_;
 }
 
 SimDuration Cluster::busy_time(ProcessorId worker) const {

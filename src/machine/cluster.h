@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/time.h"
@@ -66,11 +67,18 @@ enum class ReclaimMode {
   kReclaim,
 };
 
+/// Whether a cluster keeps a CompletionRecord of every task it executed.
+/// The log grows with every task ever delivered, so only the callers that
+/// read it (the validator, the fuzz oracles, schedule export and analysis)
+/// opt in; a streaming run keeps memory at O(tasks in flight) without it.
+enum class CompletionLog : std::uint8_t { kOff, kKeep };
+
 /// The cluster: m workers + interconnect + execution bookkeeping.
 class Cluster {
  public:
   Cluster(std::uint32_t num_workers, Interconnect interconnect,
-          ReclaimMode reclaim = ReclaimMode::kWorstCase);
+          ReclaimMode reclaim = ReclaimMode::kWorstCase,
+          CompletionLog log = CompletionLog::kOff);
 
   [[nodiscard]] ReclaimMode reclaim_mode() const { return reclaim_; }
 
@@ -90,8 +98,11 @@ class Cluster {
 
   /// Delivers a schedule to the worker ready queues at time `now`
   /// (assignments are appended in order). Start/end times are computed
-  /// immediately; completion records accumulate in the log.
-  void deliver(const std::vector<ScheduledAssignment>& schedule, SimTime now);
+  /// immediately. Returns the schedule's completion records, in schedule
+  /// order, valid until the next deliver(); a cluster that keeps its log
+  /// also appends them there.
+  std::span<const CompletionRecord> deliver(
+      const std::vector<ScheduledAssignment>& schedule, SimTime now);
 
   /// Remaining work on `worker` at time t: Load_k in the paper's quantum
   /// criterion (Fig. 3).
@@ -109,9 +120,10 @@ class Cluster {
   /// Total busy time accumulated on `worker` (for utilization metrics).
   [[nodiscard]] SimDuration busy_time(ProcessorId worker) const;
 
-  [[nodiscard]] const std::vector<CompletionRecord>& log() const {
-    return log_;
-  }
+  /// Every completion record since construction. Throws InvalidArgument
+  /// unless the cluster was built with CompletionLog::kKeep, so no reader
+  /// can mistake a log that was never kept for an empty one.
+  [[nodiscard]] const std::vector<CompletionRecord>& log() const;
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
 
  private:
@@ -125,7 +137,9 @@ class Cluster {
   ReclaimMode reclaim_;
   SimDuration reclaimed_{SimDuration::zero()};
   std::vector<Worker> workers_;
+  bool keep_log_;
   std::vector<CompletionRecord> log_;
+  std::vector<CompletionRecord> delivered_;  ///< the last deliver()'s records
   ExecutionStats stats_;
 };
 

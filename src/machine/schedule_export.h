@@ -1,4 +1,5 @@
-// Exports a cluster's execution log for offline inspection/plotting.
+// Exports a cluster's execution log for offline inspection/plotting. Both
+// writers read the log, so the cluster must keep one (CompletionLog::kKeep).
 #pragma once
 
 #include <iosfwd>

@@ -29,6 +29,7 @@ struct ValidationReport {
 /// `workload` (the source of truth for arrival, demand, affinity and
 /// deadline). Tasks in the workload that never executed are fine (culled
 /// or unscheduled); log entries without a workload task are violations.
+/// The cluster must keep its log (CompletionLog::kKeep).
 ValidationReport validate_execution(const Cluster& cluster,
                                     const std::vector<tasks::Task>& workload);
 

@@ -72,11 +72,13 @@ SimDuration ThreadedBackend::load(std::uint32_t worker, SimTime t) const {
 
 void ThreadedBackend::wait_until(SimTime t) {
   std::this_thread::sleep_until(start_ + std::chrono::microseconds(t.us));
+  report_outcomes();
 }
 
 void ThreadedBackend::advance(SimDuration /*host_busy*/) {
   // The wall clock already paid for the search as it ran; the virtual
   // charge SimBackend applies has no threaded counterpart.
+  report_outcomes();
 }
 
 sched::DeliveryResult ThreadedBackend::deliver(
@@ -150,12 +152,7 @@ sched::DeliveryResult ThreadedBackend::deliver(
 
 sched::BackendStats ThreadedBackend::drain() {
   shutdown();
-  if (ledger_ != nullptr) {
-    // Workers are joined: the outcome buffer is complete and quiescent.
-    std::lock_guard lock(outcomes_mutex_);
-    for (const Outcome& o : outcomes_) ledger_->execute(o.task, o.hit);
-    outcomes_.clear();
-  }
+  report_outcomes();  // workers are joined: this is the last of them
   sched::BackendStats out;
   out.deadline_hits = hits_.load();
   out.exec_misses = misses_.load();
@@ -165,6 +162,19 @@ sched::BackendStats ThreadedBackend::drain() {
 
 void ThreadedBackend::bind_ledger(sched::TaskLedger* ledger) {
   ledger_ = ledger;
+}
+
+void ThreadedBackend::report_outcomes() {
+  {
+    std::lock_guard lock(outcomes_mutex_);
+    reporting_.swap(outcomes_);
+  }
+  if (ledger_ != nullptr) {
+    for (const sched::ExecutionOutcome& o : reporting_) {
+      ledger_->execute(o.task, o.hit);
+    }
+  }
+  reporting_.clear();
 }
 
 void ThreadedBackend::shutdown() {

@@ -10,9 +10,10 @@
 // threads and is exercised by integration tests with generous margins.
 //
 // Time mapping: the wall clock is projected onto SimTime microseconds since
-// backend construction. advance() is a no-op — the search that just ran
-// consumed real host time already, which is exactly the quantity the DES
-// charges synthetically.
+// backend construction. advance() charges nothing — the search that just
+// ran consumed real host time already, which is exactly the quantity the
+// DES charges synthetically. Like wait_until() and drain(), it reports the
+// outcomes the workers judged since the last such call to the ledger.
 //
 // Overflow policy: delivery into a full mailbox is retried a few times
 // with a short bounded backoff, then refused loudly — the refusal is
@@ -95,14 +96,12 @@ class ThreadedBackend final : public sched::ExecutionBackend {
     /// the ledger, so a k-worker job stays ONE task in every count.
     bool occupy_only{false};
   };
-  /// Per-task terminal outcome, judged by a worker against the wall clock.
-  struct Outcome {
-    tasks::TaskId task;
-    bool hit;
-  };
   using Clock = std::chrono::steady_clock;
 
   void shutdown();  // close mailboxes + join workers; idempotent
+  /// Hands the outcomes the workers buffered so far to the bound ledger,
+  /// on the host thread.
+  void report_outcomes();
 
   RuntimeConfig config_;
   machine::Interconnect net_;
@@ -117,10 +116,15 @@ class ThreadedBackend final : public sched::ExecutionBackend {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> overflow_drops_{0};
-  /// Outcomes buffered by the workers and flushed into the bound ledger
-  /// after the join in drain() — the ledger itself stays host-thread-only.
+  /// Per-task outcomes, judged by the workers against the wall clock and
+  /// buffered here until the host reports them to the bound ledger at its
+  /// next advance(), wait_until() or drain() — the ledger itself stays
+  /// host-thread-only.
   std::mutex outcomes_mutex_;
-  std::vector<Outcome> outcomes_;
+  std::vector<sched::ExecutionOutcome> outcomes_;
+  /// Host-side swap partner of outcomes_: the host reports from it without
+  /// holding the lock, and both keep their capacity.
+  std::vector<sched::ExecutionOutcome> reporting_;
   sched::TaskLedger* ledger_{nullptr};
   bool joined_{false};
 };

@@ -3,10 +3,7 @@
 namespace rtds::sched {
 
 SimBackend::SimBackend(machine::Cluster& cluster, sim::Simulator& sim)
-    : cluster_(cluster),
-      sim_(sim),
-      initial_(cluster.stats()),
-      initial_log_size_(cluster.log().size()) {}
+    : cluster_(cluster), sim_(sim), initial_(cluster.stats()) {}
 
 std::uint32_t SimBackend::num_workers() const {
   return cluster_.num_workers();
@@ -23,28 +20,28 @@ SimDuration SimBackend::load(std::uint32_t worker, SimTime t) const {
 }
 
 void SimBackend::wait_until(SimTime t) {
+  report_outcomes();
   if (t > sim_.now()) sim_.advance_to(t);
 }
 
 void SimBackend::advance(SimDuration host_busy) {
+  report_outcomes();
   sim_.advance_to(sim_.now() + host_busy);
 }
 
 DeliveryResult SimBackend::deliver(
     const std::vector<machine::ScheduledAssignment>& schedule) {
-  cluster_.deliver(schedule, sim_.now());
+  const auto records = cluster_.deliver(schedule, sim_.now());
+  if (ledger_ != nullptr) {
+    for (const machine::CompletionRecord& rec : records) {
+      unreported_.push_back({rec.task, rec.met_deadline()});
+    }
+  }
   return DeliveryResult{schedule.size(), {}};  // unbounded queues: no refusals
 }
 
 BackendStats SimBackend::drain() {
-  if (ledger_ != nullptr) {
-    // Per-task terminal outcomes: everything the cluster executed during
-    // this run (clusters may be reused; skip pre-existing log entries).
-    const auto& log = cluster_.log();
-    for (std::size_t i = initial_log_size_; i < log.size(); ++i) {
-      ledger_->execute(log[i].task, log[i].met_deadline());
-    }
-  }
+  report_outcomes();
   const machine::ExecutionStats finals = cluster_.stats();
   BackendStats out;
   out.deadline_hits = finals.deadline_hits - initial_.deadline_hits;
@@ -55,5 +52,14 @@ BackendStats SimBackend::drain() {
 }
 
 void SimBackend::bind_ledger(TaskLedger* ledger) { ledger_ = ledger; }
+
+void SimBackend::report_outcomes() {
+  if (ledger_ != nullptr) {
+    for (const ExecutionOutcome& o : unreported_) {
+      ledger_->execute(o.task, o.hit);
+    }
+  }
+  unreported_.clear();
+}
 
 }  // namespace rtds::sched

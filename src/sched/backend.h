@@ -25,6 +25,7 @@
 #include "machine/interconnect.h"
 #include "sched/ledger.h"
 #include "sim/simulator.h"
+#include "tasks/task.h"
 
 namespace rtds::sched {
 
@@ -33,6 +34,13 @@ struct BackendStats {
   std::uint64_t deadline_hits{0};
   std::uint64_t exec_misses{0};
   SimTime finish_time{SimTime::zero()};  ///< all delivered work drained
+};
+
+/// One executed task's terminal outcome, held by a backend until it
+/// reports it to the bound ledger.
+struct ExecutionOutcome {
+  tasks::TaskId task;
+  bool hit;
 };
 
 /// Outcome of one deliver() call. A backend with bounded ready queues may
@@ -83,19 +91,25 @@ class ExecutionBackend {
   /// terminal counts. Called exactly once, after the last phase.
   virtual BackendStats drain() = 0;
 
-  /// Attaches the pipeline's task ledger. A bound backend must report the
+  /// Attaches the pipeline's task ledger. A bound backend reports the
   /// per-task terminal outcome (hit or miss) of every accepted delivery via
-  /// ledger->execute() before drain() returns; the pipeline binds the
-  /// ledger before the first phase and detaches it (nullptr) after drain.
-  /// The ledger is only ever touched from the host thread.
+  /// ledger->execute(), never from inside deliver() — the pipeline records
+  /// the delivery in the ledger only after deliver() returns — and at the
+  /// latest before drain() returns. Both built-in backends report at every
+  /// advance(), wait_until() and drain(), so the ledger only ever holds the
+  /// tasks in flight. The pipeline binds the ledger before the first phase
+  /// and detaches it (nullptr) when the run ends, also by exception. The
+  /// ledger is only ever touched from the host thread.
   virtual void bind_ledger(TaskLedger* ledger) = 0;
 };
 
 /// Simulated backend: machine::Cluster for execution, sim::Simulator for
 /// the host clock. Both are borrowed and left in their final state so
-/// callers can inspect the completion log; hit/miss counts are reported as
-/// deltas against the construction-time snapshot (clusters may be reused
-/// across runs).
+/// callers can inspect the cluster (and its completion log, if it keeps
+/// one); hit/miss counts are reported as deltas against the
+/// construction-time stats snapshot (clusters may be reused across runs).
+/// The cluster prices every delivered task at once; its outcomes reach the
+/// ledger at the next advance(), wait_until() or drain().
 class SimBackend final : public ExecutionBackend {
  public:
   SimBackend(machine::Cluster& cluster, sim::Simulator& sim);
@@ -113,11 +127,16 @@ class SimBackend final : public ExecutionBackend {
   void bind_ledger(TaskLedger* ledger) override;
 
  private:
+  /// Hands the outcomes of earlier deliveries to the bound ledger.
+  void report_outcomes();
+
   machine::Cluster& cluster_;
   sim::Simulator& sim_;
   machine::ExecutionStats initial_;
-  std::size_t initial_log_size_;
   TaskLedger* ledger_{nullptr};
+  /// Outcomes of accepted deliveries not yet reported: at most the tasks
+  /// of the deliveries since the last clock call.
+  std::vector<ExecutionOutcome> unreported_;
 };
 
 }  // namespace rtds::sched

@@ -1,5 +1,7 @@
 #include "sched/ledger.h"
 
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -22,8 +24,8 @@ const char* to_string(TaskState state) {
 }
 
 void TaskLedger::arrive(tasks::TaskId id) {
-  const bool inserted = states_.emplace(id, TaskState::kArrived).second;
-  RTDS_CHECK_MSG(inserted, "TaskLedger: task arrived twice");
+  RTDS_CHECK_MSG(insert_seen(id), "TaskLedger: task arrived twice");
+  states_.emplace(id, TaskState::kArrived);
   ++counts_.total;
   ++counts_.in_flight;
 }
@@ -48,41 +50,40 @@ void TaskLedger::drop(tasks::TaskId id) {
 }
 
 void TaskLedger::cull(tasks::TaskId id) {
-  transition(id, TaskState::kBatched, TaskState::kCulled);
+  retire(id, TaskState::kBatched, TaskState::kCulled);
   ++counts_.culled;
-  --counts_.in_flight;
 }
 
 void TaskLedger::reject(tasks::TaskId id) {
-  transition(id, TaskState::kScheduled, TaskState::kRejected);
+  retire(id, TaskState::kScheduled, TaskState::kRejected);
   ++counts_.rejected;
-  --counts_.in_flight;
 }
 
 void TaskLedger::reject_admission(tasks::TaskId id) {
-  transition(id, TaskState::kArrived, TaskState::kAdmissionRejected);
+  retire(id, TaskState::kArrived, TaskState::kAdmissionRejected);
   ++counts_.admission_rejected;
-  --counts_.in_flight;
 }
 
 void TaskLedger::execute(tasks::TaskId id, bool hit) {
-  transition(id, TaskState::kDelivered,
-             hit ? TaskState::kDeadlineHit : TaskState::kExecMiss);
+  retire(id, TaskState::kDelivered,
+         hit ? TaskState::kDeadlineHit : TaskState::kExecMiss);
   if (hit) {
     ++counts_.deadline_hits;
   } else {
     ++counts_.exec_misses;
   }
-  --counts_.in_flight;
 }
 
 bool TaskLedger::known(tasks::TaskId id) const {
-  return states_.count(id) > 0;
+  const auto next = seen_.upper_bound(id);
+  return next != seen_.begin() && id <= std::prev(next)->second;
 }
 
 TaskState TaskLedger::state(tasks::TaskId id) const {
   const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(), "TaskLedger: unknown task id");
+  RTDS_CHECK_MSG(it != states_.end(),
+                 known(id) ? "TaskLedger: task already retired"
+                           : "TaskLedger: unknown task id");
   return it->second;
 }
 
@@ -100,19 +101,59 @@ void TaskLedger::check_conserved() const {
 
 void TaskLedger::clear() {
   states_.clear();
+  seen_.clear();
   counts_ = LedgerCounts{};
 }
 
-void TaskLedger::transition(tasks::TaskId id, TaskState from, TaskState to) {
+TaskLedger::States::iterator TaskLedger::expect(tasks::TaskId id,
+                                                TaskState from, TaskState to) {
   const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(), "TaskLedger: unknown task id");
-  if (it->second != from) {
+  if (it == states_.end() || it->second != from) {
     std::ostringstream os;
-    os << "TaskLedger: task " << id << " is " << to_string(it->second)
-       << ", cannot move " << to_string(from) << " -> " << to_string(to);
+    os << "TaskLedger: task " << id << " is ";
+    if (it != states_.end()) {
+      os << to_string(it->second);
+    } else {
+      os << (known(id) ? "retired" : "unknown");
+    }
+    os << ", cannot move " << to_string(from) << " -> " << to_string(to);
     RTDS_CHECK_MSG(false, os.str());
   }
-  it->second = to;
+  return it;
+}
+
+void TaskLedger::transition(tasks::TaskId id, TaskState from, TaskState to) {
+  expect(id, from, to)->second = to;
+}
+
+void TaskLedger::retire(tasks::TaskId id, TaskState from, TaskState to) {
+  states_.erase(expect(id, from, to));
+  --counts_.in_flight;
+}
+
+bool TaskLedger::insert_seen(tasks::TaskId id) {
+  constexpr tasks::TaskId kMax = std::numeric_limits<tasks::TaskId>::max();
+  // The first range starting above id, and the one before it (if any),
+  // which is the only range that can contain id or end just below it.
+  const auto next = seen_.upper_bound(id);
+  const bool joins_next = next != seen_.end() && next->first == id + 1;
+  if (next != seen_.begin()) {
+    const auto prev = std::prev(next);
+    if (id <= prev->second) return false;
+    if (prev->second != kMax && prev->second + 1 == id) {
+      prev->second = joins_next ? next->second : id;
+      if (joins_next) seen_.erase(next);
+      return true;
+    }
+  }
+  if (joins_next) {
+    // Extend the next range downwards: its key changes, so re-insert it.
+    const tasks::TaskId last = next->second;
+    seen_.emplace_hint(seen_.erase(next), id, last);
+    return true;
+  }
+  seen_.emplace_hint(next, id, id);
+  return true;
 }
 
 }  // namespace rtds::sched

@@ -22,15 +22,24 @@
 //
 // The pipeline (sched/pipeline.cc) drives the pre-delivery transitions;
 // each ExecutionBackend reports the per-task terminal outcome (hit/miss)
-// when it drains. Illegal transitions throw InvariantViolation — a task
-// can never be double-counted or skipped a state.
+// at its next clock call after the delivery, and at the latest in drain().
+// Illegal transitions throw InvariantViolation — a task can never be
+// double-counted or skip a state.
+//
+// Memory is O(tasks in flight), so a streaming service can run without
+// end: a task's entry is erased on its terminal transition, and only the
+// counters remember it. The ids seen so far are kept as disjoint ranges,
+// so a repeated id is still caught after the first copy retired, at O(1)
+// memory while ids arrive consecutively.
 //
 // The ledger is host-thread-only: backends with worker threads buffer
-// outcomes internally and flush them after joining (see ThreadedBackend).
+// outcomes internally and flush them on the host thread (see
+// ThreadedBackend).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <map>
 #include <unordered_map>
 
 #include "tasks/task.h"
@@ -84,7 +93,7 @@ struct LedgerCounts {
   }
 };
 
-/// Tracks the lifecycle state of every task in one pipeline run.
+/// Tracks the lifecycle state of every in-flight task of one pipeline run.
 class TaskLedger {
  public:
   TaskLedger() = default;
@@ -101,24 +110,39 @@ class TaskLedger {
   void execute(tasks::TaskId id, bool hit);  ///< delivered → hit | miss
 
   // -- inspection -----------------------------------------------------------
+  /// The id arrived since construction or the last clear(), whether it is
+  /// still in flight or already retired.
   [[nodiscard]] bool known(tasks::TaskId id) const;
+  /// State of an in-flight task; throws for a retired or unknown id.
   [[nodiscard]] TaskState state(tasks::TaskId id) const;
   [[nodiscard]] const LedgerCounts& counts() const { return counts_; }
+  /// Entries held: the tasks in flight (terminal tasks leave the ledger).
   [[nodiscard]] std::size_t size() const { return states_.size(); }
-  [[nodiscard]] const std::unordered_map<tasks::TaskId, TaskState>& states()
-      const {
-    return states_;
-  }
+  /// Disjoint id ranges the seen ids occupy: 1 while ids arrive
+  /// consecutively, whatever their number.
+  [[nodiscard]] std::size_t seen_ranges() const { return seen_.size(); }
 
   /// Throws InvariantViolation unless counts().conserved().
   void check_conserved() const;
 
+  /// Forgets every entry, counter and seen id.
   void clear();
 
  private:
-  void transition(tasks::TaskId id, TaskState from, TaskState to);
+  using States = std::unordered_map<tasks::TaskId, TaskState>;
 
-  std::unordered_map<tasks::TaskId, TaskState> states_;
+  /// The entry of `id`, which must be in state `from` (about to become
+  /// `to`); throws InvariantViolation otherwise.
+  States::iterator expect(tasks::TaskId id, TaskState from, TaskState to);
+  void transition(tasks::TaskId id, TaskState from, TaskState to);
+  /// Terminal transition: the entry is erased, the counters remember it.
+  void retire(tasks::TaskId id, TaskState from, TaskState to);
+  /// Records `id` as seen; false if it already was.
+  bool insert_seen(tasks::TaskId id);
+
+  States states_;
+  /// Seen ids as disjoint, non-adjacent inclusive ranges: first → last.
+  std::map<tasks::TaskId, tasks::TaskId> seen_;
   LedgerCounts counts_;
 };
 

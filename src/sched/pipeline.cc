@@ -61,10 +61,16 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     return metrics;
   }
 
-  // Every run keeps a ledger — conservation is enforced, not opt-in.
+  // Every run keeps a ledger — conservation is enforced, not opt-in. The
+  // backend reports into it at every clock call, so it is detached however
+  // the run ends, by return or by exception.
   TaskLedger local_ledger;
   TaskLedger& ledger = external_ledger ? *external_ledger : local_ledger;
   backend.bind_ledger(&ledger);
+  struct Unbind {
+    ExecutionBackend& backend;
+    ~Unbind() { backend.bind_ledger(nullptr); }
+  } const unbind{backend};
 
   tasks::Batch batch;
   const SimDuration vcost = config_.vertex_generation_cost;
@@ -316,7 +322,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   }
 
   const BackendStats finals = backend.drain();
-  backend.bind_ledger(nullptr);
   metrics.deadline_hits = finals.deadline_hits;
   metrics.exec_misses = finals.exec_misses;
   metrics.finish_time = finals.finish_time;

@@ -1,5 +1,6 @@
 #include "testing/harness.h"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -45,6 +46,29 @@ sched::PipelineConfig pipeline_config(const Scenario& s, bool threaded) {
   return cfg;
 }
 
+/// Records every phase, and the most entries the ledger held at the end of
+/// any phase (after its deliveries, before the backend reports them).
+class PhaseAndLedgerRecorder final : public sched::PhaseObserver {
+ public:
+  explicit PhaseAndLedgerRecorder(const sched::TaskLedger& ledger)
+      : ledger_(ledger) {}
+
+  void on_phase(const sched::PhaseRecord& record) override {
+    trace_.on_phase(record);
+    high_water_ = std::max(high_water_, ledger_.size());
+  }
+
+  [[nodiscard]] const std::vector<sched::PhaseRecord>& records() const {
+    return trace_.records();
+  }
+  [[nodiscard]] std::size_t ledger_high_water() const { return high_water_; }
+
+ private:
+  const sched::TaskLedger& ledger_;
+  sched::PhaseTraceRecorder trace_;
+  std::size_t high_water_{0};
+};
+
 /// Runs the pipeline over `backend`, filling `run`. Open scenarios run the
 /// streaming entry point (a fresh deterministic source per backend, so every
 /// backend sees the identical task stream) and capture the latency digest.
@@ -59,8 +83,8 @@ bool run_pipeline(const Scenario& scenario,
                   sched::ExecutionBackend& backend, BackendRun& run,
                   std::vector<std::string>& violations) {
   const sched::PhasePipeline pipeline(algorithm, quantum, config);
-  sched::PhaseTraceRecorder trace;
   sched::TaskLedger ledger;
+  PhaseAndLedgerRecorder trace(ledger);
   try {
     if (scenario.open_arrival != kOpenClosed) {
       const std::unique_ptr<tasks::ArrivalSource> source =
@@ -84,6 +108,8 @@ bool run_pipeline(const Scenario& scenario,
     return false;
   }
   run.ledger = ledger.counts();
+  run.ledger_size = ledger.size();
+  run.ledger_high_water = trace.ledger_high_water();
   run.phases = trace.records();
   run.has_ledger = true;
   run.has_phases = true;
@@ -189,13 +215,19 @@ ScenarioResult run_scenario(const Scenario& scenario,
           : workload;
 
   // -- sim: the reference run ------------------------------------------------
+  // The only cluster whose completion log is read: the schedule-validity
+  // and gang-occupancy oracles audit it.
   machine::Cluster sim_cluster(
       scenario.workers,
-      machine::Interconnect::cut_through(scenario.workers, comm), reclaim);
+      machine::Interconnect::cut_through(scenario.workers, comm), reclaim,
+      machine::CompletionLog::kKeep);
   sim::Simulator simulator;
   sched::SimBackend sim_inner(sim_cluster, simulator);
   FaultInjectingBackend sim_backend(sim_inner, scenario.refusal_period);
   result.sim.name = "sim";
+  // SimBackend reports a phase's executions at its next clock call, so its
+  // ledger holds at most the admission bound plus one phase's deliveries.
+  result.sim.max_pending = open ? scenario.max_pending : 0;
   const bool sim_ok = run_pipeline(scenario, *algorithm, *quantum, des_config,
                                    workload, sim_backend, result.sim,
                                    result.violations);

@@ -89,6 +89,21 @@ void oracle_conservation(const BackendRun& run,
             "delivery_events + drop_events + rejected",
             l.delivery_events + l.drop_events + l.rejected,
             l.schedule_events);
+  // Terminal tasks leave the ledger: what it holds is what is in flight.
+  expect_eq(out, oracle, run.name, "ledger entries after drain",
+            run.ledger_size, std::size_t{0});
+  if (run.max_pending == 0 || !run.has_phases) return;
+  std::uint64_t largest_delivery = 0;
+  for (const sched::PhaseRecord& r : run.phases) {
+    largest_delivery = std::max(largest_delivery, r.delivered);
+  }
+  if (run.ledger_high_water > run.max_pending + largest_delivery) {
+    std::ostringstream os;
+    os << "ledger held " << run.ledger_high_water << " tasks at a phase end, "
+       << "above max_pending " << run.max_pending
+       << " + largest phase delivery " << largest_delivery;
+    violation(out, oracle, run.name, os.str());
+  }
 }
 
 void oracle_schedule_validity(const std::string& name,

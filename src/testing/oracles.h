@@ -11,8 +11,11 @@
 //   correction-theorem  exec_misses == 0 on the simulated runs — a committed
 //                       task never misses during execution (Sec. 4.3)
 //   conservation        total == hits + exec_misses + culled + rejected,
-//                       ledger terminal states, and the transition-event
-//                       cross-checks (schedule = deliver + drop + reject)
+//                       ledger terminal states, the transition-event
+//                       cross-checks (schedule = deliver + drop + reject),
+//                       an empty ledger after drain, and on open simulated
+//                       runs a ledger high-water within max_pending plus
+//                       the largest single-phase delivery
 //   schedule-validity   machine::Validator over the full execution log
 //   quantum-bound       Q_s(j) == clamp(max(Min_Slack, Min_Load)) per phase
 //                       unless the progress floor bound it — and the
@@ -30,6 +33,7 @@
 // two runs of the same scenario instead.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -50,6 +54,15 @@ struct BackendRun {
   std::vector<sched::PhaseRecord> phases;
   bool has_ledger{false};
   bool has_phases{false};
+  /// Ledger entries left after drain (terminal tasks leave the ledger, so
+  /// a conserved run leaves none) and the most it held at any phase end.
+  std::size_t ledger_size{0};
+  std::size_t ledger_high_water{0};
+  /// Admission bound of an open run whose backend reports every delivered
+  /// task's outcome at its next clock call (the simulated one); 0 when the
+  /// high-water is unchecked. The bound is max_pending plus the largest
+  /// single-phase delivery.
+  std::size_t max_pending{0};
 
   // Schedule-latency digest of a streaming run (open scenarios only): the
   // full bucket vector plus the edge counters, so two DES runs can be
@@ -72,7 +85,7 @@ void oracle_correction_theorem(const BackendRun& run,
                                std::vector<std::string>& out);
 
 /// Task conservation + ledger/metrics agreement + transition-event
-/// cross-checks.
+/// cross-checks + O(in-flight) ledger size.
 void oracle_conservation(const BackendRun& run,
                          std::vector<std::string>& out);
 

@@ -1,9 +1,10 @@
-// Heap allocations of the steady-state scheduling phase.
+// Heap allocations and live heap of the steady-state scheduling phase.
 //
 // This binary replaces the global allocation functions with counting ones,
-// which is why it is a test executable of its own: the counter must not
+// which is why it is a test executable of its own: the counters must not
 // change what any other test sees. Every replaced form forwards to
-// malloc/free, so new/delete pairs stay matched under the sanitizers too.
+// malloc/free, so new/delete pairs stay matched under the sanitizers too,
+// and the live-heap count uses malloc_usable_size at both ends.
 //
 // Checked, after a warm-up that grows the thread's search workspace:
 //   * SearchEngine::run with the RT-SADS and D-COLS configurations, on
@@ -11,10 +12,16 @@
 //     result is empty and at most once (the returned schedule) otherwise;
 //   * a 20,000-task Poisson run_stream on SimBackend allocates at most 2.5
 //     times per offered task. What remains is per task, not per phase: the
-//     ledger's hash nodes, the arrival source, and the simulated cluster's
-//     queues and completion log.
+//     ledger's hash node of each task in flight (freed when the task
+//     retires) and the schedule a non-empty search returns;
+//   * the same stream's live heap is flat in its length: 10^5 and 10^6
+//     streamed tasks reach the same high-water, and the ledger never holds
+//     more than the admission bound plus one phase's deliveries.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -25,9 +32,11 @@
 #include "machine/cluster.h"
 #include "machine/interconnect.h"
 #include "sched/backend.h"
+#include "sched/ledger.h"
 #include "sched/pipeline.h"
 #include "sched/quantum.h"
 #include "sched/registry.h"
+#include "sched/trace.h"
 #include "search/engine.h"
 #include "sim/simulator.h"
 #include "tasks/arrival_source.h"
@@ -35,16 +44,38 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_live_bytes{0};
+
+void* counted(void* p) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (p == nullptr) return p;
+  const auto n = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live =
+      g_live_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+  std::int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
 
 void* counted_malloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
+  return counted(std::malloc(n == 0 ? 1 : n));
 }
 
 void* counted_aligned(std::size_t n, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);  // size: multiple of a
+  // size: multiple of a
+  return counted(std::aligned_alloc(a, (n + a - 1) / a * a));
+}
+
+void counted_free(void* p) {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
 }
 
 void* or_throw(void* p) {
@@ -61,6 +92,22 @@ class AllocationCounter {
 
  private:
   std::uint64_t start_{g_allocations.load(std::memory_order_relaxed)};
+};
+
+/// High-water of the live heap since construction, in bytes above the
+/// live heap at construction.
+class LiveHeapPeak {
+ public:
+  LiveHeapPeak() {
+    g_peak_live_bytes.store(start_, std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] std::int64_t bytes() const {
+    return g_peak_live_bytes.load(std::memory_order_relaxed) - start_;
+  }
+
+ private:
+  std::int64_t start_{g_live_bytes.load(std::memory_order_relaxed)};
 };
 
 }  // namespace
@@ -87,28 +134,32 @@ void* operator new[](std::size_t n, std::align_val_t a,
                      const std::nothrow_t&) noexcept {
   return counted_aligned(n, a);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace rtds {
@@ -205,6 +256,102 @@ TEST(SteadyStateAllocTest,
   EXPECT_LE(allocations, 5u * kTasks / 2)
       << double(allocations) / kTasks << " allocations per task, "
       << double(allocations) / double(metrics.phases) << " per phase";
+}
+
+/// Fails the run unless, at every phase end, the ledger holds at most the
+/// admission bound plus the phase's own deliveries: SimBackend reports the
+/// outcomes of a phase's deliveries at its next clock call.
+class LedgerBound final : public sched::PhaseObserver {
+ public:
+  LedgerBound(const sched::TaskLedger& ledger, std::size_t max_pending)
+      : ledger_(ledger), max_pending_(max_pending) {}
+
+  void on_phase(const sched::PhaseRecord& record) override {
+    const std::size_t bound = max_pending_ + record.delivered;
+    if (ledger_.size() > bound) {
+      ++overruns_;
+      worst_ = std::max(worst_, ledger_.size() - bound);
+    }
+    high_water_ = std::max(high_water_, ledger_.size());
+  }
+
+  [[nodiscard]] std::uint64_t overruns() const { return overruns_; }
+  [[nodiscard]] std::size_t worst() const { return worst_; }
+  [[nodiscard]] std::size_t high_water() const { return high_water_; }
+
+ private:
+  const sched::TaskLedger& ledger_;
+  std::size_t max_pending_;
+  std::uint64_t overruns_{0};
+  std::size_t worst_{0};
+  std::size_t high_water_{0};
+};
+
+struct Soak {
+  sched::RunMetrics metrics;
+  std::int64_t peak_bytes{0};  ///< live-heap high-water above the start
+  std::uint64_t ledger_overruns{0};
+  std::size_t ledger_worst{0};
+  std::size_t ledger_high_water{0};
+  std::size_t ledger_left{0};
+};
+
+/// The perfbench poisson_steady cell: rt_sads on four workers, Poisson
+/// arrivals 2 ms apart on average, admission control at 128 pending.
+Soak soak(std::uint32_t tasks, std::uint64_t seed) {
+  constexpr std::size_t kMaxPending = 128;
+  tasks::StreamConfig cfg;
+  cfg.seed = seed;
+  cfg.max_tasks = tasks;
+  cfg.body.num_processors = kWorkers;
+  sched::StreamOptions options;
+  options.max_pending = kMaxPending;
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto quantum = sched::make_self_adjusting_quantum();
+  const sched::PhasePipeline pipeline(*algorithm, *quantum);
+
+  Soak out;
+  const LiveHeapPeak peak;
+  {
+    machine::Cluster cluster(
+        kWorkers, machine::Interconnect::cut_through(kWorkers, usec(50)));
+    sim::Simulator simulator;
+    sched::SimBackend backend(cluster, simulator);
+    tasks::PoissonArrivalSource source(cfg, usec(2000));
+    sched::TaskLedger ledger;
+    LedgerBound bound(ledger, kMaxPending);
+    out.metrics =
+        pipeline.run_stream(source, backend, options, nullptr, &bound, &ledger);
+    out.ledger_overruns = bound.overruns();
+    out.ledger_worst = bound.worst();
+    out.ledger_high_water = bound.high_water();
+    out.ledger_left = ledger.size();
+  }
+  out.peak_bytes = peak.bytes();
+  return out;
+}
+
+TEST(SteadyStateAllocTest, StreamLiveHeapIsFlatInStreamLength) {
+  constexpr std::int64_t kSlackBytes = 64 * 1024;
+  (void)soak(20000, 0x50AC);  // warm-up: grows the search workspace
+  const Soak short_run = soak(100000, 0x50AC);
+  const Soak long_run = soak(1000000, 0x50AC);
+  for (const Soak* run : {&short_run, &long_run}) {
+    SCOPED_TRACE(::testing::Message() << run->metrics.total_tasks << " tasks");
+    EXPECT_EQ(run->metrics.exec_misses, 0u);
+    EXPECT_GT(run->metrics.deadline_hits, 0u);
+    EXPECT_EQ(run->ledger_overruns, 0u)
+        << "the ledger held up to " << run->ledger_worst
+        << " tasks more than max_pending plus the phase's deliveries";
+    EXPECT_GT(run->ledger_high_water, 0u);
+    EXPECT_EQ(run->ledger_left, 0u);
+  }
+  ASSERT_EQ(long_run.metrics.total_tasks, 1000000u);
+  RecordProperty("peak_bytes_1e5", std::to_string(short_run.peak_bytes));
+  RecordProperty("peak_bytes_1e6", std::to_string(long_run.peak_bytes));
+  EXPECT_LE(std::abs(long_run.peak_bytes - short_run.peak_bytes), kSlackBytes)
+      << "live-heap high-water " << short_run.peak_bytes << " B at 10^5 "
+      << "streamed tasks, " << long_run.peak_bytes << " B at 10^6";
 }
 
 }  // namespace

@@ -54,7 +54,9 @@ TEST(MarginHistogramTest, CentersOnZero) {
 }
 
 TEST(BalanceSummaryTest, PerfectBalance) {
-  machine::Cluster cl(2, machine::Interconnect::cut_through(2, msec(0)));
+  machine::Cluster cl(2, machine::Interconnect::cut_through(2, msec(0)),
+                      machine::ReclaimMode::kWorstCase,
+                      machine::CompletionLog::kKeep);
   tasks::Task t;
   t.processing = msec(4);
   t.deadline = SimTime{1000000};
@@ -71,7 +73,9 @@ TEST(BalanceSummaryTest, PerfectBalance) {
 }
 
 TEST(BalanceSummaryTest, DetectsIdleWorkers) {
-  machine::Cluster cl(3, machine::Interconnect::cut_through(3, msec(0)));
+  machine::Cluster cl(3, machine::Interconnect::cut_through(3, msec(0)),
+                      machine::ReclaimMode::kWorstCase,
+                      machine::CompletionLog::kKeep);
   tasks::Task t;
   t.id = 1;
   t.processing = msec(4);
@@ -87,8 +91,9 @@ TEST(AnalysisIntegrationTest, EndToEndRunValidatesAndAnalyzes) {
   // Full pipeline -> oracle validation + analysis, for both schedulers.
   for (const char* spec : {"rt_sads", "d_cols"}) {
     const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
-    machine::Cluster cluster(4,
-                             machine::Interconnect::cut_through(4, msec(2)));
+    machine::Cluster cluster(4, machine::Interconnect::cut_through(4, msec(2)),
+                             machine::ReclaimMode::kWorstCase,
+                             machine::CompletionLog::kKeep);
     sim::Simulator sim;
     const auto quantum = sched::make_self_adjusting_quantum(usec(100),
                                                             msec(10));

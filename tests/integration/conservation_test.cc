@@ -30,12 +30,6 @@ namespace {
 
 using sched::RunMetrics;
 using sched::TaskLedger;
-using sched::TaskState;
-
-bool terminal(TaskState s) {
-  return s == TaskState::kDeadlineHit || s == TaskState::kExecMiss ||
-         s == TaskState::kCulled || s == TaskState::kRejected;
-}
 
 void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
                       std::size_t workload_size) {
@@ -43,11 +37,9 @@ void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
   EXPECT_EQ(m.deadline_hits + m.exec_misses + m.culled + m.rejected,
             m.total_tasks);
   EXPECT_TRUE(ledger.counts().conserved());
-  EXPECT_EQ(ledger.size(), workload_size);
-  for (const auto& [id, state] : ledger.states()) {
-    EXPECT_TRUE(terminal(state))
-        << "task " << id << " left in state " << sched::to_string(state);
-  }
+  EXPECT_EQ(ledger.counts().total, workload_size);
+  // Every task reached a terminal state, so none is left in the ledger.
+  EXPECT_EQ(ledger.size(), 0u);
   const exp::ConservationReport report = exp::conservation_report(ledger);
   EXPECT_TRUE(report.conserved()) << report.to_string();
 }

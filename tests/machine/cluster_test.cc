@@ -18,7 +18,8 @@ Task make_task(tasks::TaskId id, SimDuration p, SimTime d,
 }
 
 Cluster make_cluster(std::uint32_t workers, SimDuration c = msec(2)) {
-  return Cluster(workers, Interconnect::cut_through(workers, c));
+  return Cluster(workers, Interconnect::cut_through(workers, c),
+                 ReclaimMode::kWorstCase, CompletionLog::kKeep);
 }
 
 TEST(ClusterTest, StartsIdle) {
@@ -149,6 +150,43 @@ TEST(ClusterTest, RejectsBadWorkerIds) {
                    5}},
                  SimTime::zero()),
       InvalidArgument);
+}
+
+TEST(ClusterTest, LogThrowsUnlessKept) {
+  Cluster cl(1, Interconnect::cut_through(1, msec(0)));
+  cl.deliver({{make_task(1, msec(5), SimTime{100000}, AffinitySet::single(0)),
+               0}},
+             SimTime::zero());
+  EXPECT_EQ(cl.stats().executed, 1u);
+  // No reader may take a log that was never kept for an empty one.
+  EXPECT_THROW(static_cast<void>(cl.log()), InvalidArgument);
+  EXPECT_TRUE(make_cluster(1).log().empty());
+}
+
+TEST(ClusterTest, DeliverReturnsThisDeliverysRecords) {
+  for (const CompletionLog log : {CompletionLog::kOff, CompletionLog::kKeep}) {
+    Cluster cl(1, Interconnect::cut_through(1, msec(0)),
+               ReclaimMode::kWorstCase, log);
+    const AffinitySet a0 = AffinitySet::single(0);
+    (void)cl.deliver({{make_task(1, msec(5), SimTime::zero() + msec(10), a0),
+                       0}},
+                     SimTime::zero());
+    const auto records = cl.deliver(
+        {{make_task(2, msec(5), SimTime::zero() + msec(20), a0), 0},
+         {make_task(3, msec(5), SimTime::zero() + msec(12), a0), 0}},
+        SimTime::zero() + msec(1));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].task, 2u);
+    EXPECT_EQ(records[0].start, SimTime::zero() + msec(5));
+    EXPECT_EQ(records[0].end, SimTime::zero() + msec(10));
+    EXPECT_TRUE(records[0].met_deadline());
+    EXPECT_EQ(records[1].task, 3u);
+    EXPECT_FALSE(records[1].met_deadline());
+    if (log == CompletionLog::kKeep) {
+      ASSERT_EQ(cl.log().size(), 3u);
+      EXPECT_EQ(cl.log()[2].end, records[1].end);
+    }
+  }
 }
 
 TEST(ClusterTest, ExecutionCostHelper) {

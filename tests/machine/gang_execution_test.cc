@@ -23,7 +23,8 @@ Task make_gang(tasks::TaskId id, SimDuration p, std::uint32_t width,
 }
 
 TEST(GangClusterTest, GangHoldsWholeBlockWithOneRecord) {
-  Cluster cl(3, Interconnect::cut_through(3, SimDuration::zero()));
+  Cluster cl(3, Interconnect::cut_through(3, SimDuration::zero()),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   const Task gang = make_gang(1, msec(4), 2, 3);
   cl.deliver({{gang, 0}}, SimTime::zero() + msec(1));
   ASSERT_EQ(cl.log().size(), 1u);
@@ -42,7 +43,8 @@ TEST(GangClusterTest, GangHoldsWholeBlockWithOneRecord) {
 }
 
 TEST(GangClusterTest, GangWaitsForBusiestBlockMember) {
-  Cluster cl(3, Interconnect::cut_through(3, SimDuration::zero()));
+  Cluster cl(3, Interconnect::cut_through(3, SimDuration::zero()),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   const Task single = make_gang(1, msec(6), 1, 3);
   cl.deliver({{single, 1}}, SimTime::zero());  // worker 1 busy to 6ms
   const Task gang = make_gang(2, msec(2), 2, 3);
@@ -64,7 +66,8 @@ TEST(GangClusterTest, RejectsBlockExceedingMachine) {
 }
 
 TEST(GangClusterTest, ValidatorAcceptsCleanGangExecution) {
-  Cluster cl(4, Interconnect::cut_through(4, msec(1)));
+  Cluster cl(4, Interconnect::cut_through(4, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{make_gang(1, msec(3), 2, 4),
                               make_gang(2, msec(2), 1, 4),
                               make_gang(3, msec(4), 3, 4)};
@@ -76,7 +79,8 @@ TEST(GangClusterTest, ValidatorAcceptsCleanGangExecution) {
 }
 
 TEST(GangClusterTest, ValidatorDetectsWidthMismatch) {
-  Cluster cl(3, Interconnect::cut_through(3, msec(1)));
+  Cluster cl(3, Interconnect::cut_through(3, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   Task executed = make_gang(1, msec(2), 1, 3);
   cl.deliver({{executed, 0}}, SimTime::zero());
   // The workload says this task needed two workers; the log shows one.

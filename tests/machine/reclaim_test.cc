@@ -19,7 +19,8 @@ Task make_task(tasks::TaskId id, SimDuration worst, SimDuration actual,
 }
 
 Cluster make_cluster(ReclaimMode mode) {
-  return Cluster(1, Interconnect::cut_through(1, SimDuration::zero()), mode);
+  return Cluster(1, Interconnect::cut_through(1, SimDuration::zero()), mode,
+                 CompletionLog::kKeep);
 }
 
 TEST(TaskEffectiveProcessingTest, ZeroMeansWorstCase) {

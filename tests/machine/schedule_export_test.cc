@@ -10,7 +10,8 @@ namespace rtds::machine {
 namespace {
 
 Cluster loaded_cluster() {
-  Cluster cl(2, Interconnect::cut_through(2, msec(1)));
+  Cluster cl(2, Interconnect::cut_through(2, msec(1)), ReclaimMode::kWorstCase,
+             CompletionLog::kKeep);
   Task t1;
   t1.id = 7;
   t1.processing = msec(4);

@@ -17,7 +17,8 @@ Task make_task(tasks::TaskId id, SimDuration p, SimTime d,
 }
 
 TEST(ValidatorTest, CleanExecutionPasses) {
-  Cluster cl(2, Interconnect::cut_through(2, msec(1)));
+  Cluster cl(2, Interconnect::cut_through(2, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{
       make_task(1, msec(3), SimTime{100000}, AffinitySet::single(0)),
       make_task(2, msec(2), SimTime{100000}, AffinitySet::single(1)),
@@ -30,7 +31,8 @@ TEST(ValidatorTest, CleanExecutionPasses) {
 }
 
 TEST(ValidatorTest, DetectsUnknownTask) {
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   const tasks::Task ghost =
       make_task(99, msec(1), SimTime{100000}, AffinitySet::single(0));
   cl.deliver({{ghost, 0}}, SimTime::zero());
@@ -40,7 +42,8 @@ TEST(ValidatorTest, DetectsUnknownTask) {
 }
 
 TEST(ValidatorTest, DetectsDoubleExecution) {
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{
       make_task(1, msec(1), SimTime{100000}, AffinitySet::single(0))};
   cl.deliver({{wl[0], 0}, {wl[0], 0}}, SimTime::zero());
@@ -50,7 +53,8 @@ TEST(ValidatorTest, DetectsDoubleExecution) {
 }
 
 TEST(ValidatorTest, DetectsSchedulingBeforeArrival) {
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{make_task(1, msec(1), SimTime{100000},
                                         AffinitySet::single(0),
                                         SimTime::zero() + msec(50))};
@@ -63,7 +67,8 @@ TEST(ValidatorTest, DetectsSchedulingBeforeArrival) {
 TEST(ValidatorTest, DetectsTamperedLog) {
   // White-box: validate against a workload whose definition was changed
   // after execution — processing mismatch must surface.
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{
       make_task(1, msec(5), SimTime{100000}, AffinitySet::single(0))};
   cl.deliver({{wl[0], 0}}, SimTime::zero());
@@ -74,7 +79,8 @@ TEST(ValidatorTest, DetectsTamperedLog) {
 }
 
 TEST(ValidatorTest, DetectsDeadlineTampering) {
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   std::vector<tasks::Task> wl{
       make_task(1, msec(5), SimTime{100000}, AffinitySet::single(0))};
   cl.deliver({{wl[0], 0}}, SimTime::zero());
@@ -85,7 +91,7 @@ TEST(ValidatorTest, DetectsDeadlineTampering) {
 
 TEST(ValidatorTest, ValidatesReclaimedExecutions) {
   Cluster cl(1, Interconnect::cut_through(1, SimDuration::zero()),
-             ReclaimMode::kReclaim);
+             ReclaimMode::kReclaim, CompletionLog::kKeep);
   tasks::Task t = make_task(1, msec(10), SimTime{100000},
                             AffinitySet::single(0));
   t.actual_processing = msec(3);
@@ -95,7 +101,8 @@ TEST(ValidatorTest, ValidatesReclaimedExecutions) {
 }
 
 TEST(ValidatorTest, DuplicateWorkloadIdsReported) {
-  Cluster cl(1, Interconnect::cut_through(1, msec(1)));
+  Cluster cl(1, Interconnect::cut_through(1, msec(1)),
+             ReclaimMode::kWorstCase, CompletionLog::kKeep);
   const auto t = make_task(1, msec(1), SimTime{100000},
                            AffinitySet::single(0));
   const ValidationReport r = validate_execution(cl, {t, t});

@@ -8,9 +8,12 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sched/ledger.h"
 #include "sched/pipeline.h"
 #include "sched/quantum.h"
 #include "sched/registry.h"
+#include "sched/trace.h"
+#include "tasks/arrival_source.h"
 #include "tasks/workload.h"
 
 namespace rtds::runtime {
@@ -212,6 +215,60 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
             r.total_tasks);
   EXPECT_EQ(r.rejected, 0u);  // unbounded attempts: nothing force-retired
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
+}
+
+/// Counts the phases at whose end the ledger holds fewer tasks than have
+/// been delivered so far — possible only once a worker's outcome has been
+/// reported, since a delivered task stays in flight until it executes.
+class EarlyOutcomes final : public sched::PhaseObserver {
+ public:
+  explicit EarlyOutcomes(const sched::TaskLedger& ledger) : ledger_(ledger) {}
+
+  void on_phase(const sched::PhaseRecord& /*record*/) override {
+    const sched::LedgerCounts& c = ledger_.counts();
+    if (c.in_flight < c.delivery_events) ++phases_;
+  }
+
+  [[nodiscard]] std::uint64_t phases() const { return phases_; }
+
+ private:
+  const sched::TaskLedger& ledger_;
+  std::uint64_t phases_{0};
+};
+
+TEST(ThreadedRuntimeTest, StreamingOutcomesReachTheLedgerBeforeDrain) {
+  // The workers' outcomes are handed to the ledger on the host thread at
+  // every advance and wait_until, not saved up for drain: a streaming run
+  // holds only its tasks in flight.
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
+  tasks::StreamConfig stream;
+  stream.seed = 9;
+  stream.max_tasks = 200;
+  stream.body.num_processors = 4;
+  stream.body.processing_min = usec(200);
+  stream.body.processing_max = msec(1);
+  stream.body.laxity_min = 30.0;  // generous: wall clock jitter tolerated
+  stream.body.laxity_max = 60.0;
+  tasks::PoissonArrivalSource source(stream, usec(500));
+  RuntimeConfig cfg = fast_config(4);
+  cfg.time_scale = 0.1;
+  sched::PipelineConfig pipeline_config;
+  pipeline_config.phase_overhead = SimDuration::zero();
+  const sched::PhasePipeline pipeline(*algo, *q, pipeline_config);
+  ThreadedBackend backend(cfg);
+  sched::TaskLedger ledger;
+  EarlyOutcomes early(ledger);
+  sched::StreamOptions options;
+  options.max_pending = 64;
+  const RunMetrics r =
+      pipeline.run_stream(source, backend, options, nullptr, &early, &ledger);
+  EXPECT_EQ(r.total_tasks, 200u);
+  EXPECT_GT(r.scheduled, 0u);
+  EXPECT_GT(early.phases(), 0u);
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_TRUE(ledger.counts().conserved());
+  EXPECT_EQ(ledger.counts().deadline_hits, r.deadline_hits);
 }
 
 TEST(ThreadedRuntimeTest, ExhaustedDeliveryBudgetRejectsExplicitly) {

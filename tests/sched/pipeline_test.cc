@@ -29,8 +29,9 @@ Task make_task(std::uint32_t id, SimTime arrival, SimDuration p, SimTime d,
 
 struct Fixture {
   explicit Fixture(std::uint32_t workers, SimDuration comm = msec(2))
-      : cluster(workers,
-                machine::Interconnect::cut_through(workers, comm)) {}
+      : cluster(workers, machine::Interconnect::cut_through(workers, comm),
+                machine::ReclaimMode::kWorstCase,
+                machine::CompletionLog::kKeep) {}
 
   /// One pipeline run on this fixture's cluster and clock; both keep their
   /// final state, so a second run continues where the first one stopped.
@@ -95,6 +96,25 @@ TEST(PhaseSchedulerTest, RepeatedTaskIdThrowsWhetherPendingOrExecuted) {
     ASSERT_EQ(f.cluster.log().size(), 1u);
     EXPECT_LE(f.cluster.log()[0].end, SimTime::zero() + msec(500));
   }
+}
+
+TEST(PhaseSchedulerTest, FailedRunDetachesItsLedger) {
+  // The repeated id arrives at the second phase's start, before the
+  // backend has reported the first copy's execution. The run's ledger dies
+  // with the exception; the backend must not report into it afterwards.
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
+  const auto q = make_self_adjusting_quantum(usec(100), msec(10));
+  const PhasePipeline pipeline(*algo, *q);
+  Fixture f(2);
+  SimBackend backend(f.cluster, f.sim);
+  const std::vector<Task> wl{
+      make_task(0, SimTime::zero(), msec(1), SimTime::zero() + msec(60),
+                AffinitySet::all(2)),
+      make_task(0, SimTime::zero() + usec(10), msec(1),
+                SimTime::zero() + msec(60), AffinitySet::all(2))};
+  EXPECT_THROW(pipeline.run(wl, backend), InvariantViolation);
+  const BackendStats finals = backend.drain();
+  EXPECT_EQ(finals.deadline_hits, 1u);
 }
 
 TEST(PhaseSchedulerTest, ValidatesVertexCost) {

@@ -67,7 +67,8 @@ TEST_P(CorrectionTheoremTest, NoScheduledTaskMissesItsDeadline) {
 
   for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
     machine::Cluster cluster(
-        workers, machine::Interconnect::cut_through(workers, msec(3)));
+        workers, machine::Interconnect::cut_through(workers, msec(3)),
+        machine::ReclaimMode::kWorstCase, machine::CompletionLog::kKeep);
     sim::Simulator sim;
 
     tasks::WorkloadConfig wc;
@@ -126,8 +127,9 @@ TEST(CorrectionTheoremNegativeControl, WorkloadsWouldMissWithoutTheBound) {
   // slack smaller than the quantum — i.e. tasks that would have missed had
   // the scheduling time not been charged. If this is zero the sweep above
   // proves nothing.
-  machine::Cluster cluster(4,
-                           machine::Interconnect::cut_through(4, msec(3)));
+  machine::Cluster cluster(4, machine::Interconnect::cut_through(4, msec(3)),
+                           machine::ReclaimMode::kWorstCase,
+                           machine::CompletionLog::kKeep);
   sim::Simulator sim;
   tasks::WorkloadConfig wc;
   wc.num_tasks = 300;

@@ -79,8 +79,9 @@ TEST(StartTimeSearchTest, PushPopRestoreAcrossIdleGaps) {
 }
 
 TEST(StartTimeClusterTest, WorkerIdlesUntilConstraint) {
-  machine::Cluster cl(1,
-                      machine::Interconnect::cut_through(1, SimDuration::zero()));
+  machine::Cluster cl(
+      1, machine::Interconnect::cut_through(1, SimDuration::zero()),
+      machine::ReclaimMode::kWorstCase, machine::CompletionLog::kKeep);
   Task t;
   t.id = 1;
   t.processing = msec(2);
@@ -98,8 +99,9 @@ TEST(StartTimeClusterTest, WorkerIdlesUntilConstraint) {
 TEST(StartTimeEndToEndTest, TheoremAndValidatorHoldWithConstraints) {
   for (const char* spec : {"rt_sads", "d_cols"}) {
     const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
-    machine::Cluster cluster(4,
-                             machine::Interconnect::cut_through(4, msec(2)));
+    machine::Cluster cluster(4, machine::Interconnect::cut_through(4, msec(2)),
+                             machine::ReclaimMode::kWorstCase,
+                             machine::CompletionLog::kKeep);
     sim::Simulator sim;
     const auto quantum = sched::make_self_adjusting_quantum(usec(100),
                                                             msec(10));

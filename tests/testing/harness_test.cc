@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "testing/harness.h"
 #include "testing/scenario.h"
@@ -131,6 +132,47 @@ TEST(HarnessTest, InjectedBugShrinksToMinimalReplayableScenario) {
   // ...and passes cleanly without the injected mutation: the bug lived in
   // the books, not in the scheduler.
   EXPECT_TRUE(run_scenario(*decoded, des_only()).ok());
+}
+
+TEST(HarnessTest, OpenScenarioLedgerStaysWithinAdmissionBound) {
+  Scenario s;
+  s.open_arrival = kOpenPoisson;
+  s.num_tasks = 400;
+  s.stream_mean_gap_us = 100;  // faster than four workers drain
+  s.max_pending = 8;
+  const ScenarioResult r = run_scenario(s, des_only());
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_GT(r.sim.metrics.admission_rejected, 0u);  // the bound was reached
+  EXPECT_EQ(r.sim.max_pending, 8u);
+  EXPECT_GT(r.sim.ledger_high_water, 0u);
+  EXPECT_EQ(r.sim.ledger_size, 0u);
+  std::uint64_t largest_delivery = 0;
+  for (const sched::PhaseRecord& p : r.sim.phases) {
+    largest_delivery = std::max(largest_delivery, p.delivered);
+  }
+  EXPECT_LE(r.sim.ledger_high_water, s.max_pending + largest_delivery);
+}
+
+TEST(HarnessTest, ConservationOracleFlagsALedgerThatKeepsTasks) {
+  BackendRun run;
+  run.name = "sim";
+  run.has_ledger = true;
+  run.has_phases = true;
+  run.phases.resize(2);
+  run.phases[0].delivered = 3;
+  run.phases[1].delivered = 5;
+  run.max_pending = 10;
+  run.ledger_high_water = 15;  // max_pending + the largest delivery: fine
+  std::vector<std::string> out;
+  oracle_conservation(run, out);
+  EXPECT_TRUE(out.empty()) << out.front();
+
+  run.ledger_size = 1;  // a task left behind after drain
+  run.ledger_high_water = 16;
+  oracle_conservation(run, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_NE(out[0].find("ledger entries after drain"), std::string::npos);
+  EXPECT_NE(out[1].find("ledger held 16 tasks"), std::string::npos);
 }
 
 TEST(HarnessTest, ShrinkOnPassingScenarioIsANoOp) {
