@@ -61,9 +61,10 @@ struct PartitionedMetrics {
 /// (sched/backend.h). Workers
 /// [s * (total/H), (s+1) * (total/H)) belong to shard s; requires
 /// total_workers % num_shards == 0. The algorithm and quantum policy are
-/// shared (they are stateless between phases). An optional observer sees
-/// every shard's phases (shards run sequentially, in shard order) — the
-/// fuzz oracles use it to audit Q_s against the Fig. 3 bound per shard.
+/// shared (each answer depends only on its phase's inputs). An optional
+/// observer sees every shard's phases (shards run sequentially, in shard
+/// order) — the fuzz oracles use it to audit Q_s against the Fig. 3 bound
+/// per shard.
 PartitionedMetrics run_partitioned(const PhaseAlgorithm& algorithm,
                                    const QuantumPolicy& quantum,
                                    const PartitionedConfig& config,

@@ -90,12 +90,6 @@ struct RunMetrics {
 
   SimTime finish_time{SimTime::zero()};       ///< all work drained
   SimDuration scheduling_time{SimDuration::zero()};  ///< host busy time
-  /// Real (host wall-clock) nanoseconds spent inside the phase algorithm's
-  /// search across all phases — the scheduling-processor utilization the
-  /// DES and threaded backends report. Unlike every other field this is
-  /// measured, not simulated: it varies run to run and is deliberately
-  /// excluded from the cross-backend parity oracles.
-  std::uint64_t search_wall_ns{0};
   SimDuration allocated_quantum{SimDuration::zero()};  ///< sum of Q_s(j)
   /// Smallest and largest Q_s(j) allocated across phases — the spread shows
   /// the self-adjusting criterion at work (equal for a fixed quantum).

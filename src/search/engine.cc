@@ -461,6 +461,15 @@ class CandidateList {
   std::vector<Entry>& entries_;
 };
 
+/// The last run that placed nothing without exhausting its budget. Its root
+/// (per-task constants, delivery time, base loads) is the one the snapshot
+/// still holds, so the record keeps only what the snapshot does not.
+struct FutileRecord {
+  std::optional<machine::Interconnect> net;  ///< empty: no record
+  SearchConfig config;
+  SearchStats stats;
+};
+
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
 /// largest batch seen (capacity is retained by clear()/reset(); arenas pool
@@ -481,6 +490,8 @@ struct Workspace {
   std::vector<std::uint32_t> task_ids;
   std::vector<const Assignment*> chain;
   std::size_t peak_bytes{0};
+  FutileRecord futile;
+  std::uint64_t futile_replays{0};
 };
 
 Workspace& workspace() {
@@ -536,6 +547,44 @@ void stable_sort_by_key(std::vector<std::uint32_t>& idx,
   if (from != idx.data()) std::copy(from, from + n, idx.data());
 }
 
+/// Whether the root candidates a run evaluates are fixed by the batch and
+/// the config, whatever the loads. They are for every configuration but
+/// one: a sequence-oriented search that tries only its level's first
+/// processor, picked least-loaded, lets the loads choose the worker, so a
+/// dominated root could try a worker the recorded run never evaluated.
+bool root_candidates_fixed(const SearchConfig& c) {
+  return c.representation == Representation::kAssignmentOriented ||
+         c.skip_saturated_processors ||
+         c.level_processor_order == LevelProcessorOrder::kRoundRobin;
+}
+
+/// Answers a run from the futile record when the config and interconnect
+/// are the recorded ones, the budget covers the recorded charge, and the
+/// recorded root dominates the run's (PartialSchedule::dominates_root).
+/// Every root candidate of the run was then evaluated by the recorded run,
+/// found infeasible there and is still infeasible, and the budget charges
+/// each one without running out: the run would end on the same dead end
+/// with the same stats, so they are returned without searching.
+bool replay_futile(Workspace& ws, const SearchConfig& config,
+                   const std::vector<Task>& batch,
+                   const std::vector<SimDuration>& base_loads,
+                   SimTime delivery_time, const machine::Interconnect& net,
+                   std::uint64_t vertex_budget, SearchStats& stats) {
+  const FutileRecord& record = ws.futile;
+  if (!record.net || *record.net != net || record.config != config ||
+      vertex_budget < record.stats.vertices_generated) {
+    return false;
+  }
+  PartialSchedule::check_base_loads(base_loads, net);
+  RTDS_ASSERT(ws.schedule.has_value());
+  if (!ws.schedule->dominates_root(batch, base_loads, delivery_time)) {
+    return false;
+  }
+  stats = record.stats;
+  ++ws.futile_replays;
+  return true;
+}
+
 template <typename NodeT>
 SearchResult run_impl(const SearchConfig& config,
                       const std::vector<Task>& batch,
@@ -545,6 +594,8 @@ SearchResult run_impl(const SearchConfig& config,
                       NodeArena<NodeT>& arena) {
   SearchResult result;
   const std::uint32_t m = net.num_workers();
+  // The snapshot is about to take a new root; the record it held goes.
+  ws.futile.net.reset();
 
   // kBatchOrder is the identity permutation: skip building (and chasing)
   // the index vector entirely.
@@ -671,7 +722,16 @@ SearchResult run_impl(const SearchConfig& config,
   arena.trim(kArenaRetainBytes);
   // Same retention bound for the snapshot (a million-task batch sizes it
   // at ~100 MB).
-  if (ps.footprint_bytes() > kArenaRetainBytes) ws.schedule.reset();
+  if (ps.footprint_bytes() > kArenaRetainBytes) {
+    ws.schedule.reset();
+  } else if (result.schedule.empty() && !stats.budget_exhausted &&
+             root_candidates_fixed(config)) {
+    // The root had no feasible successor, and the budget did not cut its
+    // expansion short: keep the run for replay_futile.
+    ws.futile.net.emplace(net);
+    ws.futile.config = config;
+    ws.futile.stats = stats;
+  }
   return result;
 }
 
@@ -707,6 +767,8 @@ std::size_t thread_workspace_bytes() { return workspace_bytes(workspace()); }
 
 std::size_t thread_workspace_peak_bytes() { return workspace().peak_bytes; }
 
+std::uint64_t thread_futile_replays() { return workspace().futile_replays; }
+
 SearchEngine::SearchEngine(SearchConfig config) : config_(config) {}
 
 SearchResult SearchEngine::run(const std::vector<Task>& batch,
@@ -720,6 +782,10 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
                "SearchEngine: phase batch above kMaxBatchTasks");
 
   Workspace& ws = workspace();
+  if (replay_futile(ws, config_, batch, base_loads, delivery_time, net,
+                    vertex_budget, result.stats)) {
+    return result;
+  }
   if (batch.size() <= NodeNarrow::kMaxTasks) {
     return run_impl<NodeNarrow>(config_, batch, base_loads, delivery_time,
                                 net, vertex_budget, ws, ws.narrow);

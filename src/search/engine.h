@@ -126,6 +126,8 @@ struct SearchConfig {
   /// termination (strict reading of the paper). Deeper = more tasks
   /// scheduled this phase.
   bool return_deepest{true};
+
+  bool operator==(const SearchConfig&) const = default;
 };
 
 /// Counters describing one search run.
@@ -163,8 +165,12 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 /// understate what a big batch actually used).
 [[nodiscard]] std::size_t thread_workspace_peak_bytes();
 
-/// Depth-first search over the task-space tree. Stateless between runs;
-/// one engine can be reused across phases.
+/// Runs on the calling thread that SearchEngine::run answered from its
+/// futile-search record instead of searching.
+[[nodiscard]] std::uint64_t thread_futile_replays();
+
+/// Depth-first search over the task-space tree. One engine can be reused
+/// across phases and threads; a run's answer depends only on its arguments.
 class SearchEngine {
  public:
   explicit SearchEngine(SearchConfig config);
@@ -191,6 +197,13 @@ class SearchEngine {
   /// heap allocation is the returned schedule (one, sized to its final
   /// length; none when it is empty). Tested by tests/alloc/
   /// steady_state_alloc_test.cc; docs/ARCHITECTURE.md, "Search hot path".
+  ///
+  /// The workspace also keeps the last run that returned an empty schedule
+  /// without exhausting its budget. A run with the same config,
+  /// interconnect and batch, no worker free earlier (see
+  /// PartialSchedule::dominates_root) and at least the recorded vertex
+  /// count in its budget returns that empty result and its stats without
+  /// searching: the root had no feasible successor, and it still has none.
   [[nodiscard]] SearchResult run(const std::vector<Task>& batch,
                                  const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,

@@ -293,6 +293,29 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
   }
 }
 
+TEST(PhaseSchedulerTest, ObservedRunStillTimesTheSearch) {
+  // The pipeline reads the clock around the search only for the phase
+  // record, so a run with an observer must still carry the measurement.
+  Fixture f(3);
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
+  const auto q = make_self_adjusting_quantum(usec(100), msec(5));
+  const PhasePipeline pipeline(*algo, *q);
+  tasks::WorkloadConfig wc;
+  wc.num_tasks = 100;
+  wc.num_processors = 3;
+  Xoshiro256ss rng(9);
+  const auto wl = tasks::generate_workload(wc, rng);
+  PhaseTraceRecorder recorder;
+  SimBackend backend(f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, backend, &recorder);
+  ASSERT_EQ(recorder.records().size(), m.phases);
+  std::uint64_t search_wall_ns = 0;
+  for (const PhaseRecord& r : recorder.records()) {
+    search_wall_ns += r.search_wall_ns;
+  }
+  EXPECT_GT(search_wall_ns, 0u);
+}
+
 TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   Fixture f(4);
   const auto algo = AlgorithmRegistry::builtin().make("d_cols");

@@ -9,6 +9,8 @@
 // figure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -250,6 +252,260 @@ TEST(SearchEquivalenceTest, EmptyBatchAndZeroBudgetMatch) {
         reference::run(cfg, *batch, loads, SimTime::zero(), net, budget);
     expect_identical(fast, ref, cfg, 0);
   }
+}
+
+/// One SearchEngine::run input.
+struct Call {
+  SearchConfig config;
+  std::vector<Task> batch;
+  std::vector<SimDuration> base_loads;
+  SimTime delivery_time{SimTime::zero()};
+  machine::Interconnect net =
+      machine::Interconnect::cut_through(1, SimDuration::zero());
+  std::uint64_t vertex_budget{1};
+};
+
+/// Runs `call` through both engines, requires bit-identical results and
+/// reports whether the engine answered from its futile record.
+SearchResult run_both(const Call& call, std::uint64_t scenario,
+                      bool& replayed) {
+  const std::uint64_t replays = thread_futile_replays();
+  SearchResult fast = SearchEngine(call.config)
+                          .run(call.batch, call.base_loads, call.delivery_time,
+                               call.net, call.vertex_budget);
+  replayed = thread_futile_replays() != replays;
+  const SearchResult ref =
+      reference::run(call.config, call.batch, call.base_loads,
+                     call.delivery_time, call.net, call.vertex_budget);
+  expect_identical(fast, ref, call.config, scenario);
+  return fast;
+}
+
+/// Leaves the calling thread with no futile record: a run that places a
+/// task is a miss, and a miss drops the record.
+void forget_futile(const Call& like) {
+  Call placeable = like;
+  placeable.batch.assign(1, Task{});
+  placeable.batch[0].processing = usec(1);
+  placeable.batch[0].deadline = like.delivery_time + msec(100000);
+  placeable.batch[0].affinity = AffinitySet::all(like.net.num_workers());
+  placeable.vertex_budget = 1000;
+  const SearchResult r = SearchEngine(placeable.config)
+                             .run(placeable.batch, placeable.base_loads,
+                                  placeable.delivery_time, placeable.net,
+                                  placeable.vertex_budget);
+  ASSERT_FALSE(r.schedule.empty());
+}
+
+/// The scenario under `config`, its base loads lifted by the smallest step
+/// after which the reference places nothing with budget to spare. The
+/// smallest lift keeps the tasks near the edge of feasibility, so the
+/// futile root is proven by comm costs, gang blocks and uneven loads, not
+/// only by the bulk lower bound. nullopt when no lift makes it futile.
+std::optional<Call> futile_call(const SearchConfig& config, const Scenario& s,
+                                const machine::Interconnect& net,
+                                Xoshiro256ss& rng) {
+  Call call;
+  call.config = config;
+  call.batch = s.batch;
+  call.delivery_time = s.delivery_time;
+  call.net = net;
+  // A futile root charges at most one vertex per (task, worker) pair, so
+  // this budget never runs out on one.
+  const std::uint64_t budget =
+      std::uint64_t{s.num_workers} * s.batch.size() + 1;
+  for (std::int64_t lift_us = 0; lift_us <= 512000;
+       lift_us = std::max<std::int64_t>(1000, 2 * lift_us)) {
+    call.base_loads = s.base_loads;
+    for (SimDuration& load : call.base_loads) load += usec(lift_us);
+    const SearchResult r = reference::run(config, call.batch, call.base_loads,
+                                          call.delivery_time, net, budget);
+    if (r.schedule.empty() && !r.stats.budget_exhausted) {
+      call.vertex_budget = r.stats.vertices_generated +
+                           std::uint64_t(rng.uniform_int(0, 50));
+      return call;
+    }
+  }
+  return std::nullopt;
+}
+
+/// A call that follows a futile one, the prior call, and whether the
+/// engine must answer it from its record.
+struct FollowUp {
+  std::string kind;
+  Call prior;
+  Call call;
+  bool replayed{false};
+};
+
+/// The follow-ups of the futile call `base`, which charged `vertices`:
+/// (a) calls its root dominates, and (b) calls that differ in one way the
+/// record must not look past.
+std::vector<FollowUp> follow_ups(const Call& base, std::uint64_t vertices,
+                                 const SearchConfig& other_config,
+                                 std::uint64_t scenario, Xoshiro256ss& rng) {
+  const std::uint32_t m = base.net.num_workers();
+  const auto i = static_cast<std::size_t>(scenario % base.batch.size());
+  std::vector<FollowUp> out;
+  const auto add = [&](std::string kind, bool replayed, auto mutate) {
+    FollowUp f{std::move(kind), base, base, replayed};
+    mutate(f.call, f.prior);
+    out.push_back(std::move(f));
+  };
+
+  // (a) Dominated: no worker free earlier, budget covers the charge.
+  add("same call", true, [](Call&, Call&) {});
+  add("later delivery", true, [&](Call& c, Call&) {
+    c.delivery_time += usec(rng.uniform_int(1, 5000));
+  });
+  add("larger base loads", true, [&](Call& c, Call&) {
+    for (SimDuration& load : c.base_loads) {
+      load += usec(rng.uniform_int(0, 3000));
+    }
+    c.base_loads[rng.uniform_int(0, m - 1)] += usec(1);
+  });
+  add("later delivery onto drained loads", true, [&](Call& c, Call&) {
+    const SimDuration shift = usec(rng.uniform_int(1, 5000));
+    c.delivery_time += shift;
+    for (SimDuration& load : c.base_loads) {
+      load = load > shift ? load - shift : SimDuration::zero();
+    }
+  });
+  add("larger budget", true, [&](Call& c, Call&) {
+    c.vertex_budget += std::uint64_t(rng.uniform_int(1, 1000));
+  });
+  add("budget equal to the charge", true,
+      [&](Call& c, Call&) { c.vertex_budget = vertices; });
+
+  // (b) Not dominated, or not the recorded search.
+  const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
+  if (base.base_loads[k] > SimDuration::zero()) {
+    add("one worker free earlier", false,
+        [&](Call& c, Call&) { c.base_loads[k] -= usec(1); });
+  } else if (base.delivery_time > SimTime::zero()) {
+    add("one worker free earlier", false, [&](Call& c, Call&) {
+      c.delivery_time = c.delivery_time - usec(1);
+      for (std::uint32_t j = 0; j < m; ++j) {
+        if (j != k) c.base_loads[j] += usec(1);
+      }
+    });
+  }
+  add("budget below the charge", false,
+      [&](Call& c, Call&) { c.vertex_budget = vertices - 1; });
+  add("deadline", false,
+      [&](Call& c, Call&) { c.batch[i].deadline += usec(1); });
+  add("processing", false,
+      [&](Call& c, Call&) { c.batch[i].processing -= usec(1); });
+  add("earliest start", false, [&](Call& c, Call&) {
+    Task& t = c.batch[i];
+    t.earliest_start = std::max(t.earliest_start, base.delivery_time) + usec(1);
+  });
+  add("affinity", false, [&](Call& c, Call&) {
+    AffinitySet& a = c.batch[i].affinity;
+    const auto p = static_cast<ProcessorId>(
+        (a.to_vector().front() + 1) % std::max(m, 2u));
+    if (a.contains(p)) {
+      a.remove(p);
+    } else {
+      a.add(p);
+    }
+  });
+  add("width", false,
+      [&](Call& c, Call&) { c.batch[i].workers_required += 1; });
+  add("another config", false,
+      [&](Call& c, Call&) { c.config = other_config; });
+  add("another interconnect", false, [&](Call& c, Call&) {
+    const SimDuration cost = base.net.link_cost() + usec(1);
+    c.net = base.net.model() == machine::RoutingModel::kCutThrough
+                ? machine::Interconnect::cut_through(m, cost)
+                : machine::Interconnect::mesh(m, cost);
+  });
+  add("after a run that exhausted its budget", false,
+      [&](Call&, Call& prior) { prior.vertex_budget = vertices - 1; });
+  return out;
+}
+
+TEST(SearchEquivalenceTest, FutileReplayIsExactAndAnswersOnlyDominatedCalls) {
+  // Every config, over fuzz scenarios, all-gang batches and mesh routing:
+  // one futile call, then each follow-up. Every result must equal the
+  // reference, and the engine must replay exactly the dominated calls.
+  constexpr std::uint64_t kScenarios = 60;
+  const std::vector<SearchConfig> configs = all_configs();
+  Xoshiro256ss rng(0xF07113ULL);
+  std::uint64_t replayed_calls = 0, searched_calls = 0, cases = 0;
+  for (std::uint64_t sc = 0; sc < kScenarios; ++sc) {
+    Scenario s = make_scenario(rng);
+    if (sc % 3 == 2 && s.num_workers >= 2) {
+      for (Task& t : s.batch) {
+        t.workers_required = static_cast<std::uint32_t>(
+            rng.uniform_int(2, s.num_workers));
+      }
+    }
+    const auto net =
+        sc % 2 == 1 ? machine::Interconnect::mesh(s.num_workers, s.comm)
+                    : machine::Interconnect::cut_through(s.num_workers, s.comm);
+    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+      const std::optional<Call> base = futile_call(configs[ci], s, net, rng);
+      if (!base) continue;
+      ++cases;
+      bool replayed = false;
+      forget_futile(*base);
+      const SearchResult first = run_both(*base, sc, replayed);
+      ASSERT_FALSE(replayed);
+      ASSERT_TRUE(first.schedule.empty());
+      ASSERT_FALSE(first.stats.budget_exhausted);
+      const std::uint64_t vertices = first.stats.vertices_generated;
+      for (const FollowUp& f :
+           follow_ups(*base, vertices, configs[(ci + 1) % configs.size()],
+                      sc, rng)) {
+        SCOPED_TRACE(describe(configs[ci]) + " scenario " +
+                     std::to_string(sc) + ": " + f.kind);
+        forget_futile(*base);
+        (void)run_both(f.prior, sc, replayed);
+        ASSERT_FALSE(replayed);
+        (void)run_both(f.call, sc, replayed);
+        ASSERT_EQ(replayed, f.replayed);
+        (replayed ? replayed_calls : searched_calls) += 1;
+      }
+    }
+  }
+  // Most (scenario, config) pairs become futile under some lift.
+  EXPECT_GT(cases, kScenarios * configs.size() / 2);
+  EXPECT_GT(replayed_calls, 1000u);
+  EXPECT_GT(searched_calls, 1000u);
+}
+
+TEST(SearchEquivalenceTest, LeastLoadedLevelWithoutSkippingIsNeverReplayed) {
+  // The one config whose root candidates the loads choose: a
+  // sequence-oriented search that tries only the least-loaded worker.
+  // Worker 0 is tried first and fails on the comm cost; once worker 0 is
+  // the busier one, worker 1 is tried and fits, although no A_k is
+  // earlier.
+  SearchConfig cfg;
+  cfg.representation = Representation::kSequenceOriented;
+  cfg.level_processor_order = LevelProcessorOrder::kLeastLoaded;
+  cfg.skip_saturated_processors = false;
+  Call call;
+  call.config = cfg;
+  call.net = machine::Interconnect::cut_through(2, msec(5));
+  call.delivery_time = SimTime::zero() + msec(1);
+  call.batch.resize(1);
+  call.batch[0].processing = msec(1);
+  call.batch[0].deadline = call.delivery_time + msec(3);
+  call.batch[0].affinity = AffinitySet::single(1);
+  call.base_loads = {SimDuration::zero(), usec(1500)};
+  call.vertex_budget = 100;
+  bool replayed = false;
+  forget_futile(call);
+  const SearchResult futile = run_both(call, 0, replayed);
+  ASSERT_TRUE(futile.schedule.empty());
+  ASSERT_FALSE(futile.stats.budget_exhausted);
+
+  call.base_loads = {msec(2), usec(1500)};
+  const SearchResult placed = run_both(call, 0, replayed);
+  EXPECT_FALSE(replayed);
+  ASSERT_EQ(placed.schedule.size(), 1u);
+  EXPECT_EQ(placed.schedule[0].worker, 1u);
 }
 
 }  // namespace

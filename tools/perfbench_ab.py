@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of perfbench on two checkouts.
+
+    python3 tools/perfbench_ab.py PARENT CHANGE --workload W --seed S \\
+        --pairs N --seconds T
+
+PARENT and CHANGE are checkout roots. Each must hold a perfbench build in
+.bench_build/ (python3 perfbench/run.py makes it on its first call); the
+script brings both up to date, then runs their .bench_build/perfbench
+--trace 0 in N pairs. The side that runs first flips from pair to pair, so
+a host that slows down over time does not favour either. It prints, for
+every end-to-end metric of CHANGE/BENCHMARK.json, each side's median and
+quartiles over the pairs and the number of pairs the change won. It exits
+non-zero when a run fails or a pair's deterministic lines (hit ratio,
+latency quantiles, phases) differ.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def die(message):
+    print(f"perfbench_ab: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def binary(root):
+    build = os.path.join(root, ".bench_build")
+    if not os.path.isfile(os.path.join(build, "CMakeCache.txt")):
+        die(f"no perfbench build in {build}; run `python3 perfbench/run.py "
+            "--workload poisson_steady --seed 1 --seconds 1 --trace 0` there")
+    proc = subprocess.run(["cmake", "--build", build, "--target", "perfbench"],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout)
+        die(f"building {build} failed")
+    return os.path.join(build, "perfbench")
+
+
+def run(path, args):
+    """One perfbench run: (deterministic outputs, end-to-end metrics)."""
+    cmd = [path, "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        die(f"{' '.join(cmd)} exited {proc.returncode}")
+    detail = json.loads(lines[-2])["perfbench"]
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"] != 0:
+        die(f"{' '.join(cmd)} reported failures: {detail['failures']}")
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    return detail["deterministic"], metrics
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=int)
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be >= 1")
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    sides = {"parent": binary(args.parent), "change": binary(args.change)}
+    samples = {"parent": [], "change": []}
+    mismatches = 0
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        outputs = {side: run(sides[side], args) for side in order}
+        for side in order:
+            samples[side].append(outputs[side][1])
+        same = outputs["parent"][0] == outputs["change"][0]
+        mismatches += 0 if same else 1
+        print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): "
+              f"tasks_per_s {outputs['parent'][1]['tasks_per_s']:.0f} -> "
+              f"{outputs['change'][1]['tasks_per_s']:.0f}"
+              + ("" if same else "  DETERMINISTIC LINES DIFFER"), flush=True)
+        if not same:
+            print(f"  parent: {outputs['parent'][0]}\n"
+                  f"  change: {outputs['change'][0]}")
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds} s: median [q1, q3]")
+    for metric in end_to_end:
+        name = metric["name"]
+        values = {side: [s[name] for s in samples[side]] for side in samples}
+        higher = metric["better"] == "higher"
+        wins = sum(1 for p, c in zip(values["parent"], values["change"])
+                   if (c > p if higher else c < p))
+        cells = []
+        for side in ("parent", "change"):
+            q1, q2, q3 = quartiles(values[side])
+            cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(f"  {name:24} parent {cells[0]:34} change {cells[1]:34} "
+              f"change won {wins}/{args.pairs}")
+    if mismatches:
+        print(f"{mismatches} pair(s) with differing deterministic lines",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
