@@ -31,7 +31,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -430,8 +429,7 @@ int main(int argc, char** argv) {
     json << ",\n    \"speedup_vertices_per_sec\": " << exp::fmt(speedup, 3)
          << "}";
   }
-  json << "\n  ],\n  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n";
+  json << "\n  ],\n  \"machine\": " << bench::machine_json() << ",\n";
 
   // ---- capacity table: wide-header sizes with memory columns ------------
   // Schedule-preserving by proof at 10^5 (bit-identical to the reference)

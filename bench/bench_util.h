@@ -7,17 +7,65 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/table.h"
 #include "sched/registry.h"
+#include "search/simd.h"
 
 namespace rtds::bench {
+
+/// The processor's brand string, read from the processor itself, or
+/// "unknown".
+inline std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u) return "unknown";
+  for (unsigned leaf = 0; leaf < 3; ++leaf) {
+    __get_cpuid(0x80000002u + leaf, &regs[leaf * 4], &regs[leaf * 4 + 1],
+                &regs[leaf * 4 + 2], &regs[leaf * 4 + 3]);
+  }
+  char brand[sizeof(regs) + 1] = {};
+  std::memcpy(brand, regs, sizeof(regs));
+  const std::string s(brand);
+  const auto first = s.find_first_not_of(' ');
+  const auto last = s.find_last_not_of(' ');
+  return first == std::string::npos ? "unknown"
+                                    : s.substr(first, last - first + 1);
+#else
+  return "unknown";
+#endif
+}
+
+/// JSON object naming the machine and build a bench ran on, with the
+/// fields of perfbench's fingerprint: hardware_concurrency, cpu_model,
+/// build_type, asserts, simd tier and compiler.
+inline std::string machine_json() {
+#if defined(RTDS_DISABLE_ASSERTS)
+  constexpr bool asserts = false;
+#else
+  constexpr bool asserts = true;
+#endif
+  std::ostringstream os;
+  os << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+     << ", \"cpu_model\": \"" << cpu_model() << "\", \"build_type\": \""
+     << RTDS_BUILD_TYPE << "\", \"asserts\": " << (asserts ? "true" : "false")
+     << ", \"simd\": \"" << search::simd::backend_name()
+     << "\", \"compiler\": \"" << __VERSION__ << "\"}";
+  return os.str();
+}
 
 /// Builds a portfolio member from its registry spec — the ONE way benches
 /// construct algorithms, so every bench accepts the same spec strings as

@@ -65,14 +65,13 @@ int main() {
       arrived.push_back(all[cursor++]);
     }
     batch.merge_arrivals(arrived);
-    batch.cull_missed(t, culled);
+    const SimDuration min_slack = batch.cull_missed(t, culled);
     if (batch.empty()) {
       if (cursor >= all.size()) break;
       t = all[cursor].arrival;
       continue;
     }
 
-    const SimDuration min_slack = batch.min_slack(t);
     const SimDuration min_load = cluster.min_load(t);
     SimDuration q = quantum.allocate(min_slack, min_load);
     q = max_duration(q, kPhaseOverhead + kVertexCost);

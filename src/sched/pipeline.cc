@@ -123,7 +123,8 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       arrived.push_back(std::move(task));
     }
     batch.merge_arrivals(arrived);
-    batch.cull_missed(t, culled);
+    // One read of the batch culls it and yields the survivors' Min_Slack.
+    const SimDuration min_slack = batch.cull_missed(t, culled);
     for (const Task& task : culled) {
       ledger.cull(task.id);
       delivery_attempts.erase(task.id);  // culled == terminal
@@ -140,7 +141,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     }
 
     // Q_s(j) from the Fig. 3 criterion (or the fixed-quantum ablation).
-    const SimDuration min_slack = batch.min_slack(t);
     RTDS_ASSERT_MSG(!min_slack.is_negative(),
                     "unreachable task survived culling");
     // Each worker's load is read once: it feeds Min_Load here and the

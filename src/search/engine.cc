@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -323,11 +326,19 @@ struct NodeWide {
 static_assert(sizeof(NodeNarrow) <= 56);
 static_assert(sizeof(NodeWide) <= 64);
 
-/// Pool bound retained between runs per node arena and for the search
-/// snapshot: a million-task run can legitimately grow the arena to hundreds
-/// of MB, which must not stay captive on a long-lived backend thread once
-/// the phase is over.
-constexpr std::size_t kArenaRetainBytes = std::size_t{64} << 20;
+/// Bound retained between runs by each node arena, the search snapshot and
+/// each scratch buffer: a million-task run can legitimately grow the arena
+/// and the candidate list to hundreds of MB each, which must not stay
+/// captive on a long-lived backend thread once the phase is over.
+constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
+
+/// Releases a scratch buffer that grew past kRetainBytes; true if it did.
+template <typename T>
+bool trim(std::vector<T>& v) {
+  if (v.capacity() * sizeof(T) <= kRetainBytes) return false;
+  std::vector<T>().swap(v);
+  return true;
+}
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
 /// Assignment pointers into it stay stable while it grows and clear()
@@ -473,13 +484,20 @@ struct FutileRecord {
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
 /// largest batch seen (capacity is retained by clear()/reset(); arenas pool
-/// their chunks and self-trim to kArenaRetainBytes). thread_local keeps the
-/// engine safely shareable across backend threads.
+/// their chunks; everything is trimmed to kRetainBytes after a run).
+/// thread_local keeps the engine safely shareable across backend threads.
 struct Workspace {
+  /// The consideration order of the snapshot's root under `order_kind`.
   std::vector<std::uint32_t> order;
-  /// Sort keys and merge buffer of task_consideration_order_into.
+  /// The sort kind `order` ranks the snapshot's root by; empty when it
+  /// ranks none (an identity-order root, a dropped snapshot or order, or a
+  /// run that failed between building the order and snapshotting its
+  /// root).
+  std::optional<TaskOrder> order_kind;
+  /// Sort keys of the batch being ordered, and the scratch build_order
+  /// uses in turn as its match map, sort buffer and merge output.
   std::vector<std::int64_t> order_keys;
-  std::vector<std::uint32_t> order_merge;
+  std::vector<std::uint32_t> order_scratch;
   /// The search snapshot, reset() for every run (constructed by the first).
   std::optional<PartialSchedule> schedule;
   NodeArena<NodeNarrow> narrow;
@@ -492,6 +510,7 @@ struct Workspace {
   std::size_t peak_bytes{0};
   FutileRecord futile;
   std::uint64_t futile_replays{0};
+  OrderBuilds order_builds;
 };
 
 Workspace& workspace() {
@@ -500,26 +519,39 @@ Workspace& workspace() {
 }
 
 std::size_t workspace_bytes(const Workspace& ws) {
+  const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return ws.narrow.capacity_bytes() + ws.wide.capacity_bytes() +
-         ws.candidates.capacity() * sizeof(Candidate) +
-         ws.cl_entries.capacity() * sizeof(CandidateList::Entry) +
-         ws.order.capacity() * sizeof(std::uint32_t) +
-         ws.order_keys.capacity() * sizeof(std::int64_t) +
-         ws.order_merge.capacity() * sizeof(std::uint32_t) +
          (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
-         ws.task_ids.capacity() * sizeof(std::uint32_t);
+         bytes(ws.order) + bytes(ws.order_keys) + bytes(ws.order_scratch) +
+         bytes(ws.candidates) + bytes(ws.cl_entries) + bytes(ws.level_order) +
+         bytes(ws.task_ids) + bytes(ws.chain);
 }
 
-/// Stable sort of the permutation `idx` by key[idx[i]] that allocates
+/// EDF sorts by deadline. Slack ordering (d - t - p) is time-independent
+/// within a phase: min-slack sorts by d - p.
+std::int64_t order_key(const Task& t, TaskOrder kind) {
+  return kind == TaskOrder::kEarliestDeadline ? t.deadline.us
+                                              : (t.deadline - t.processing).us;
+}
+
+/// order_key of task j of the root `ps` holds, read back from its
+/// delivery-relative constants.
+std::int64_t root_key(const PartialSchedule& ps, std::uint32_t j,
+                      TaskOrder kind) {
+  const std::int64_t deadline = ps.d_off_us(j) + ps.delivery_time().us;
+  return kind == TaskOrder::kEarliestDeadline ? deadline
+                                              : deadline - ps.processing_us(j);
+}
+
+/// Stable sort of the `n` positions at `idx` by key[idx[i]] that allocates
 /// nothing once `merge` has grown: insertion-sorted runs of kRun tasks
-/// (a batch of at most kRun is one run), then bottom-up std::merge passes
+/// (at most kRun tasks are one run), then bottom-up std::merge passes
 /// between `idx` and `merge` (std::merge is stable). The same scheme as
 /// libstdc++'s std::stable_sort, which allocates its buffer on every call.
-void stable_sort_by_key(std::vector<std::uint32_t>& idx,
+void stable_sort_by_key(std::uint32_t* idx, std::size_t n,
                         const std::vector<std::int64_t>& key,
                         std::vector<std::uint32_t>& merge) {
   constexpr std::size_t kRun = 16;
-  const std::size_t n = idx.size();
   const auto less = [&key](std::uint32_t a, std::uint32_t b) {
     return key[a] < key[b];
   };
@@ -534,7 +566,7 @@ void stable_sort_by_key(std::vector<std::uint32_t>& idx,
   }
   if (n <= kRun) return;
   merge.resize(n);
-  std::uint32_t* from = idx.data();
+  std::uint32_t* from = idx;
   std::uint32_t* to = merge.data();
   for (std::size_t width = kRun; width < n; width *= 2) {
     for (std::size_t lo = 0; lo < n; lo += 2 * width) {
@@ -544,7 +576,65 @@ void stable_sort_by_key(std::vector<std::uint32_t>& idx,
     }
     std::swap(from, to);
   }
-  if (from != idx.data()) std::copy(from, from + n, idx.data());
+  if (from != idx) std::copy(from, from + n, idx);
+}
+
+/// Fills ws.order with task_consideration_order(batch, kind), deriving it
+/// from the root the workspace still holds when ws.order ranks that root by
+/// the same kind. A stable order depends only on the key sequence: if the
+/// keys of batch[0, L) embed, in order, in the root's key sequence, the
+/// embedded root tasks rank among themselves exactly as batch[0, L) does.
+/// So one filtering pass over the previous order ranks that prefix, only
+/// batch[L, n) is sorted, and a merge that takes the prefix first on ties
+/// (it precedes the tail in the batch) joins them. Reads the root's keys
+/// from the snapshot, never a Task of its batch: the caller may have
+/// mutated that very vector into `batch`.
+void build_order(Workspace& ws, const std::vector<Task>& batch,
+                 TaskOrder kind) {
+  constexpr std::uint32_t kUnmatched =
+      std::numeric_limits<std::uint32_t>::max();
+  // Until the snapshot holds this batch's root, ws.order ranks no root.
+  const std::optional<TaskOrder> ranked = std::exchange(ws.order_kind, {});
+  const auto n = static_cast<std::uint32_t>(batch.size());
+  std::vector<std::int64_t>& key = ws.order_keys;
+  key.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) key[i] = order_key(batch[i], kind);
+
+  std::vector<std::uint32_t>& order = ws.order;
+  std::vector<std::uint32_t>& scratch = ws.order_scratch;
+  std::uint32_t prefix = 0;
+  if (ranked == kind) {
+    // Greedy earliest matching finds the longest embeddable prefix in one
+    // pass; scratch[j] is the batch task root task j stands for.
+    RTDS_ASSERT(ws.schedule.has_value());
+    const PartialSchedule& root = *ws.schedule;
+    const std::uint32_t root_n = root.snapshot_size();
+    RTDS_ASSERT(order.size() == root_n);
+    scratch.assign(root_n, kUnmatched);
+    for (std::uint32_t j = 0; j < root_n && prefix < n; ++j) {
+      if (root_key(root, j, kind) == key[prefix]) scratch[j] = prefix++;
+    }
+    std::uint32_t kept = 0;
+    for (const std::uint32_t j : order) {
+      if (scratch[j] != kUnmatched) order[kept++] = scratch[j];
+    }
+    RTDS_ASSERT(kept == prefix);
+  }
+  order.resize(n);
+  std::iota(order.begin() + prefix, order.end(), prefix);
+  stable_sort_by_key(order.data() + prefix, n - prefix, key, scratch);
+  if (prefix != 0 && prefix != n) {
+    scratch.resize(n);
+    std::merge(order.begin(), order.begin() + prefix, order.begin() + prefix,
+               order.end(), scratch.begin(),
+               [&key](std::uint32_t a, std::uint32_t b) {
+                 return key[a] < key[b];
+               });
+    order.swap(scratch);
+  }
+  ws.order_builds.sorted += 1;
+  ws.order_builds.tasks += n;
+  ws.order_builds.reused += prefix;
 }
 
 /// Whether the root candidates a run evaluates are fixed by the batch and
@@ -597,14 +687,16 @@ SearchResult run_impl(const SearchConfig& config,
   // The snapshot is about to take a new root; the record it held goes.
   ws.futile.net.reset();
 
-  // kBatchOrder is the identity permutation: skip building (and chasing)
-  // the index vector entirely.
-  if (config.task_order == TaskOrder::kBatchOrder) {
-    ws.order.clear();
+  // kBatchOrder is the identity permutation, and so is any order of one
+  // task: skip building (and chasing) the index vector entirely.
+  const bool identity =
+      config.task_order == TaskOrder::kBatchOrder || batch.size() == 1;
+  if (identity) {
+    ws.order_kind.reset();
+    ws.order_builds.identity += 1;
   } else {
-    task_consideration_order_into(batch, config.task_order, ws.order);
+    build_order(ws, batch, config.task_order);
   }
-  const std::uint32_t* order = ws.order.empty() ? nullptr : ws.order.data();
 
   if (ws.schedule) {
     ws.schedule->reset(&batch, base_loads, delivery_time, &net);
@@ -612,7 +704,8 @@ SearchResult run_impl(const SearchConfig& config,
     ws.schedule.emplace(&batch, base_loads, delivery_time, &net);
   }
   PartialSchedule& ps = *ws.schedule;
-  ps.set_consideration_order(order);
+  ps.set_consideration_order(identity ? nullptr : ws.order.data());
+  if (!identity) ws.order_kind = config.task_order;
 
   arena.clear();
   CandidateList cl(config.strategy, ws.cl_entries);
@@ -719,11 +812,20 @@ SearchResult run_impl(const SearchConfig& config,
   }
 
   ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
-  arena.trim(kArenaRetainBytes);
+  arena.trim(kRetainBytes);
+  if (trim(ws.order)) ws.order_kind.reset();
+  trim(ws.order_keys);
+  trim(ws.order_scratch);
+  trim(ws.candidates);
+  trim(ws.cl_entries);
+  trim(ws.level_order);
+  trim(ws.task_ids);
+  trim(ws.chain);
   // Same retention bound for the snapshot (a million-task batch sizes it
-  // at ~100 MB).
-  if (ps.footprint_bytes() > kArenaRetainBytes) {
+  // at ~100 MB). The order's keys go with it.
+  if (ps.footprint_bytes() > kRetainBytes) {
     ws.schedule.reset();
+    ws.order_kind.reset();
   } else if (result.schedule.empty() && !stats.budget_exhausted &&
              root_candidates_fixed(config)) {
     // The root had no feasible successor, and the budget did not cut its
@@ -737,29 +839,17 @@ SearchResult run_impl(const SearchConfig& config,
 
 }  // namespace
 
-void task_consideration_order_into(const std::vector<Task>& batch,
-                                   TaskOrder order,
-                                   std::vector<std::uint32_t>& out) {
-  const std::size_t n = batch.size();
-  out.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) out[i] = i;
-  if (order == TaskOrder::kBatchOrder) return;
-  Workspace& ws = workspace();
-  ws.order_keys.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // EDF sorts by deadline. Slack ordering (d - t - p) is time-independent
-    // within a phase: min-slack sorts by d - p.
-    ws.order_keys[i] = order == TaskOrder::kEarliestDeadline
-                           ? batch[i].deadline.us
-                           : (batch[i].deadline - batch[i].processing).us;
-  }
-  stable_sort_by_key(out, ws.order_keys, ws.order_merge);
-}
-
 std::vector<std::uint32_t> task_consideration_order(
     const std::vector<Task>& batch, TaskOrder order) {
-  std::vector<std::uint32_t> idx;
-  task_consideration_order_into(batch, order, idx);
+  std::vector<std::uint32_t> idx(batch.size());
+  std::iota(idx.begin(), idx.end(), 0u);
+  if (order != TaskOrder::kBatchOrder) {
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return order_key(batch[a], order) <
+                              order_key(batch[b], order);
+                     });
+  }
   return idx;
 }
 
@@ -768,6 +858,8 @@ std::size_t thread_workspace_bytes() { return workspace_bytes(workspace()); }
 std::size_t thread_workspace_peak_bytes() { return workspace().peak_bytes; }
 
 std::uint64_t thread_futile_replays() { return workspace().futile_replays; }
+
+OrderBuilds thread_order_builds() { return workspace().order_builds; }
 
 SearchEngine::SearchEngine(SearchConfig config) : config_(config) {}
 

@@ -154,10 +154,12 @@ struct SearchResult {
 /// docs/ARCHITECTURE.md, "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
-/// Bytes currently retained by the calling thread's search workspace (the
-/// pooled narrow/wide node arenas, the reused PartialSchedule snapshot, the
-/// consideration-order buffers and candidate scratch). For the bench memory
-/// column; cheap enough to call between runs.
+/// Bytes currently retained by the calling thread's search workspace: the
+/// pooled narrow/wide node arenas, the reused PartialSchedule snapshot, and
+/// every scratch buffer (consideration order and its sort buffers,
+/// candidates, CL entries, level order, task ids, LCA chain). Each of them
+/// is held to 64 MB between runs. For the bench memory column; cheap
+/// enough to call between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
 /// High-water mark of thread_workspace_bytes() on the calling thread (the
@@ -168,6 +170,20 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 /// Runs on the calling thread that SearchEngine::run answered from its
 /// futile-search record instead of searching.
 [[nodiscard]] std::uint64_t thread_futile_replays();
+
+/// How the searches on one thread came by their consideration orders.
+struct OrderBuilds {
+  /// Searches that needed no order: kBatchOrder, or a one-task batch.
+  std::uint64_t identity{0};
+  std::uint64_t sorted{0};  ///< EDF and min-slack orders built
+  std::uint64_t tasks{0};   ///< tasks in the sorted orders
+  /// Of those tasks, the ones in a prefix the previous root already ranked.
+  std::uint64_t reused{0};
+};
+
+/// Consideration orders built on the calling thread so far (replayed runs
+/// build none).
+[[nodiscard]] OrderBuilds thread_order_builds();
 
 /// Depth-first search over the task-space tree. One engine can be reused
 /// across phases and threads; a run's answer depends only on its arguments.
@@ -195,8 +211,20 @@ class SearchEngine {
   /// buffers, the candidate list, and node arenas that grow in pooled
   /// chunks. Once they have grown to the largest batch seen, a run's only
   /// heap allocation is the returned schedule (one, sized to its final
-  /// length; none when it is empty). Tested by tests/alloc/
-  /// steady_state_alloc_test.cc; docs/ARCHITECTURE.md, "Search hot path".
+  /// length; none when it is empty). A buffer grown past 64 MB is released
+  /// after its run. Tested by tests/alloc/steady_state_alloc_test.cc;
+  /// docs/ARCHITECTURE.md, "Search hot path".
+  ///
+  /// The consideration order equals task_consideration_order(batch,
+  /// config.task_order). A one-task batch, like kBatchOrder, needs none. An
+  /// EDF or min-slack order is derived from the previous root the workspace
+  /// still holds: the longest prefix of `batch` whose sort keys embed, in
+  /// order, in that root's keys keeps the root's relative order, only the
+  /// rest is sorted, and one merge that puts the prefix first on ties
+  /// joins the two. It reads only keys — the snapshot's, never a Task of
+  /// the previous batch — so `batch` may be the previous vector mutated in
+  /// place. A first run, a switch of sort kind or an unrelated batch is an
+  /// empty prefix.
   ///
   /// The workspace also keeps the last run that returned an empty schedule
   /// without exhausting its budget. A run with the same config,
@@ -214,20 +242,13 @@ class SearchEngine {
   SearchConfig config_;
 };
 
-/// Precomputes the static task consideration order for a batch under the
-/// given heuristic (deadlines and slacks do not change during a phase, so
-/// the order is computed once). Exposed for tests.
+/// The static task consideration order of a batch under the given
+/// heuristic (deadlines and slacks do not change during a phase, so the
+/// order is computed once): batch positions stable-sorted by deadline
+/// (EDF) or by d - p (min-slack), so ties keep batch order. kBatchOrder is
+/// the identity. The greedy baselines and the reference engine use it, and
+/// it is the specification SearchEngine::run's derived order must meet.
 std::vector<std::uint32_t> task_consideration_order(
     const std::vector<Task>& batch, TaskOrder order);
-
-/// Allocation-reusing core of task_consideration_order: fills `out` with
-/// the permutation (capacity retained across phases; the sort keys and
-/// merge buffer live in the calling thread's search workspace, so a warm
-/// call allocates nothing). kBatchOrder yields the identity permutation;
-/// the engine skips the vector entirely in that case and callers that only
-/// need identity semantics may do the same.
-void task_consideration_order_into(const std::vector<Task>& batch,
-                                   TaskOrder order,
-                                   std::vector<std::uint32_t>& out);
 
 }  // namespace rtds::search

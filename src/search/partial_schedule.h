@@ -139,6 +139,11 @@ class PartialSchedule {
   [[nodiscard]] std::uint32_t batch_size() const {
     return static_cast<std::uint32_t>(batch_->size());
   }
+  /// Tasks in the root the last reset() snapshotted. Unlike batch_size(),
+  /// it reads nothing of that root's batch, which may have changed since.
+  [[nodiscard]] std::uint32_t snapshot_size() const {
+    return static_cast<std::uint32_t>(p_us_.size());
+  }
   [[nodiscard]] bool complete() const { return depth() == batch_size(); }
   [[nodiscard]] bool assigned(std::uint32_t task_index) const {
     const std::uint32_t pos =

@@ -28,17 +28,25 @@ void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
   tasks_.resize(keep);
 }
 
-void Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
+SimDuration Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
   culled.clear();
+  SimDuration min_slack = SimDuration::max();
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  // Nothing moves before the first culled task.
+  for (; keep < tasks_.size() && !tasks_[keep].deadline_unreachable(t);
+       ++keep) {
+    min_slack = min_duration(min_slack, tasks_[keep].slack_at(t));
+  }
+  for (std::size_t i = keep; i < tasks_.size(); ++i) {
     if (tasks_[i].deadline_unreachable(t)) {
       culled.push_back(tasks_[i]);
     } else {
+      min_slack = min_duration(min_slack, tasks_[i].slack_at(t));
       tasks_[keep++] = tasks_[i];
     }
   }
   tasks_.resize(keep);
+  return min_slack;
 }
 
 SimDuration Batch::min_slack(SimTime t) const {

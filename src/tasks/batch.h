@@ -42,11 +42,14 @@ class Batch {
   void remove_scheduled(const std::vector<std::uint32_t>& indices);
 
   /// Culls tasks whose deadlines can no longer be met at time t
-  /// (p_i + t_c > d_i, Sec. 4.1), compacting the survivors in place in
-  /// their order. `culled` is overwritten with the culled tasks in batch
-  /// order (the experiment harness counts them as deadline misses); pass
-  /// the same vector every phase and its capacity is reused.
-  void cull_missed(SimTime t, std::vector<Task>& culled);
+  /// (p_i + t_c > d_i, Sec. 4.1) and returns min_slack(t) of the tasks that
+  /// remain (SimDuration::max() when none does), so a phase reads its
+  /// batch once. Tasks before the first culled one are only read; from
+  /// there the survivors are compacted in place in their order. `culled`
+  /// is overwritten with the culled tasks in batch order (the experiment
+  /// harness counts them as deadline misses); pass the same vector every
+  /// phase and its capacity is reused.
+  SimDuration cull_missed(SimTime t, std::vector<Task>& culled);
 
   /// Minimum slack over the batch at time t (Min_Slack in Fig. 3).
   /// Requires a non-empty batch.

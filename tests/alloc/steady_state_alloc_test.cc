@@ -12,6 +12,10 @@
 //     result is empty and at most once (the returned schedule) otherwise;
 //   * a run answered from the engine's futile-search record allocates
 //     nothing;
+//   * so do the runs of two phase sequences over one batch mutated in
+//     place, as the pipeline's is, where the engine derives each order
+//     from the previous root: a fig5-shaped 1000-task batch that only
+//     shrinks, and onoff-shaped bursts of arrivals appended to it;
 //   * a 20,000-task Poisson run_stream on SimBackend allocates at most 2.5
 //     times per offered task. What remains is per task, not per phase: the
 //     ledger's hash node of each task in flight (freed when the task
@@ -42,6 +46,7 @@
 #include "search/engine.h"
 #include "sim/simulator.h"
 #include "tasks/arrival_source.h"
+#include "tasks/batch.h"
 
 namespace {
 
@@ -248,6 +253,111 @@ TEST(SteadyStateAllocTest, ReplayedSearchAllocatesNothing) {
     EXPECT_TRUE(result.schedule.empty());
     EXPECT_EQ(result.stats.vertices_generated, futile.stats.vertices_generated);
     EXPECT_EQ(allocations, 0u);
+  }
+}
+
+/// `n` arrivals at `now` with deadlines on a 1 ms grid, so arrivals tie
+/// with each other and with the tasks already pending.
+std::vector<tasks::Task> arrivals(Xoshiro256ss& rng, std::uint32_t n,
+                                  SimTime now, tasks::TaskId& next_id) {
+  std::vector<tasks::Task> out(n);
+  for (tasks::Task& t : out) {
+    t.id = next_id++;
+    t.arrival = now;
+    t.processing = rng.uniform_duration(usec(100), usec(500));
+    t.deadline = now + msec(rng.uniform_int(1, 40));
+    t.affinity.add(static_cast<tasks::ProcessorId>(
+        rng.uniform_int(0, kWorkers - 1)));
+  }
+  return out;
+}
+
+/// What one pass of a phase sequence did.
+struct SequencePass {
+  std::uint64_t runs{0};
+  /// Runs that allocated more than their returned schedule.
+  std::uint64_t over{0};
+  std::uint64_t worst{0};  ///< most allocations of one such run
+  search::OrderBuilds orders;
+};
+
+/// One pass of `phases` phases 100 us apart through `engine`, on one Batch
+/// kept as the pipeline keeps it: each phase merges `burst(phase)` arrivals,
+/// culls, searches the batch's own vector in place and removes the tasks it
+/// scheduled, whose work then loads their workers. Only the search is
+/// counted.
+template <typename Burst>
+SequencePass run_sequence(const search::SearchEngine& engine,
+                          std::uint32_t phases, Burst burst) {
+  constexpr SimDuration kPhase = usec(100);
+  const auto net = machine::Interconnect::cut_through(kWorkers, usec(50));
+  std::vector<SimDuration> loads(kWorkers, SimDuration::zero());
+  Xoshiro256ss rng(0xB0257);
+  tasks::TaskId next_id = 0;
+  tasks::Batch batch;
+  std::vector<tasks::Task> culled;
+  std::vector<std::uint32_t> scheduled;
+  SequencePass pass;
+  const search::OrderBuilds before = search::thread_order_builds();
+  for (std::uint32_t phase = 0; phase < phases; ++phase) {
+    const SimTime now = SimTime::zero() + kPhase * phase;
+    for (SimDuration& load : loads) {
+      load = load > kPhase ? load - kPhase : SimDuration::zero();
+    }
+    batch.merge_arrivals(arrivals(rng, burst(phase), now, next_id));
+    (void)batch.cull_missed(now, culled);
+    if (batch.empty()) continue;
+    const AllocationCounter counter;
+    const search::SearchResult result =
+        engine.run(batch.tasks(), loads, now, net, kBudget);
+    const std::uint64_t allocations = counter.count();
+    pass.runs += 1;
+    if (allocations > (result.schedule.empty() ? 0u : 1u)) {
+      pass.over += 1;
+      pass.worst = std::max(pass.worst, allocations);
+    }
+    scheduled.clear();
+    for (const search::Assignment& a : result.schedule) {
+      scheduled.push_back(a.task_index);
+      loads[a.worker] = max_duration(loads[a.worker], a.end_offset);
+    }
+    std::sort(scheduled.begin(), scheduled.end());
+    batch.remove_scheduled(scheduled);
+  }
+  const search::OrderBuilds after = search::thread_order_builds();
+  pass.orders.sorted = after.sorted - before.sorted;
+  pass.orders.tasks = after.tasks - before.tasks;
+  pass.orders.reused = after.reused - before.reused;
+  return pass;
+}
+
+TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
+  // fig5-shaped: 1000 tasks at t=0 and nothing after, so every batch is
+  // the previous one minus culled and scheduled tasks. onoff-shaped: a
+  // burst of 200 every 50 phases and a trickle between.
+  const auto fig5 = [](std::uint32_t phase) { return phase == 0 ? 1000u : 0u; };
+  const auto onoff = [](std::uint32_t phase) {
+    return phase % 50 == 0 ? 200u : phase % 3;
+  };
+  const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
+  for (const sched::PhaseAlgorithm* algorithm : {rt_sads.get(), d_cols.get()}) {
+    const search::SearchEngine engine(config_of(*algorithm));
+    for (const bool shrinking : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << algorithm->name() << (shrinking ? " fig5" : " onoff"));
+      const auto pass = [&] {
+        return shrinking ? run_sequence(engine, 200, fig5)
+                         : run_sequence(engine, 200, onoff);
+      };
+      (void)pass();  // warm-up: grows the workspace to the sequence's peak
+      const SequencePass counted = pass();
+      EXPECT_GT(counted.runs, 50u);
+      EXPECT_EQ(counted.over, 0u)
+          << "a run allocated up to " << counted.worst << " times";
+      // The orders were derived, not sorted afresh.
+      EXPECT_GT(counted.orders.reused * 2, counted.orders.tasks);
+    }
   }
 }
 

@@ -273,6 +273,25 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
   EXPECT_GT(thread_workspace_peak_bytes(), 0u);
 }
 
+TEST(SearchCapacityTest, RetentionBoundCoversEveryWorkspaceBuffer) {
+  // A depth-first walk at m = 64 leaves 63 siblings on the candidate list
+  // per level, so 20,000 levels grow it past a million entries (84 MB of
+  // capacity) next to 72 MB of arena. After the run each buffer is held
+  // to 64 MB: the arena trims its chunks to the bound, the candidate list
+  // goes, and what else stays is sized to this 20,000-task batch.
+  constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
+  constexpr std::uint32_t kTasks = 20000;
+  Xoshiro256ss rng(0x2E7A1ULL);
+  const Scenario s = make_capacity_scenario(rng, kTasks, 64);
+  const SearchResult r = SearchEngine(SearchConfig{}).run(
+      s.batch, s.base_loads, s.delivery_time,
+      machine::Interconnect::cut_through(s.num_workers, s.comm),
+      s.vertex_budget);
+  ASSERT_TRUE(r.stats.reached_leaf);
+  EXPECT_GT(thread_workspace_peak_bytes(), 2 * kRetainBytes);
+  EXPECT_LE(thread_workspace_bytes(), kRetainBytes + 200 * kTasks);
+}
+
 TEST(SearchCapacityTest, FutileRecordGoesWithAnOversizedSnapshot) {
   // A snapshot past the 64 MB retention bound (about 90 B per task) is
   // dropped after its run, and the futile-search record with it: the

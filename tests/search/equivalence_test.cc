@@ -508,5 +508,142 @@ TEST(SearchEquivalenceTest, LeastLoadedLevelWithoutSkippingIsNeverReplayed) {
   EXPECT_EQ(placed.schedule[0].worker, 1u);
 }
 
+/// A task whose deadline and d - p come from small sets, so tasks a batch
+/// keeps from the previous root and new arrivals tie under both sort keys.
+Task tied_task(Xoshiro256ss& rng, std::uint32_t m, std::uint32_t id) {
+  Task t;
+  t.id = id;
+  t.processing = msec(rng.uniform_int(1, 3));
+  t.deadline = SimTime::zero() + msec(4 * rng.uniform_int(2, 7));
+  if (rng.bernoulli(0.1)) {
+    t.earliest_start = SimTime::zero() + msec(rng.uniform_int(0, 6));
+  }
+  if (rng.bernoulli(0.5)) {
+    t.affinity = AffinitySet::all(m);
+  } else {
+    const auto holders = static_cast<std::uint32_t>(rng.uniform_int(1, 2));
+    for (std::uint32_t h = 0; h < holders; ++h) {
+      t.affinity.add(static_cast<ProcessorId>(rng.uniform_int(0, m - 1)));
+    }
+  }
+  return t;
+}
+
+TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
+  // The engine derives each EDF or min-slack order from the previous root
+  // it ran. Drive phase sequences on one thread the way the pipeline does:
+  // each batch is the previous vector mutated in place (positions removed,
+  // arrivals appended), with keys from small sets so kept tasks and
+  // arrivals tie. Interleaved: other sort kinds and kBatchOrder, one-task
+  // batches, futile searches and their replays, unrelated batches that
+  // reuse the ids, and shuffled survivors. Every result must equal the
+  // reference, which sorts every batch from scratch.
+  constexpr std::uint64_t kSequences = 40;
+  constexpr std::uint32_t kSteps = 60;
+  SearchConfig rt_sads;
+  SearchConfig d_cols;
+  d_cols.representation = Representation::kSequenceOriented;
+  d_cols.use_load_balance_cost = false;
+  SearchConfig min_slack;
+  min_slack.task_order = TaskOrder::kMinSlack;
+  SearchConfig seq_min_slack = d_cols;
+  seq_min_slack.task_order = TaskOrder::kMinSlack;
+  seq_min_slack.strategy = SearchStrategy::kBestFirst;
+  SearchConfig batch_order;
+  batch_order.task_order = TaskOrder::kBatchOrder;
+  const SearchConfig configs[] = {rt_sads, d_cols, min_slack, seq_min_slack,
+                                  batch_order};
+
+  Xoshiro256ss rng(0x0DE12ED5ULL);
+  std::uint64_t merged = 0, whole = 0, fresh = 0, replays = 0;
+  for (std::uint64_t sq = 0; sq < kSequences; ++sq) {
+    const auto m = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+    const auto net = machine::Interconnect::cut_through(
+        m, usec(rng.uniform_int(0, 3000)));
+    std::vector<Task> batch;  // the one vector every phase mutates
+    std::uint32_t next_id = 0;
+    std::size_t config = rng.uniform_int(0, std::size(configs) - 1);
+    for (std::uint32_t step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("sequence " + std::to_string(sq) + " step " +
+                   std::to_string(step));
+      bool futile = false;
+      switch (rng.uniform_int(0, 9)) {
+        case 0:  // one task
+          if (!batch.empty()) {
+            batch[0] = batch[rng.uniform_int(0, batch.size() - 1)];
+          }
+          batch.resize(std::min<std::size_t>(batch.size(), 1));
+          break;
+        case 1: {  // an unrelated batch under the same ids
+          batch.clear();
+          const auto n = static_cast<std::uint32_t>(rng.uniform_int(2, 30));
+          for (std::uint32_t i = 0; i < n; ++i) {
+            batch.push_back(tied_task(rng, m, i));
+          }
+          break;
+        }
+        case 2:  // survivors in another order
+          rng.shuffle(batch);
+          break;
+        case 3:  // another algorithm's phase
+          config = rng.uniform_int(0, std::size(configs) - 1);
+          break;
+        case 4:  // a root no task fits, searched and then replayed
+          futile = true;
+          break;
+        default: {  // a phase: culled and delivered tasks leave, arrivals
+          std::erase_if(batch,
+                        [&](const Task&) { return rng.bernoulli(0.25); });
+          const auto arrivals = rng.uniform_int(0, 8);
+          for (std::int64_t a = 0; a < arrivals; ++a) {
+            batch.push_back(tied_task(rng, m, next_id++));
+          }
+          break;
+        }
+      }
+      if (batch.empty()) batch.push_back(tied_task(rng, m, next_id++));
+
+      const SearchConfig& cfg = configs[config];
+      std::vector<SimDuration> loads(m);
+      for (SimDuration& load : loads) load = usec(rng.uniform_int(0, 4000));
+      // Past every deadline nothing fits, and the root is charged once per
+      // (task, worker) pair.
+      const SimTime delivery =
+          SimTime::zero() +
+          (futile ? msec(40) : usec(rng.uniform_int(0, 6000)));
+      const std::uint64_t budget =
+          futile ? std::uint64_t{m} * batch.size() + 1
+                 : std::uint64_t(rng.uniform_int(1, 3000));
+      const OrderBuilds before = thread_order_builds();
+      const std::uint64_t replays_before = thread_futile_replays();
+      const SearchResult fast =
+          SearchEngine(cfg).run(batch, loads, delivery, net, budget);
+      const OrderBuilds after = thread_order_builds();
+      expect_identical(
+          fast, reference::run(cfg, batch, loads, delivery, net, budget), cfg,
+          sq);
+      if (futile) {
+        ASSERT_TRUE(fast.schedule.empty());
+        const SearchResult again = SearchEngine(cfg).run(
+            batch, loads, delivery + usec(1), net, budget);
+        expect_identical(again,
+                         reference::run(cfg, batch, loads, delivery + usec(1),
+                                        net, budget),
+                         cfg, sq);
+        replays += thread_futile_replays() - replays_before;
+      }
+      if (after.sorted == before.sorted) continue;
+      const std::uint64_t reused = after.reused - before.reused;
+      (reused == 0 ? fresh : reused == batch.size() ? whole : merged) += 1;
+    }
+  }
+  // Every shape of derivation happened: a prefix merged with a sorted
+  // tail, a whole batch kept, and orders sorted from scratch.
+  EXPECT_GT(merged, 300u);
+  EXPECT_GT(whole, 100u);
+  EXPECT_GT(fresh, 100u);
+  EXPECT_GT(replays, 50u);
+}
+
 }  // namespace
 }  // namespace rtds::search

@@ -52,20 +52,5 @@ TEST(TaskOrderStabilityTest, MinSlackKeepsBatchOrderWhenAllSlacksTie) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(TaskOrderStabilityTest, IntoVariantMatchesAndReusesCapacity) {
-  const auto batch = tied_batch();
-  std::vector<std::uint32_t> out;
-  for (const auto order : {TaskOrder::kBatchOrder,
-                           TaskOrder::kEarliestDeadline,
-                           TaskOrder::kMinSlack}) {
-    task_consideration_order_into(batch, order, out);
-    EXPECT_EQ(out, task_consideration_order(batch, order));
-  }
-  // Shrinking batches must shrink the output (resize, not append).
-  const std::vector<Task> smaller(batch.begin(), batch.begin() + 2);
-  task_consideration_order_into(smaller, TaskOrder::kEarliestDeadline, out);
-  EXPECT_EQ(out.size(), 2u);
-}
-
 }  // namespace
 }  // namespace rtds::search

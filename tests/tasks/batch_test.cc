@@ -120,6 +120,31 @@ TEST(BatchTest, CullMissedCompactsInOrderAndOverwritesCulled) {
   EXPECT_EQ(b.size(), 3u);
 }
 
+TEST(BatchTest, CullMissedReturnsMinSlackOfTheSurvivors) {
+  // At t=0 slacks are 18, -3 (culled), 4 and 29 ms: the culled task's
+  // negative slack must not leak into the result, which equals min_slack()
+  // of what remains. Before the first culled task nothing is rewritten.
+  Batch b;
+  b.merge_arrivals({make_task(1, msec(2), SimTime::zero() + msec(20)),
+                    make_task(2, msec(5), SimTime::zero() + msec(2)),
+                    make_task(3, msec(5), SimTime::zero() + msec(9)),
+                    make_task(4, msec(1), SimTime::zero() + msec(30))});
+  std::vector<Task> culled;
+  EXPECT_EQ(b.cull_missed(SimTime::zero(), culled), msec(4));
+  EXPECT_EQ(b.min_slack(SimTime::zero()), msec(4));
+  ASSERT_EQ(culled.size(), 1u);
+  EXPECT_EQ(culled[0].id, 2u);
+  // Nothing culled: the survivors' minimum, the batch untouched.
+  EXPECT_EQ(b.cull_missed(SimTime::zero() + msec(2), culled), msec(2));
+  EXPECT_TRUE(culled.empty());
+  EXPECT_EQ(b.size(), 3u);
+  // Everything culled: no survivor, no slack.
+  EXPECT_EQ(b.cull_missed(SimTime::zero() + msec(40), culled),
+            SimDuration::max());
+  EXPECT_EQ(culled.size(), 3u);
+  EXPECT_TRUE(b.empty());
+}
+
 TEST(BatchTest, MinSlackFindsTightestTask) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(2), SimTime::zero() + msec(20)),

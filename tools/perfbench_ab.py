@@ -1,18 +1,28 @@
 #!/usr/bin/env python3
 """Alternating A/B runs of perfbench on two checkouts.
 
-    python3 tools/perfbench_ab.py PARENT CHANGE --workload W --seed S \\
-        --pairs N --seconds T
+    python3 tools/perfbench_ab.py PARENT CHANGE --workload W[,W...]|all \\
+        --seed S --pairs N --seconds T
 
 PARENT and CHANGE are checkout roots. Each must hold a perfbench build in
 .bench_build/ (python3 perfbench/run.py makes it on its first call); the
-script brings both up to date, then runs their .bench_build/perfbench
+script brings both up to date, then, for each workload in turn (`all` is
+every workload of CHANGE/BENCHMARK.json), runs their .bench_build/perfbench
 --trace 0 in N pairs. The side that runs first flips from pair to pair, so
-a host that slows down over time does not favour either. It prints, for
-every end-to-end metric of CHANGE/BENCHMARK.json, each side's median and
-quartiles over the pairs and the number of pairs the change won. It exits
-non-zero when a run fails or a pair's deterministic lines (hit ratio,
-latency quantiles, phases) differ.
+a host that slows down over time does not favour either.
+
+For every workload and every end-to-end metric of CHANGE/BENCHMARK.json it
+prints each side's median and quartiles over the pairs, the change/parent
+ratio of the medians, the number of pairs the change won and a verdict
+against the metric's bound:
+  worse       the change's median is worse than the parent's by more than
+              the bound;
+  unresolved  otherwise, the parent's quartile spread (q3 - q1, relative to
+              its median) is wider than the bound, and not every run of
+              the change beats every run of the parent;
+  ok          otherwise.
+It exits non-zero when a run fails or a pair's deterministic lines (hit
+ratio, latency quantiles, phases) differ.
 """
 import argparse
 import json
@@ -41,9 +51,9 @@ def binary(root):
     return os.path.join(build, "perfbench")
 
 
-def run(path, args):
+def run(path, workload, args):
     """One perfbench run: (deterministic outputs, end-to-end metrics)."""
-    cmd = [path, "--workload", args.workload, "--seed", str(args.seed),
+    cmd = [path, "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -64,31 +74,40 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seconds", required=True, type=int)
-    args = parser.parse_args()
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be >= 1")
+def verdict(metric, parent, change):
+    """(change/parent median ratio, verdict) for one metric's runs."""
+    bound = metric["bound"]
+    higher = metric["better"] == "higher"
+    q1, median, q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    if median == 0:
+        ratio = 1.0 if change_median == 0 else float("inf")
+    else:
+        ratio = change_median / median
+    worse_by = (1 - ratio) if higher else (ratio - 1)
+    spread = (q3 - q1) / abs(median) if median else 0.0
+    all_better = (min(change) > max(parent) if higher
+                  else max(change) < min(parent))
+    if worse_by > bound:
+        return ratio, "worse"
+    if spread > bound and not all_better:
+        return ratio, "unresolved"
+    return ratio, "ok"
 
-    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        end_to_end = json.load(f)["end_to_end"]
-    sides = {"parent": binary(args.parent), "change": binary(args.change)}
+
+def compare(workload, sides, end_to_end, args):
+    """Runs one workload's pairs and prints its table; returns the number
+    of pairs whose deterministic lines differ."""
     samples = {"parent": [], "change": []}
     mismatches = 0
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        outputs = {side: run(sides[side], args) for side in order}
+        outputs = {side: run(sides[side], workload, args) for side in order}
         for side in order:
             samples[side].append(outputs[side][1])
         same = outputs["parent"][0] == outputs["change"][0]
         mismatches += 0 if same else 1
-        print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): "
+        print(f"{workload} pair {pair + 1}/{args.pairs} ({order[0]} first): "
               f"tasks_per_s {outputs['parent'][1]['tasks_per_s']:.0f} -> "
               f"{outputs['change'][1]['tasks_per_s']:.0f}"
               + ("" if same else "  DETERMINISTIC LINES DIFFER"), flush=True)
@@ -96,7 +115,7 @@ def main():
             print(f"  parent: {outputs['parent'][0]}\n"
                   f"  change: {outputs['change'][0]}")
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds} s: median [q1, q3]")
     for metric in end_to_end:
         name = metric["name"]
@@ -108,8 +127,39 @@ def main():
         for side in ("parent", "change"):
             q1, q2, q3 = quartiles(values[side])
             cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
+        ratio, word = verdict(metric, values["parent"], values["change"])
         print(f"  {name:24} parent {cells[0]:34} change {cells[1]:34} "
-              f"change won {wins}/{args.pairs}")
+              f"x{ratio:.3f}  won {wins}/{args.pairs}  {word} "
+              f"(bound {metric['bound']:g})")
+    print(flush=True)
+    return mismatches
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list, or all")
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=int)
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be >= 1")
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    known = [w["name"] for w in benchmark["workloads"]]
+    workloads = (known if args.workload == "all"
+                 else [w for w in args.workload.split(",") if w])
+    for workload in workloads:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}; "
+                         f"BENCHMARK.json has {', '.join(known)}")
+    sides = {"parent": binary(args.parent), "change": binary(args.change)}
+    mismatches = sum(compare(w, sides, benchmark["end_to_end"], args)
+                     for w in workloads)
     if mismatches:
         print(f"{mismatches} pair(s) with differing deterministic lines",
               file=sys.stderr)
