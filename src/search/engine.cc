@@ -17,16 +17,19 @@ namespace rtds::search {
 
 namespace {
 
-/// A feasible successor awaiting insertion into CL, with its sort key.
-/// Lower keys are higher priority (front of CL). Within one successor group
-/// the key tuple is a strict total order (the last significant component is
-/// the branch index or worker id, unique per candidate), so any comparison
-/// sort produces the historical stable_sort permutation.
+/// A feasible successor awaiting insertion into CL: the (task, worker) pair
+/// and its sort key. Lower keys are higher priority (front of CL). Within
+/// one successor group the key tuple is a strict total order (the last
+/// significant component is the branch index or worker id, unique per
+/// candidate), so any comparison sort produces the historical stable_sort
+/// permutation. The successor's Assignment is built only if the search
+/// enters it (run_impl's switch_to).
 struct Candidate {
-  Assignment assignment;
   std::int64_t key1{0};
   std::int64_t key2{0};
   std::uint32_t key3{0};
+  std::uint32_t task{0};
+  ProcessorId worker{0};
 
   bool operator<(const Candidate& o) const {
     return std::tie(key1, key2, key3) < std::tie(o.key1, o.key2, o.key3);
@@ -35,12 +38,14 @@ struct Candidate {
 
 /// Stable in-place insertion sort; O(k) on the nearly-sorted groups the
 /// heuristics produce, and no temp-buffer allocation (std::stable_sort
-/// allocates one per call in libstdc++). Falls back to std::sort for large
-/// groups — safe because candidate keys are strictly totally ordered within
-/// a group, so every comparison sort yields the same permutation.
+/// allocates one per call in libstdc++). Larger groups go to std::sort
+/// unless they are already in key order, as every sequence-oriented group
+/// without the cost function is (its key is the branch index) — safe
+/// because candidate keys are strictly totally ordered within a group, so
+/// every comparison sort yields the same permutation.
 inline void sort_candidates(std::vector<Candidate>& c) {
   if (c.size() > 48) {
-    std::sort(c.begin(), c.end());
+    if (!std::is_sorted(c.begin(), c.end())) std::sort(c.begin(), c.end());
     return;
   }
   for (std::size_t i = 1; i < c.size(); ++i) {
@@ -51,14 +56,26 @@ inline void sort_candidates(std::vector<Candidate>& c) {
   }
 }
 
-/// Computes the CL sort key for a feasible assignment at the current CPS.
+/// Whether the CL sort key of a feasible successor reads its evaluation
+/// (end offset, comm cost). The keys that do not — the worker id under
+/// kIndexOrder, the branch index of a sequence-oriented search — let the
+/// mask paths store a successor straight from its feasibility bit.
+inline bool key_reads_evaluation(const SearchConfig& config) {
+  if (config.use_load_balance_cost) return true;
+  return config.representation == Representation::kAssignmentOriented &&
+         config.processor_order != ProcessorOrder::kIndexOrder;
+}
+
+/// Computes the CL sort key of the feasible successor (task -> worker) at
+/// the current CPS. `a` is its evaluation, read only when
+/// key_reads_evaluation(config).
 inline Candidate make_candidate(const SearchConfig& config,
-                                const PartialSchedule& ps,
-                                const std::vector<Task>& batch,
-                                const Assignment& a,
+                                const PartialSchedule& ps, std::uint32_t task,
+                                ProcessorId worker, const Assignment& a,
                                 std::uint32_t branch_index) {
   Candidate c;
-  c.assignment = a;
+  c.task = task;
+  c.worker = worker;
   if (config.use_load_balance_cost) {
     // Resulting CE of the extended schedule (Sec. 4.4), tie-broken by the
     // task's own completion and the branch order.
@@ -68,16 +85,16 @@ inline Candidate make_candidate(const SearchConfig& config,
   } else if (config.representation == Representation::kAssignmentOriented) {
     switch (config.processor_order) {
       case ProcessorOrder::kIndexOrder:
-        c.key1 = a.worker;
+        c.key1 = worker;
         break;
       case ProcessorOrder::kMinEndOffset:
         c.key1 = a.end_offset.us;
-        c.key2 = a.worker;
+        c.key2 = worker;
         break;
       case ProcessorOrder::kMinCommCost:
-        c.key1 = (a.exec_cost - batch[a.task_index].processing).us;
+        c.key1 = a.exec_cost.us - ps.processing_us(task);
         c.key2 = a.end_offset.us;
-        c.key3 = a.worker;
+        c.key3 = worker;
         break;
     }
   } else {
@@ -109,7 +126,6 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// bit-identical to the pre-SIMD engine in every configuration.
 inline std::uint32_t expand_vertex(const SearchConfig& config,
                                    PartialSchedule& ps,
-                                   const std::vector<Task>& batch,
                                    std::uint32_t m, std::uint32_t cursor,
                                    std::uint64_t& budget_left,
                                    SearchStats& stats,
@@ -118,7 +134,8 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
                                    std::vector<std::uint32_t>& task_ids) {
   ++stats.expansions;
   out.clear();
-  const auto n = static_cast<std::uint32_t>(batch.size());
+  const std::uint32_t n = ps.batch_size();
+  const bool evaluated_key = key_reads_evaluation(config);
   const std::uint32_t depth = ps.depth();
   if (config.max_depth != 0 && depth >= config.max_depth) {
     return cursor;  // depth-pruned: no successors
@@ -153,8 +170,8 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
         // Batched Fig. 4 test across all m workers at once. The gates make
         // the accounting equal to the interleaved loop: the full group is
         // charged (no mid-task budget death possible) and no successor cap
-        // can cut the group short. Feasible placements are re-evaluated
-        // scalar to build the Assignment — single-sourced arithmetic.
+        // can cut the group short. A key that reads the evaluation gets it
+        // from the scalar evaluate_fast — single-sourced arithmetic.
         budget_left -= m;
         stats.vertices_generated += m;
         std::uint64_t bits = ps.feasible_workers_mask(task);
@@ -163,10 +180,12 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           const auto k =
               static_cast<std::uint32_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          const bool ok = ps.evaluate_fast(task, k, a);
-          RTDS_ASSERT(ok);
-          (void)ok;
-          out.push_back(make_candidate(config, ps, batch, a, k));
+          if (evaluated_key) {
+            const bool ok = ps.evaluate_fast(task, k, a);
+            RTDS_ASSERT(ok);
+            (void)ok;
+          }
+          out.push_back(make_candidate(config, ps, task, k, a, k));
         }
       } else {
         Assignment a;
@@ -178,7 +197,7 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           --budget_left;
           ++stats.vertices_generated;
           if (ps.evaluate_fast(task, k, a)) {
-            out.push_back(make_candidate(config, ps, batch, a, k));
+            out.push_back(make_candidate(config, ps, task, k, a, k));
             if (config.max_successors != 0 &&
                 out.size() >= config.max_successors) {
               break;
@@ -254,11 +273,13 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
             const auto j =
                 static_cast<std::uint32_t>(std::countr_zero(feasible));
             feasible &= feasible - 1;
-            const bool ok = ps.evaluate_fast(task_ids[j], worker, a);
-            RTDS_ASSERT(ok);
-            (void)ok;
-            out.push_back(
-                make_candidate(config, ps, batch, a, branch + j));
+            if (evaluated_key) {
+              const bool ok = ps.evaluate_fast(task_ids[j], worker, a);
+              RTDS_ASSERT(ok);
+              (void)ok;
+            }
+            out.push_back(make_candidate(config, ps, task_ids[j], worker, a,
+                                         branch + j));
           }
           branch += count;
           continue;
@@ -276,7 +297,7 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           --budget_left;
           ++stats.vertices_generated;
           if (ps.evaluate_fast(i, worker, a)) {
-            out.push_back(make_candidate(config, ps, batch, a, branch));
+            out.push_back(make_candidate(config, ps, i, worker, a, branch));
             if (config.max_successors != 0 &&
                 out.size() >= config.max_successors) {
               stop = true;
@@ -294,10 +315,11 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
   return cursor;
 }
 
-/// A generated vertex kept in the search arena, narrow header: depth and
-/// cursor pack into 16 bits each, so a node is 56 bytes with the embedded
-/// assignment. Selected for batches up to 65535 tasks — every realistic
-/// phase batch, and the layout the PR-4 throughput numbers were taken on.
+/// A generated vertex kept in the search arena: the (task, worker) pair it
+/// adds to its parent's path, not its Assignment, which switch_to evaluates
+/// when the search enters the vertex. Narrow header: depth and cursor pack
+/// into 16 bits each, so a node is 16 bytes. Selected for batches up to
+/// 65535 tasks — every realistic phase batch.
 struct NodeNarrow {
   using DepthType = std::uint16_t;
   /// Largest batch this header can index (depth/cursor saturate at 16 bits).
@@ -309,22 +331,24 @@ struct NodeNarrow {
   /// proven unplaceable at an ancestor (and stay so, since queue offsets
   /// only grow along a path).
   std::uint16_t order_cursor{0};
-  Assignment assignment;
+  std::uint32_t task{0};
+  ProcessorId worker{0};
 };
 
 /// Wide header for batches above 65535 tasks: depth and cursor widen to 32
-/// bits (64-byte node — exactly one cache line). Same semantics as
-/// NodeNarrow; the engine body is templated over the two.
+/// bits (20-byte node). Same semantics as NodeNarrow; the engine body is
+/// templated over the two.
 struct NodeWide {
   using DepthType = std::uint32_t;
   std::int32_t parent{-1};
   std::uint32_t depth{0};
   std::uint32_t order_cursor{0};
-  Assignment assignment;
+  std::uint32_t task{0};
+  ProcessorId worker{0};
 };
 
-static_assert(sizeof(NodeNarrow) <= 56);
-static_assert(sizeof(NodeWide) <= 64);
+static_assert(sizeof(NodeNarrow) == 16);
+static_assert(sizeof(NodeWide) == 20);
 
 /// Bound retained between runs by each node arena, the search snapshot and
 /// each scratch buffer: a million-task run can legitimately grow the arena
@@ -341,7 +365,7 @@ bool trim(std::vector<T>& v) {
 }
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
-/// Assignment pointers into it stay stable while it grows and clear()
+/// a million-node run does not copy its nodes while it grows, and clear()
 /// retains the chunks for the next run (steady-state allocation-free).
 template <typename NodeT>
 class NodeArena {
@@ -389,46 +413,57 @@ class NodeArena {
 };
 
 /// The candidate list CL over caller-owned storage. Depth-first consumes it
-/// as a stack (successor groups are pushed best-on-top, Sec. 4.1);
-/// best-first is a 4-ary min-heap on (k1, k2, k3, seq) — seq makes the
-/// order strictly total, so the pop sequence is independent of heap shape
-/// and identical to the historical std::push_heap/pop_heap binary heap
-/// (FIFO among key-equal entries).
+/// as a stack of node ids (successor groups are pushed best-on-top, Sec.
+/// 4.1); best-first is a 4-ary min-heap on (k1, k2, k3, seq) — seq makes
+/// the order strictly total, so the pop sequence is independent of heap
+/// shape and identical to the historical std::push_heap/pop_heap binary
+/// heap (FIFO among key-equal entries).
 class CandidateList {
  public:
   struct Entry {
     std::int64_t k1;
     std::int64_t k2;
     std::uint32_t k3;
-    std::uint64_t seq;
     std::int32_t node;
+    std::uint64_t seq;
   };
+  static_assert(sizeof(Entry) == 32);
 
-  CandidateList(SearchStrategy strategy, std::vector<Entry>& storage)
-      : strategy_(strategy), entries_(storage) {
-    entries_.clear();
+  CandidateList(SearchStrategy strategy, std::vector<std::int32_t>& stack,
+                std::vector<Entry>& heap)
+      : best_first_(strategy == SearchStrategy::kBestFirst),
+        stack_(stack),
+        heap_(heap) {
+    stack_.clear();
+    heap_.clear();
   }
 
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] bool empty() const {
+    return best_first_ ? heap_.empty() : stack_.empty();
+  }
 
   /// Depth-first callers must push a successor group in reverse priority
   /// order (worst first) so the best ends on top.
   void push(const Candidate& c, std::int32_t node) {
-    entries_.push_back(Entry{c.key1, c.key2, c.key3, seq_++, node});
-    if (strategy_ == SearchStrategy::kBestFirst) sift_up(entries_.size() - 1);
+    if (!best_first_) {
+      stack_.push_back(node);
+      return;
+    }
+    heap_.push_back(Entry{c.key1, c.key2, c.key3, node, seq_++});
+    sift_up(heap_.size() - 1);
   }
 
   std::int32_t pop() {
-    RTDS_ASSERT(!entries_.empty());
-    if (strategy_ != SearchStrategy::kBestFirst) {
-      const std::int32_t node = entries_.back().node;
-      entries_.pop_back();
+    RTDS_ASSERT(!empty());
+    if (!best_first_) {
+      const std::int32_t node = stack_.back();
+      stack_.pop_back();
       return node;
     }
-    const std::int32_t node = entries_.front().node;
-    entries_.front() = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
+    const std::int32_t node = heap_.front().node;
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
     return node;
   }
 
@@ -439,37 +474,38 @@ class CandidateList {
   }
 
   void sift_up(std::size_t i) {
-    Entry e = entries_[i];
+    Entry e = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!less(e, entries_[parent])) break;
-      entries_[i] = entries_[parent];
+      if (!less(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
-    entries_[i] = e;
+    heap_[i] = e;
   }
 
   void sift_down(std::size_t i) {
-    const std::size_t size = entries_.size();
-    Entry e = entries_[i];
+    const std::size_t size = heap_.size();
+    Entry e = heap_[i];
     while (true) {
       const std::size_t first_child = 4 * i + 1;
       if (first_child >= size) break;
       const std::size_t last_child = std::min(first_child + 4, size);
       std::size_t best = first_child;
       for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (less(entries_[c], entries_[best])) best = c;
+        if (less(heap_[c], heap_[best])) best = c;
       }
-      if (!less(entries_[best], e)) break;
-      entries_[i] = entries_[best];
+      if (!less(heap_[best], e)) break;
+      heap_[i] = heap_[best];
       i = best;
     }
-    entries_[i] = e;
+    heap_[i] = e;
   }
 
-  SearchStrategy strategy_;
+  bool best_first_;
   std::uint64_t seq_{0};
-  std::vector<Entry>& entries_;
+  std::vector<std::int32_t>& stack_;
+  std::vector<Entry>& heap_;
 };
 
 /// The last run that placed nothing without exhausting its budget. Its root
@@ -503,10 +539,11 @@ struct Workspace {
   NodeArena<NodeNarrow> narrow;
   NodeArena<NodeWide> wide;
   std::vector<Candidate> candidates;
-  std::vector<CandidateList::Entry> cl_entries;
+  std::vector<std::int32_t> cl_stack;
+  std::vector<CandidateList::Entry> cl_heap;
   std::vector<tasks::ProcessorId> level_order;
   std::vector<std::uint32_t> task_ids;
-  std::vector<const Assignment*> chain;
+  std::vector<std::int32_t> chain;
   std::size_t peak_bytes{0};
   FutileRecord futile;
   std::uint64_t futile_replays{0};
@@ -523,8 +560,8 @@ std::size_t workspace_bytes(const Workspace& ws) {
   return ws.narrow.capacity_bytes() + ws.wide.capacity_bytes() +
          (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
          bytes(ws.order) + bytes(ws.order_keys) + bytes(ws.order_scratch) +
-         bytes(ws.candidates) + bytes(ws.cl_entries) + bytes(ws.level_order) +
-         bytes(ws.task_ids) + bytes(ws.chain);
+         bytes(ws.candidates) + bytes(ws.cl_stack) + bytes(ws.cl_heap) +
+         bytes(ws.level_order) + bytes(ws.task_ids) + bytes(ws.chain);
 }
 
 /// EDF sorts by deadline. Slack ordering (d - t - p) is time-independent
@@ -708,7 +745,7 @@ SearchResult run_impl(const SearchConfig& config,
   if (!identity) ws.order_kind = config.task_order;
 
   arena.clear();
-  CandidateList cl(config.strategy, ws.cl_entries);
+  CandidateList cl(config.strategy, ws.cl_stack, ws.cl_heap);
 
   SearchStats& stats = result.stats;
   std::uint64_t budget_left = vertex_budget;
@@ -727,7 +764,7 @@ SearchResult run_impl(const SearchConfig& config,
   // and pushes them onto CL best-on-top.
   std::vector<Candidate>& candidates = ws.candidates;
   const auto expand_current = [&](std::uint32_t cursor) {
-    cursor = expand_vertex(config, ps, batch, m, cursor, budget_left, stats,
+    cursor = expand_vertex(config, ps, m, cursor, budget_left, stats,
                            candidates, ws.level_order, ws.task_ids);
     // Push worst-first so the best candidate ends on top of the stack
     // (front of CL).
@@ -737,20 +774,23 @@ SearchResult run_impl(const SearchConfig& config,
       node.parent = current;
       node.depth = depth;
       node.order_cursor = static_cast<typename NodeT::DepthType>(cursor);
-      node.assignment = it->assignment;
+      node.task = it->task;
+      node.worker = it->worker;
       cl.push(*it, static_cast<std::int32_t>(arena.size() - 1));
     }
   };
 
-  // Switches CPS from `current` to arena vertex `target` via their lowest
-  // common ancestor.
-  std::vector<const Assignment*>& chain = ws.chain;
+  // Switches CPS from `current` to arena vertex `target` (-1: the root) via
+  // their lowest common ancestor, then enters the vertices from there down
+  // to `target`: each is evaluated once its parent is pushed, the state it
+  // was generated in.
+  std::vector<std::int32_t>& chain = ws.chain;
   const auto switch_to = [&](std::int32_t target) {
     chain.clear();
     std::int32_t a = current;
     std::int32_t b = target;
     while (node_depth(b) > node_depth(a)) {
-      chain.push_back(&arena[std::size_t(b)].assignment);
+      chain.push_back(b);
       b = arena[std::size_t(b)].parent;
     }
     while (node_depth(a) > node_depth(b)) {
@@ -760,11 +800,16 @@ SearchResult run_impl(const SearchConfig& config,
     while (a != b) {
       ps.pop();
       a = arena[std::size_t(a)].parent;
-      chain.push_back(&arena[std::size_t(b)].assignment);
+      chain.push_back(b);
       b = arena[std::size_t(b)].parent;
     }
+    Assignment entered;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      ps.push(**it);
+      const NodeT& node = arena[std::size_t(*it)];
+      const bool ok = ps.evaluate_fast(node.task, node.worker, entered);
+      RTDS_ASSERT(ok);
+      (void)ok;
+      ps.push(entered);
     }
     current = target;
   };
@@ -801,15 +846,11 @@ SearchResult run_impl(const SearchConfig& config,
   }
 
   // Choose the returned path: the deepest (then best-balanced) vertex seen,
-  // or the vertex where the search stopped. The schedule is sized once to
-  // the path length and filled leaf to root: it is the run's only
-  // allocation, and an empty one allocates nothing.
-  const std::int32_t chosen = config.return_deepest ? best_node : current;
-  result.schedule.resize(node_depth(chosen));
-  std::size_t slot = result.schedule.size();
-  for (std::int32_t v = chosen; v >= 0; v = arena[std::size_t(v)].parent) {
-    result.schedule[--slot] = arena[std::size_t(v)].assignment;
-  }
+  // or the vertex where the search stopped. CPS moves there and its path is
+  // copied out once at its exact length: the run's only allocation, and an
+  // empty one allocates nothing.
+  switch_to(config.return_deepest ? best_node : current);
+  result.schedule.assign(ps.path().begin(), ps.path().end());
 
   ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
   arena.trim(kRetainBytes);
@@ -817,7 +858,8 @@ SearchResult run_impl(const SearchConfig& config,
   trim(ws.order_keys);
   trim(ws.order_scratch);
   trim(ws.candidates);
-  trim(ws.cl_entries);
+  trim(ws.cl_stack);
+  trim(ws.cl_heap);
   trim(ws.level_order);
   trim(ws.task_ids);
   trim(ws.chain);

@@ -3,13 +3,16 @@
 // Schedule construction is an incremental depth-first search in the
 // task-space tree G. Vertices are task-to-processor assignments; a path from
 // the root is a feasible partial schedule. The engine maintains:
-//   * an arena of generated vertices (parent links give paths);
+//   * an arena of generated vertices, each stored as the (task, worker) pair
+//     it adds to its parent's path (parent links give paths);
 //   * the candidate list CL: feasible successors are sorted by
 //     heuristic/cost value and added to the FRONT of CL; each iteration
 //     removes the first vertex of CL and expands it (LIFO => depth-first,
 //     with sorted-group insertion exactly as described in Sec. 4.1);
 //   * the current partial schedule, kept in sync with the vertex being
 //     expanded via lowest-common-ancestor path switching (backtracking).
+//     Entering a vertex evaluates its pair at its parent's state, so a
+//     vertex's Assignment is built only if the search enters it.
 //
 // The two search representations of Sec. 3:
 //   * assignment-oriented (Fig. 2, used by RT-SADS): each level selects the
@@ -149,17 +152,17 @@ struct SearchResult {
 };
 
 /// Hard structural ceiling on one phase batch, checked with InvalidArgument
-/// (it bounds the 32-bit depth/cursor fields of the wide node header; the
-/// narrow 16-bit header is selected automatically below 65536 tasks —
+/// (it bounds the 32-bit depth/cursor fields of the wide node; the narrow
+/// node's 16-bit fields are selected automatically below 65536 tasks —
 /// docs/ARCHITECTURE.md, "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bytes currently retained by the calling thread's search workspace: the
 /// pooled narrow/wide node arenas, the reused PartialSchedule snapshot, and
 /// every scratch buffer (consideration order and its sort buffers,
-/// candidates, CL entries, level order, task ids, LCA chain). Each of them
-/// is held to 64 MB between runs. For the bench memory column; cheap
-/// enough to call between runs.
+/// candidates, the depth-first CL's id stack and the best-first CL's heap,
+/// level order, task ids, LCA chain). Each of them is held to 64 MB between
+/// runs. For the bench memory column; cheap enough to call between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
 /// High-water mark of thread_workspace_bytes() on the calling thread (the
@@ -198,8 +201,8 @@ class SearchEngine {
   /// `batch`          — snapshot of Batch(j) (tasks to schedule); at most
   ///                    kMaxBatchTasks tasks (InvalidArgument beyond).
   ///                    Batches up to 65535 tasks use the packed 16-byte
-  ///                    node header; larger ones promote to the wide
-  ///                    header automatically;
+  ///                    node; larger ones promote to the 20-byte wide node
+  ///                    automatically;
   /// `base_loads`     — per-worker residual load at delivery time,
   ///                    max(0, Load_k(j-1) - Q_s(j));
   /// `delivery_time`  — t_s + Q_s(j);
@@ -210,10 +213,11 @@ class SearchEngine {
   /// PartialSchedule snapshot, the consideration order and its sort
   /// buffers, the candidate list, and node arenas that grow in pooled
   /// chunks. Once they have grown to the largest batch seen, a run's only
-  /// heap allocation is the returned schedule (one, sized to its final
-  /// length; none when it is empty). A buffer grown past 64 MB is released
-  /// after its run. Tested by tests/alloc/steady_state_alloc_test.cc;
-  /// docs/ARCHITECTURE.md, "Search hot path".
+  /// heap allocation is the returned schedule: the chosen vertex's path,
+  /// copied out of the snapshot at its exact length (none when it is
+  /// empty). A buffer grown past 64 MB is released after its run. Tested
+  /// by tests/alloc/steady_state_alloc_test.cc; docs/ARCHITECTURE.md,
+  /// "Search hot path".
   ///
   /// The consideration order equals task_consideration_order(batch,
   /// config.task_order). A one-task batch, like kBatchOrder, needs none. An

@@ -167,54 +167,6 @@ std::optional<Assignment> PartialSchedule::evaluate(
   return a;
 }
 
-bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
-                                    ProcessorId worker,
-                                    Assignment& out) const {
-  std::int64_t comm_us;
-  if ((aff_bits_[task_index] >> worker) & 1u) {
-    comm_us = 0;
-  } else if (cut_through_) {
-    // Same contract as Interconnect::comm_cost: a task with no data holder
-    // anywhere is a caller bug.
-    RTDS_REQUIRE(aff_bits_[task_index] != 0,
-                 "comm_cost: task has no data holder");
-    comm_us = comm_us_;
-  } else {
-    comm_us = net_->comm_cost((*batch_)[task_index].affinity, worker).us;
-  }
-
-  const std::int64_t prev_ce_us = ce_us_[worker];
-  // A k-worker gang claims the contiguous block [worker, worker+k): it can
-  // start only once EVERY block member's queue has drained, and a block
-  // running past worker m-1 is no placement at all. k == 1 (the common
-  // case) skips the block scan entirely.
-  std::int64_t block_ce_us = prev_ce_us;
-  const std::uint32_t width = width_[task_index];
-  if (width > 1) {
-    if (std::size_t{worker} + width > ce_us_.size()) return false;
-    for (std::uint32_t j = 1; j < width; ++j) {
-      block_ce_us = std::max(block_ce_us, ce_us_[worker + j]);
-    }
-  }
-  // Execution cannot start before the task's start-time constraint; the
-  // worker idles until then (footnote 1 task model).
-  const std::int64_t es_us = es_us_[task_index];
-  const std::int64_t start_us = block_ce_us > es_us ? block_ce_us : es_us;
-  const std::int64_t end_us = start_us + p_us_[task_index] + comm_us;
-
-  // Fig. 4: t_c + RQ_s(j) + se_lk <= d_l, with t_c + RQ_s == delivery_time.
-  if (end_us > d_us_[task_index]) return false;
-
-  out.task_index = task_index;
-  out.worker = worker;
-  out.exec_cost = SimDuration{p_us_[task_index] + comm_us};
-  out.prev_ce = SimDuration{prev_ce_us};
-  out.prev_max_ce = SimDuration{max_ce_us_};
-  out.start_offset = SimDuration{start_us};
-  out.end_offset = SimDuration{end_us};
-  return true;
-}
-
 void PartialSchedule::push(const Assignment& a) {
   RTDS_ASSERT(!assigned(a.task_index));
   RTDS_ASSERT(std::size_t{a.worker} + width_[a.task_index] <= ce_us_.size());

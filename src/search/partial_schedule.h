@@ -36,10 +36,12 @@
 // historical O(m) rescan.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/error.h"
 #include "common/time.h"
 #include "machine/interconnect.h"
 #include "search/simd.h"
@@ -274,12 +276,18 @@ class PartialSchedule {
   /// arithmetic and feasibility test as evaluate(), but writes into `out`
   /// (no optional) and validates nothing beyond debug assertions. Returns
   /// true when feasible. Callers must guarantee task_index/worker are in
-  /// range and the task is unassigned.
+  /// range and the task is unassigned. Inline: the engine evaluates every
+  /// successor it generates and again every vertex it enters, and a caller
+  /// that reads only some fields of `out` pays for no more.
   bool evaluate_fast(std::uint32_t task_index, ProcessorId worker,
                      Assignment& out) const;
 
-  /// Extends the path by `a` (which must have come from evaluate() at the
-  /// current state).
+  /// Extends the path by `a`, which must have been evaluated at the current
+  /// state (evaluate() or evaluate_fast()). The engine stores a successor
+  /// as a (task, worker) pair and evaluates it again when it enters it: it
+  /// first restores the parent's state, and because push/pop are strictly
+  /// LIFO that is the state the successor was generated in. The prev_ce and
+  /// prev_max_ce asserts check this.
   void push(const Assignment& a);
 
   /// Undoes the most recent assignment (backtracking). O(1) for sequential
@@ -333,5 +341,53 @@ class PartialSchedule {
   /// pop() restores them. Valid because push/pop are strictly LIFO.
   std::vector<SimDuration> gang_undo_;
 };
+
+inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
+                                           ProcessorId worker,
+                                           Assignment& out) const {
+  std::int64_t comm_us;
+  if ((aff_bits_[task_index] >> worker) & 1u) {
+    comm_us = 0;
+  } else if (cut_through_) {
+    // Same contract as Interconnect::comm_cost: a task with no data holder
+    // anywhere is a caller bug.
+    RTDS_REQUIRE(aff_bits_[task_index] != 0,
+                 "comm_cost: task has no data holder");
+    comm_us = comm_us_;
+  } else {
+    comm_us = net_->comm_cost((*batch_)[task_index].affinity, worker).us;
+  }
+
+  const std::int64_t prev_ce_us = ce_us_[worker];
+  // A k-worker gang claims the contiguous block [worker, worker+k): it can
+  // start only once EVERY block member's queue has drained, and a block
+  // running past worker m-1 is no placement at all. k == 1 (the common
+  // case) skips the block scan entirely.
+  std::int64_t block_ce_us = prev_ce_us;
+  const std::uint32_t width = width_[task_index];
+  if (width > 1) {
+    if (std::size_t{worker} + width > ce_us_.size()) return false;
+    for (std::uint32_t j = 1; j < width; ++j) {
+      block_ce_us = std::max(block_ce_us, ce_us_[worker + j]);
+    }
+  }
+  // Execution cannot start before the task's start-time constraint; the
+  // worker idles until then (footnote 1 task model).
+  const std::int64_t es_us = es_us_[task_index];
+  const std::int64_t start_us = block_ce_us > es_us ? block_ce_us : es_us;
+  const std::int64_t end_us = start_us + p_us_[task_index] + comm_us;
+
+  // Fig. 4: t_c + RQ_s(j) + se_lk <= d_l, with t_c + RQ_s == delivery_time.
+  if (end_us > d_us_[task_index]) return false;
+
+  out.task_index = task_index;
+  out.worker = worker;
+  out.exec_cost = SimDuration{p_us_[task_index] + comm_us};
+  out.prev_ce = SimDuration{prev_ce_us};
+  out.prev_max_ce = SimDuration{max_ce_us_};
+  out.start_offset = SimDuration{start_us};
+  out.end_offset = SimDuration{end_us};
+  return true;
+}
 
 }  // namespace rtds::search

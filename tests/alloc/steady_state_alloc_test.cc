@@ -7,9 +7,10 @@
 // and the live-heap count uses malloc_usable_size at both ends.
 //
 // Checked, after a warm-up that grows the thread's search workspace:
-//   * SearchEngine::run with the RT-SADS and D-COLS configurations, on
-//     batches of 1, 16, 17 and 1000 tasks, allocates nothing when the
-//     result is empty and at most once (the returned schedule) otherwise;
+//   * SearchEngine::run with the RT-SADS and D-COLS configurations and
+//     best-first search, on batches of 1, 16, 17 and 1000 tasks, allocates
+//     nothing when the result is empty and at most once (the returned
+//     schedule, copied out of the search's path) otherwise;
 //   * a run answered from the engine's futile-search record allocates
 //     nothing;
 //   * so do the runs of two phase sequences over one batch mutated in
@@ -205,7 +206,10 @@ TEST(SteadyStateAllocTest, SearchAllocatesOnlyTheReturnedSchedule) {
   const std::vector<SimDuration> loads(kWorkers, usec(300));
   const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
-  for (const sched::PhaseAlgorithm* algorithm : {rt_sads.get(), d_cols.get()}) {
+  const auto best_first =
+      sched::AlgorithmRegistry::builtin().make("search?strategy=best");
+  for (const sched::PhaseAlgorithm* algorithm :
+       {rt_sads.get(), d_cols.get(), best_first.get()}) {
     SCOPED_TRACE(algorithm->name());
     const search::SearchEngine engine(config_of(*algorithm));
     // Warm-up on the largest batch grows every reused buffer.
@@ -341,7 +345,10 @@ TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
   };
   const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
-  for (const sched::PhaseAlgorithm* algorithm : {rt_sads.get(), d_cols.get()}) {
+  const auto best_first =
+      sched::AlgorithmRegistry::builtin().make("search?strategy=best");
+  for (const sched::PhaseAlgorithm* algorithm :
+       {rt_sads.get(), d_cols.get(), best_first.get()}) {
     const search::SearchEngine engine(config_of(*algorithm));
     for (const bool shrinking : {true, false}) {
       SCOPED_TRACE(::testing::Message()

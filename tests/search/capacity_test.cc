@@ -275,12 +275,14 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
 
 TEST(SearchCapacityTest, RetentionBoundCoversEveryWorkspaceBuffer) {
   // A depth-first walk at m = 64 leaves 63 siblings on the candidate list
-  // per level, so 20,000 levels grow it past a million entries (84 MB of
-  // capacity) next to 72 MB of arena. After the run each buffer is held
-  // to 64 MB: the arena trims its chunks to the bound, the candidate list
-  // goes, and what else stays is sized to this 20,000-task batch.
+  // per level. A node is a 20-byte (task, worker) record and the list a
+  // stack of 4-byte node ids, so 280,000 levels are needed to grow the
+  // stack past 2^24 entries (128 MB of capacity) next to 358 MB of arena.
+  // After the run each buffer is held to 64 MB: the arena trims its chunks
+  // to the bound, the stack goes, and what else stays is sized to this
+  // 280,000-task batch.
   constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
-  constexpr std::uint32_t kTasks = 20000;
+  constexpr std::uint32_t kTasks = 280000;
   Xoshiro256ss rng(0x2E7A1ULL);
   const Scenario s = make_capacity_scenario(rng, kTasks, 64);
   const SearchResult r = SearchEngine(SearchConfig{}).run(

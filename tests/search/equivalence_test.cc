@@ -198,6 +198,7 @@ TEST(SearchEquivalenceTest, BitIdenticalToReferenceAcrossFuzzScenarios) {
     const auto net =
         machine::Interconnect::cut_through(s.num_workers, s.comm);
     for (const SearchConfig& cfg : configs) {
+      SCOPED_TRACE(cfg.return_deepest ? "deepest path" : "current path");
       const SearchResult fast = SearchEngine(cfg).run(
           s.batch, s.base_loads, s.delivery_time, net, s.vertex_budget);
       const SearchResult ref = reference::run(
@@ -643,6 +644,118 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
   EXPECT_GT(whole, 100u);
   EXPECT_GT(fresh, 100u);
   EXPECT_GT(replays, 50u);
+}
+
+/// A D-COLS-shaped phase input: a burst of hundreds of tasks, so a
+/// sequence-oriented level branches over hundreds of unassigned tasks.
+/// Tight deadlines straddle what the loaded workers can meet, so levels
+/// shrink, searches backtrack and almost every budget runs out inside a
+/// successor group. Loose ones fit every task and come with the budget to
+/// reach a leaf. Gangs and mesh routing take the scalar loop instead of
+/// the mask kernels.
+Scenario make_wide_scenario(Xoshiro256ss& rng, bool gangs, bool loose) {
+  Scenario s;
+  s.num_workers = static_cast<std::uint32_t>(rng.uniform_int(2, 10));
+  s.comm = usec(rng.uniform_int(0, 3000));
+  s.delivery_time = SimTime::zero() + usec(rng.uniform_int(0, 5000));
+  const auto n = static_cast<std::uint32_t>(
+      loose ? rng.uniform_int(100, 250) : rng.uniform_int(200, 700));
+  const std::int64_t horizon_us = loose ? std::int64_t{n} * 6000 : 12000;
+  s.batch.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Task& t = s.batch[i];
+    t.id = i;
+    t.processing = usec(rng.uniform_int(100, 3000));
+    t.deadline = s.delivery_time +
+                 usec(loose ? horizon_us : rng.uniform_int(-1000, horizon_us));
+    if (rng.bernoulli(0.1)) {
+      t.earliest_start = s.delivery_time + usec(rng.uniform_int(0, 4000));
+    }
+    if (rng.bernoulli(0.3)) {
+      t.affinity = AffinitySet::all(s.num_workers);
+    } else {
+      t.affinity.add(static_cast<ProcessorId>(
+          rng.uniform_int(0, s.num_workers - 1)));
+    }
+    if (gangs && rng.bernoulli(0.2)) {
+      t.workers_required =
+          static_cast<std::uint32_t>(rng.uniform_int(2, s.num_workers));
+    }
+  }
+  s.base_loads.resize(s.num_workers);
+  for (auto& load : s.base_loads) load = usec(rng.uniform_int(0, 6000));
+  // A level charges up to n vertices per worker it tries; a depth-first
+  // walk that fits every task charges n (n + 1) / 2 in all.
+  s.vertex_budget =
+      loose ? std::uint64_t{n} * (n + 1)
+            : std::uint64_t(rng.uniform_int(1, 40 * std::int64_t{n}));
+  return s;
+}
+
+TEST(SearchEquivalenceTest, WideSuccessorGroupsMatchReference) {
+  // Successor groups of hundreds, past the 48 where the engine stops
+  // insertion-sorting. Sequence-oriented groups without the cost function
+  // are generated in key order and are not sorted again; with it they are
+  // out of order and must be. Best-first searches switch between subtrees,
+  // so entering a vertex can push a chain of several; a vertex entered
+  // must be evaluated at its parent's state, not the one the switch
+  // started from. return_deepest=false returns where the search stopped.
+  constexpr std::uint64_t kScenarios = 48;
+  std::vector<SearchConfig> configs;
+  for (const auto strategy :
+       {SearchStrategy::kDepthFirst, SearchStrategy::kBestFirst}) {
+    for (const auto order : {TaskOrder::kEarliestDeadline, TaskOrder::kMinSlack,
+                             TaskOrder::kBatchOrder}) {
+      for (const bool lb : {false, true}) {
+        for (const bool deepest : {true, false}) {
+          SearchConfig c;
+          c.representation = Representation::kSequenceOriented;
+          c.strategy = strategy;
+          c.task_order = order;
+          c.use_load_balance_cost = lb;
+          c.return_deepest = deepest;
+          configs.push_back(c);
+        }
+      }
+    }
+  }
+  SearchConfig least_loaded = configs.front();
+  least_loaded.level_processor_order = LevelProcessorOrder::kLeastLoaded;
+  configs.push_back(least_loaded);
+  configs.push_back(SearchConfig{});  // RT-SADS on the same bursts
+  SearchConfig assign_best;
+  assign_best.strategy = SearchStrategy::kBestFirst;
+  configs.push_back(assign_best);
+
+  Xoshiro256ss rng(0x3A1DE6E5ULL);
+  std::uint64_t exhausted = 0, leaves = 0, backtracked = 0;
+  std::uint64_t best_first_switches = 0;
+  for (std::uint64_t sc = 0; sc < kScenarios; ++sc) {
+    const Scenario s = make_wide_scenario(rng, sc % 4 == 1, sc % 4 == 3);
+    const auto net =
+        sc % 4 == 2 ? machine::Interconnect::mesh(s.num_workers, s.comm)
+                    : machine::Interconnect::cut_through(s.num_workers, s.comm);
+    for (const SearchConfig& cfg : configs) {
+      SCOPED_TRACE(cfg.return_deepest ? "deepest path" : "current path");
+      const SearchResult fast = SearchEngine(cfg).run(
+          s.batch, s.base_loads, s.delivery_time, net, s.vertex_budget);
+      const SearchResult ref = reference::run(
+          cfg, s.batch, s.base_loads, s.delivery_time, net, s.vertex_budget);
+      expect_identical(fast, ref, cfg, sc);
+      exhausted += fast.stats.budget_exhausted ? 1 : 0;
+      leaves += fast.stats.reached_leaf ? 1 : 0;
+      backtracked += fast.stats.backtracks > 0 ? 1 : 0;
+      if (cfg.strategy == SearchStrategy::kBestFirst) {
+        best_first_switches += fast.stats.backtracks;
+      }
+    }
+  }
+  // Every ending and path shape happened: budgets that ran out, leaves,
+  // backtracking depth-first walks and best-first switches.
+  EXPECT_GT(exhausted, 800u);
+  EXPECT_GT(leaves, 150u);
+  EXPECT_GT(backtracked, 500u);
+  EXPECT_GT(best_first_switches, 10000u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Alternating A/B runs of perfbench on two checkouts.
 
     python3 tools/perfbench_ab.py PARENT CHANGE --workload W[,W...]|all \\
-        --seed S --pairs N --seconds T
+        --seed S --pairs N --seconds T [--claim METRIC]
 
 PARENT and CHANGE are checkout roots. Each must hold a perfbench build in
 .bench_build/ (python3 perfbench/run.py makes it on its first call); the
@@ -21,6 +21,12 @@ against the metric's bound:
               its median) is wider than the bound, and not every run of
               the change beats every run of the parent;
   ok          otherwise.
+With --claim METRIC it also prints, per workload, whether the change
+meets a claimed gain on that end-to-end metric: `claim met` when the change
+won at least 9 in 10 of the pairs (a tie counts for neither side) and its
+median is better than the parent's by more than the parent's q3 - q1,
+`claim not met` otherwise.
+
 It exits non-zero when a run fails or a pair's deterministic lines (hit
 ratio, latency quantiles, phases) differ.
 """
@@ -95,6 +101,29 @@ def verdict(metric, parent, change):
     return ratio, "ok"
 
 
+def wins(metric, parent, change):
+    """Pairs in which the change's run beat the parent's; ties count for
+    neither side."""
+    higher = metric["better"] == "higher"
+    return sum(1 for p, c in zip(parent, change)
+               if (c > p if higher else c < p))
+
+
+def claim(metric, parent, change):
+    """The claim line for one metric's runs: met when the change won at
+    least 9/10 of the pairs and its median gain exceeds the parent's
+    interquartile range."""
+    q1, median, q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    gain = (change_median - median if metric["better"] == "higher"
+            else median - change_median)
+    won = wins(metric, parent, change)
+    met = 10 * won >= 9 * len(parent) and gain > q3 - q1
+    return (f"claim {metric['name']}: won {won}/{len(parent)}, median gain "
+            f"{gain:.6g} vs parent q3 - q1 {q3 - q1:.6g}: "
+            + ("claim met" if met else "claim not met"))
+
+
 def compare(workload, sides, end_to_end, args):
     """Runs one workload's pairs and prints its table; returns the number
     of pairs whose deterministic lines differ."""
@@ -120,17 +149,19 @@ def compare(workload, sides, end_to_end, args):
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [s[name] for s in samples[side]] for side in samples}
-        higher = metric["better"] == "higher"
-        wins = sum(1 for p, c in zip(values["parent"], values["change"])
-                   if (c > p if higher else c < p))
+        won = wins(metric, values["parent"], values["change"])
         cells = []
         for side in ("parent", "change"):
             q1, q2, q3 = quartiles(values[side])
             cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
         ratio, word = verdict(metric, values["parent"], values["change"])
         print(f"  {name:24} parent {cells[0]:34} change {cells[1]:34} "
-              f"x{ratio:.3f}  won {wins}/{args.pairs}  {word} "
+              f"x{ratio:.3f}  won {won}/{args.pairs}  {word} "
               f"(bound {metric['bound']:g})")
+        if name == args.claim:
+            claimed = claim(metric, values["parent"], values["change"])
+    if args.claim:
+        print(f"  {workload} {claimed}")
     print(flush=True)
     return mismatches
 
@@ -144,12 +175,19 @@ def main():
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=int)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="an end-to-end metric the change claims to "
+                             "improve")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be >= 1")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"unknown metric {args.claim!r}; "
+                     f"BENCHMARK.json has {', '.join(metrics)}")
     known = [w["name"] for w in benchmark["workloads"]]
     workloads = (known if args.workload == "all"
                  else [w for w in args.workload.split(",") if w])
