@@ -2,8 +2,8 @@
 //
 // Every bench prints (1) a fixed-width table mirroring the paper's series,
 // with mean ± 99% confidence half-width over the repeated runs, and (2) a
-// CSV block for plotting. Benches are plain executables (google-benchmark
-// is used by the micro benches); each runs in seconds.
+// CSV block for plotting. Benches are plain executables; each runs in
+// seconds.
 #pragma once
 
 #include <cstdint>

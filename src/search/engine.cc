@@ -56,19 +56,9 @@ inline void sort_candidates(std::vector<Candidate>& c) {
   }
 }
 
-/// Whether the CL sort key of a feasible successor reads its evaluation
-/// (end offset, comm cost). The keys that do not — the worker id under
-/// kIndexOrder, the branch index of a sequence-oriented search — let the
-/// mask paths store a successor straight from its feasibility bit.
-inline bool key_reads_evaluation(const SearchConfig& config) {
-  if (config.use_load_balance_cost) return true;
-  return config.representation == Representation::kAssignmentOriented &&
-         config.processor_order != ProcessorOrder::kIndexOrder;
-}
-
 /// Computes the CL sort key of the feasible successor (task -> worker) at
-/// the current CPS. `a` is its evaluation, read only when
-/// key_reads_evaluation(config).
+/// the current CPS. `a` is its evaluation, read by every key but the
+/// branch index of a sequence-oriented search without the cost function.
 inline Candidate make_candidate(const SearchConfig& config,
                                 const PartialSchedule& ps, std::uint32_t task,
                                 ProcessorId worker, const Assignment& a,
@@ -107,7 +97,7 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// One expansion of the vertex `ps` currently ends at. Appends the sorted
 /// feasible successors to `out` and returns the order cursor children
 /// inherit. `level_order` and `task_ids` are caller-owned scratch (reused
-/// across calls; task_ids feeds the simd task-mask lanes).
+/// across calls; task_ids holds the lanes of the task-word kernel).
 ///
 /// This is the exact budget-interleaved successor generation: every
 /// generated vertex (feasible or not) charges the budget, unplaceable tasks
@@ -115,15 +105,14 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// budget_exhausted, max_successors caps the group, and the returned order
 /// cursor is what children inherit (assignment-oriented only).
 ///
-/// SIMD batching (search/simd.h) rides inside under exactness gates: the
-/// mask kernels are taken only when their verdicts provably equal the scalar
-/// loop's AND the batched budget accounting equals the interleaved one —
-///   * whole-task batches (assignment-oriented) need budget_left >= m and no
-///     max_successors cap, plus PartialSchedule::workers_mask_eligible;
-///   * per-word batches (sequence-oriented) need budget_left >= popcount of
-///     the word and no cap, plus PartialSchedule::tasks_mask_eligible.
-/// Outside the gates the scalar loop runs unchanged, so SearchResults stay
-/// bit-identical to the pre-SIMD engine in every configuration.
+/// An assignment-oriented expansion either bulk-charges a task no worker
+/// can take or evaluates it on each worker with evaluate_fast. A
+/// sequence-oriented one tests a whole unassigned-bitset word against the
+/// level's worker at once (PartialSchedule::feasible_tasks_mask) when the
+/// result provably equals the scalar loop's, accounting included: the batch
+/// is tasks_mask_eligible, no max_successors cap applies and budget_left
+/// covers the word's popcount. Outside those gates the scalar loop runs, so
+/// SearchResults are bit-identical either way.
 inline std::uint32_t expand_vertex(const SearchConfig& config,
                                    PartialSchedule& ps,
                                    std::uint32_t m, std::uint32_t cursor,
@@ -135,7 +124,6 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
   ++stats.expansions;
   out.clear();
   const std::uint32_t n = ps.batch_size();
-  const bool evaluated_key = key_reads_evaluation(config);
   const std::uint32_t depth = ps.depth();
   if (config.max_depth != 0 && depth >= config.max_depth) {
     return cursor;  // depth-pruned: no successors
@@ -165,28 +153,6 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
         budget_left -= charged;
         stats.vertices_generated += charged;
         if (charged < m) stats.budget_exhausted = true;
-      } else if (config.max_successors == 0 && budget_left >= m &&
-                 ps.workers_mask_eligible(task)) {
-        // Batched Fig. 4 test across all m workers at once. The gates make
-        // the accounting equal to the interleaved loop: the full group is
-        // charged (no mid-task budget death possible) and no successor cap
-        // can cut the group short. A key that reads the evaluation gets it
-        // from the scalar evaluate_fast — single-sourced arithmetic.
-        budget_left -= m;
-        stats.vertices_generated += m;
-        std::uint64_t bits = ps.feasible_workers_mask(task);
-        Assignment a;
-        while (bits != 0) {
-          const auto k =
-              static_cast<std::uint32_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (evaluated_key) {
-            const bool ok = ps.evaluate_fast(task, k, a);
-            RTDS_ASSERT(ok);
-            (void)ok;
-          }
-          out.push_back(make_candidate(config, ps, task, k, a, k));
-        }
       } else {
         Assignment a;
         for (std::uint32_t k = 0; k < m; ++k) {
@@ -252,11 +218,11 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
             static_cast<std::uint32_t>(std::popcount(bits));
         if (batchable && budget_left >= count) {
           // Batched Fig. 4 test for this whole bitset word against the
-          // level's worker: up to 64 candidate tasks per kernel call. Same
-          // gates as the worker-mask path — the word is charged whole, so
-          // accounting matches the interleaved loop exactly; the j-th set
-          // bit carries branch index branch+j, exactly what the scalar
-          // loop would have assigned it.
+          // level's worker: up to 64 candidate tasks per kernel call. The
+          // word is charged whole and no cap applies, so accounting matches
+          // the interleaved loop exactly; the j-th set bit carries branch
+          // index branch+j, exactly what the scalar loop would have
+          // assigned it.
           task_ids.clear();
           std::uint64_t scan_bits = bits;
           while (scan_bits != 0) {
@@ -273,7 +239,9 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
             const auto j =
                 static_cast<std::uint32_t>(std::countr_zero(feasible));
             feasible &= feasible - 1;
-            if (evaluated_key) {
+            // Only the cost function's key reads the evaluation; the
+            // branch index does not.
+            if (config.use_load_balance_cost) {
               const bool ok = ps.evaluate_fast(task_ids[j], worker, a);
               RTDS_ASSERT(ok);
               (void)ok;

@@ -49,6 +49,8 @@ void PartialSchedule::reset(const std::vector<Task>* batch,
     aff_bits_[i] = t.affinity.raw();
     RTDS_REQUIRE(t.workers_required >= 1,
                  "PartialSchedule: workers_required must be >= 1");
+    RTDS_REQUIRE(!t.affinity.empty(),
+                 "PartialSchedule: task has no data holder");
     width_[i] = t.workers_required;
     has_gangs_ = has_gangs_ || t.workers_required > 1;
   }
@@ -144,16 +146,19 @@ std::uint32_t PartialSchedule::first_unassigned_at_or_after(
 std::uint64_t PartialSchedule::feasible_tasks_mask(
     ProcessorId worker, const std::uint32_t* tasks, std::uint32_t count) const {
   RTDS_ASSERT(tasks_mask_eligible());
-#ifndef RTDS_DISABLE_ASSERTS
+  // Locals, not members: with C in a register the compiler selects comm
+  // without a branch, which a random affinity bit would mispredict.
+  const std::int64_t ce_w = ce_us_[worker];
+  const std::int64_t comm_us = comm_us_;
+  std::uint64_t mask = 0;
   for (std::uint32_t j = 0; j < count; ++j) {
-    // evaluate_fast would REQUIRE on an empty affinity (no data holder);
-    // the mask path must not silently compute past that caller bug.
-    RTDS_ASSERT(aff_bits_[tasks[j]] != 0);
+    const std::uint32_t t = tasks[j];
+    const std::int64_t comm =
+        ((aff_bits_[t] >> worker) & 1u) != 0 ? 0 : comm_us;
+    const std::int64_t start = ce_w > es_us_[t] ? ce_w : es_us_[t];
+    if (start + p_us_[t] + comm <= d_us_[t]) mask |= std::uint64_t{1} << j;
   }
-#endif
-  return simd::feasible_tasks_mask(tasks, count, ce_us_[worker], worker,
-                                   p_us_.data(), es_us_.data(), d_us_.data(),
-                                   aff_bits_.data(), comm_us_);
+  return mask;
 }
 
 std::optional<Assignment> PartialSchedule::evaluate(

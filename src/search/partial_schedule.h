@@ -23,14 +23,13 @@
 // else:
 //   * p_us_/es_us_/d_us_/aff_bits_/width_ — the per-task constants, one
 //     contiguous array per field in raw delivery-relative microseconds, so
-//     evaluation never dereferences the 56-byte Task and the search/simd.h
-//     kernels can gather lanes straight out of them;
-//   * ce_us_ — per-worker completion offsets (m contiguous 8-byte counts,
-//     the vector operand of the Fig. 4 worker-mask kernel);
+//     evaluation never dereferences the 56-byte Task and the task-word
+//     kernel (feasible_tasks_mask) reads its lanes straight out of them;
+//   * ce_us_ — per-worker completion offsets (m contiguous 8-byte counts);
 //   * unassigned_ — a 64-bit-word bitset over *consideration-order
 //     positions* (bit set = still unassigned), giving O(n/64) find-first
-//     scans instead of a std::vector<bool> walk, and supplying the lane
-//     batches for the task-mask kernel.
+//     scans instead of a std::vector<bool> walk, and supplying the words
+//     the task-word kernel tests at once.
 // Backtracking is O(1): every Assignment carries the undo values prev_ce and
 // prev_max_ce, so pop() restores both the worker's queue and CE without the
 // historical O(m) rescan.
@@ -44,7 +43,6 @@
 #include "common/error.h"
 #include "common/time.h"
 #include "machine/interconnect.h"
-#include "search/simd.h"
 #include "tasks/task.h"
 
 namespace rtds::search {
@@ -175,19 +173,16 @@ class PartialSchedule {
     return SimDuration{ce_us_[k]};
   }
 
-  /// The full per-worker completion-offset vector in raw microseconds —
-  /// the streaming operand of the simd worker-mask kernel.
-  [[nodiscard]] const std::int64_t* ce_data() const { return ce_us_.data(); }
-
   /// CE — the load-balancing cost of this partial schedule (Sec. 4.4):
   /// the maximum completion offset over all workers.
   [[nodiscard]] SimDuration max_ce() const { return SimDuration{max_ce_us_}; }
 
   /// Minimum completion offset over all workers — the lower bound used by
-  /// the engine's bulk infeasibility test. O(m/lanes) via simd::min_i64.
+  /// the engine's bulk infeasibility test. O(m).
   [[nodiscard]] SimDuration min_ce() const {
-    return SimDuration{simd::min_i64(
-        ce_us_.data(), static_cast<std::uint32_t>(ce_us_.size()))};
+    std::int64_t lo = ce_us_[0];
+    for (const std::int64_t ce : ce_us_) lo = std::min(lo, ce);
+    return SimDuration{lo};
   }
 
   /// Lower-bound infeasibility test over ALL workers at once: end offsets
@@ -225,43 +220,21 @@ class PartialSchedule {
   /// True when any task in the batch is a gang (width > 1).
   [[nodiscard]] bool has_gangs() const { return has_gangs_; }
 
-  // -- simd batch evaluation (search/simd.h) ---------------------------------
-  // Both mask kernels compute EXACTLY the per-lane verdicts evaluate_fast
-  // would return, under preconditions the engine checks before taking the
-  // batched path; outside them it falls back to the scalar loop, so results
-  // stay bit-identical either way.
-
-  /// True when feasible_workers_mask(task) is exact for this task: constant
-  /// cut-through communication (no per-worker comm_cost calls), width 1 (no
-  /// block scan), and a non-empty affinity (evaluate_fast would REQUIRE on
-  /// an empty one — the mask path must not mask that bug).
-  [[nodiscard]] bool workers_mask_eligible(std::uint32_t task_index) const {
-    return cut_through_ && width_[task_index] == 1 &&
-           aff_bits_[task_index] != 0;
-  }
-
-  /// Bit k set iff evaluate_fast(task_index, k) would be feasible, for every
-  /// worker k at once. Preconditions: workers_mask_eligible(task_index).
-  [[nodiscard]] std::uint64_t feasible_workers_mask(
-      std::uint32_t task_index) const {
-    return simd::feasible_workers_mask(
-        ce_us_.data(), static_cast<std::uint32_t>(ce_us_.size()),
-        p_us_[task_index], es_us_[task_index], d_us_[task_index], comm_us_,
-        aff_bits_[task_index]);
-  }
+  // -- batched evaluation (sequence-oriented expansion) ----------------------
 
   /// True when feasible_tasks_mask is exact for this whole batch: constant
   /// cut-through communication and no gangs anywhere (the per-word batches
-  /// come off the unassigned bitset, which doesn't know widths). Individual
-  /// tasks must additionally have non-empty affinities — guaranteed by the
-  /// workload layer and asserted in debug builds.
+  /// come off the unassigned bitset, which doesn't know widths).
   [[nodiscard]] bool tasks_mask_eligible() const {
     return cut_through_ && !has_gangs_;
   }
 
-  /// Bit j set iff evaluate_fast(tasks[j], worker) would be feasible.
-  /// `tasks` holds `count` <= 64 unassigned task ids. Preconditions:
-  /// tasks_mask_eligible().
+  /// Bit j set iff evaluate_fast(tasks[j], worker) would be feasible: the
+  /// Fig. 4 test of one worker against a word of candidate tasks,
+  ///   max(ce_w, es) + p + (affinity bit of worker set ? 0 : C) <= d,
+  /// with the same 64-bit arithmetic as evaluate_fast, so the mask equals
+  /// its verdicts bit for bit. `tasks` holds `count` <= 64 unassigned task
+  /// ids. Preconditions: tasks_mask_eligible().
   [[nodiscard]] std::uint64_t feasible_tasks_mask(
       ProcessorId worker, const std::uint32_t* tasks,
       std::uint32_t count) const;
@@ -345,16 +318,12 @@ class PartialSchedule {
 inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
                                            ProcessorId worker,
                                            Assignment& out) const {
-  std::int64_t comm_us;
-  if ((aff_bits_[task_index] >> worker) & 1u) {
-    comm_us = 0;
-  } else if (cut_through_) {
-    // Same contract as Interconnect::comm_cost: a task with no data holder
-    // anywhere is a caller bug.
-    RTDS_REQUIRE(aff_bits_[task_index] != 0,
-                 "comm_cost: task has no data holder");
-    comm_us = comm_us_;
-  } else {
+  // c_lk: 0 on a data holder, else C under cut-through routing (reset()
+  // rejected any task with no data holder). A mask, not a branch: mixed
+  // affinity sets make the holder bit unpredictable.
+  const std::uint64_t remote = ((aff_bits_[task_index] >> worker) & 1u) ^ 1u;
+  std::int64_t comm_us = comm_us_ & -static_cast<std::int64_t>(remote);
+  if (!cut_through_ && remote != 0) {
     comm_us = net_->comm_cost((*batch_)[task_index].affinity, worker).us;
   }
 

@@ -170,5 +170,30 @@ TEST(GreedyTest, ValidatesWindow) {
                rtds::InvalidArgument);
 }
 
+TEST(PhaseAlgorithmTest, TaskWithNoDataHolderIsInvalidArgument) {
+  // A default AffinitySet names no worker holding the task's data. Every
+  // algorithm rejects it up front, whichever path would price the task:
+  // the scalar loop, D-COLS's task-word mask, or (deadline shorter than
+  // the processing time) the bulk charge that evaluates nothing.
+  const std::uint32_t m = 4;
+  const auto net = machine::Interconnect::cut_through(m, msec(2));
+  const SimTime delivery = SimTime::zero() + msec(1);
+  for (const SimTime deadline :
+       {SimTime::zero() + msec(100), delivery + msec(1)}) {
+    const std::vector<Task> batch = {
+        make_task(0, msec(2), SimTime::zero() + msec(50),
+                  AffinitySet::all(m)),
+        make_task(1, msec(2), deadline, AffinitySet{})};
+    for (const char* spec : {"rt_sads", "d_cols", "edf_ff"}) {
+      const auto algo = AlgorithmRegistry::builtin().make(spec);
+      EXPECT_THROW((void)algo->schedule_phase(
+                       batch, std::vector<SimDuration>(m, SimDuration{}),
+                       delivery, net, 100000),
+                   rtds::InvalidArgument)
+          << spec << " deadline " << deadline.us;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rtds::sched

@@ -3,8 +3,7 @@
 // 65535 tasks must schedule correctly — proved bit-identically against the
 // frozen reference engine, which never had the cap (its nodes always
 // carried 32-bit cursors). Also pins the narrow->wide dispatch boundary,
-// bitset word-boundary sizes, and the m=1 / m=64 simd lane-remainder
-// extremes.
+// bitset word-boundary sizes, and the m=1 / m=64 worker-count extremes.
 //
 // The structural limit itself (kMaxBatchTasks) is asserted as a constant:
 // exercising the InvalidArgument path at runtime would need a 2^30-task
@@ -64,8 +63,8 @@ Scenario make_capacity_scenario(Xoshiro256ss& rng, std::uint32_t n,
     if (rng.bernoulli(0.2)) {
       t.earliest_start = SimTime::zero() + usec(rng.uniform_int(0, 4000));
     }
-    // Mixed affinities so the worker-mask kernel sees real bit patterns,
-    // not just all-ones lanes.
+    // Mixed affinities so the Fig. 4 test sees real bit patterns, not
+    // just all-ones affinity words.
     if (rng.bernoulli(0.7)) {
       t.affinity = AffinitySet::all(m);
     } else {
@@ -238,8 +237,9 @@ TEST(SearchCapacityTest, WordBoundarySizesMatchReference) {
 }
 
 TEST(SearchCapacityTest, LaneRemainderExtremesMatchReference) {
-  // m=1 (single lane, pure remainder path) and m=64 (full mask width, zero
-  // remainder): the simd worker-mask sweep at both ends of the lane range.
+  // m=1 and m=64, the ends of the worker range one affinity word covers:
+  // at m=64 the affinity test shifts by up to 63 bits, in evaluate_fast
+  // and in the sequence-oriented task-word kernel alike.
   Xoshiro256ss rng(0x1A4E5ULL);
   SearchConfig assign_dfs;
   SearchConfig seq_dfs;

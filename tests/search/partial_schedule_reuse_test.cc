@@ -58,7 +58,7 @@ void expect_same_assignment(const Assignment& got, const Assignment& want) {
 }
 
 /// Every observable of `got` equals that of `want`: queue offsets, the
-/// bitset scan, per-task verdicts of evaluate(), and both mask kernels.
+/// bitset scan, per-task verdicts of evaluate(), and the task-word kernel.
 void expect_same_state(const PartialSchedule& got, const PartialSchedule& want,
                        std::uint32_t m) {
   ASSERT_EQ(got.batch_size(), want.batch_size());
@@ -81,16 +81,12 @@ void expect_same_state(const PartialSchedule& got, const PartialSchedule& want,
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     ASSERT_EQ(got.assigned(i), want.assigned(i)) << "task " << i;
-    ASSERT_EQ(got.workers_mask_eligible(i), want.workers_mask_eligible(i));
     if (want.assigned(i)) continue;
     for (std::uint32_t k = 0; k < m; ++k) {
       const std::optional<Assignment> g = got.evaluate(i, k);
       const std::optional<Assignment> w = want.evaluate(i, k);
       ASSERT_EQ(g.has_value(), w.has_value()) << "task " << i << " on " << k;
       if (w) expect_same_assignment(*g, *w);
-    }
-    if (want.workers_mask_eligible(i)) {
-      EXPECT_EQ(got.feasible_workers_mask(i), want.feasible_workers_mask(i));
     }
   }
   if (!want.tasks_mask_eligible()) return;
