@@ -1,15 +1,18 @@
 // ABL-BASE — Greedy baselines around the two search schedulers.
 //
-// Not in the paper's figures: situates RT-SADS and D-COLS against
-// non-search dynamic schedulers sharing the same predictive feasibility
-// test — EDF first-fit, EDF best-fit, and a Ramamritham-Stankovic-style
-// myopic window scheduler (the paper cites [6] as the lineage of the
-// sequence-oriented techniques).
+// Not in the paper's figures: situates RT-SADS and D-COLS against cheap
+// dynamic schedulers sharing the same predictive feasibility test — EDF
+// first-fit, EDF best-fit, and a Ramamritham-Stankovic-style myopic window
+// scheduler (the paper cites [6] as the lineage of the sequence-oriented
+// techniques).
 //
-// Expected shape: EDF best-fit is a strong cheap heuristic (it is close to
-// RT-SADS with max_successors=1); RT-SADS's search adds value mainly under
-// low replication where placement conflicts need backtracking; D-COLS
-// trails everything that pays less than ~n vertices per placement.
+// EDF first-fit is RT-SADS with max_successors=1: an assignment-oriented
+// depth-first search that keeps only the first feasible processor in index
+// order never backtracks, and with one successor per level the cost
+// function has nothing to sort. Expected shape: EDF best-fit is a strong
+// cheap heuristic; RT-SADS's search adds value mainly under low replication
+// where placement conflicts need backtracking; D-COLS trails everything
+// that pays less than ~n vertices per placement.
 #include <iostream>
 
 #include "bench_util.h"

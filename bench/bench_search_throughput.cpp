@@ -14,9 +14,9 @@
 // the engine replays such a search from its futile-search record, so its
 // repetitions would not walk the tree. A second sweep is the CAPACITY table: generous-deadline
 // batches at n ∈ {10^5, 10^6} (gated by --capacity-max; 0 skips, the
-// --quick default) walked to a full-depth leaf through the wide node
-// header, reporting vertices/sec plus the memory columns — process peak
-// RSS and the engine's pooled arena/workspace bytes. n = 10^5 is still
+// --quick default) walked to a full-depth leaf, reporting vertices/sec
+// plus the memory columns — process peak RSS and the engine's pooled
+// arena/workspace bytes. n = 10^5 is still
 // verified bit-identical against the reference engine; n = 10^6 (where the
 // reference's per-vertex node heap is the bottleneck) is checked against a
 // from-scratch schedule-invariant oracle instead. Writes the
@@ -210,8 +210,8 @@ std::uint64_t peak_rss_bytes() {
 
 /// Generous-deadline capacity input: every task feasible on every affinity
 /// holder even if one worker absorbed the whole batch, so depth-first
-/// search walks to a full-depth leaf — the shape that exercises the wide
-/// node header and the arena at n >= 10^5 with a predictable vertex count
+/// search walks to a full-depth leaf — the shape that exercises the node
+/// arena at n >= 10^5 with a predictable vertex count
 /// of ~n*m (mirrors tests/search/capacity_test.cc).
 PhaseInput make_capacity_input(std::uint32_t n, std::uint32_t m,
                                std::uint64_t rep) {
@@ -431,13 +431,13 @@ int main(int argc, char** argv) {
   }
   json << "\n  ],\n  \"machine\": " << bench::machine_json() << ",\n";
 
-  // ---- capacity table: wide-header sizes with memory columns ------------
+  // ---- capacity table: 10^5 and 10^6 tasks with memory columns ---------
   // Schedule-preserving by proof at 10^5 (bit-identical to the reference)
   // and by oracle at 10^6 (full invariant re-derivation) — the reference's
   // per-vertex node heap makes a 10^7 vertex replay the memory bottleneck,
   // not the engine under test.
   json << "  \"capacity_max\": " << capacity_max << ",\n  \"capacity\": [\n";
-  std::cout << "\ncapacity sweep (wide-header sizes, --capacity-max "
+  std::cout << "\ncapacity sweep (--capacity-max "
             << capacity_max << ")\n"
             << "cell                            |  vert/s(opt) | ns/v(opt) | "
                "peak_rss | workspace\n"

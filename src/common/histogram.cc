@@ -1,8 +1,6 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 namespace rtds {
 
@@ -50,35 +48,6 @@ double Histogram::quantile(double q) const {
   }
   // Remaining mass is overflow: everything >= hi_ is reported as hi_.
   return hi_;
-}
-
-std::string Histogram::render(std::size_t max_bar) const {
-  std::uint64_t peak = std::max<std::uint64_t>(
-      {underflow_, overflow_,
-       buckets_.empty() ? 0
-                        : *std::max_element(buckets_.begin(),
-                                            buckets_.end())});
-  if (peak == 0) peak = 1;
-  std::ostringstream os;
-  const auto bar = [&](std::uint64_t c) {
-    return std::string(std::size_t(std::llround(
-                           double(c) / double(peak) * double(max_bar))),
-                       '#');
-  };
-  if (underflow_ > 0) {
-    os << "  < " << lo_ << ": " << underflow_ << " " << bar(underflow_)
-       << "\n";
-  }
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    os << "  [" << bucket_lo(i) << ", " << bucket_hi(i) << "): "
-       << buckets_[i] << " " << bar(buckets_[i]) << "\n";
-  }
-  if (overflow_ > 0) {
-    os << " >= " << hi_ << ": " << overflow_ << " " << bar(overflow_)
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace rtds

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -41,9 +40,6 @@ class Histogram {
   /// empty leading/trailing bucket runs never distort the extremes.
   /// Requires a non-empty histogram.
   [[nodiscard]] double quantile(double q) const;
-
-  /// Compact one-line-per-nonempty-bucket rendering with `#` bars.
-  [[nodiscard]] std::string render(std::size_t max_bar = 40) const;
 
  private:
   double lo_;

@@ -88,10 +88,6 @@ SearchResult GreedyAlgorithm::schedule_phase(
       for (std::uint32_t k = 0; k < m; ++k) {
         if (!charge()) break;
         if (auto a = ps.evaluate(i, k)) {
-          if (kind_ == GreedyKind::kEdfFirstFit) {
-            best = *a;
-            break;
-          }
           if (!best || a->end_offset < best->end_offset) best = *a;
         }
       }

@@ -5,10 +5,11 @@
 // charged against Q_s(j). Implementations:
 //   * TreeSearchAlgorithm — wraps search::SearchEngine; this is RT-SADS
 //     (assignment-oriented) and D-COLS (sequence-oriented) depending on the
-//     SearchConfig;
+//     SearchConfig, and the EDF first-fit baseline, which is the
+//     assignment-oriented depth-first search with one successor per level;
 //   * GreedyAlgorithm — non-search baselines used to situate the two
-//     search schedulers: EDF first-fit, EDF best-fit, and a myopic
-//     window scheduler à la Ramamritham-Stankovic ([6] in the paper).
+//     search schedulers: EDF best-fit and a myopic window scheduler à la
+//     Ramamritham-Stankovic ([6] in the paper).
 // All algorithms apply the SAME predictive feasibility test (Fig. 4), so
 // the correction theorem (scheduled tasks never miss deadlines) holds for
 // every baseline.
@@ -52,7 +53,8 @@ class PhaseAlgorithm {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Tree-search scheduler (RT-SADS / D-COLS, per the SearchConfig).
+/// Tree-search scheduler (RT-SADS / D-COLS / EDF first-fit, per the
+/// SearchConfig).
 class TreeSearchAlgorithm final : public PhaseAlgorithm {
  public:
   TreeSearchAlgorithm(std::string name, search::SearchConfig config);
@@ -75,7 +77,6 @@ class TreeSearchAlgorithm final : public PhaseAlgorithm {
 
 /// Non-search greedy baselines.
 enum class GreedyKind {
-  kEdfFirstFit,  ///< EDF task order; first feasible processor in index order
   kEdfBestFit,   ///< EDF task order; feasible processor with earliest finish
   kMyopic,       ///< among the W earliest-deadline pending tasks, pick the
                  ///< (task, processor) pair with the earliest finish
@@ -83,8 +84,8 @@ enum class GreedyKind {
 
 class GreedyAlgorithm final : public PhaseAlgorithm {
  public:
-  /// `window` is the myopic feasibility-window size W (ignored by the EDF
-  /// variants). The registry passes the canonical spec as `name`, so
+  /// `window` is the myopic feasibility-window size W (ignored by EDF
+  /// best-fit). The registry passes the canonical spec as `name`, so
   /// name() round-trips.
   GreedyAlgorithm(std::string name, GreedyKind kind, std::uint32_t window = 5);
 

@@ -279,10 +279,17 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
                                                           cfg);
            });
 
-    r->add("edf_ff", "greedy EDF first-fit baseline",
+    r->add("edf_ff", "EDF first-fit baseline (one-successor tree search)",
            [](AlgorithmParams& p) -> std::unique_ptr<PhaseAlgorithm> {
-             return std::make_unique<GreedyAlgorithm>(
-                 p.canonical_name(), GreedyKind::kEdfFirstFit);
+             SearchConfig cfg;
+             cfg.representation = Representation::kAssignmentOriented;
+             cfg.strategy = SearchStrategy::kDepthFirst;
+             cfg.task_order = TaskOrder::kEarliestDeadline;
+             cfg.use_load_balance_cost = false;
+             cfg.processor_order = ProcessorOrder::kIndexOrder;
+             cfg.max_successors = 1;
+             return std::make_unique<TreeSearchAlgorithm>(p.canonical_name(),
+                                                          cfg);
            });
 
     r->add("edf_bf", "greedy EDF best-fit baseline",

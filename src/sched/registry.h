@@ -24,7 +24,9 @@
 //   d_cols     sequence-oriented tree search (Sec. 5.2); params
 //              max_successors=N (0 = unlimited pruning cap),
 //              level_order=round_robin|least_loaded
-//   edf_ff     greedy EDF first-fit baseline
+//   edf_ff     EDF first-fit baseline: the assignment-oriented depth-first
+//              search with one successor per level (first feasible
+//              processor in index order), no cost function
 //   edf_bf     greedy EDF best-fit baseline
 //   myopic     Ramamritham-Stankovic window scheduler; param window=W
 //   packing    first-fit/best-fit packing partitioned scheduler

@@ -23,7 +23,7 @@ namespace {
 /// significant component is the branch index or worker id, unique per
 /// candidate), so any comparison sort produces the historical stable_sort
 /// permutation. The successor's Assignment is built only if the search
-/// enters it (run_impl's switch_to).
+/// enters it (SearchEngine::run's switch_to).
 struct Candidate {
   std::int64_t key1{0};
   std::int64_t key2{0};
@@ -94,16 +94,15 @@ inline Candidate make_candidate(const SearchConfig& config,
   return c;
 }
 
-/// One expansion of the vertex `ps` currently ends at. Appends the sorted
-/// feasible successors to `out` and returns the order cursor children
-/// inherit. `level_order` and `task_ids` are caller-owned scratch (reused
-/// across calls; task_ids holds the lanes of the task-word kernel).
+/// One expansion of the vertex `ps` currently ends at. Fills `out` with the
+/// sorted feasible successors. `level_order` and `task_ids` are
+/// caller-owned scratch (reused across calls; task_ids holds the lanes of
+/// the task-word kernel).
 ///
 /// This is the exact budget-interleaved successor generation: every
 /// generated vertex (feasible or not) charges the budget, unplaceable tasks
 /// charge min(m, budget_left) in bulk, mid-loop budget death sets
-/// budget_exhausted, max_successors caps the group, and the returned order
-/// cursor is what children inherit (assignment-oriented only).
+/// budget_exhausted, and max_successors caps the group.
 ///
 /// An assignment-oriented expansion either bulk-charges a task no worker
 /// can take or evaluates it on each worker with evaluate_fast. A
@@ -113,28 +112,24 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// is tasks_mask_eligible, no max_successors cap applies and budget_left
 /// covers the word's popcount. Outside those gates the scalar loop runs, so
 /// SearchResults are bit-identical either way.
-inline std::uint32_t expand_vertex(const SearchConfig& config,
-                                   PartialSchedule& ps,
-                                   std::uint32_t m, std::uint32_t cursor,
-                                   std::uint64_t& budget_left,
-                                   SearchStats& stats,
-                                   std::vector<Candidate>& out,
-                                   std::vector<ProcessorId>& level_order,
-                                   std::vector<std::uint32_t>& task_ids) {
+inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
+                          std::uint32_t m, std::uint64_t& budget_left,
+                          SearchStats& stats, std::vector<Candidate>& out,
+                          std::vector<ProcessorId>& level_order,
+                          std::vector<std::uint32_t>& task_ids) {
   ++stats.expansions;
   out.clear();
   const std::uint32_t n = ps.batch_size();
   const std::uint32_t depth = ps.depth();
-  if (config.max_depth != 0 && depth >= config.max_depth) {
-    return cursor;  // depth-pruned: no successors
-  }
 
   if (config.representation == Representation::kAssignmentOriented) {
     // Select the next task by the (static) task-order heuristic, branch
     // over every processor (Fig. 2). Tasks with no feasible placement
     // are skipped (see SearchConfig::skip_unplaceable_tasks) — their
-    // infeasibility holds for the whole subtree, so children resume the
-    // scan at the cursor this expansion returns.
+    // infeasibility holds for the whole subtree. So the scan resumes at
+    // the position of the task this vertex assigned: the expansion that
+    // generated it stopped at the first task with a feasible successor,
+    // and every task before it is assigned on this path or unplaceable.
     //
     // Queue offsets are fixed during one expansion, so min_ce is hoisted
     // and feeds the bulk lower-bound test: when even the least-loaded
@@ -142,7 +137,8 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
     // and the budget is charged in one step (identical accounting to
     // evaluating each) without touching the queues.
     const SimDuration lo = ps.min_ce();
-    std::uint32_t scan = cursor;
+    std::uint32_t scan =
+        depth == 0 ? 0 : ps.pos_of(ps.path().back().task_index);
     while (scan < n) {
       // Find the next unassigned task at or after `scan`.
       scan = ps.first_unassigned_at_or_after(scan);
@@ -177,7 +173,6 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
       }
       ++scan;  // task unplaceable in this whole subtree: skip it
     }
-    cursor = scan;
   } else {
     // Select the level's processor (round-robin per Fig. 1, or the
     // least-loaded-first heuristic the paper allows), branch over every
@@ -280,45 +275,22 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
   }
 
   sort_candidates(out);
-  return cursor;
 }
 
 /// A generated vertex kept in the search arena: the (task, worker) pair it
 /// adds to its parent's path, not its Assignment, which switch_to evaluates
-/// when the search enters the vertex. Narrow header: depth and cursor pack
-/// into 16 bits each, so a node is 16 bytes. Selected for batches up to
-/// 65535 tasks — every realistic phase batch.
-struct NodeNarrow {
-  using DepthType = std::uint16_t;
-  /// Largest batch this header can index (depth/cursor saturate at 16 bits).
-  static constexpr std::uint32_t kMaxTasks = 65535;
+/// when the search enters the vertex. 32-bit fields serve every batch up to
+/// kMaxBatchTasks.
+struct Node {
   std::int32_t parent{-1};  ///< arena index, or -1 for children of the root
-  std::uint16_t depth{0};   ///< number of assignments on the path to here
-  /// Assignment-oriented task-scan resume point: tasks before this position
-  /// in the consideration order are either assigned on this path or were
-  /// proven unplaceable at an ancestor (and stay so, since queue offsets
-  /// only grow along a path).
-  std::uint16_t order_cursor{0};
+  std::uint32_t depth{0};   ///< number of assignments on the path to here
   std::uint32_t task{0};
   ProcessorId worker{0};
 };
 
-/// Wide header for batches above 65535 tasks: depth and cursor widen to 32
-/// bits (20-byte node). Same semantics as NodeNarrow; the engine body is
-/// templated over the two.
-struct NodeWide {
-  using DepthType = std::uint32_t;
-  std::int32_t parent{-1};
-  std::uint32_t depth{0};
-  std::uint32_t order_cursor{0};
-  std::uint32_t task{0};
-  ProcessorId worker{0};
-};
+static_assert(sizeof(Node) == 16);
 
-static_assert(sizeof(NodeNarrow) == 16);
-static_assert(sizeof(NodeWide) == 20);
-
-/// Bound retained between runs by each node arena, the search snapshot and
+/// Bound retained between runs by the node arena, the search snapshot and
 /// each scratch buffer: a million-task run can legitimately grow the arena
 /// and the candidate list to hundreds of MB each, which must not stay
 /// captive on a long-lived backend thread once the phase is over.
@@ -335,7 +307,6 @@ bool trim(std::vector<T>& v) {
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
 /// a million-node run does not copy its nodes while it grows, and clear()
 /// retains the chunks for the next run (steady-state allocation-free).
-template <typename NodeT>
 class NodeArena {
  public:
   static constexpr std::uint32_t kChunkShift = 14;  // 16384 nodes per chunk
@@ -344,26 +315,26 @@ class NodeArena {
   [[nodiscard]] std::size_t size() const { return size_; }
   void clear() { size_ = 0; }
 
-  NodeT& emplace_back() {
+  Node& emplace_back() {
     // Arena indices travel as int32 (node ids, CL entries).
     RTDS_REQUIRE(size_ < (std::size_t{1} << 31),
                  "SearchEngine: node arena above 2^31 nodes");
     const std::size_t c = size_ >> kChunkShift;
     if (c == chunks_.size()) {
-      chunks_.push_back(std::make_unique<NodeT[]>(kChunkNodes));
+      chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
     }
     return chunks_[c][size_++ & (kChunkNodes - 1)];
   }
 
-  [[nodiscard]] NodeT& operator[](std::size_t i) {
+  [[nodiscard]] Node& operator[](std::size_t i) {
     return chunks_[i >> kChunkShift][i & (kChunkNodes - 1)];
   }
-  [[nodiscard]] const NodeT& operator[](std::size_t i) const {
+  [[nodiscard]] const Node& operator[](std::size_t i) const {
     return chunks_[i >> kChunkShift][i & (kChunkNodes - 1)];
   }
 
   [[nodiscard]] std::size_t capacity_bytes() const {
-    return chunks_.size() * (std::size_t{kChunkNodes} * sizeof(NodeT));
+    return chunks_.size() * (std::size_t{kChunkNodes} * sizeof(Node));
   }
 
   /// Drops pooled chunks until at most `max_bytes` stay resident. Only
@@ -376,7 +347,7 @@ class NodeArena {
   }
 
  private:
-  std::vector<std::unique_ptr<NodeT[]>> chunks_;
+  std::vector<std::unique_ptr<Node[]>> chunks_;
   std::size_t size_{0};
 };
 
@@ -487,8 +458,8 @@ struct FutileRecord {
 
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
-/// largest batch seen (capacity is retained by clear()/reset(); arenas pool
-/// their chunks; everything is trimmed to kRetainBytes after a run).
+/// largest batch seen (capacity is retained by clear()/reset(); the arena
+/// pools its chunks; everything is trimmed to kRetainBytes after a run).
 /// thread_local keeps the engine safely shareable across backend threads.
 struct Workspace {
   /// The consideration order of the snapshot's root under `order_kind`.
@@ -504,8 +475,7 @@ struct Workspace {
   std::vector<std::uint32_t> order_scratch;
   /// The search snapshot, reset() for every run (constructed by the first).
   std::optional<PartialSchedule> schedule;
-  NodeArena<NodeNarrow> narrow;
-  NodeArena<NodeWide> wide;
+  NodeArena nodes;
   std::vector<Candidate> candidates;
   std::vector<std::int32_t> cl_stack;
   std::vector<CandidateList::Entry> cl_heap;
@@ -525,7 +495,7 @@ Workspace& workspace() {
 
 std::size_t workspace_bytes(const Workspace& ws) {
   const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-  return ws.narrow.capacity_bytes() + ws.wide.capacity_bytes() +
+  return ws.nodes.capacity_bytes() +
          (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
          bytes(ws.order) + bytes(ws.order_keys) + bytes(ws.order_scratch) +
          bytes(ws.candidates) + bytes(ws.cl_stack) + bytes(ws.cl_heap) +
@@ -680,173 +650,6 @@ bool replay_futile(Workspace& ws, const SearchConfig& config,
   return true;
 }
 
-template <typename NodeT>
-SearchResult run_impl(const SearchConfig& config,
-                      const std::vector<Task>& batch,
-                      const std::vector<SimDuration>& base_loads,
-                      SimTime delivery_time, const machine::Interconnect& net,
-                      std::uint64_t vertex_budget, Workspace& ws,
-                      NodeArena<NodeT>& arena) {
-  SearchResult result;
-  const std::uint32_t m = net.num_workers();
-  // The snapshot is about to take a new root; the record it held goes.
-  ws.futile.net.reset();
-
-  // kBatchOrder is the identity permutation, and so is any order of one
-  // task: skip building (and chasing) the index vector entirely.
-  const bool identity =
-      config.task_order == TaskOrder::kBatchOrder || batch.size() == 1;
-  if (identity) {
-    ws.order_kind.reset();
-    ws.order_builds.identity += 1;
-  } else {
-    build_order(ws, batch, config.task_order);
-  }
-
-  if (ws.schedule) {
-    ws.schedule->reset(&batch, base_loads, delivery_time, &net);
-  } else {
-    ws.schedule.emplace(&batch, base_loads, delivery_time, &net);
-  }
-  PartialSchedule& ps = *ws.schedule;
-  ps.set_consideration_order(identity ? nullptr : ws.order.data());
-  if (!identity) ws.order_kind = config.task_order;
-
-  arena.clear();
-  CandidateList cl(config.strategy, ws.cl_stack, ws.cl_heap);
-
-  SearchStats& stats = result.stats;
-  std::uint64_t budget_left = vertex_budget;
-
-  std::int32_t current = -1;  // arena index of the vertex CPS ends at
-  std::int32_t best_node = -1;
-  std::uint32_t best_depth = 0;
-  SimDuration best_ce = SimDuration::max();
-
-  const auto node_depth = [&](std::int32_t id) -> std::uint32_t {
-    return id < 0 ? 0u : arena[std::size_t(id)].depth;
-  };
-
-  // Expands the current vertex (expand_vertex above): charges the budget,
-  // collects sorted feasible successors, then registers them in the arena
-  // and pushes them onto CL best-on-top.
-  std::vector<Candidate>& candidates = ws.candidates;
-  const auto expand_current = [&](std::uint32_t cursor) {
-    cursor = expand_vertex(config, ps, m, cursor, budget_left, stats,
-                           candidates, ws.level_order, ws.task_ids);
-    // Push worst-first so the best candidate ends on top of the stack
-    // (front of CL).
-    const auto depth = static_cast<typename NodeT::DepthType>(ps.depth() + 1);
-    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      NodeT& node = arena.emplace_back();
-      node.parent = current;
-      node.depth = depth;
-      node.order_cursor = static_cast<typename NodeT::DepthType>(cursor);
-      node.task = it->task;
-      node.worker = it->worker;
-      cl.push(*it, static_cast<std::int32_t>(arena.size() - 1));
-    }
-  };
-
-  // Switches CPS from `current` to arena vertex `target` (-1: the root) via
-  // their lowest common ancestor, then enters the vertices from there down
-  // to `target`: each is evaluated once its parent is pushed, the state it
-  // was generated in.
-  std::vector<std::int32_t>& chain = ws.chain;
-  const auto switch_to = [&](std::int32_t target) {
-    chain.clear();
-    std::int32_t a = current;
-    std::int32_t b = target;
-    while (node_depth(b) > node_depth(a)) {
-      chain.push_back(b);
-      b = arena[std::size_t(b)].parent;
-    }
-    while (node_depth(a) > node_depth(b)) {
-      ps.pop();
-      a = arena[std::size_t(a)].parent;
-    }
-    while (a != b) {
-      ps.pop();
-      a = arena[std::size_t(a)].parent;
-      chain.push_back(b);
-      b = arena[std::size_t(b)].parent;
-    }
-    Assignment entered;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const NodeT& node = arena[std::size_t(*it)];
-      const bool ok = ps.evaluate_fast(node.task, node.worker, entered);
-      RTDS_ASSERT(ok);
-      (void)ok;
-      ps.push(entered);
-    }
-    current = target;
-  };
-
-  while (true) {
-    if (budget_left == 0) {
-      stats.budget_exhausted = true;
-      break;
-    }
-    expand_current(current < 0 ? 0u
-                               : arena[std::size_t(current)].order_cursor);
-    if (cl.empty()) {
-      if (!ps.complete()) stats.dead_end = true;
-      break;
-    }
-    const std::int32_t next = cl.pop();
-    if (arena[std::size_t(next)].parent != current) ++stats.backtracks;
-    switch_to(next);
-
-    if (ps.depth() > stats.max_depth) stats.max_depth = ps.depth();
-    const bool deeper = ps.depth() > best_depth;
-    const bool same_depth_better =
-        ps.depth() == best_depth && ps.max_ce() < best_ce;
-    if (best_node == -1 || deeper || same_depth_better) {
-      best_node = current;
-      best_depth = ps.depth();
-      best_ce = ps.max_ce();
-    }
-
-    if (ps.complete()) {
-      stats.reached_leaf = true;
-      break;
-    }
-  }
-
-  // Choose the returned path: the deepest (then best-balanced) vertex seen,
-  // or the vertex where the search stopped. CPS moves there and its path is
-  // copied out once at its exact length: the run's only allocation, and an
-  // empty one allocates nothing.
-  switch_to(config.return_deepest ? best_node : current);
-  result.schedule.assign(ps.path().begin(), ps.path().end());
-
-  ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
-  arena.trim(kRetainBytes);
-  if (trim(ws.order)) ws.order_kind.reset();
-  trim(ws.order_keys);
-  trim(ws.order_scratch);
-  trim(ws.candidates);
-  trim(ws.cl_stack);
-  trim(ws.cl_heap);
-  trim(ws.level_order);
-  trim(ws.task_ids);
-  trim(ws.chain);
-  // Same retention bound for the snapshot (a million-task batch sizes it
-  // at ~100 MB). The order's keys go with it.
-  if (ps.footprint_bytes() > kRetainBytes) {
-    ws.schedule.reset();
-    ws.order_kind.reset();
-  } else if (result.schedule.empty() && !stats.budget_exhausted &&
-             root_candidates_fixed(config)) {
-    // The root had no feasible successor, and the budget did not cut its
-    // expansion short: keep the run for replay_futile.
-    ws.futile.net.emplace(net);
-    ws.futile.config = config;
-    ws.futile.stats = stats;
-  }
-  return result;
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> task_consideration_order(
@@ -888,12 +691,161 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
                     vertex_budget, result.stats)) {
     return result;
   }
-  if (batch.size() <= NodeNarrow::kMaxTasks) {
-    return run_impl<NodeNarrow>(config_, batch, base_loads, delivery_time,
-                                net, vertex_budget, ws, ws.narrow);
+  const std::uint32_t m = net.num_workers();
+  // The snapshot is about to take a new root; the record it held goes.
+  ws.futile.net.reset();
+
+  // kBatchOrder is the identity permutation, and so is any order of one
+  // task: skip building (and chasing) the index vector entirely.
+  const bool identity =
+      config_.task_order == TaskOrder::kBatchOrder || batch.size() == 1;
+  if (identity) {
+    ws.order_kind.reset();
+    ws.order_builds.identity += 1;
+  } else {
+    build_order(ws, batch, config_.task_order);
   }
-  return run_impl<NodeWide>(config_, batch, base_loads, delivery_time, net,
-                            vertex_budget, ws, ws.wide);
+
+  if (ws.schedule) {
+    ws.schedule->reset(&batch, base_loads, delivery_time, &net);
+  } else {
+    ws.schedule.emplace(&batch, base_loads, delivery_time, &net);
+  }
+  PartialSchedule& ps = *ws.schedule;
+  ps.set_consideration_order(identity ? nullptr : ws.order.data());
+  if (!identity) ws.order_kind = config_.task_order;
+
+  NodeArena& arena = ws.nodes;
+  arena.clear();
+  CandidateList cl(config_.strategy, ws.cl_stack, ws.cl_heap);
+
+  SearchStats& stats = result.stats;
+  std::uint64_t budget_left = vertex_budget;
+
+  std::int32_t current = -1;  // arena index of the vertex CPS ends at
+  std::int32_t best_node = -1;
+  std::uint32_t best_depth = 0;
+  SimDuration best_ce = SimDuration::max();
+
+  const auto node_depth = [&](std::int32_t id) -> std::uint32_t {
+    return id < 0 ? 0u : arena[std::size_t(id)].depth;
+  };
+
+  // Expands the current vertex (expand_vertex above): charges the budget,
+  // collects sorted feasible successors, then registers them in the arena
+  // and pushes them onto CL best-on-top.
+  std::vector<Candidate>& candidates = ws.candidates;
+  const auto expand_current = [&] {
+    expand_vertex(config_, ps, m, budget_left, stats, candidates,
+                  ws.level_order, ws.task_ids);
+    // Push worst-first so the best candidate ends on top of the stack
+    // (front of CL).
+    const std::uint32_t depth = ps.depth() + 1;
+    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+      Node& node = arena.emplace_back();
+      node.parent = current;
+      node.depth = depth;
+      node.task = it->task;
+      node.worker = it->worker;
+      cl.push(*it, static_cast<std::int32_t>(arena.size() - 1));
+    }
+  };
+
+  // Switches CPS from `current` to arena vertex `target` (-1: the root) via
+  // their lowest common ancestor, then enters the vertices from there down
+  // to `target`: each is evaluated once its parent is pushed, the state it
+  // was generated in.
+  std::vector<std::int32_t>& chain = ws.chain;
+  const auto switch_to = [&](std::int32_t target) {
+    chain.clear();
+    std::int32_t a = current;
+    std::int32_t b = target;
+    while (node_depth(b) > node_depth(a)) {
+      chain.push_back(b);
+      b = arena[std::size_t(b)].parent;
+    }
+    while (node_depth(a) > node_depth(b)) {
+      ps.pop();
+      a = arena[std::size_t(a)].parent;
+    }
+    while (a != b) {
+      ps.pop();
+      a = arena[std::size_t(a)].parent;
+      chain.push_back(b);
+      b = arena[std::size_t(b)].parent;
+    }
+    Assignment entered;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const Node& node = arena[std::size_t(*it)];
+      const bool ok = ps.evaluate_fast(node.task, node.worker, entered);
+      RTDS_ASSERT(ok);
+      (void)ok;
+      ps.push(entered);
+    }
+    current = target;
+  };
+
+  while (true) {
+    if (budget_left == 0) {
+      stats.budget_exhausted = true;
+      break;
+    }
+    expand_current();
+    if (cl.empty()) {
+      if (!ps.complete()) stats.dead_end = true;
+      break;
+    }
+    const std::int32_t next = cl.pop();
+    if (arena[std::size_t(next)].parent != current) ++stats.backtracks;
+    switch_to(next);
+
+    if (ps.depth() > stats.max_depth) stats.max_depth = ps.depth();
+    const bool deeper = ps.depth() > best_depth;
+    const bool same_depth_better =
+        ps.depth() == best_depth && ps.max_ce() < best_ce;
+    if (best_node == -1 || deeper || same_depth_better) {
+      best_node = current;
+      best_depth = ps.depth();
+      best_ce = ps.max_ce();
+    }
+
+    if (ps.complete()) {
+      stats.reached_leaf = true;
+      break;
+    }
+  }
+
+  // Return the deepest (then best-balanced) vertex seen: CPS moves there
+  // and its path is copied out once at its exact length — the run's only
+  // allocation, and an empty one allocates nothing.
+  switch_to(best_node);
+  result.schedule.assign(ps.path().begin(), ps.path().end());
+
+  ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
+  arena.trim(kRetainBytes);
+  if (trim(ws.order)) ws.order_kind.reset();
+  trim(ws.order_keys);
+  trim(ws.order_scratch);
+  trim(ws.candidates);
+  trim(ws.cl_stack);
+  trim(ws.cl_heap);
+  trim(ws.level_order);
+  trim(ws.task_ids);
+  trim(ws.chain);
+  // Same retention bound for the snapshot (a million-task batch sizes it
+  // at ~100 MB). The order's keys go with it.
+  if (ps.footprint_bytes() > kRetainBytes) {
+    ws.schedule.reset();
+    ws.order_kind.reset();
+  } else if (result.schedule.empty() && !stats.budget_exhausted &&
+             root_candidates_fixed(config_)) {
+    // The root had no feasible successor, and the budget did not cut its
+    // expansion short: keep the run for replay_futile.
+    ws.futile.net.emplace(net);
+    ws.futile.config = config_;
+    ws.futile.stats = stats;
+  }
+  return result;
 }
 
 }  // namespace rtds::search

@@ -94,11 +94,12 @@ struct SearchConfig {
   /// (sequence-oriented) alone decides.
   bool use_load_balance_cost{true};
 
-  /// Pruning heuristics the paper lists for dynamic algorithms (Sec. 3):
-  /// a cap on successors generated per expansion (0 = unlimited) and a cap
-  /// on search depth (0 = unlimited).
+  /// Pruning heuristic the paper lists for dynamic algorithms (Sec. 3): a
+  /// cap on successors generated per expansion (0 = unlimited). With 1, an
+  /// assignment-oriented depth-first search in EDF order is EDF first-fit
+  /// (the `edf_ff` baseline): it keeps the first feasible processor in
+  /// index order and never backtracks.
   std::uint32_t max_successors{0};
-  std::uint32_t max_depth{0};
 
   /// Assignment-oriented only. When true (default), a task whose every
   /// processor placement is infeasible at the current vertex is skipped and
@@ -124,12 +125,6 @@ struct SearchConfig {
   /// Disable for the strict round-robin reading (ablation ABL-H).
   bool skip_saturated_processors{true};
 
-  /// When true (default), the engine returns the deepest feasible path seen
-  /// during the search; when false it returns the current path at
-  /// termination (strict reading of the paper). Deeper = more tasks
-  /// scheduled this phase.
-  bool return_deepest{true};
-
   bool operator==(const SearchConfig&) const = default;
 };
 
@@ -152,16 +147,15 @@ struct SearchResult {
 };
 
 /// Hard structural ceiling on one phase batch, checked with InvalidArgument
-/// (it bounds the 32-bit depth/cursor fields of the wide node; the narrow
-/// node's 16-bit fields are selected automatically below 65536 tasks —
+/// (it bounds the 32-bit depth and task fields of the 16-byte search node —
 /// docs/ARCHITECTURE.md, "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bytes currently retained by the calling thread's search workspace: the
-/// pooled narrow/wide node arenas, the reused PartialSchedule snapshot, and
-/// every scratch buffer (consideration order and its sort buffers,
-/// candidates, the depth-first CL's id stack and the best-first CL's heap,
-/// level order, task ids, LCA chain). Each of them is held to 64 MB between
+/// pooled node arena, the reused PartialSchedule snapshot, and every
+/// scratch buffer (consideration order and its sort buffers, candidates,
+/// the depth-first CL's id stack and the best-first CL's heap, level
+/// order, task ids, LCA chain). Each of them is held to 64 MB between
 /// runs. For the bench memory column; cheap enough to call between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
@@ -199,19 +193,21 @@ class SearchEngine {
   /// Runs one scheduling phase's search.
   ///
   /// `batch`          — snapshot of Batch(j) (tasks to schedule); at most
-  ///                    kMaxBatchTasks tasks (InvalidArgument beyond).
-  ///                    Batches up to 65535 tasks use the packed 16-byte
-  ///                    node; larger ones promote to the 20-byte wide node
-  ///                    automatically;
+  ///                    kMaxBatchTasks tasks (InvalidArgument beyond);
   /// `base_loads`     — per-worker residual load at delivery time,
   ///                    max(0, Load_k(j-1) - Q_s(j));
   /// `delivery_time`  — t_s + Q_s(j);
   /// `net`            — interconnect pricing c_lk;
   /// `vertex_budget`  — maximum number of vertices to generate (>= 1).
   ///
+  /// Returns the path to the deepest vertex the search entered (more tasks
+  /// scheduled this phase) and, among equally deep ones, the first entered
+  /// with the lowest CE — whether the search stopped at a leaf, a dead end
+  /// or the budget.
+  ///
   /// Thread-safe: per-thread scratch buffers are reused across calls — the
   /// PartialSchedule snapshot, the consideration order and its sort
-  /// buffers, the candidate list, and node arenas that grow in pooled
+  /// buffers, the candidate list, and a node arena that grows in pooled
   /// chunks. Once they have grown to the largest batch seen, a run's only
   /// heap allocation is the returned schedule: the chosen vertex's path,
   /// copied out of the snapshot at its exact length (none when it is

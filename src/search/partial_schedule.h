@@ -146,8 +146,7 @@ class PartialSchedule {
   }
   [[nodiscard]] bool complete() const { return depth() == batch_size(); }
   [[nodiscard]] bool assigned(std::uint32_t task_index) const {
-    const std::uint32_t pos =
-        pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
+    const std::uint32_t pos = pos_of(task_index);
     return ((unassigned_[pos >> 6] >> (pos & 63)) & 1u) == 0;
   }
   [[nodiscard]] SimTime delivery_time() const { return delivery_time_; }
@@ -160,6 +159,11 @@ class PartialSchedule {
   /// Task index at consideration-order position `pos`.
   [[nodiscard]] std::uint32_t task_at(std::uint32_t pos) const {
     return order_ == nullptr ? pos : order_[pos];
+  }
+
+  /// Consideration-order position of task `task_index` (task_at's inverse).
+  [[nodiscard]] std::uint32_t pos_of(std::uint32_t task_index) const {
+    return pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
   }
 
   /// Raw unassigned bitset (bit = consideration-order position), for
@@ -277,9 +281,6 @@ class PartialSchedule {
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  [[nodiscard]] std::uint32_t pos_of(std::uint32_t task_index) const {
-    return pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
-  }
   /// max(0, earliest_start - delivery_time_), the es_us_ entry of `t`.
   [[nodiscard]] std::int64_t es_off_us(const Task& t) const {
     return t.earliest_start > delivery_time_

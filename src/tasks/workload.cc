@@ -141,14 +141,4 @@ std::vector<Task> generate_workload(const WorkloadConfig& cfg,
   return out;
 }
 
-std::vector<Task> arrivals_in_window(const std::vector<Task>& sorted_tasks,
-                                     SimTime from, SimTime to) {
-  std::vector<Task> out;
-  for (const Task& t : sorted_tasks) {
-    if (t.arrival >= from && t.arrival < to) out.push_back(t);
-    if (t.arrival >= to) break;
-  }
-  return out;
-}
-
 }  // namespace rtds::tasks

@@ -108,10 +108,4 @@ Task draw_task_body(const WorkloadConfig& cfg, TaskId id, SimTime arrival,
 /// open-arrival sources.
 void validate_task_body_config(const WorkloadConfig& cfg);
 
-/// Splits a workload (sorted by arrival) into the sub-vector of tasks with
-/// arrival in the half-open window [from, to). Used by the phase loop to
-/// collect arrivals during a scheduling phase.
-std::vector<Task> arrivals_in_window(const std::vector<Task>& sorted_tasks,
-                                     SimTime from, SimTime to);
-
 }  // namespace rtds::tasks

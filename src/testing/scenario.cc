@@ -364,9 +364,9 @@ Scenario generate_scenario(std::uint64_t base_seed, std::uint64_t index) {
 
   // -- big-batch capacity slice ----------------------------------------------
   // A thin slice (~0.4%) of the sweep pushes one burst of 65536..200000
-  // tasks through the wide-header search path, keeping the lifted task cap
-  // continuously enrolled in the oracles without dominating CI time. Drawn
-  // last so replaying any pre-capacity scenario shape is unaffected by the
+  // tasks through the search, keeping the lifted task cap continuously
+  // enrolled in the oracles without dominating CI time. Drawn last so
+  // replaying any pre-capacity scenario shape is unaffected by the
   // profile's redraws.
   if (rng.bernoulli(0.004)) {
     apply_big_batch_profile(s, rng);
@@ -377,7 +377,7 @@ Scenario generate_scenario(std::uint64_t base_seed, std::uint64_t index) {
 void apply_big_batch_profile(Scenario& s, Xoshiro256ss& rng) {
   s.big_batch = 1;
   // One closed burst at t=0: all tasks land in a single phase batch, the
-  // shape that forces the engine onto the wide node header.
+  // shape that takes the search's node depths past 16 bits.
   s.num_tasks =
       static_cast<std::uint32_t>(rng.uniform_int(65'536, 200'000));
   s.arrival_kind = kArrivalBursty;

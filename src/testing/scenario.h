@@ -134,8 +134,8 @@ struct Scenario {
 
   // -- capacity (rtds5) ------------------------------------------------------
   /// Big-batch capacity dial: 1 marks a scenario drawn from (or forced
-  /// into) the capacity profile — one closed burst of 65536..200000 tasks
-  /// through the wide-header search path (DES only, single shard, no
+  /// into) the capacity profile — one closed burst of 65536..200000 tasks,
+  /// past any 16-bit depth, through the search (DES only, single shard, no
   /// gangs/releases/faults, generous laxity so the batch is schedulable).
   /// The flag itself is informational; the profile lives in the field
   /// overrides apply_big_batch_profile() makes.

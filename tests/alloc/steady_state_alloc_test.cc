@@ -347,8 +347,9 @@ TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
   const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
   const auto best_first =
       sched::AlgorithmRegistry::builtin().make("search?strategy=best");
+  const auto edf_ff = sched::AlgorithmRegistry::builtin().make("edf_ff");
   for (const sched::PhaseAlgorithm* algorithm :
-       {rt_sads.get(), d_cols.get(), best_first.get()}) {
+       {rt_sads.get(), d_cols.get(), best_first.get(), edf_ff.get()}) {
     const search::SearchEngine engine(config_of(*algorithm));
     for (const bool shrinking : {true, false}) {
       SCOPED_TRACE(::testing::Message()

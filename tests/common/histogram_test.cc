@@ -98,17 +98,5 @@ TEST(HistogramTest, QuantileAllMassOutOfRange) {
   EXPECT_DOUBLE_EQ(g.quantile(1.0), 0.0);
 }
 
-TEST(HistogramTest, RenderShowsNonEmptyBuckets) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(0.7);
-  h.add(3.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("[0, 1): 2"), std::string::npos);
-  EXPECT_NE(out.find("[3, 4): 1"), std::string::npos);
-  EXPECT_EQ(out.find("[1, 2)"), std::string::npos);  // empty bucket hidden
-  EXPECT_NE(out.find("##"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rtds

@@ -67,9 +67,9 @@ TEST(GreedyTest, EdfFirstFitPilesOnFirstFeasibleWorker) {
   const std::uint32_t m = 4;
   const auto net = machine::Interconnect::cut_through(m, msec(2));
   const auto batch = uniform_batch(4, m, msec(2), msec(100));
-  const auto r = GreedyAlgorithm("edf_ff", GreedyKind::kEdfFirstFit)
-                     .schedule_phase(batch, std::vector<SimDuration>(m, SimDuration{}),
-                                     SimTime::zero() + msec(1), net, 100000);
+  const auto r = AlgorithmRegistry::builtin().make("edf_ff")->schedule_phase(
+      batch, std::vector<SimDuration>(m, SimDuration{}),
+      SimTime::zero() + msec(1), net, 100000);
   ASSERT_EQ(r.schedule.size(), 4u);
   for (const Assignment& a : r.schedule) EXPECT_EQ(a.worker, 0u);
 }
@@ -85,9 +85,9 @@ TEST(GreedyTest, SkipsInfeasibleTasksWithoutDeadEnding) {
       make_task(1, msec(1), SimTime::zero() + usec(1), AffinitySet::all(m)));
   batch.push_back(make_task(2, msec(1), SimTime::zero() + msec(100),
                             AffinitySet::all(m)));
-  for (GreedyKind kind : {GreedyKind::kEdfFirstFit, GreedyKind::kEdfBestFit,
-                          GreedyKind::kMyopic}) {
-    const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
+  for (const char* spec : {"edf_ff", "edf_bf", "myopic"}) {
+    const auto algo = AlgorithmRegistry::builtin().make(spec);
+    const auto r = algo->schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}), SimTime::zero() + msec(1),
         net, 100000);
     std::set<std::uint32_t> ids;
@@ -95,7 +95,7 @@ TEST(GreedyTest, SkipsInfeasibleTasksWithoutDeadEnding) {
       ids.insert(batch[a.task_index].id);
     }
     EXPECT_EQ(ids.count(1u), 0u);
-    EXPECT_EQ(ids.size(), 2u) << "kind " << int(kind);
+    EXPECT_EQ(ids.size(), 2u) << spec;
   }
 }
 
@@ -103,9 +103,9 @@ TEST(GreedyTest, RespectsVertexBudget) {
   const std::uint32_t m = 4;
   const auto net = machine::Interconnect::cut_through(m, msec(2));
   const auto batch = uniform_batch(50, m, msec(1), msec(500));
-  for (GreedyKind kind : {GreedyKind::kEdfFirstFit, GreedyKind::kEdfBestFit,
-                          GreedyKind::kMyopic}) {
-    const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
+  for (const char* spec : {"edf_ff", "edf_bf", "myopic"}) {
+    const auto algo = AlgorithmRegistry::builtin().make(spec);
+    const auto r = algo->schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}), SimTime::zero() + msec(1),
         net, 20);
     EXPECT_LE(r.stats.vertices_generated, 20u);
@@ -137,8 +137,8 @@ TEST(GreedyTest, ProducesOnlyFeasibleSchedules) {
   Xoshiro256ss rng(3);
   const std::uint32_t m = 4;
   const auto net = machine::Interconnect::cut_through(m, msec(3));
-  for (GreedyKind kind : {GreedyKind::kEdfFirstFit, GreedyKind::kEdfBestFit,
-                          GreedyKind::kMyopic}) {
+  for (const char* spec : {"edf_ff", "edf_bf", "myopic"}) {
+    const auto algo = AlgorithmRegistry::builtin().make(spec);
     for (int trial = 0; trial < 10; ++trial) {
       std::vector<Task> batch;
       for (std::uint32_t i = 0; i < 30; ++i) {
@@ -152,7 +152,7 @@ TEST(GreedyTest, ProducesOnlyFeasibleSchedules) {
         batch.push_back(t);
       }
       const SimTime delivery = SimTime::zero() + msec(2);
-      const auto r = GreedyAlgorithm("greedy", kind).schedule_phase(
+      const auto r = algo->schedule_phase(
           batch, std::vector<SimDuration>(m, SimDuration{}), delivery, net, 10000);
       std::vector<SimTime> horizon(m, delivery);
       for (const Assignment& a : r.schedule) {
@@ -184,7 +184,7 @@ TEST(PhaseAlgorithmTest, TaskWithNoDataHolderIsInvalidArgument) {
         make_task(0, msec(2), SimTime::zero() + msec(50),
                   AffinitySet::all(m)),
         make_task(1, msec(2), deadline, AffinitySet{})};
-    for (const char* spec : {"rt_sads", "d_cols", "edf_ff"}) {
+    for (const char* spec : {"rt_sads", "d_cols", "edf_ff", "edf_bf"}) {
       const auto algo = AlgorithmRegistry::builtin().make(spec);
       EXPECT_THROW((void)algo->schedule_phase(
                        batch, std::vector<SimDuration>(m, SimDuration{}),

@@ -145,6 +145,16 @@ TEST(RegistryTest, SearchEntrantsMatchThePresetConfigs) {
   EXPECT_EQ(generic.level_processor_order, rt.level_processor_order);
   EXPECT_EQ(generic.use_load_balance_cost, rt.use_load_balance_cost);
   EXPECT_EQ(generic.max_successors, rt.max_successors);
+  // EDF first-fit: the assignment-oriented depth-first search that keeps
+  // one successor per level, the first feasible processor in index order.
+  const search::SearchConfig ff = config_of("edf_ff");
+  EXPECT_EQ(ff.representation, search::Representation::kAssignmentOriented);
+  EXPECT_EQ(ff.strategy, search::SearchStrategy::kDepthFirst);
+  EXPECT_EQ(ff.task_order, search::TaskOrder::kEarliestDeadline);
+  EXPECT_EQ(ff.processor_order, search::ProcessorOrder::kIndexOrder);
+  EXPECT_FALSE(ff.use_load_balance_cost);
+  EXPECT_EQ(ff.max_successors, 1u);
+  EXPECT_TRUE(ff.skip_unplaceable_tasks);
 }
 
 TEST(RegistryTest, PartitionEntrantsWireTheConfigMatrix) {

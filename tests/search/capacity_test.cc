@@ -1,9 +1,9 @@
-// Capacity regression suite for the 65535-task cap lift: the packed node
-// header now widens past 16-bit depth/cursor fields, so batches beyond
-// 65535 tasks must schedule correctly — proved bit-identically against the
-// frozen reference engine, which never had the cap (its nodes always
-// carried 32-bit cursors). Also pins the narrow->wide dispatch boundary,
-// bitset word-boundary sizes, and the m=1 / m=64 worker-count extremes.
+// Capacity regression suite for the lifted 65535-task cap: the search node
+// holds 32-bit depths, so batches beyond 65535 tasks must schedule
+// correctly — proved bit-identically against the frozen reference engine,
+// which never had the cap. Also pins the 65535/65536 boundary a 16-bit
+// depth could not cross, bitset word-boundary sizes, and the m=1 / m=64
+// worker-count extremes.
 //
 // The structural limit itself (kMaxBatchTasks) is asserted as a constant:
 // exercising the InvalidArgument path at runtime would need a 2^30-task
@@ -43,8 +43,7 @@ struct Scenario {
 /// holder even if one worker absorbed the whole batch, so depth-first
 /// search walks straight to a leaf at depth n with no backtracking — the
 /// shape that makes an n=65536 reference run tractable (O(n * m)
-/// evaluations) while still forcing depth and cursor through the wide
-/// header fields.
+/// evaluations) while still taking depths past 16 bits.
 Scenario make_capacity_scenario(Xoshiro256ss& rng, std::uint32_t n,
                                 std::uint32_t m) {
   Scenario s;
@@ -172,10 +171,10 @@ void run_both(const SearchConfig& cfg, const Scenario& s,
 }
 
 TEST(SearchCapacityTest, N65536SchedulesBitIdenticalToReference) {
-  // 65536 is the first size the narrow 16-bit header cannot hold: depth at
-  // the leaf is 65536 and overflows uint16 to 0. The regression for the
-  // lifted cap: the wide-header engine must walk to the full-depth leaf and
-  // match the (never-capped) reference exactly.
+  // 65536 is the first size a 16-bit depth cannot hold: depth at the leaf
+  // is 65536 and would overflow uint16 to 0. The regression for the lifted
+  // cap: the engine must walk to the full-depth leaf and match the
+  // (never-capped) reference exactly.
   Xoshiro256ss rng(0xCAB0057ULL);
   const Scenario s = make_capacity_scenario(rng, 65536, 4);
   for (const bool lb : {true, false}) {
@@ -189,7 +188,7 @@ TEST(SearchCapacityTest, N65536SchedulesBitIdenticalToReference) {
 }
 
 TEST(SearchCapacityTest, N65536BudgetExhaustionMatchesReference) {
-  // Budget dies mid-walk long before the leaf: the wide header must charge,
+  // Budget dies mid-walk long before the leaf: the engine must charge,
   // bulk-charge, and terminate exactly like the reference.
   Xoshiro256ss rng(0xCAB0058ULL);
   Scenario s = make_capacity_scenario(rng, 65536, 4);
@@ -199,8 +198,8 @@ TEST(SearchCapacityTest, N65536BudgetExhaustionMatchesReference) {
 }
 
 TEST(SearchCapacityTest, NarrowWideBoundaryDispatch) {
-  // 65535 runs on the narrow header, 65536 on the wide one; both must be
-  // bit-identical to the reference across the dispatch boundary.
+  // 65535 is the largest batch a 16-bit depth could index and 65536 the
+  // first it could not; both must be bit-identical to the reference.
   Xoshiro256ss rng(0xB0DA7ULL);
   for (const std::uint32_t n : {65535u, 65536u}) {
     const Scenario s = make_capacity_scenario(rng, n, 2);
@@ -222,7 +221,6 @@ TEST(SearchCapacityTest, WordBoundarySizesMatchReference) {
   seq_dfs.representation = Representation::kSequenceOriented;
   SearchConfig pruned;
   pruned.max_successors = 3;
-  pruned.max_depth = 96;
   const SearchConfig configs[] = {assign_dfs, assign_bfs, seq_dfs, pruned};
   for (const std::uint32_t n : {63u, 64u, 65u, 127u, 128u}) {
     for (std::uint32_t rep = 0; rep < 10; ++rep) {
@@ -259,7 +257,8 @@ TEST(SearchCapacityTest, LaneRemainderExtremesMatchReference) {
 
 TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
   // The engine reports per-thread workspace bytes for the bench memory
-  // column; a wide-header run must register a nonzero, plausible peak.
+  // column; a run past 65535 tasks must register a nonzero, plausible
+  // peak.
   // Each gtest case is its own ctest process, so drive a run here rather
   // than relying on a sibling test having populated the counters.
   Xoshiro256ss rng(0x9A4A11E1ULL);
@@ -275,9 +274,10 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
 
 TEST(SearchCapacityTest, RetentionBoundCoversEveryWorkspaceBuffer) {
   // A depth-first walk at m = 64 leaves 63 siblings on the candidate list
-  // per level. A node is a 20-byte (task, worker) record and the list a
+  // per level. A node is a 16-byte (task, worker) record and the list a
   // stack of 4-byte node ids, so 280,000 levels are needed to grow the
-  // stack past 2^24 entries (128 MB of capacity) next to 358 MB of arena.
+  // stack past 2^24 entries (128 MB of capacity) next to about 287 MB of
+  // arena.
   // After the run each buffer is held to 64 MB: the arena trims its chunks
   // to the bound, the stack goes, and what else stays is sized to this
   // 280,000-task batch.

@@ -190,41 +190,6 @@ TEST(SearchEngineTest, BacktracksOutOfInfeasibleBranch) {
   EXPECT_TRUE(r.stats.reached_leaf);
 }
 
-TEST(SearchEngineTest, ReturnDeepestBeatsCurrentOnBudgetStop) {
-  // With return_deepest the engine may not return the path it stopped on.
-  std::vector<Task> batch;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    batch.push_back(make_task(i, msec(1), SimTime::zero() + msec(7),
-                              AffinitySet::all(2)));
-  }
-  SearchConfig deepest = rt_sads_config();
-  SearchConfig current = rt_sads_config();
-  current.return_deepest = false;
-  const auto rd = SearchEngine(deepest).run(
-      batch, std::vector<SimDuration>(2, SimDuration{}), SimTime::zero() + msec(1),
-      net(2), 10000);
-  const auto rc = SearchEngine(current).run(
-      batch, std::vector<SimDuration>(2, SimDuration{}), SimTime::zero() + msec(1),
-      net(2), 10000);
-  EXPECT_GE(rd.schedule.size(), rc.schedule.size());
-}
-
-TEST(SearchEngineTest, MaxDepthLimitsSchedule) {
-  std::vector<Task> batch;
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    batch.push_back(make_task(i, msec(1), SimTime::zero() + msec(100),
-                              AffinitySet::all(2)));
-  }
-  SearchConfig cfg = rt_sads_config();
-  cfg.max_depth = 4;
-  const auto r = SearchEngine(cfg).run(batch,
-                                       std::vector<SimDuration>(2, SimDuration{}),
-                                       SimTime::zero() + msec(1), net(2),
-                                       100000);
-  EXPECT_EQ(r.schedule.size(), 4u);
-  EXPECT_FALSE(r.stats.reached_leaf);
-}
-
 TEST(SearchEngineTest, MaxSuccessorsPrunesBranching) {
   std::vector<Task> batch;
   for (std::uint32_t i = 0; i < 6; ++i) {

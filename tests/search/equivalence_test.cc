@@ -172,11 +172,7 @@ std::vector<SearchConfig> all_configs() {
   configs.push_back(least_loaded);
   SearchConfig pruned;
   pruned.max_successors = 3;
-  pruned.max_depth = 8;
   configs.push_back(pruned);
-  SearchConfig current_path;
-  current_path.return_deepest = false;
-  configs.push_back(current_path);
   for (const auto po : {ProcessorOrder::kIndexOrder, ProcessorOrder::kMinCommCost}) {
     SearchConfig c;
     c.use_load_balance_cost = false;
@@ -198,7 +194,6 @@ TEST(SearchEquivalenceTest, BitIdenticalToReferenceAcrossFuzzScenarios) {
     const auto net =
         machine::Interconnect::cut_through(s.num_workers, s.comm);
     for (const SearchConfig& cfg : configs) {
-      SCOPED_TRACE(cfg.return_deepest ? "deepest path" : "current path");
       const SearchResult fast = SearchEngine(cfg).run(
           s.batch, s.base_loads, s.delivery_time, net, s.vertex_budget);
       const SearchResult ref = reference::run(
@@ -699,23 +694,20 @@ TEST(SearchEquivalenceTest, WideSuccessorGroupsMatchReference) {
   // out of order and must be. Best-first searches switch between subtrees,
   // so entering a vertex can push a chain of several; a vertex entered
   // must be evaluated at its parent's state, not the one the switch
-  // started from. return_deepest=false returns where the search stopped.
-  constexpr std::uint64_t kScenarios = 48;
+  // started from.
+  constexpr std::uint64_t kScenarios = 96;
   std::vector<SearchConfig> configs;
   for (const auto strategy :
        {SearchStrategy::kDepthFirst, SearchStrategy::kBestFirst}) {
     for (const auto order : {TaskOrder::kEarliestDeadline, TaskOrder::kMinSlack,
                              TaskOrder::kBatchOrder}) {
       for (const bool lb : {false, true}) {
-        for (const bool deepest : {true, false}) {
-          SearchConfig c;
-          c.representation = Representation::kSequenceOriented;
-          c.strategy = strategy;
-          c.task_order = order;
-          c.use_load_balance_cost = lb;
-          c.return_deepest = deepest;
-          configs.push_back(c);
-        }
+        SearchConfig c;
+        c.representation = Representation::kSequenceOriented;
+        c.strategy = strategy;
+        c.task_order = order;
+        c.use_load_balance_cost = lb;
+        configs.push_back(c);
       }
     }
   }
@@ -736,7 +728,6 @@ TEST(SearchEquivalenceTest, WideSuccessorGroupsMatchReference) {
         sc % 4 == 2 ? machine::Interconnect::mesh(s.num_workers, s.comm)
                     : machine::Interconnect::cut_through(s.num_workers, s.comm);
     for (const SearchConfig& cfg : configs) {
-      SCOPED_TRACE(cfg.return_deepest ? "deepest path" : "current path");
       const SearchResult fast = SearchEngine(cfg).run(
           s.batch, s.base_loads, s.delivery_time, net, s.vertex_budget);
       const SearchResult ref = reference::run(

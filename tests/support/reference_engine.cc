@@ -260,9 +260,6 @@ SearchResult run(const SearchConfig& config, const std::vector<Task>& batch,
     ++stats.expansions;
     candidates.clear();
     const std::uint32_t depth = ps.depth();
-    if (config.max_depth != 0 && depth >= config.max_depth) {
-      return cursor;
-    }
 
     if (config.representation == Representation::kAssignmentOriented) {
       std::uint32_t scan = cursor;
@@ -398,9 +395,8 @@ SearchResult run(const SearchConfig& config, const std::vector<Task>& batch,
     }
   }
 
-  const std::int32_t chosen = config.return_deepest ? best_node : current;
   std::vector<Assignment> out;
-  for (std::int32_t v = chosen; v >= 0; v = arena[std::size_t(v)].parent) {
+  for (std::int32_t v = best_node; v >= 0; v = arena[std::size_t(v)].parent) {
     out.push_back(arena[std::size_t(v)].assignment);
   }
   std::reverse(out.begin(), out.end());

@@ -239,20 +239,5 @@ TEST(WorkloadTest, ValidatesGangAndReleaseConfig) {
   EXPECT_THROW(generate_workload(cfg, rng), InvalidArgument);
 }
 
-TEST(ArrivalsInWindowTest, SelectsHalfOpenRange) {
-  WorkloadConfig cfg = base_config();
-  cfg.arrival = ArrivalPattern::kPoisson;
-  cfg.mean_interarrival = msec(1);
-  Xoshiro256ss rng(12);
-  const auto tasks = generate_workload(cfg, rng);
-  const SimTime mid = tasks[100].arrival;
-  const auto window = arrivals_in_window(tasks, SimTime::zero(), mid);
-  for (const Task& t : window) {
-    EXPECT_LT(t.arrival, mid);
-  }
-  const auto rest = arrivals_in_window(tasks, mid, SimTime::max());
-  EXPECT_EQ(window.size() + rest.size(), tasks.size());
-}
-
 }  // namespace
 }  // namespace rtds::tasks
