@@ -45,48 +45,6 @@ Histogram margin_histogram(
   return h;
 }
 
-std::string ConservationReport::to_string() const {
-  std::ostringstream os;
-  os << "offered " << total << " = hits " << deadline_hits
-     << " + exec misses " << exec_misses << " + culled " << culled
-     << " + rejected " << rejected;
-  if (admission_rejected > 0) {
-    os << " + admission rejected " << admission_rejected;
-  }
-  if (unaccounted > 0) {
-    os << " + UNACCOUNTED " << unaccounted << " (conservation violated)";
-  }
-  return os.str();
-}
-
-ConservationReport conservation_report(const sched::TaskLedger& ledger) {
-  ConservationReport out;
-  const sched::LedgerCounts& c = ledger.counts();
-  out.total = c.total;
-  out.deadline_hits = c.deadline_hits;
-  out.exec_misses = c.exec_misses;
-  out.culled = c.culled;
-  out.rejected = c.rejected;
-  out.admission_rejected = c.admission_rejected;
-  out.unaccounted = c.in_flight;
-  return out;
-}
-
-ConservationReport conservation_report(const sched::RunMetrics& metrics) {
-  ConservationReport out;
-  out.total = metrics.total_tasks;
-  out.deadline_hits = metrics.deadline_hits;
-  out.exec_misses = metrics.exec_misses;
-  out.culled = metrics.culled;
-  out.rejected = metrics.rejected;
-  out.admission_rejected = metrics.admission_rejected;
-  const std::uint64_t accounted = out.deadline_hits + out.exec_misses +
-                                  out.culled + out.rejected +
-                                  out.admission_rejected;
-  out.unaccounted = out.total > accounted ? out.total - accounted : 0;
-  return out;
-}
-
 BalanceSummary balance_summary(const machine::Cluster& cluster) {
   BalanceSummary out;
   std::vector<std::uint64_t> executed(cluster.num_workers(), 0);

@@ -11,8 +11,6 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "machine/cluster.h"
-#include "sched/ledger.h"
-#include "sched/pipeline.h"
 
 namespace rtds::exp {
 
@@ -45,29 +43,5 @@ struct BalanceSummary {
 
 /// Reads the cluster's log, which it must keep (CompletionLog::kKeep).
 BalanceSummary balance_summary(const machine::Cluster& cluster);
-
-/// Task-conservation audit of one finished run: every offered task must sit
-/// in exactly one terminal state (hit, exec miss, culled, rejected,
-/// admission-rejected). An `unaccounted` count != 0 is the overload-loss
-/// bug this layer exists to rule out — it means tasks vanished without an
-/// outcome.
-struct ConservationReport {
-  std::uint64_t total{0};
-  std::uint64_t deadline_hits{0};
-  std::uint64_t exec_misses{0};
-  std::uint64_t culled{0};
-  std::uint64_t rejected{0};
-  std::uint64_t admission_rejected{0};  ///< open-system runs only
-  std::uint64_t unaccounted{0};
-
-  [[nodiscard]] bool conserved() const { return unaccounted == 0; }
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Audit from the per-task ledger of a run.
-ConservationReport conservation_report(const sched::TaskLedger& ledger);
-
-/// Audit from aggregate metrics (when no ledger was kept by the caller).
-ConservationReport conservation_report(const sched::RunMetrics& metrics);
 
 }  // namespace rtds::exp

@@ -112,7 +112,6 @@ sched::DeliveryResult ThreadedBackend::deliver(
       room = block_free();
     }
     if (!room) {
-      overflow_drops_.fetch_add(1, std::memory_order_relaxed);
       out.undelivered.push_back(sa);
       continue;
     }

@@ -81,12 +81,6 @@ class ThreadedBackend final : public sched::ExecutionBackend {
   sched::BackendStats drain() override;
   void bind_ledger(sched::TaskLedger* ledger) override;
 
-  /// Deliveries refused because a mailbox was full (mirrored into
-  /// RunMetrics::overflow_drops by the pipeline).
-  [[nodiscard]] std::uint64_t overflow_drops() const {
-    return overflow_drops_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct WorkItem {
     tasks::Task task;
@@ -115,7 +109,6 @@ class ThreadedBackend final : public sched::ExecutionBackend {
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> overflow_drops_{0};
   /// Per-task outcomes, judged by the workers against the wall clock and
   /// buffered here until the host reports them to the bound ledger at its
   /// next advance(), wait_until() or drain() — the ledger itself stays

@@ -25,7 +25,7 @@ const char* to_string(TaskState state) {
 
 void TaskLedger::arrive(tasks::TaskId id) {
   RTDS_CHECK_MSG(insert_seen(id), "TaskLedger: task arrived twice");
-  states_.emplace(id, TaskState::kArrived);
+  states_.emplace(id, Entry{});
   ++counts_.total;
   ++counts_.in_flight;
 }
@@ -45,7 +45,7 @@ void TaskLedger::deliver(tasks::TaskId id) {
 }
 
 void TaskLedger::drop(tasks::TaskId id) {
-  transition(id, TaskState::kScheduled, TaskState::kBatched);
+  ++transition(id, TaskState::kScheduled, TaskState::kBatched).refusals;
   ++counts_.drop_events;
 }
 
@@ -80,11 +80,11 @@ bool TaskLedger::known(tasks::TaskId id) const {
 }
 
 TaskState TaskLedger::state(tasks::TaskId id) const {
-  const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(),
-                 known(id) ? "TaskLedger: task already retired"
-                           : "TaskLedger: unknown task id");
-  return it->second;
+  return entry(id).state;
+}
+
+std::uint32_t TaskLedger::refusals(tasks::TaskId id) const {
+  return entry(id).refusals;
 }
 
 void TaskLedger::check_conserved() const {
@@ -108,11 +108,11 @@ void TaskLedger::clear() {
 TaskLedger::States::iterator TaskLedger::expect(tasks::TaskId id,
                                                 TaskState from, TaskState to) {
   const auto it = states_.find(id);
-  if (it == states_.end() || it->second != from) {
+  if (it == states_.end() || it->second.state != from) {
     std::ostringstream os;
     os << "TaskLedger: task " << id << " is ";
     if (it != states_.end()) {
-      os << to_string(it->second);
+      os << to_string(it->second.state);
     } else {
       os << (known(id) ? "retired" : "unknown");
     }
@@ -122,8 +122,19 @@ TaskLedger::States::iterator TaskLedger::expect(tasks::TaskId id,
   return it;
 }
 
-void TaskLedger::transition(tasks::TaskId id, TaskState from, TaskState to) {
-  expect(id, from, to)->second = to;
+TaskLedger::Entry& TaskLedger::transition(tasks::TaskId id, TaskState from,
+                                          TaskState to) {
+  Entry& e = expect(id, from, to)->second;
+  e.state = to;
+  return e;
+}
+
+const TaskLedger::Entry& TaskLedger::entry(tasks::TaskId id) const {
+  const auto it = states_.find(id);
+  RTDS_CHECK_MSG(it != states_.end(),
+                 known(id) ? "TaskLedger: task already retired"
+                           : "TaskLedger: unknown task id");
+  return it->second;
 }
 
 void TaskLedger::retire(tasks::TaskId id, TaskState from, TaskState to) {

@@ -9,13 +9,19 @@
 //
 //   arrived → batched → scheduled → delivered → {deadline_hit, exec_miss}
 //      │         │           │
-//      │         │           ├─ dropped (delivery refused) → batched again
+//      │         │           ├─ dropped (delivery refused, refusals + 1)
+//      │         │           │    → batched again
 //      │         │           └─ rejected (delivery attempts exhausted)
 //      │         └─ culled   (deadline unreachable before scheduling)
 //      └─ admission_rejected (open-system admission control turned the
 //                             task away at the door; never batched)
 //
-// and enforcing the conservation invariant at drain time:
+// Each entry also counts its task's refused deliveries: drop() adds one,
+// and the pipeline reads refusals() to decide whether the next refusal
+// readmits the task or rejects it. The count lives and dies with the
+// entry, so it survives every re-schedule and cannot outlive its task.
+//
+// The ledger enforces the conservation invariant at drain time:
 //
 //   total_tasks == deadline_hits + exec_misses + culled + rejected
 //                  + admission_rejected
@@ -103,7 +109,8 @@ class TaskLedger {
   void admit(tasks::TaskId id);              ///< arrived → batched
   void schedule(tasks::TaskId id);           ///< batched → scheduled
   void deliver(tasks::TaskId id);            ///< scheduled → delivered
-  void drop(tasks::TaskId id);               ///< scheduled → batched (readmit)
+  /// scheduled → batched (readmit); counts one more refused delivery.
+  void drop(tasks::TaskId id);
   void cull(tasks::TaskId id);               ///< batched → culled
   void reject(tasks::TaskId id);             ///< scheduled → rejected
   void reject_admission(tasks::TaskId id);   ///< arrived → admission_rejected
@@ -115,6 +122,9 @@ class TaskLedger {
   [[nodiscard]] bool known(tasks::TaskId id) const;
   /// State of an in-flight task; throws for a retired or unknown id.
   [[nodiscard]] TaskState state(tasks::TaskId id) const;
+  /// Deliveries of an in-flight task refused so far (its drop() calls);
+  /// throws for a retired or unknown id.
+  [[nodiscard]] std::uint32_t refusals(tasks::TaskId id) const;
   [[nodiscard]] const LedgerCounts& counts() const { return counts_; }
   /// Entries held: the tasks in flight (terminal tasks leave the ledger).
   [[nodiscard]] std::size_t size() const { return states_.size(); }
@@ -129,12 +139,18 @@ class TaskLedger {
   void clear();
 
  private:
-  using States = std::unordered_map<tasks::TaskId, TaskState>;
+  struct Entry {
+    TaskState state{TaskState::kArrived};
+    std::uint32_t refusals{0};
+  };
+  using States = std::unordered_map<tasks::TaskId, Entry>;
 
   /// The entry of `id`, which must be in state `from` (about to become
   /// `to`); throws InvariantViolation otherwise.
   States::iterator expect(tasks::TaskId id, TaskState from, TaskState to);
-  void transition(tasks::TaskId id, TaskState from, TaskState to);
+  Entry& transition(tasks::TaskId id, TaskState from, TaskState to);
+  /// The entry of an in-flight id; throws for a retired or unknown one.
+  const Entry& entry(tasks::TaskId id) const;
   /// Terminal transition: the entry is erased, the counters remember it.
   void retire(tasks::TaskId id, TaskState from, TaskState to);
   /// Records `id` as seen; false if it already was.

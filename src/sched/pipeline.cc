@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -87,11 +86,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   enum class Fate : std::uint8_t { kAccepted, kRejected, kReadmitted };
   std::vector<Fate> fates;
   std::vector<std::uint32_t> retired;
-  // Deliveries refused so far, per PENDING task: a task whose budget is
-  // spent is retired as rejected instead of readmitted. Entries are erased
-  // as tasks reach terminal states — under open arrivals this map would
-  // otherwise grow with every task ever refused, for the whole run.
-  std::unordered_map<tasks::TaskId, std::uint32_t> delivery_attempts;
 
   // Nothing to do before the first arrival.
   backend.wait_until(*first_arrival);
@@ -125,10 +119,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     batch.merge_arrivals(arrived);
     // One read of the batch culls it and yields the survivors' Min_Slack.
     const SimDuration min_slack = batch.cull_missed(t, culled);
-    for (const Task& task : culled) {
-      ledger.cull(task.id);
-      delivery_attempts.erase(task.id);  // culled == terminal
-    }
+    for (const Task& task : culled) ledger.cull(task.id);
     metrics.culled += culled.size();
     const std::size_t batch_size = batch.size();
 
@@ -228,7 +219,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     // Settle each refused slot. A refused task with attempts remaining
     // stays pending — that is the readmission path — so a later phase
     // schedules it again; one whose delivery budget is spent leaves the
-    // pipeline for good.
+    // pipeline for good. The ledger counts each task's refusals so far.
     fates.assign(delivery.size(), Fate::kAccepted);
     std::uint64_t readmitted_now = 0;
     std::uint64_t rejected_now = 0;
@@ -246,10 +237,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       }
       RTDS_CHECK_MSG(scanned < delivery.size(),
                      "deliver() refused an assignment it was not given");
-      const std::uint32_t attempts = ++delivery_attempts[refused.task.id];
       if (config_.max_delivery_attempts != 0 &&
-          attempts >= config_.max_delivery_attempts) {
-        delivery_attempts.erase(refused.task.id);  // rejected == terminal
+          ledger.refusals(refused.task.id) + 1 >=
+              config_.max_delivery_attempts) {
         ledger.reject(refused.task.id);
         metrics.rejected += 1;
         rejected_now += 1;
@@ -274,7 +264,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       if (fates[i] == Fate::kRejected) continue;
       const Task& task = delivery[i].task;
       ledger.deliver(task.id);
-      delivery_attempts.erase(task.id);  // delivered == terminal
       if (stats != nullptr) {
         stats->schedule_latency.add(double((backend.now() - task.arrival).us));
       }
@@ -335,9 +324,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
 
   // Task conservation: every offered task is in exactly one terminal state
   // and the ledger agrees with the aggregate metrics.
-  RTDS_CHECK_MSG(delivery_attempts.empty(),
-                 "delivery_attempts retained entries for terminal tasks at "
-                 "drain (leak under open arrivals)");
   ledger.check_conserved();
   const LedgerCounts& counts = ledger.counts();
   RTDS_ASSERT(counts.total == metrics.total_tasks);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "common/error.h"
 #include "search/partial_schedule.h"
@@ -51,13 +52,14 @@ SearchResult PartitionScheduler::schedule_phase(
     return true;
   };
 
-  // ---- Pass 1: partition tasks to workers over ESTIMATED queue loads. ----
-  // The estimate uses the same delivery-relative arithmetic as the Fig. 4
-  // test (start = max(load, es), end = start + p + c_lk, feasible iff
-  // end <= d), so a pass-1 placement is exactly the assignment the
-  // sequencing pass would commit if the worker's queue were consumed in
-  // partition order. EDF re-sequencing in pass 2 can only shuffle a
-  // worker's internal order, so the final commit re-checks feasibility.
+  // ---- Pass 1: pack tasks onto workers over ESTIMATED queue loads. ----
+  // The estimate is a second PartialSchedule the tasks are pushed onto in
+  // partition order: evaluate(i, k) is the Fig. 4 test itself (a gang's
+  // lead k claims the block [k, k+workers_required)), so a pass-1
+  // placement is exactly the assignment the sequencing pass would commit
+  // if the worker's queue were consumed in partition order. EDF
+  // re-sequencing in pass 2 can only shuffle a worker's internal order, so
+  // the final commit re-checks feasibility.
   std::vector<std::uint32_t> order(n);
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
   const auto span_of = [&](std::uint32_t i) -> std::int64_t {
@@ -112,82 +114,36 @@ SearchResult PartitionScheduler::schedule_phase(
 
   constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
   std::vector<std::uint32_t> home(n, kUnassigned);
-  std::vector<std::int64_t> est(m);
-  for (std::uint32_t k = 0; k < m; ++k) est[k] = base_loads[k].us;
+  PartialSchedule packed(&batch, base_loads, delivery_time, &net);
 
-  // Estimated end offset of placing task i on worker k, or -1 when the
-  // placement fails the deadline-capacity fit test. Charges one budget
-  // unit per probe (a fit test is a candidate evaluation, Sec. 4.1). For a
-  // gang, k is the lead of the block [k, k+workers_required): the block
-  // must fit in the machine and the estimate starts at the block's max
-  // load, matching PartialSchedule's occupancy rule so pass 2 can commit.
-  const auto probe = [&](std::uint32_t i, std::uint32_t k) -> std::int64_t {
-    const auto& tc = ps.constants(i);
-    if (std::size_t{k} + tc.workers_required > m) return -1;
-    const std::int64_t comm = net.comm_cost(batch[i].affinity, k).us;
-    std::int64_t load = est[k];
-    for (std::uint32_t j = 1; j < tc.workers_required; ++j) {
-      load = std::max(load, est[k + j]);
-    }
-    const std::int64_t start = load > tc.es_off_us ? load : tc.es_off_us;
-    const std::int64_t end = start + tc.processing_us + comm;
-    return end <= tc.d_off_us ? end : -1;
-  };
-
+  // Every probe is a candidate evaluation and charges one budget unit
+  // (Sec. 4.1). First fit and next fit keep the first feasible worker of
+  // their scan; best fit keeps the earliest end and worst fit the least
+  // loaded lead, both keeping ties on the lower worker.
+  const bool take_first = config_.fit == PartitionFit::kFirstFit ||
+                          config_.fit == PartitionFit::kNextFit;
   std::uint32_t cursor = 0;  // kNextFit's rolling worker cursor
   for (std::uint32_t i : order) {
     if (stats.budget_exhausted) break;
-    std::uint32_t chosen = kUnassigned;
-    std::int64_t chosen_end = 0;
-    switch (config_.fit) {
-      case PartitionFit::kFirstFit:
-        for (std::uint32_t k = 0; k < m && charge(); ++k) {
-          if (const std::int64_t end = probe(i, k); end >= 0) {
-            chosen = k;
-            chosen_end = end;
-            break;
-          }
-        }
-        break;
-      case PartitionFit::kBestFit:
-        for (std::uint32_t k = 0; k < m && charge(); ++k) {
-          if (const std::int64_t end = probe(i, k); end >= 0) {
-            if (chosen == kUnassigned || end < chosen_end) {
-              chosen = k;
-              chosen_end = end;
-            }
-          }
-        }
-        break;
-      case PartitionFit::kWorstFit:
-        for (std::uint32_t k = 0; k < m && charge(); ++k) {
-          if (const std::int64_t end = probe(i, k); end >= 0) {
-            if (chosen == kUnassigned || est[k] < est[chosen]) {
-              chosen = k;
-              chosen_end = end;
-            }
-          }
-        }
-        break;
-      case PartitionFit::kNextFit:
-        for (std::uint32_t step = 0; step < m && charge(); ++step) {
-          const std::uint32_t k = (cursor + step) % m;
-          if (const std::int64_t end = probe(i, k); end >= 0) {
-            chosen = k;
-            chosen_end = end;
-            cursor = (k + 1) % m;
-            break;
-          }
-        }
-        break;
-    }
-    if (chosen != kUnassigned && !stats.budget_exhausted) {
-      home[i] = chosen;
-      // A gang charges its estimated end to every worker in its block.
-      const std::uint32_t width = ps.constants(i).workers_required;
-      for (std::uint32_t j = 0; j < width; ++j) {
-        est[chosen + j] = chosen_end;
+    std::optional<Assignment> chosen;
+    for (std::uint32_t step = 0; step < m && charge(); ++step) {
+      const std::uint32_t k =
+          config_.fit == PartitionFit::kNextFit ? (cursor + step) % m : step;
+      const std::optional<Assignment> a = packed.evaluate(i, k);
+      if (!a) continue;
+      if (!chosen ||
+          (config_.fit == PartitionFit::kBestFit &&
+           a->end_offset < chosen->end_offset) ||
+          (config_.fit == PartitionFit::kWorstFit &&
+           packed.ce(k) < packed.ce(chosen->worker))) {
+        chosen = a;
       }
+      if (take_first) break;
+    }
+    if (chosen && !stats.budget_exhausted) {
+      cursor = (chosen->worker + 1) % m;
+      home[i] = chosen->worker;
+      packed.push(*chosen);
     }
   }
 

@@ -11,13 +11,13 @@
 //     (arXiv:1004.3715): a configurable task-sort criterion (density, EDF,
 //     min-slack, LPT) crossed with a fit criterion (first/best/worst/next).
 //
-// Both passes run against the same delivery-relative arithmetic as the
-// search algorithms: the partition pass estimates queue end offsets with
-// the exact Fig. 4 quantities (PartialSchedule::TaskConstants and the
-// interconnect's c_lk), and the sequencing pass commits every assignment
-// through PartialSchedule::evaluate — the predictive feasibility test
-// itself — so the correction theorem (scheduled tasks never miss their
-// deadlines) holds for these entrants exactly as it does for RT-SADS.
+// Both passes price a placement with PartialSchedule::evaluate — the
+// predictive feasibility test itself, the same one the search algorithms
+// apply. The partition pass packs the tasks onto a PartialSchedule of its
+// own (evaluate probes a worker, push packs the task), and the sequencing
+// pass commits every assignment through evaluate on a second one, so the
+// correction theorem (scheduled tasks never miss their deadlines) holds
+// for these entrants exactly as it does for RT-SADS.
 // Every placement probe in either pass charges one unit of the vertex
 // budget: a partitioned scheduler pays for its scheduling work on the
 // simulated clock like everyone else.

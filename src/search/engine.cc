@@ -290,19 +290,11 @@ struct Node {
 
 static_assert(sizeof(Node) == 16);
 
-/// Bound retained between runs by the node arena, the search snapshot and
-/// each scratch buffer: a million-task run can legitimately grow the arena
-/// and the candidate list to hundreds of MB each, which must not stay
-/// captive on a long-lived backend thread once the phase is over.
+/// Bound on the workspace a thread keeps between runs: a million-task run
+/// can legitimately grow the arena and the candidate list to hundreds of
+/// MB each, which must not stay captive on a long-lived backend thread once
+/// the phase is over.
 constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
-
-/// Releases a scratch buffer that grew past kRetainBytes; true if it did.
-template <typename T>
-bool trim(std::vector<T>& v) {
-  if (v.capacity() * sizeof(T) <= kRetainBytes) return false;
-  std::vector<T>().swap(v);
-  return true;
-}
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
 /// a million-node run does not copy its nodes while it grows, and clear()
@@ -335,15 +327,6 @@ class NodeArena {
 
   [[nodiscard]] std::size_t capacity_bytes() const {
     return chunks_.size() * (std::size_t{kChunkNodes} * sizeof(Node));
-  }
-
-  /// Drops pooled chunks until at most `max_bytes` stay resident. Only
-  /// valid between runs (live node indices become dangling).
-  void trim(std::size_t max_bytes) {
-    size_ = 0;
-    while (!chunks_.empty() && capacity_bytes() > max_bytes) {
-      chunks_.pop_back();
-    }
   }
 
  private:
@@ -459,15 +442,15 @@ struct FutileRecord {
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
 /// largest batch seen (capacity is retained by clear()/reset(); the arena
-/// pools its chunks; everything is trimmed to kRetainBytes after a run).
-/// thread_local keeps the engine safely shareable across backend threads.
+/// pools its chunks). A run that leaves more than kRetainBytes releases it
+/// all but the counters. thread_local keeps the engine safely shareable
+/// across backend threads.
 struct Workspace {
   /// The consideration order of the snapshot's root under `order_kind`.
   std::vector<std::uint32_t> order;
   /// The sort kind `order` ranks the snapshot's root by; empty when it
-  /// ranks none (an identity-order root, a dropped snapshot or order, or a
-  /// run that failed between building the order and snapshotting its
-  /// root).
+  /// ranks none (an identity-order root, a released workspace, or a run
+  /// that failed between building the order and snapshotting its root).
   std::optional<TaskOrder> order_kind;
   /// Sort keys of the batch being ordered, and the scratch build_order
   /// uses in turn as its match map, sort buffer and merge output.
@@ -482,8 +465,9 @@ struct Workspace {
   std::vector<tasks::ProcessorId> level_order;
   std::vector<std::uint32_t> task_ids;
   std::vector<std::int32_t> chain;
-  std::size_t peak_bytes{0};
   FutileRecord futile;
+  // The thread's counters: a released workspace keeps them.
+  std::size_t peak_bytes{0};
   std::uint64_t futile_replays{0};
   OrderBuilds order_builds;
 };
@@ -821,22 +805,16 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
   switch_to(best_node);
   result.schedule.assign(ps.path().begin(), ps.path().end());
 
-  ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
-  arena.trim(kRetainBytes);
-  if (trim(ws.order)) ws.order_kind.reset();
-  trim(ws.order_keys);
-  trim(ws.order_scratch);
-  trim(ws.candidates);
-  trim(ws.cl_stack);
-  trim(ws.cl_heap);
-  trim(ws.level_order);
-  trim(ws.task_ids);
-  trim(ws.chain);
-  // Same retention bound for the snapshot (a million-task batch sizes it
-  // at ~100 MB). The order's keys go with it.
-  if (ps.footprint_bytes() > kRetainBytes) {
-    ws.schedule.reset();
-    ws.order_kind.reset();
+  const std::size_t bytes = workspace_bytes(ws);
+  ws.peak_bytes = std::max(ws.peak_bytes, bytes);
+  if (bytes > kRetainBytes) {
+    // Release the snapshot with its order and futile record, the arena and
+    // every buffer; only the thread's counters stay.
+    Workspace released;
+    released.peak_bytes = ws.peak_bytes;
+    released.futile_replays = ws.futile_replays;
+    released.order_builds = ws.order_builds;
+    ws = std::move(released);
   } else if (result.schedule.empty() && !stats.budget_exhausted &&
              root_candidates_fixed(config_)) {
     // The root had no feasible successor, and the budget did not cut its

@@ -155,12 +155,14 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 /// pooled node arena, the reused PartialSchedule snapshot, and every
 /// scratch buffer (consideration order and its sort buffers, candidates,
 /// the depth-first CL's id stack and the best-first CL's heap, level
-/// order, task ids, LCA chain). Each of them is held to 64 MB between
-/// runs. For the bench memory column; cheap enough to call between runs.
+/// order, task ids, LCA chain). The bound is on their sum: a run that
+/// leaves more than 64 MB releases the whole workspace, so this is at most
+/// 64 MB between runs. For the bench memory column; cheap enough to call
+/// between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
-/// High-water mark of thread_workspace_bytes() on the calling thread (the
-/// pool trims itself after oversized runs, so the current value can
+/// High-water mark of thread_workspace_bytes() on the calling thread (an
+/// oversized run releases the workspace, so the current value can
 /// understate what a big batch actually used).
 [[nodiscard]] std::size_t thread_workspace_peak_bytes();
 
@@ -211,7 +213,8 @@ class SearchEngine {
   /// chunks. Once they have grown to the largest batch seen, a run's only
   /// heap allocation is the returned schedule: the chosen vertex's path,
   /// copied out of the snapshot at its exact length (none when it is
-  /// empty). A buffer grown past 64 MB is released after its run. Tested
+  /// empty). A workspace grown past 64 MB is released whole after its
+  /// run, and the next run grows it again. Tested
   /// by tests/alloc/steady_state_alloc_test.cc; docs/ARCHITECTURE.md,
   /// "Search hot path".
   ///

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exp/analysis.h"
 #include "machine/cluster.h"
 #include "runtime/threaded_backend.h"
 #include "sched/backend.h"
@@ -40,8 +39,6 @@ void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
   EXPECT_EQ(ledger.counts().total, workload_size);
   // Every task reached a terminal state, so none is left in the ledger.
   EXPECT_EQ(ledger.size(), 0u);
-  const exp::ConservationReport report = exp::conservation_report(ledger);
-  EXPECT_TRUE(report.conserved()) << report.to_string();
 }
 
 std::vector<tasks::Task> random_workload(std::uint64_t seed,

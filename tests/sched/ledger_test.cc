@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "common/error.h"
@@ -38,6 +39,30 @@ TEST(TaskLedgerTest, DropReturnsTaskToBatchedForAnotherRound) {
   EXPECT_EQ(ledger.counts().exec_misses, 1u);
   EXPECT_EQ(ledger.counts().drop_events, 1u);
   EXPECT_EQ(ledger.counts().schedule_events, 2u);
+}
+
+TEST(TaskLedgerTest, RefusalCountRisesOnEachDropAndSurvivesReschedule) {
+  TaskLedger ledger;
+  ledger.arrive(4);
+  ledger.admit(4);
+  ledger.arrive(5);
+  ledger.admit(5);
+  EXPECT_EQ(ledger.refusals(4), 0u);
+  for (std::uint32_t refused = 1; refused <= 3; ++refused) {
+    ledger.schedule(4);
+    EXPECT_EQ(ledger.refusals(4), refused - 1);
+    ledger.drop(4);
+    EXPECT_EQ(ledger.refusals(4), refused);
+  }
+  // Re-scheduling and delivering keep the count; other tasks have their own.
+  ledger.schedule(4);
+  ledger.deliver(4);
+  EXPECT_EQ(ledger.refusals(4), 3u);
+  EXPECT_EQ(ledger.refusals(5), 0u);
+  // The count goes with the entry: a retired or unknown id has none.
+  ledger.execute(4, /*hit=*/true);
+  EXPECT_THROW(static_cast<void>(ledger.refusals(4)), InvariantViolation);
+  EXPECT_THROW(static_cast<void>(ledger.refusals(6)), InvariantViolation);
 }
 
 TEST(TaskLedgerTest, CullAndRejectAreTerminal) {

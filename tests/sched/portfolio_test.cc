@@ -69,6 +69,73 @@ TEST(PartitionTest, BestFitAndWorstFitSpreadIdenticalTasks) {
   }
 }
 
+/// Worker of each task of `batch` in `r` (by batch index); m when unplaced.
+std::vector<std::uint32_t> workers_of(const SearchResult& r,
+                                      const std::vector<Task>& batch,
+                                      std::uint32_t m) {
+  std::vector<std::uint32_t> worker(batch.size(), m);
+  for (const Assignment& a : r.schedule) worker[a.task_index] = a.worker;
+  return worker;
+}
+
+TEST(PartitionTest, BestFitTakesTheEarliestEndAndWorstFitTheLeastLoad) {
+  // Base loads 0/5/2 ms and a 10 ms transfer to any worker but the data
+  // holder, P1. T0 ends at 12/7/14 ms: best fit takes P1, where it ends
+  // first; worst fit takes P0, the least-loaded worker. T1 then sees the
+  // packed loads: best fit keeps it on P1 (8 ms vs 11 and 13), worst fit
+  // puts it on P2, least loaded now that T0 holds P0 until 12 ms.
+  const std::uint32_t m = 3;
+  const auto net = machine::Interconnect::cut_through(m, msec(10));
+  const std::vector<Task> batch{
+      make_task(0, msec(2), SimTime::zero() + msec(100),
+                AffinitySet::single(1)),
+      make_task(1, msec(1), SimTime::zero() + msec(101),
+                AffinitySet::single(1))};
+  const std::vector<SimDuration> loads{msec(0), msec(5), msec(2)};
+  const auto place = [&](PartitionFit fit) {
+    const SearchResult r =
+        PartitionScheduler("test", {PartitionSort::kDeadline, fit})
+            .schedule_phase(batch, loads, SimTime::zero() + msec(1), net,
+                            100000);
+    return workers_of(r, batch, m);
+  };
+  EXPECT_EQ(place(PartitionFit::kBestFit), (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(place(PartitionFit::kWorstFit),
+            (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(place(PartitionFit::kFirstFit),
+            (std::vector<std::uint32_t>{0, 0}));
+}
+
+TEST(PartitionTest, GangLeadsFollowTheBlockRule) {
+  // A 2-worker gang on 4 workers with base loads 1/6/2/0 ms: leads 0, 1
+  // and 2 are blocks [k, k+2), and lead 3 runs past the machine. The block
+  // starts at its max load, so best fit takes lead 2 (ends at 7 ms, vs 11
+  // on leads 0 and 1). Worst fit compares the lead's own load and takes
+  // lead 0 (1 ms); lead 3's 0 ms is no placement. The gang's end charges
+  // its whole block: after best fit, P3 is busy until 7 ms, so T1, whose
+  // data is on P3, ends first on P0 (1 + 1 + 4 ms) rather than on P3
+  // (8 ms).
+  const std::uint32_t m = 4;
+  const auto net = machine::Interconnect::cut_through(m, msec(4));
+  Task gang = make_task(0, msec(5), SimTime::zero() + msec(50),
+                        AffinitySet::all(m));
+  gang.workers_required = 2;
+  const std::vector<Task> batch{
+      gang, make_task(1, msec(1), SimTime::zero() + msec(60),
+                      AffinitySet::single(3))};
+  const std::vector<SimDuration> loads{msec(1), msec(6), msec(2), msec(0)};
+  const auto place = [&](PartitionFit fit) {
+    const SearchResult r =
+        PartitionScheduler("test", {PartitionSort::kDeadline, fit})
+            .schedule_phase(batch, loads, SimTime::zero() + msec(1), net,
+                            100000);
+    return workers_of(r, batch, m);
+  };
+  EXPECT_EQ(place(PartitionFit::kBestFit), (std::vector<std::uint32_t>{2, 0}));
+  EXPECT_EQ(place(PartitionFit::kWorstFit),
+            (std::vector<std::uint32_t>{0, 3}));
+}
+
 TEST(PartitionTest, NextFitRotatesTheCursor) {
   const auto batch = uniform_batch(8, 4, msec(2), msec(100));
   const auto r = run({PartitionSort::kDeadline, PartitionFit::kNextFit},

@@ -1,7 +1,7 @@
 // Open-system streaming entry point: run_stream over ArrivalSources,
 // admission control, schedule-latency accounting, and the two latent
-// pipeline bugs the open mode exposed (backpressure clamp order, the
-// delivery_attempts leak).
+// pipeline bugs the open mode exposed (backpressure clamp order, refusal
+// counts that outlived their tasks).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -271,11 +271,12 @@ TEST(StreamingTest, BackpressurePauseIsCappedByBatchMinSlack) {
 }
 
 TEST(StreamingTest, RefusalHeavyStreamRetiresEveryAttemptEntry) {
-  // Regression for the delivery_attempts leak: entries were only erased on
-  // the rejected path, so delivered/culled tasks that had ever been refused
-  // kept their counters forever. The pipeline now asserts the map is empty
-  // at drain (RTDS_CHECK_MSG) — this run exercises all three terminal
-  // paths for previously-refused tasks and must complete cleanly.
+  // Every task refused at least once reaches a terminal state: readmitted
+  // and later delivered, rejected once its two delivery attempts are
+  // spent, or culled. The ledger entry that counts a task's refusals is
+  // erased on that terminal transition, and the drain-time conservation
+  // check requires no task left in flight, so no refusal count can
+  // outlive its task. The run must complete and balance exactly.
   tasks::StreamConfig cfg;
   cfg.seed = 33;
   cfg.max_tasks = 100;
