@@ -62,13 +62,12 @@ int main() {
     const sched::RunMetrics m = pipeline.run(workload, backend);
 
     const exp::BalanceSummary bal = exp::balance_summary(cluster);
-    const Histogram margins = exp::margin_histogram(cluster.log(), 50.0);
     table.add_row(
         {algo->name(), exp::fmt(m.hit_ratio() * 100, 1),
          exp::fmt(bal.busy_ms.mean(), 1),
          exp::fmt(bal.busy_ms.min(), 1) + ".." + exp::fmt(bal.busy_ms.max(), 1),
          exp::fmt(bal.imbalance, 2), std::to_string(bal.idle_workers),
-         exp::fmt(margins.quantile(0.5), 1)});
+         exp::fmt(exp::median_margin_ms(cluster.log()), 1)});
   }
   table.print(std::cout);
   std::cout << "\nCSV:\n";

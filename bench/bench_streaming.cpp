@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/histogram.h"
 #include "machine/cluster.h"
 #include "machine/interconnect.h"
 #include "sched/backend.h"
@@ -80,9 +81,7 @@ RatePoint run_at_gap(const sched::PhaseAlgorithm& algo, std::int64_t gap_us,
 
   sched::StreamOptions opts;
   opts.max_pending = max_pending;
-  opts.latency_hi_us = 5.0e5;  // 500 ms window, 500 us buckets
-  opts.latency_buckets = 1000;
-  sched::StreamStats stats(opts);
+  sched::StreamStats stats;
   const sched::RunMetrics m = pipeline.run_stream(source, backend, opts, &stats);
 
   RatePoint p;
@@ -156,7 +155,9 @@ int main(int argc, char** argv) {
   std::cout << "workers: " << workers << ", tasks/run: " << tasks
             << ", admission bound: " << max_pending
             << ", sustainable bar: " << exp::fmt(kSustainableHitPct, 0)
-            << "% hits\n\n";
+            << "% hits, latency quantiles within max(0.5 us, "
+            << exp::fmt(Histogram::relative_error() * 100.0, 4)
+            << "%)\n\n";
 
   std::vector<AlgoOutcome> outcomes;
   for (const std::string& spec : specs) {

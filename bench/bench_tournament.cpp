@@ -4,7 +4,8 @@
 //   bench_tournament [--quick] [--reps N] [--transactions N] [--out PATH]
 //
 // Sweeps the three dials the paper's evaluation turns — machine size m,
-// degree of replication R, and laxity scaling factor SF — and runs the full
+// degree of replication R, and laxity scaling factor SF — skips a dial
+// whose R rounds to the copies of a cell already run, and runs the full
 // portfolio (tree-search, greedy, and partitioned members; see
 // sched/registry.h) through exp::run_repeated on each cell. Per cell it
 // ranks algorithms by mean deadline-hit ratio and applies the paper's
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "db/placement.h"
 
 namespace {
 
@@ -52,6 +54,12 @@ struct Dial {
   double scaling_factor;
   /// Fraction of transactions widened into gangs (width <= workers/2).
   double gang_fraction{0.0};
+
+  /// Copies of each sub-database R buys on this machine: the parameter that
+  /// takes effect, so two dials with the same copies are the same cell.
+  [[nodiscard]] std::uint32_t copies() const {
+    return db::Placement::copies_for(workers, replication);
+  }
 };
 
 struct CellOutcome {
@@ -83,13 +91,26 @@ std::vector<Dial> make_dials(bool quick) {
   for (const std::uint32_t m : ms) {
     for (const double g : gs) dials.push_back({m, 0.3, 1.0, g});
   }
-  return dials;
+  // Placement rounds R to whole copies, so at m=4 both R=0.1 and R=0.3 keep
+  // one copy: a dial whose effective cell already ran is dropped.
+  std::vector<Dial> distinct;
+  for (const Dial& d : dials) {
+    const auto same_cell = [&](const Dial& e) {
+      return e.workers == d.workers && e.copies() == d.copies() &&
+             e.scaling_factor == d.scaling_factor &&
+             e.gang_fraction == d.gang_fraction;
+    };
+    if (std::none_of(distinct.begin(), distinct.end(), same_cell)) {
+      distinct.push_back(d);
+    }
+  }
+  return distinct;
 }
 
 std::string dial_name(const Dial& d) {
   std::ostringstream os;
   os << "m=" << d.workers << " R=" << exp::fmt(d.replication, 1)
-     << " SF=" << exp::fmt(d.scaling_factor, 1);
+     << " c=" << d.copies() << " SF=" << exp::fmt(d.scaling_factor, 1);
   if (d.gang_fraction > 0) os << " G=" << exp::fmt(d.gang_fraction, 2);
   return os.str();
 }
@@ -130,6 +151,7 @@ CellOutcome run_cell(const Dial& dial, std::uint32_t reps,
 void json_cell(std::ostream& os, const CellOutcome& cell) {
   os << "   {\"workers\": " << cell.dial.workers
      << ", \"replication\": " << exp::fmt(cell.dial.replication, 2)
+     << ", \"copies\": " << cell.dial.copies()
      << ", \"scaling_factor\": " << exp::fmt(cell.dial.scaling_factor, 2)
      << ", \"gang_fraction\": " << exp::fmt(cell.dial.gang_fraction, 2)
      << ",\n    \"results\": [\n";
@@ -192,15 +214,16 @@ int main(int argc, char** argv) {
   const std::vector<Dial> dials = make_dials(quick);
   std::cout << "roster (" << roster().size() << " entrants):";
   for (const std::string& spec : roster()) std::cout << " " << spec;
-  std::cout << "\ncells: " << dials.size() << ", reps/cell: " << reps
+  std::cout << "\ncells: " << dials.size()
+            << " (c = copies of each sub-database), reps/cell: " << reps
             << ", transactions/run: " << transactions << "\n\n";
 
-  std::cout << "cell                  | winner                               "
-               "| hit%  | runner-up                            | hit%  | "
-               "p(Welch)\n"
-            << "----------------------+--------------------------------------"
-               "+-------+--------------------------------------+-------+"
-               "---------\n";
+  std::cout << "cell                          | winner                       "
+               "        | hit%  | runner-up                            "
+               "| hit%  | p(Welch)\n"
+            << "------------------------------+------------------------------"
+               "--------+-------+--------------------------------------"
+               "+-------+---------\n";
 
   std::map<std::string, std::uint32_t> wins;
   std::vector<CellOutcome> cells;
@@ -214,7 +237,7 @@ int main(int argc, char** argv) {
       std::cout << s;
       for (std::size_t i = s.size(); i < w; ++i) std::cout << ' ';
     };
-    pad(dial_name(dial), 22);
+    pad(dial_name(dial), 30);
     std::cout << "| ";
     pad(won, 37);
     std::cout << "| " << exp::fmt(cell.results[cell.winner].hit_ratio.mean() *

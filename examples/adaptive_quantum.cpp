@@ -1,28 +1,50 @@
 // Walkthrough of the self-adjusting scheduling-time criterion (Sec. 4.2).
 //
-// Composes the library's pieces by hand — Batch, Cluster, SearchEngine,
-// SelfAdjustingQuantum — instead of using PhasePipeline, and prints a
+// Runs RT-SADS through PhasePipeline on a simulated 4-worker machine and
+// prints, from the PhaseRecord each phase hands a PhaseObserver, a
 // per-phase trace: Min_Slack, Min_Load, the allocated Q_s(j), the vertex
 // budget it buys, and what each phase achieved. Watch the quantum shrink
 // when slack gets tight or workers go idle, and stretch when the workers
 // are loaded anyway (Fig. 3's motivation).
-#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "search/engine.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
-#include "tasks/batch.h"
+#include "sched/registry.h"
+#include "sched/trace.h"
+#include "sim/simulator.h"
 #include "tasks/workload.h"
+
+namespace {
+
+/// Prints one row per scheduling phase.
+class PhasePrinter final : public rtds::sched::PhaseObserver {
+ public:
+  void on_phase(const rtds::sched::PhaseRecord& r) override {
+    std::cout << std::setw(5) << r.index << std::setw(10) << std::fixed
+              << std::setprecision(2) << double(r.start.us) / 1000.0
+              << std::setw(7) << r.batch_size << std::setw(13)
+              << r.min_slack.millis() << std::setw(13) << r.min_load.millis()
+              << std::setw(9) << r.quantum.millis() << std::setw(8)
+              << r.vertex_budget << std::setw(8) << r.delivered << "  "
+              << (r.search.dead_end           ? "dead-end"
+                  : r.search.reached_leaf     ? "complete"
+                  : r.search.budget_exhausted ? "budget out"
+                                              : "")
+              << "\n";
+  }
+};
+
+}  // namespace
 
 int main() {
   using namespace rtds;
 
   constexpr std::uint32_t kWorkers = 4;
-  const SimDuration kVertexCost = usec(5);
-  const SimDuration kPhaseOverhead = usec(50);
 
   machine::Cluster cluster(
       kWorkers, machine::Interconnect::cut_through(kWorkers, msec(2)));
@@ -48,71 +70,19 @@ int main() {
   std::vector<tasks::Task> all = wave1;
   all.insert(all.end(), wave2.begin(), wave2.end());
 
-  const sched::SelfAdjustingQuantum quantum(usec(200), msec(15));
-  const search::SearchEngine engine(search::SearchConfig{});
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto quantum = sched::make_self_adjusting_quantum(usec(200), msec(15));
+  sched::PipelineConfig config;
+  config.vertex_generation_cost = usec(5);
+  config.phase_overhead = usec(50);
+  const sched::PhasePipeline pipeline(*algorithm, *quantum, config);
 
-  tasks::Batch batch;
-  std::vector<tasks::Task> culled;  // reused every phase
-  std::size_t cursor = 0;
-  SimTime t = SimTime::zero();
-  int phase = 0;
-
+  sim::Simulator simulator;
+  sched::SimBackend backend(cluster, simulator);
+  PhasePrinter printer;
   std::cout << "phase     t(ms)  batch  MinSlack(ms)  MinLoad(ms)  Q_s(ms)  "
                "budget  placed  note\n";
-  while (true) {
-    std::vector<tasks::Task> arrived;
-    while (cursor < all.size() && all[cursor].arrival <= t) {
-      arrived.push_back(all[cursor++]);
-    }
-    batch.merge_arrivals(arrived);
-    const SimDuration min_slack = batch.cull_missed(t, culled);
-    if (batch.empty()) {
-      if (cursor >= all.size()) break;
-      t = all[cursor].arrival;
-      continue;
-    }
-
-    const SimDuration min_load = cluster.min_load(t);
-    SimDuration q = quantum.allocate(min_slack, min_load);
-    q = max_duration(q, kPhaseOverhead + kVertexCost);
-    const auto budget =
-        static_cast<std::uint64_t>((q - kPhaseOverhead) / kVertexCost);
-
-    std::vector<SimDuration> base(kWorkers);
-    for (std::uint32_t k = 0; k < kWorkers; ++k) {
-      const SimDuration load = cluster.load(k, t);
-      base[k] = load <= q ? SimDuration::zero() : load - q;
-    }
-    const auto result = engine.run(batch.tasks(), base, t + q,
-                                   cluster.interconnect(), budget);
-
-    const SimTime end =
-        t + kVertexCost * std::int64_t(result.stats.vertices_generated) +
-        kPhaseOverhead;
-    std::vector<machine::ScheduledAssignment> delivery;
-    std::vector<std::uint32_t> placed;  // batch positions, ascending below
-    for (const auto& a : result.schedule) {
-      delivery.push_back({batch.tasks()[a.task_index], a.worker});
-      placed.push_back(a.task_index);
-    }
-    cluster.deliver(delivery, end);
-    std::sort(placed.begin(), placed.end());
-    batch.remove_scheduled(placed);
-
-    std::cout << std::setw(5) << phase++ << std::setw(10) << std::fixed
-              << std::setprecision(2) << double(t.us) / 1000.0
-              << std::setw(7) << batch.size() + delivery.size()
-              << std::setw(13) << min_slack.millis() << std::setw(13)
-              << min_load.millis() << std::setw(9) << q.millis()
-              << std::setw(8) << budget << std::setw(8) << delivery.size()
-              << "  "
-              << (result.stats.dead_end          ? "dead-end"
-                  : result.stats.reached_leaf    ? "complete"
-                  : result.stats.budget_exhausted ? "budget out"
-                                                  : "")
-              << "\n";
-    t = end;
-  }
+  pipeline.run(all, backend, &printer);
 
   const auto& stats = cluster.stats();
   std::cout << "\nexecuted " << stats.executed << " tasks, "

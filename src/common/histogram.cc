@@ -1,53 +1,65 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+
+#include "common/error.h"
 
 namespace rtds {
+namespace {
 
-Histogram::Histogram(double lo, double hi, std::size_t num_buckets)
-    : lo_(lo), hi_(hi), buckets_(num_buckets, 0) {
-  RTDS_REQUIRE(lo < hi, "Histogram: lo must be < hi");
-  RTDS_REQUIRE(num_buckets >= 1, "Histogram: need >= 1 bucket");
-  width_ = (hi - lo) / double(num_buckets);
+constexpr std::size_t kHalf = std::size_t{1} << (Histogram::kSubBits - 1);
+constexpr std::size_t kExact = 2 * kHalf;  // slots counting one value each
+constexpr std::size_t kSlots =
+    kExact + (Histogram::kMaxBits - Histogram::kSubBits) * kHalf;
+
+/// Slot of a value below 2^kMaxBits.
+std::size_t slot_of(std::uint64_t v) {
+  const auto width = static_cast<unsigned>(std::bit_width(v));
+  if (width <= Histogram::kSubBits) return static_cast<std::size_t>(v);
+  const unsigned k = width - Histogram::kSubBits;
+  return kExact + (k - 1) * kHalf + static_cast<std::size_t>((v >> k) - kHalf);
 }
 
-void Histogram::add(double x) {
+/// Slot i holds the 2^shift consecutive values from its low value on.
+unsigned slot_shift(std::size_t i) {
+  return i < kExact ? 0 : static_cast<unsigned>((i - kExact) / kHalf + 1);
+}
+
+std::uint64_t slot_low(std::size_t i) {
+  if (i < kExact) return i;
+  return std::uint64_t(kHalf + (i - kExact) % kHalf) << slot_shift(i);
+}
+
+}  // namespace
+
+Histogram::Histogram() : slots_(kSlots, 0) {}
+
+void Histogram::add(std::uint64_t v) {
   ++count_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
+  if (std::bit_width(v) > kMaxBits) {
     ++overflow_;
     return;
   }
-  const auto idx = std::min(
-      buckets_.size() - 1, std::size_t((x - lo_) / width_));
-  ++buckets_[idx];
+  ++slots_[slot_of(v)];
 }
 
 double Histogram::quantile(double q) const {
   RTDS_REQUIRE(count_ > 0, "quantile: empty histogram");
   RTDS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q outside [0,1]");
-  const double rank = q * double(count_);
-  // Ranks inside the underflow mass report lo_ (the histogram cannot see
-  // below its range). Rank 0 with no underflow must NOT: the smallest
-  // recorded value lives in the first non-empty bucket, whose lower edge
-  // the loop below returns (frac == 0), not lo_.
-  double seen = double(underflow_);
-  if (underflow_ > 0 && rank <= seen) return lo_;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;  // empty runs carry no mass
-    const double next = seen + double(buckets_[i]);
-    if (rank <= next) {
-      const double frac =
-          rank > seen ? (rank - seen) / double(buckets_[i]) : 0.0;
-      return bucket_lo(i) + frac * width_;
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * double(count_))));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (seen + slots_[i] >= rank) {
+      const double within = (double(rank - seen) - 0.5) / double(slots_[i]);
+      return double(slot_low(i)) - 0.5 +
+             within * double(std::uint64_t{1} << slot_shift(i));
     }
-    seen = next;
+    seen += slots_[i];
   }
-  // Remaining mass is overflow: everything >= hi_ is reported as hi_.
-  return hi_;
+  return std::ldexp(1.0, kMaxBits);
 }
 
 }  // namespace rtds

@@ -1,6 +1,9 @@
 #include "exp/analysis.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "common/error.h"
 
 namespace rtds::exp {
 
@@ -35,14 +38,16 @@ LatenessSummary lateness_summary(
   return out;
 }
 
-Histogram margin_histogram(
-    const std::vector<machine::CompletionRecord>& log, double half_range_ms,
-    std::size_t buckets) {
-  Histogram h(-half_range_ms, half_range_ms, buckets);
+double median_margin_ms(const std::vector<machine::CompletionRecord>& log) {
+  RTDS_REQUIRE(!log.empty(), "median_margin_ms: empty log");
+  std::vector<SimDuration> margins;
+  margins.reserve(log.size());
   for (const machine::CompletionRecord& rec : log) {
-    h.add((rec.deadline - rec.end).millis());
+    margins.push_back(rec.deadline - rec.end);
   }
-  return h;
+  const auto median = margins.begin() + std::ptrdiff_t((log.size() - 1) / 2);
+  std::nth_element(margins.begin(), median, margins.end());
+  return median->millis();
 }
 
 BalanceSummary balance_summary(const machine::Cluster& cluster) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/stats.h"
 #include "machine/cluster.h"
 
@@ -29,10 +28,9 @@ struct LatenessSummary {
 LatenessSummary lateness_summary(
     const std::vector<machine::CompletionRecord>& log);
 
-/// Histogram of deadline margins (ms) with symmetric bounds around zero.
-Histogram margin_histogram(
-    const std::vector<machine::CompletionRecord>& log, double half_range_ms,
-    std::size_t buckets = 20);
+/// Nearest-rank median deadline margin (ms): the ceil(n/2)-th smallest
+/// margin of the n executed tasks. Requires a non-empty log.
+double median_margin_ms(const std::vector<machine::CompletionRecord>& log);
 
 /// Load-balance metrics over workers at the end of a run.
 struct BalanceSummary {

@@ -9,10 +9,10 @@ namespace rtds::runtime {
 
 ThreadedBackend::ThreadedBackend(const RuntimeConfig& config)
     : config_(config),
-      net_(machine::Interconnect::cut_through(config.num_workers,
-                                              config.comm_cost)),
-      start_(Clock::now()),
-      busy_until_(config.num_workers, SimTime::zero()) {
+      cluster_(config.num_workers,
+               machine::Interconnect::cut_through(config.num_workers,
+                                                  config.comm_cost)),
+      start_(Clock::now()) {
   RTDS_REQUIRE(config.num_workers >= 1,
                "ThreadedBackend: need >= 1 worker");
   RTDS_REQUIRE(config.time_scale > 0.0, "ThreadedBackend: bad time scale");
@@ -23,12 +23,14 @@ ThreadedBackend::ThreadedBackend(const RuntimeConfig& config)
         std::make_unique<BoundedQueue<WorkItem>>(config_.mailbox_capacity));
   }
 
-  // Workers sleep for the (scaled) execution cost and judge the deadline
-  // against the wall clock.
+  // Workers wait for the task's earliest start, sleep for the (scaled)
+  // execution cost and judge the deadline against the wall clock.
   workers_.reserve(config_.num_workers);
   for (std::uint32_t k = 0; k < config_.num_workers; ++k) {
     workers_.emplace_back([this, k] {
       while (auto item = mailboxes_[k]->pop()) {
+        std::this_thread::sleep_until(
+            start_ + std::chrono::microseconds(item->task.earliest_start.us));
         const auto scaled_us = std::llround(double(item->exec_cost.us) *
                                             config_.time_scale);
         std::this_thread::sleep_for(std::chrono::microseconds(scaled_us));
@@ -54,7 +56,7 @@ std::uint32_t ThreadedBackend::num_workers() const {
 }
 
 const machine::Interconnect& ThreadedBackend::interconnect() const {
-  return net_;
+  return cluster_.interconnect();
 }
 
 SimTime ThreadedBackend::now() const {
@@ -65,9 +67,7 @@ SimTime ThreadedBackend::now() const {
 }
 
 SimDuration ThreadedBackend::load(std::uint32_t worker, SimTime t) const {
-  RTDS_REQUIRE(worker < busy_until_.size(), "load: bad worker id");
-  const SimTime horizon = busy_until_[worker];
-  return horizon <= t ? SimDuration::zero() : horizon - t;
+  return cluster_.load(worker, t);
 }
 
 void ThreadedBackend::wait_until(SimTime t) {
@@ -84,13 +84,13 @@ void ThreadedBackend::advance(SimDuration /*host_busy*/) {
 sched::DeliveryResult ThreadedBackend::deliver(
     const std::vector<machine::ScheduledAssignment>& schedule) {
   sched::DeliveryResult out;
+  accepted_.clear();
   for (const machine::ScheduledAssignment& sa : schedule) {
     const std::uint32_t k = sa.task.workers_required;
     RTDS_REQUIRE(k >= 1 && sa.worker < config_.num_workers &&
                      k <= config_.num_workers - sa.worker,
                  "deliver: gang block exceeds the machine");
-    const SimDuration cost =
-        sa.task.processing + net_.comm_cost(sa.task.affinity, sa.worker);
+    const SimDuration cost = cluster_.execution_cost(sa.task, sa.worker);
     // A gang is handed to its k mailboxes atomically or refused whole. The
     // host is the sole producer, so free slots observed across the block
     // cannot shrink before the pushes below — checking first gives
@@ -125,18 +125,10 @@ sched::DeliveryResult ThreadedBackend::deliver(
     }
     RTDS_CHECK_MSG(pushed,
                    "deliver: reserved gang mailbox slot disappeared");
-    const SimTime push_time = now();
-    SimTime start = push_time;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      if (busy_until_[sa.worker + j] > start) {
-        start = busy_until_[sa.worker + j];
-      }
-    }
-    for (std::uint32_t j = 0; j < k; ++j) {
-      busy_until_[sa.worker + j] = start + cost;
-    }
-    ++out.accepted;
+    accepted_.push_back(sa);
   }
+  cluster_.deliver(accepted_, now());
+  out.accepted = accepted_.size();
   if (!out.undelivered.empty()) {
     // One aggregated warning per phase, not one per dropped task.
     RTDS_WARN << "mailbox overflow: " << out.undelivered.size() << " of "

@@ -2,12 +2,13 @@
 //
 // This is the deployment glue that lets the ONE phase pipeline
 // (sched/pipeline.h) drive actual concurrency: m worker threads drain
-// their ready-queue mailboxes, "executing" each task by sleeping for its
-// execution cost (optionally scaled), and deadlines are judged against the
-// wall clock — so a run experiences real scheduling overhead, queueing and
-// jitter. The DES (SimBackend) remains the instrument for the paper's
-// figures; this backend exists to demonstrate the scheduler driving real
-// threads and is exercised by integration tests with generous margins.
+// their ready-queue mailboxes, "executing" each task by waiting for its
+// earliest start and then sleeping for its execution cost (optionally
+// scaled), and deadlines are judged against the wall clock — so a run
+// experiences real scheduling overhead, queueing and jitter. The DES
+// (SimBackend) remains the instrument for the paper's figures; this
+// backend exists to demonstrate the scheduler driving real threads and is
+// exercised by integration tests with generous margins.
 //
 // Time mapping: the wall clock is projected onto SimTime microseconds since
 // backend construction. advance() charges nothing — the search that just
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "machine/cluster.h"
 #include "machine/interconnect.h"
 #include "runtime/bounded_queue.h"
 #include "sched/backend.h"
@@ -98,14 +100,16 @@ class ThreadedBackend final : public sched::ExecutionBackend {
   void report_outcomes();
 
   RuntimeConfig config_;
-  machine::Interconnect net_;
+  /// The committed-completion horizons behind load(): the DES's own model,
+  /// block and start-time rules included, fed the wall-clock delivery
+  /// time. Host-thread-only.
+  machine::Cluster cluster_;
+  /// The assignments of the current deliver() that found mailbox room.
+  std::vector<machine::ScheduledAssignment> accepted_;
   Clock::time_point start_;
 
   std::vector<std::unique_ptr<BoundedQueue<WorkItem>>> mailboxes_;
   std::vector<std::thread> workers_;
-  /// Committed-completion horizon per worker — the same busy-until load
-  /// model as machine::Cluster, but against the wall clock.
-  std::vector<SimTime> busy_until_;
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

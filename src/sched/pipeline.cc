@@ -265,7 +265,8 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       const Task& task = delivery[i].task;
       ledger.deliver(task.id);
       if (stats != nullptr) {
-        stats->schedule_latency.add(double((backend.now() - task.arrival).us));
+        stats->schedule_latency.add(
+            static_cast<std::uint64_t>((backend.now() - task.arrival).us));
       }
     }
     std::sort(retired.begin(), retired.end());

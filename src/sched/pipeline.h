@@ -153,26 +153,17 @@ struct StreamOptions {
   /// overloaded open system grows its batch (and its per-phase search
   /// input) without limit. 0 disables admission control.
   std::size_t max_pending{0};
-
-  /// Shape of the schedule-latency histogram (arrival → delivery
-  /// acceptance, microseconds) run_stream records into StreamStats.
-  double latency_lo_us{0.0};
-  double latency_hi_us{1.0e6};
-  std::size_t latency_buckets{200};
 };
 
 /// Streaming-only outputs of a run. Closed runs have no schedule latency:
 /// with the whole workload present up front, arrival → delivery time is an
 /// artifact of batch order, not service behavior.
 struct StreamStats {
-  explicit StreamStats(const StreamOptions& options)
-      : schedule_latency(options.latency_lo_us, options.latency_hi_us,
-                         options.latency_buckets) {}
-
-  /// Per-task arrival → delivery-acceptance latency, recorded at t_e for
-  /// every assignment the backend accepted. A readmitted task is recorded
-  /// once, at the delivery that finally succeeded — the refused attempts
-  /// are part of its latency, not separate samples.
+  /// Per-task arrival → delivery-acceptance latency in microseconds,
+  /// recorded at t_e for every assignment the backend accepted. A
+  /// readmitted task is recorded once, at the delivery that finally
+  /// succeeded — the refused attempts are part of its latency, not
+  /// separate samples.
   Histogram schedule_latency;
 };
 

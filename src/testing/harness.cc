@@ -71,7 +71,7 @@ class PhaseAndLedgerRecorder final : public sched::PhaseObserver {
 
 /// Runs the pipeline over `backend`, filling `run`. Open scenarios run the
 /// streaming entry point (a fresh deterministic source per backend, so every
-/// backend sees the identical task stream) and capture the latency digest.
+/// backend sees the identical task stream) and keep the latency histogram.
 /// An InvariantViolation from anywhere inside the library is itself an
 /// oracle failure (the whole point of the sweep), reported under the
 /// pseudo-oracle "harness".
@@ -91,14 +91,10 @@ bool run_pipeline(const Scenario& scenario,
           make_stream_source(scenario);
       sched::StreamOptions sopts;
       sopts.max_pending = scenario.max_pending;
-      sched::StreamStats stats(sopts);
+      sched::StreamStats stats;
       run.metrics = pipeline.run_stream(*source, backend, sopts, &stats,
                                         &trace, &ledger);
-      run.has_latency = true;
-      run.latency_count = stats.schedule_latency.count();
-      run.latency_underflow = stats.schedule_latency.underflow();
-      run.latency_overflow = stats.schedule_latency.overflow();
-      run.latency_buckets = stats.schedule_latency.buckets();
+      run.latency = std::move(stats.schedule_latency);
     } else {
       run.metrics = pipeline.run(workload, backend, &trace, &ledger);
     }

@@ -17,8 +17,8 @@
 // Open scenarios (Scenario::open_arrival != 0) drive every backend through
 // PhasePipeline::run_stream instead: each run pulls the identical
 // deterministic task stream from its own ArrivalSource, admission control
-// applies scenario.max_pending, and the schedule-latency digest is checked
-// by the stream-accounting oracle.
+// applies scenario.max_pending, and the schedule-latency histogram is
+// checked by the stream-accounting oracle.
 //
 // Any InvariantViolation thrown inside the library (the pipeline's own
 // asserts, the ledger's transition checks) is caught and reported as a

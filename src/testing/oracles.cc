@@ -212,28 +212,19 @@ void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
             y.min_quantum_seen.us);
   expect_eq(out, oracle, pair, "max_quantum_seen.us", x.max_quantum_seen.us,
             y.max_quantum_seen.us);
-  // Streaming runs also expose a latency digest; two replays of the same
-  // scenario must agree on it sample-for-sample.
-  expect_eq(out, oracle, pair, "has_latency", a.has_latency, b.has_latency);
-  if (a.has_latency && b.has_latency) {
-    expect_eq(out, oracle, pair, "latency_count", a.latency_count,
-              b.latency_count);
-    expect_eq(out, oracle, pair, "latency_underflow", a.latency_underflow,
-              b.latency_underflow);
-    expect_eq(out, oracle, pair, "latency_overflow", a.latency_overflow,
-              b.latency_overflow);
-    if (a.latency_buckets != b.latency_buckets) {
-      violation(out, oracle, pair, "latency histogram buckets differ");
-    }
+  // Streaming runs also record a latency histogram; two replays of the
+  // same scenario must agree on it slot for slot.
+  if (a.latency != b.latency) {
+    violation(out, oracle, pair, "latency histograms differ");
   }
 }
 
 void oracle_stream_accounting(const BackendRun& run,
                               std::vector<std::string>& out) {
-  if (!run.has_latency) return;
+  if (!run.latency.has_value()) return;
   expect_eq(out, "stream-accounting", run.name,
-            "latency samples (one per accepted delivery)", run.latency_count,
-            run.metrics.scheduled);
+            "latency samples (one per accepted delivery)",
+            run.latency->count(), run.metrics.scheduled);
 }
 
 void oracle_gang_occupancy(const std::string& name,

@@ -34,9 +34,11 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/histogram.h"
 #include "machine/cluster.h"
 #include "machine/validator.h"
 #include "sched/ledger.h"
@@ -64,15 +66,10 @@ struct BackendRun {
   /// single-phase delivery.
   std::size_t max_pending{0};
 
-  // Schedule-latency digest of a streaming run (open scenarios only): the
-  // full bucket vector plus the edge counters, so two DES runs can be
-  // compared sample-for-sample and the total cross-checked against the
-  // delivery count.
-  bool has_latency{false};
-  std::uint64_t latency_count{0};
-  std::uint64_t latency_underflow{0};
-  std::uint64_t latency_overflow{0};
-  std::vector<std::uint64_t> latency_buckets;
+  /// Schedule-latency histogram of a streaming run (open scenarios only),
+  /// so two DES runs can be compared whole and its count cross-checked
+  /// against the delivery count.
+  std::optional<Histogram> latency;
 };
 
 /// The names above, in evaluation order (for the driver's summary).
@@ -100,7 +97,7 @@ void oracle_schedule_validity(const std::string& name,
 void oracle_quantum_bound(const Scenario& scenario, const BackendRun& run,
                           std::vector<std::string>& out);
 
-/// Field-for-field RunMetrics and latency-digest equality between two
+/// Field-for-field RunMetrics and latency-histogram equality between two
 /// simulated runs (a replay must reproduce its original exactly).
 void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
                           std::vector<std::string>& out);
@@ -111,7 +108,7 @@ void oracle_threaded_parity(const BackendRun& sim, const BackendRun& threaded,
 
 /// Streaming bookkeeping: every accepted delivery contributed exactly one
 /// schedule-latency sample (histogram count == RunMetrics::scheduled), on
-/// any backend. No-op for runs without a latency digest.
+/// any backend. No-op for runs without a latency histogram.
 void oracle_stream_accounting(const BackendRun& run,
                               std::vector<std::string>& out);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "machine/validator.h"
 #include "sched/backend.h"
@@ -42,15 +43,20 @@ TEST(LatenessSummaryTest, SplitsHitsAndMisses) {
   EXPECT_NE(s.to_string().find("hits 2"), std::string::npos);
 }
 
-TEST(MarginHistogramTest, CentersOnZero) {
+TEST(MedianMarginTest, NearestRankOfSignedMargins) {
   std::vector<machine::CompletionRecord> log{
       rec(SimTime{1000}, SimTime{5000}),   // margin +4ms
       rec(SimTime{9000}, SimTime{5000}),   // margin -4ms
   };
-  const Histogram h = margin_histogram(log, 10.0, 10);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
+  EXPECT_THROW(static_cast<void>(median_margin_ms({})), InvalidArgument);
+  // The ceil(n/2)-th smallest: of two margins, the lower one.
+  EXPECT_DOUBLE_EQ(median_margin_ms(log), -4.0);
+  log.push_back(rec(SimTime{4500}, SimTime{5000}));  // margin +0.5ms
+  EXPECT_DOUBLE_EQ(median_margin_ms(log), 0.5);
+  // A margin far outside any window still ranks where it belongs.
+  log.push_back(rec(SimTime{0}, SimTime{900'000}));  // margin +900ms
+  log.push_back(rec(SimTime{0}, SimTime{800'000}));  // margin +800ms
+  EXPECT_DOUBLE_EQ(median_margin_ms(log), 4.0);
 }
 
 TEST(BalanceSummaryTest, PerfectBalance) {

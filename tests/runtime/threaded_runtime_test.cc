@@ -184,6 +184,26 @@ TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
   EXPECT_LT(r.finish_time - SimTime::zero(), sec(2));
 }
 
+TEST(ThreadedRuntimeTest, WorkerWaitsForEarliestStart) {
+  // A task with a start constraint starts no earlier on real threads than
+  // in the DES: load() counts the wait in the worker's horizon, and the
+  // worker sleeps through it before it executes.
+  ThreadedBackend backend(fast_config(1));
+  const SimTime now = backend.now();
+  tasks::Task t;
+  t.id = 1;
+  t.arrival = now;
+  t.processing = msec(1);
+  t.earliest_start = now + msec(50);
+  t.deadline = t.earliest_start + sec(10);
+  t.affinity.add(0);
+  ASSERT_EQ(backend.deliver({{t, 0}}).accepted, 1u);
+  EXPECT_GE(backend.load(0, now), msec(50));
+  const sched::BackendStats stats = backend.drain();
+  EXPECT_GE(stats.finish_time, t.earliest_start + t.processing);
+  EXPECT_EQ(stats.deadline_hits, 1u);
+}
+
 TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
   // One worker with a single-slot mailbox and a burst of 16 tasks: the
   // host must NOT block behind the full mailbox — refused deliveries are

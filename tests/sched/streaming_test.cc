@@ -132,7 +132,7 @@ TEST(StreamingTest, ClosedRunAndVectorStreamAreFieldForFieldEqual) {
   Fixture open(3);
   SimBackend open_backend(open.cluster, open.sim);
   tasks::VectorArrivalSource source(wl);
-  StreamStats stats{StreamOptions{}};
+  StreamStats stats;
   const RunMetrics b =
       pipeline.run_stream(source, open_backend, StreamOptions{}, &stats);
 
@@ -174,7 +174,7 @@ TEST(StreamingTest, PoissonStreamIsDeterministicForFixedSeed) {
   };
 
   RunMetrics m1, m2;
-  StreamStats s1{StreamOptions{}}, s2{StreamOptions{}};
+  StreamStats s1, s2;
   std::vector<PhaseRecord> p1, p2;
   run_once(m1, s1, p1);
   run_once(m2, s2, p2);
@@ -185,8 +185,8 @@ TEST(StreamingTest, PoissonStreamIsDeterministicForFixedSeed) {
   EXPECT_EQ(m1.culled, m2.culled);
   EXPECT_EQ(m1.phases, m2.phases);
   EXPECT_EQ(m1.finish_time, m2.finish_time);
-  EXPECT_EQ(s1.schedule_latency.count(), s2.schedule_latency.count());
-  EXPECT_EQ(s1.schedule_latency.buckets(), s2.schedule_latency.buckets());
+  EXPECT_EQ(s1.schedule_latency.count(), m1.scheduled);
+  EXPECT_EQ(s1.schedule_latency, s2.schedule_latency);
   ASSERT_EQ(p1.size(), p2.size());
   for (std::size_t i = 0; i < p1.size(); ++i) {
     EXPECT_EQ(p1[i].start, p2[i].start);
@@ -216,7 +216,7 @@ TEST(StreamingTest, AdmissionControlTurnsArrivalsAwayAndBooksBalance) {
   tasks::PoissonArrivalSource source(cfg, usec(200));
   StreamOptions opts;
   opts.max_pending = 4;
-  StreamStats stats(opts);
+  StreamStats stats;
   PhaseTraceRecorder trace;
   TaskLedger ledger;
   const RunMetrics m =
@@ -294,7 +294,7 @@ TEST(StreamingTest, RefusalHeavyStreamRetiresEveryAttemptEntry) {
   SimBackend inner(f.cluster, f.sim);
   testing::FaultInjectingBackend backend(inner, 2);  // refuse every 2nd
   tasks::PoissonArrivalSource source(cfg, usec(300));
-  StreamStats stats{StreamOptions{}};
+  StreamStats stats;
   const RunMetrics m =
       pipeline.run_stream(source, backend, StreamOptions{}, &stats);
 
@@ -306,33 +306,6 @@ TEST(StreamingTest, RefusalHeavyStreamRetiresEveryAttemptEntry) {
                 m.admission_rejected,
             m.total_tasks);
   EXPECT_EQ(stats.schedule_latency.count(), m.scheduled);
-}
-
-TEST(StreamingTest, LatencyHistogramBoundsAreConfigurable) {
-  // A tiny window forces overflow samples; the digest still accounts for
-  // every delivery (count includes the out-of-range edges).
-  tasks::StreamConfig cfg;
-  cfg.seed = 5;
-  cfg.max_tasks = 40;
-  cfg.body.num_processors = 2;
-  cfg.body.laxity_min = 10.0;
-  cfg.body.laxity_max = 20.0;
-
-  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
-  const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhasePipeline pipeline(*algo, *q);
-
-  Fixture f(2);
-  SimBackend backend(f.cluster, f.sim);
-  tasks::PoissonArrivalSource source(cfg, usec(500));
-  StreamOptions opts;
-  opts.latency_lo_us = 0.0;
-  opts.latency_hi_us = 1.0;  // ~every sample overflows
-  opts.latency_buckets = 4;
-  StreamStats stats(opts);
-  const RunMetrics m = pipeline.run_stream(source, backend, opts, &stats);
-  EXPECT_EQ(stats.schedule_latency.count(), m.scheduled);
-  EXPECT_GT(stats.schedule_latency.overflow(), 0u);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(PeriodicReleaseTest, ClosedReleaseTrainReplaysIdenticallyOnDes) {
 TEST(PeriodicReleaseTest, OpenPeriodicReplaysIdenticallyOnDes) {
   // The jittered release train is drawn from the scenario seed, so two runs
   // see the same arrivals to the microsecond: phase traces and latency
-  // digests must match exactly, like the other open kinds.
+  // histograms must match exactly, like the other open kinds.
   HarnessOptions opts;
   opts.run_threaded = false;
   Scenario s = generate_scenario(0x9E10D1C, 3);
@@ -54,7 +54,7 @@ TEST(PeriodicReleaseTest, OpenPeriodicReplaysIdenticallyOnDes) {
   const ScenarioResult r1 = run_scenario(s, opts);
   const ScenarioResult r2 = run_scenario(s, opts);
   EXPECT_TRUE(r1.ok()) << r1.to_string();
-  ASSERT_TRUE(r1.sim.has_latency);
+  ASSERT_TRUE(r1.sim.latency.has_value());
   std::vector<std::string> diffs;
   oracle_metric_parity(r1.sim, r2.sim, diffs);
   EXPECT_TRUE(diffs.empty()) << diffs.front();
