@@ -11,8 +11,9 @@
 // perf number can never come from a divergent search), and reports
 // vertices/sec, ns/vertex, expansions/sec and p50/p99 per-phase search
 // latency. A cell whose search places nothing within its budget is refused:
-// the engine replays such a search from its futile-search record, so its
-// repetitions would not walk the tree. A second sweep is the CAPACITY table: generous-deadline
+// such a search expands only the root, and the pipeline skips the phases
+// that would repeat it, so it times no tree walk a run pays for. A second
+// sweep is the CAPACITY table: generous-deadline
 // batches at n ∈ {10^5, 10^6} (gated by --capacity-max; 0 skips, the
 // --quick default) walked to a full-depth leaf, reporting vertices/sec
 // plus the memory columns — process peak RSS and the engine's pooled
@@ -379,13 +380,13 @@ int main(int argc, char** argv) {
           search::reference::run(cell.config, in.batch, in.base_loads,
                                  in.delivery, net, in.budget);
       require_identical(fast, ref, cell.name);
-      // The engine answers a repeat of a search that placed nothing with
-      // budget to spare from its futile-search record, so timing such a
-      // cell would time the replay, not the tree walk.
+      // A search that places nothing with budget to spare expands only the
+      // root, and the pipeline fast-forwards the phases that would repeat
+      // it, so timing such a cell would not time a tree walk.
       if (fast.schedule.empty() && !fast.stats.budget_exhausted) {
         std::cerr << "FATAL: " << cell.name
-                  << " places nothing within its budget; its repetitions "
-                     "would be replays\n";
+                  << " places nothing within its budget; it would time "
+                     "only a root expansion\n";
         std::exit(1);
       }
     }

@@ -53,9 +53,6 @@ class Interconnect {
   [[nodiscard]] SimDuration comm_cost(const AffinitySet& affinity,
                                       ProcessorId target) const;
 
-  /// Equal interconnects price every placement the same.
-  bool operator==(const Interconnect&) const = default;
-
  private:
   Interconnect(RoutingModel model, std::uint32_t num_workers,
                SimDuration cost);

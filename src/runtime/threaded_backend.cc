@@ -7,11 +7,22 @@
 
 namespace rtds::runtime {
 
+namespace {
+
+/// Wall time a worker sleeps to execute `cost` at `time_scale`.
+SimDuration scaled(SimDuration cost, double time_scale) {
+  return usec(std::llround(double(cost.us) * time_scale));
+}
+
+}  // namespace
+
 ThreadedBackend::ThreadedBackend(const RuntimeConfig& config)
     : config_(config),
+      net_(machine::Interconnect::cut_through(config.num_workers,
+                                              config.comm_cost)),
       cluster_(config.num_workers,
                machine::Interconnect::cut_through(config.num_workers,
-                                                  config.comm_cost)),
+                                                  SimDuration::zero())),
       start_(Clock::now()) {
   RTDS_REQUIRE(config.num_workers >= 1,
                "ThreadedBackend: need >= 1 worker");
@@ -31,9 +42,8 @@ ThreadedBackend::ThreadedBackend(const RuntimeConfig& config)
       while (auto item = mailboxes_[k]->pop()) {
         std::this_thread::sleep_until(
             start_ + std::chrono::microseconds(item->task.earliest_start.us));
-        const auto scaled_us = std::llround(double(item->exec_cost.us) *
-                                            config_.time_scale);
-        std::this_thread::sleep_for(std::chrono::microseconds(scaled_us));
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(item->sleep.us));
         if (item->occupy_only) continue;
         const SimTime end = now();
         const bool hit = end <= item->task.deadline;
@@ -56,7 +66,7 @@ std::uint32_t ThreadedBackend::num_workers() const {
 }
 
 const machine::Interconnect& ThreadedBackend::interconnect() const {
-  return cluster_.interconnect();
+  return net_;
 }
 
 SimTime ThreadedBackend::now() const {
@@ -84,13 +94,15 @@ void ThreadedBackend::advance(SimDuration /*host_busy*/) {
 sched::DeliveryResult ThreadedBackend::deliver(
     const std::vector<machine::ScheduledAssignment>& schedule) {
   sched::DeliveryResult out;
-  accepted_.clear();
+  planned_.clear();
   for (const machine::ScheduledAssignment& sa : schedule) {
     const std::uint32_t k = sa.task.workers_required;
     RTDS_REQUIRE(k >= 1 && sa.worker < config_.num_workers &&
                      k <= config_.num_workers - sa.worker,
                  "deliver: gang block exceeds the machine");
-    const SimDuration cost = cluster_.execution_cost(sa.task, sa.worker);
+    const SimDuration sleep = scaled(
+        sa.task.processing + net_.comm_cost(sa.task.affinity, sa.worker),
+        config_.time_scale);
     // A gang is handed to its k mailboxes atomically or refused whole. The
     // host is the sole producer, so free slots observed across the block
     // cannot shrink before the pushes below — checking first gives
@@ -117,18 +129,22 @@ sched::DeliveryResult ThreadedBackend::deliver(
     }
     // Lead worker judges the deadline and reports the outcome; siblings
     // get occupy-only items so the job charges k workers but counts once.
-    bool pushed = mailboxes_[sa.worker]->try_push(WorkItem{sa.task, cost});
+    bool pushed = mailboxes_[sa.worker]->try_push(WorkItem{sa.task, sleep});
     for (std::uint32_t j = 1; j < k; ++j) {
       pushed = mailboxes_[sa.worker + j]->try_push(
-                   WorkItem{sa.task, cost, /*occupy_only=*/true}) &&
+                   WorkItem{sa.task, sleep, /*occupy_only=*/true}) &&
                pushed;
     }
     RTDS_CHECK_MSG(pushed,
                    "deliver: reserved gang mailbox slot disappeared");
-    accepted_.push_back(sa);
+    // The horizon is planned at the sleep itself: the cluster prices no
+    // communication and executes the worst-case processing it is given.
+    machine::ScheduledAssignment& plan = planned_.emplace_back(sa);
+    plan.task.processing = sleep;
+    plan.task.actual_processing = SimDuration::zero();
   }
-  cluster_.deliver(accepted_, now());
-  out.accepted = accepted_.size();
+  cluster_.deliver(planned_, now());
+  out.accepted = planned_.size();
   if (!out.undelivered.empty()) {
     // One aggregated warning per phase, not one per dropped task.
     RTDS_WARN << "mailbox overflow: " << out.undelivered.size() << " of "

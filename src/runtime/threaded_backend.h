@@ -86,8 +86,9 @@ class ThreadedBackend final : public sched::ExecutionBackend {
  private:
   struct WorkItem {
     tasks::Task task;
-    SimDuration exec_cost;
-    /// Gang sibling: occupy the worker for exec_cost but record no outcome
+    /// Wall time to execute: the cost p + c times time_scale, rounded.
+    SimDuration sleep;
+    /// Gang sibling: occupy the worker for `sleep` but record no outcome
     /// — the lead worker's item alone judges the deadline and reports to
     /// the ledger, so a k-worker job stays ONE task in every count.
     bool occupy_only{false};
@@ -100,12 +101,16 @@ class ThreadedBackend final : public sched::ExecutionBackend {
   void report_outcomes();
 
   RuntimeConfig config_;
-  /// The committed-completion horizons behind load(): the DES's own model,
-  /// block and start-time rules included, fed the wall-clock delivery
-  /// time. Host-thread-only.
+  /// What interconnect() returns and the search prices: unscaled costs.
+  machine::Interconnect net_;
+  /// The committed-completion horizons behind load(): the DES's own block
+  /// and start-time rules, fed the wall-clock delivery time and each
+  /// task's scaled sleep as its cost (so no communication cost of its
+  /// own). Host-thread-only.
   machine::Cluster cluster_;
-  /// The assignments of the current deliver() that found mailbox room.
-  std::vector<machine::ScheduledAssignment> accepted_;
+  /// The accepted assignments of the current deliver(), each task's
+  /// processing replaced by the wall time its worker sleeps.
+  std::vector<machine::ScheduledAssignment> planned_;
   Clock::time_point start_;
 
   std::vector<std::unique_ptr<BoundedQueue<WorkItem>>> mailboxes_;

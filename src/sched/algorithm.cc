@@ -21,12 +21,35 @@ SearchResult TreeSearchAlgorithm::schedule_phase(
   return engine_.run(batch, base_loads, delivery_time, net, vertex_budget);
 }
 
+bool TreeSearchAlgorithm::futile_answer_persists() const {
+  // An empty, unexhausted search evaluated every root candidate and found
+  // none feasible. Fig. 4 accepts T_l on P_k iff max(A_k, e_l) + p_l + c_lk
+  // <= d_l with A_k = delivery_time + base_loads[k], monotone in every A_k,
+  // so with no A_k earlier those candidates stay infeasible and are charged
+  // alike. The root candidates are fixed by the batch and the config for
+  // every configuration but one: a sequence-oriented search that tries
+  // only its level's first processor, picked least-loaded, lets the loads
+  // choose the worker, so a later root could try a worker the empty search
+  // never evaluated.
+  const search::SearchConfig& c = engine_.config();
+  return c.representation == search::Representation::kAssignmentOriented ||
+         c.skip_saturated_processors ||
+         c.level_processor_order == search::LevelProcessorOrder::kRoundRobin;
+}
+
 GreedyAlgorithm::GreedyAlgorithm(std::string name, GreedyKind kind,
                                  std::uint32_t window)
     : name_(std::move(name)), kind_(kind), window_(window) {
   RTDS_REQUIRE(window_ >= 1, "GreedyAlgorithm: window must be >= 1");
 }
 
+// An empty answer evaluated each task it considered on every worker at the
+// root and found none feasible: a feasible one would have been pushed.
+// EDF best-fit considers every task; myopic considers its window of the W
+// earliest deadlines and stops. The EDF order does not depend on the
+// delivery time, and Fig. 4 is monotone in every A_k, so at a root with no
+// A_k earlier the same evaluations fail in the same order and are charged
+// alike: futile_answer_persists() holds.
 SearchResult GreedyAlgorithm::schedule_phase(
     const std::vector<Task>& batch,
     const std::vector<SimDuration>& base_loads, SimTime delivery_time,

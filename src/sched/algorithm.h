@@ -50,6 +50,17 @@ class PhaseAlgorithm {
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const = 0;
 
+  /// True when an empty answer that did not exhaust its budget stays empty,
+  /// with equal SearchStats, over the same batch and interconnect at any
+  /// later delivery time, with no worker free earlier (delivery_time +
+  /// base_loads[k] no smaller for any k) and a budget of at least the
+  /// recorded vertices_generated. The pipeline then computes the phases
+  /// that would repeat such an answer instead of calling schedule_phase
+  /// (docs/ARCHITECTURE.md, "Futile runs are fast-forwarded"). False by
+  /// default: a decorator that does not forward it keeps its runs on the
+  /// phase-by-phase loop.
+  [[nodiscard]] virtual bool futile_answer_persists() const { return false; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -64,6 +75,8 @@ class TreeSearchAlgorithm final : public PhaseAlgorithm {
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
+  /// Every config but sequence-oriented + least-loaded + no skipping.
+  [[nodiscard]] bool futile_answer_persists() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] const search::SearchConfig& search_config() const {
@@ -94,6 +107,8 @@ class GreedyAlgorithm final : public PhaseAlgorithm {
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
+  /// True for both kinds (tests/sched/fast_forward_test.cc).
+  [[nodiscard]] bool futile_answer_persists() const override { return true; }
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:

@@ -72,6 +72,16 @@ class ExecutionBackend {
   [[nodiscard]] virtual SimDuration load(std::uint32_t worker,
                                          SimTime t) const = 0;
 
+  /// True when the clock moves only when the pipeline moves it (advance,
+  /// wait_until) and load(k, t) == max(0, h_k - t) for horizons h_k that
+  /// only deliver() moves. The pipeline can then compute the phases after a
+  /// proven-futile one without calling the backend (docs/ARCHITECTURE.md,
+  /// "Futile runs are fast-forwarded"). False by default: a decorator that
+  /// does not forward it keeps its runs on the phase-by-phase loop.
+  /// SimBackend answers true; ThreadedBackend false, its clock runs by
+  /// itself.
+  [[nodiscard]] virtual bool analytic_loads() const { return false; }
+
   /// Blocks (or advances the simulated clock) until time t; no-op if t has
   /// already passed.
   virtual void wait_until(SimTime t) = 0;
@@ -119,6 +129,8 @@ class SimBackend final : public ExecutionBackend {
   [[nodiscard]] SimTime now() const override;
   [[nodiscard]] SimDuration load(std::uint32_t worker,
                                  SimTime t) const override;
+  /// The clock is the simulator's, and load() reads the cluster's horizons.
+  [[nodiscard]] bool analytic_loads() const override { return true; }
   void wait_until(SimTime t) override;
   void advance(SimDuration host_busy) override;
   DeliveryResult deliver(

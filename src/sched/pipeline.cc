@@ -8,6 +8,132 @@
 #include "tasks/batch.h"
 
 namespace rtds::sched {
+namespace {
+
+/// A phase's share of host time: its quantum Q_s, whether the progress
+/// floor raised it, and the vertex budget it buys.
+struct Allocation {
+  SimDuration quantum;
+  bool floor_override;
+  std::uint64_t budget;
+};
+
+/// Q_s(j) from the Fig. 3 criterion (or the fixed-quantum ablation). The
+/// quantum must cover the fixed per-phase overhead plus at least one vertex
+/// generation, or the phase could make no progress. Raising it can push Q_s
+/// past max_quantum and past the paper's Q_s <= max(Min_Slack, Min_Load)
+/// bound, so the override is counted and surfaced in the trace rather than
+/// applied silently.
+Allocation allocate(const QuantumPolicy& policy, const PipelineConfig& config,
+                    SimDuration min_slack, SimDuration min_load) {
+  Allocation a{policy.allocate(min_slack, min_load), false, 0};
+  const SimDuration quantum_floor =
+      config.phase_overhead + config.vertex_generation_cost;
+  if (a.quantum < quantum_floor) {
+    a.quantum = quantum_floor;
+    a.floor_override = true;
+  }
+  a.budget = static_cast<std::uint64_t>(
+      (a.quantum - config.phase_overhead) / config.vertex_generation_cost);
+  return a;
+}
+
+/// Adds one phase's quantum, search stats and host time to the run's sums.
+void count_phase(RunMetrics& metrics, const Allocation& a,
+                 const search::SearchStats& stats, SimDuration spent) {
+  metrics.phases += 1;
+  metrics.quantum_floor_overrides += a.floor_override ? 1 : 0;
+  metrics.vertices_generated += stats.vertices_generated;
+  metrics.expansions += stats.expansions;
+  metrics.backtracks += stats.backtracks;
+  metrics.dead_ends += stats.dead_end ? 1 : 0;
+  metrics.leaves += stats.reached_leaf ? 1 : 0;
+  metrics.budget_exhaustions += stats.budget_exhausted ? 1 : 0;
+  metrics.scheduling_time += spent;
+  metrics.allocated_quantum += a.quantum;
+  metrics.min_quantum_seen = min_duration(metrics.min_quantum_seen, a.quantum);
+  metrics.max_quantum_seen = max_duration(metrics.max_quantum_seen, a.quantum);
+}
+
+/// A phase whose search returned an empty schedule without exhausting its
+/// budget, with the inputs the phases that repeat it are computed from.
+struct FutilePhase {
+  SimTime start;         ///< t_s
+  SimDuration min_load;  ///< Min_Load, read at t_s
+  SimTime delivery;      ///< t_s + Q_s, the delivery time it was proven at
+  SimDuration spent;     ///< host time, which every repeat charges again
+  search::SearchStats stats;
+};
+
+/// Counts, from `futile.start + futile.spent` on, the phases that would
+/// repeat `futile` over the unchanged `batch`, and returns the start of the
+/// first one that might not. Nothing is delivered, so every horizon stays
+/// where `futile` read it: Min_Load is futile.min_load minus the time
+/// elapsed. Each phase's delivery time is no earlier than futile.delivery
+/// and its budget covers the recorded vertices, so by the algorithm's
+/// futile_answer_persists() its search answers empty with futile.stats.
+/// The run stops before a phase that would merge an arrival (`next_arrival`
+/// is at or before it), cull a task (Min_Slack < 0), pass a pending task's
+/// earliest start (where that task's slack starts to fall), get a budget
+/// below the recorded vertices, or deliver earlier than futile.delivery
+/// (which neither built-in quantum policy does: t + Q_s never decreases).
+SimTime skip_futile_phases(const QuantumPolicy& policy,
+                           const PipelineConfig& config,
+                           const FutilePhase& futile,
+                           const std::vector<Task>& batch,
+                           std::optional<SimTime> next_arrival,
+                           RunMetrics& metrics, PhaseObserver* observer) {
+  const SimTime from = futile.start + futile.spent;
+  // One read of the batch. A task whose earliest start has passed has
+  // slack (d - p) - t, falling 1:1 with t; the slack of one still waiting
+  // is d - e - p, constant until t passes e.
+  SimTime started_key = SimTime::max();  // min d - p of the started tasks
+  SimDuration waiting_slack = SimDuration::max();
+  SimTime first_start = SimTime::max();  // earliest start still ahead
+  for (const Task& task : batch) {
+    if (task.earliest_start > from) {
+      waiting_slack = min_duration(waiting_slack, task.slack_at(from));
+      first_start = std::min(first_start, task.earliest_start);
+    } else {
+      started_key = std::min(started_key, task.deadline - task.processing);
+    }
+  }
+  PhaseRecord record;
+  if (observer != nullptr) {
+    record.algorithm = metrics.algorithm;
+    record.batch_size = batch.size();
+    record.search = futile.stats;
+  }
+  SimTime t = from;
+  while (!(next_arrival.has_value() && *next_arrival <= t) &&
+         t <= first_start) {
+    const SimDuration min_slack = min_duration(waiting_slack, started_key - t);
+    if (min_slack.is_negative()) break;
+    const SimDuration min_load =
+        max_duration(SimDuration::zero(), futile.min_load - (t - futile.start));
+    const Allocation a = allocate(policy, config, min_slack, min_load);
+    if (a.budget < futile.stats.vertices_generated ||
+        t + a.quantum < futile.delivery) {
+      break;
+    }
+    count_phase(metrics, a, futile.stats, futile.spent);
+    if (observer != nullptr) {
+      record.index = metrics.phases - 1;
+      record.start = t;
+      record.end = t + futile.spent;
+      record.min_slack = min_slack;
+      record.min_load = min_load;
+      record.quantum = a.quantum;
+      record.vertex_budget = a.budget;
+      record.quantum_floor_override = a.floor_override;
+      observer->on_phase(record);
+    }
+    t += futile.spent;
+  }
+  return t;
+}
+
+}  // namespace
 
 PhasePipeline::PhasePipeline(const PhaseAlgorithm& algorithm,
                              const QuantumPolicy& quantum,
@@ -73,6 +199,11 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
 
   tasks::Batch batch;
   const SimDuration vcost = config_.vertex_generation_cost;
+  // Both answers are false unless declared (sched/backend.h,
+  // sched/algorithm.h): a decorator that forwards neither keeps the run on
+  // the phase-by-phase loop.
+  const bool fast_forward =
+      backend.analytic_loads() && algorithm_.futile_answer_persists();
   const std::uint32_t num_workers = backend.num_workers();
   // Per-phase buffers, declared once so each phase reuses their capacity:
   // a steady-state phase makes no heap allocation of its own.
@@ -131,7 +262,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       continue;
     }
 
-    // Q_s(j) from the Fig. 3 criterion (or the fixed-quantum ablation).
     RTDS_ASSERT_MSG(!min_slack.is_negative(),
                     "unreachable task survived culling");
     // Each worker's load is read once: it feeds Min_Load here and the
@@ -141,20 +271,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       loads[k] = backend.load(k, t);
       min_load = min_duration(min_load, loads[k]);
     }
-    SimDuration quantum = quantum_.allocate(min_slack, min_load);
-    // The quantum must cover the fixed per-phase overhead plus at least one
-    // vertex generation, or the phase could make no progress. Raising it
-    // can push Q_s past max_quantum and past the paper's
-    // Q_s <= max(Min_Slack, Min_Load) bound, so the override is counted
-    // and surfaced in the trace rather than applied silently.
-    const SimDuration quantum_floor = config_.phase_overhead + vcost;
-    const bool floor_override = quantum < quantum_floor;
-    if (floor_override) {
-      quantum = quantum_floor;
-      metrics.quantum_floor_overrides += 1;
-    }
-    const std::uint64_t budget = static_cast<std::uint64_t>(
-        (quantum - config_.phase_overhead) / vcost);
+    const Allocation allocation =
+        allocate(quantum_, config_, min_slack, min_load);
+    const SimDuration quantum = allocation.quantum;
 
     // Worker loads as seen at the planned delivery time t_s + Q_s: the
     // workers drain previous schedules while this phase runs (Sec. 4.4).
@@ -170,7 +289,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     if (observer != nullptr) search_start = std::chrono::steady_clock::now();
     const SearchResult result = algorithm_.schedule_phase(
         batch.tasks(), base_loads, planned_delivery, backend.interconnect(),
-        budget);
+        allocation.budget);
     std::uint64_t search_wall_ns = 0;
     if (observer != nullptr) {
       search_wall_ns = static_cast<std::uint64_t>(
@@ -186,18 +305,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     spent += config_.phase_overhead;
     RTDS_ASSERT(spent <= quantum);
     const SimTime phase_end = t + spent;
-
-    metrics.phases += 1;
-    metrics.vertices_generated += result.stats.vertices_generated;
-    metrics.expansions += result.stats.expansions;
-    metrics.backtracks += result.stats.backtracks;
-    metrics.dead_ends += result.stats.dead_end ? 1 : 0;
-    metrics.leaves += result.stats.reached_leaf ? 1 : 0;
-    metrics.budget_exhaustions += result.stats.budget_exhausted ? 1 : 0;
-    metrics.scheduling_time += spent;
-    metrics.allocated_quantum += quantum;
-    metrics.min_quantum_seen = min_duration(metrics.min_quantum_seen, quantum);
-    metrics.max_quantum_seen = max_duration(metrics.max_quantum_seen, quantum);
+    count_phase(metrics, allocation, result.stats, spent);
 
     // Materialize S_j against the batch snapshot: delivery slot i holds
     // result.schedule[i]. The scheduled tasks are retired from the batch
@@ -285,8 +393,8 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       record.min_slack = min_slack;
       record.min_load = min_load;
       record.quantum = quantum;
-      record.vertex_budget = budget;
-      record.quantum_floor_override = floor_override;
+      record.vertex_budget = allocation.budget;
+      record.quantum_floor_override = allocation.floor_override;
       record.search = result.stats;
       record.search_wall_ns = search_wall_ns;
       record.scheduled = result.schedule.size();
@@ -313,6 +421,19 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       }
       backend.wait_until(backend.now() + pause);
       metrics.backpressure_waits += 1;
+    }
+
+    // A proven-futile phase: until an arrival, a cull or a budget cut, the
+    // phases after it repeat it exactly, so they are counted, not run
+    // (docs/ARCHITECTURE.md, "Futile runs are fast-forwarded"). Nothing was
+    // delivered, so the clock reads phase_end.
+    if (fast_forward && result.schedule.empty() &&
+        !result.stats.budget_exhausted) {
+      const SimTime resume = skip_futile_phases(
+          quantum_, config_,
+          {t, min_load, planned_delivery, spent, result.stats}, batch.tasks(),
+          source.peek(), metrics, observer);
+      if (resume > phase_end) backend.advance(resume - phase_end);
     }
   }
 

@@ -22,6 +22,20 @@
 // Batch maintenance, quantum computation, vertex budgeting, feasibility
 // snapshotting and metrics/trace emission all live HERE and only here; the
 // backends (sched/backend.h) supply time, worker loads and delivery.
+//
+// Futile runs are fast-forwarded. A phase whose search returned an empty
+// schedule without exhausting its budget placed nothing, so nothing moves
+// a worker's horizon, and t_s + Q_s never decreases: until an arrival, a
+// cull or a budget cut, every later phase over the same batch returns the
+// same empty answer with the same stats. When the backend's loads are
+// analytic (ExecutionBackend::analytic_loads) and the algorithm's futile
+// answer persists (PhaseAlgorithm::futile_answer_persists), the pipeline
+// computes those phases — Min_Slack, Min_Load, Q_s, budget, every
+// RunMetrics sum and each PhaseRecord (search_wall_ns = 0) — without
+// calling the source's next(), the algorithm or the backend, and charges
+// their host time with one advance(). Outputs are identical to the
+// phase-by-phase loop, which a backend or algorithm that declares neither
+// answer keeps (docs/ARCHITECTURE.md, "Futile runs are fast-forwarded").
 #pragma once
 
 #include <cstddef>

@@ -29,6 +29,13 @@ PartitionScheduler::PartitionScheduler(std::string name,
                                        PartitionConfig config)
     : name_(std::move(name)), config_(config) {}
 
+// An empty answer that kept budget placed nothing in pass 1: a task pass 1
+// placed reaches pass 2, whose first commit on that task's worker is
+// evaluated at the root, where the queue is no longer than pass 1 saw, so
+// it is feasible too. So every (task, worker) probe failed at the root and
+// was charged once. At a root with no A_k earlier they fail again (Fig. 4
+// is monotone in every A_k) and are charged alike, whatever order the
+// delivery-relative sort keys put them in: futile_answer_persists() holds.
 SearchResult PartitionScheduler::schedule_phase(
     const std::vector<Task>& batch,
     const std::vector<SimDuration>& base_loads, SimTime delivery_time,

@@ -66,6 +66,8 @@ class PartitionScheduler final : public PhaseAlgorithm {
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
+  /// True for every sort and fit (tests/sched/fast_forward_test.cc).
+  [[nodiscard]] bool futile_answer_persists() const override { return true; }
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] const PartitionConfig& config() const { return config_; }
 

@@ -430,15 +430,6 @@ class CandidateList {
   std::vector<Entry>& heap_;
 };
 
-/// The last run that placed nothing without exhausting its budget. Its root
-/// (per-task constants, delivery time, base loads) is the one the snapshot
-/// still holds, so the record keeps only what the snapshot does not.
-struct FutileRecord {
-  std::optional<machine::Interconnect> net;  ///< empty: no record
-  SearchConfig config;
-  SearchStats stats;
-};
-
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
 /// largest batch seen (capacity is retained by clear()/reset(); the arena
@@ -465,10 +456,8 @@ struct Workspace {
   std::vector<tasks::ProcessorId> level_order;
   std::vector<std::uint32_t> task_ids;
   std::vector<std::int32_t> chain;
-  FutileRecord futile;
   // The thread's counters: a released workspace keeps them.
   std::size_t peak_bytes{0};
-  std::uint64_t futile_replays{0};
   OrderBuilds order_builds;
 };
 
@@ -596,44 +585,6 @@ void build_order(Workspace& ws, const std::vector<Task>& batch,
   ws.order_builds.reused += prefix;
 }
 
-/// Whether the root candidates a run evaluates are fixed by the batch and
-/// the config, whatever the loads. They are for every configuration but
-/// one: a sequence-oriented search that tries only its level's first
-/// processor, picked least-loaded, lets the loads choose the worker, so a
-/// dominated root could try a worker the recorded run never evaluated.
-bool root_candidates_fixed(const SearchConfig& c) {
-  return c.representation == Representation::kAssignmentOriented ||
-         c.skip_saturated_processors ||
-         c.level_processor_order == LevelProcessorOrder::kRoundRobin;
-}
-
-/// Answers a run from the futile record when the config and interconnect
-/// are the recorded ones, the budget covers the recorded charge, and the
-/// recorded root dominates the run's (PartialSchedule::dominates_root).
-/// Every root candidate of the run was then evaluated by the recorded run,
-/// found infeasible there and is still infeasible, and the budget charges
-/// each one without running out: the run would end on the same dead end
-/// with the same stats, so they are returned without searching.
-bool replay_futile(Workspace& ws, const SearchConfig& config,
-                   const std::vector<Task>& batch,
-                   const std::vector<SimDuration>& base_loads,
-                   SimTime delivery_time, const machine::Interconnect& net,
-                   std::uint64_t vertex_budget, SearchStats& stats) {
-  const FutileRecord& record = ws.futile;
-  if (!record.net || *record.net != net || record.config != config ||
-      vertex_budget < record.stats.vertices_generated) {
-    return false;
-  }
-  PartialSchedule::check_base_loads(base_loads, net);
-  RTDS_ASSERT(ws.schedule.has_value());
-  if (!ws.schedule->dominates_root(batch, base_loads, delivery_time)) {
-    return false;
-  }
-  stats = record.stats;
-  ++ws.futile_replays;
-  return true;
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> task_consideration_order(
@@ -654,8 +605,6 @@ std::size_t thread_workspace_bytes() { return workspace_bytes(workspace()); }
 
 std::size_t thread_workspace_peak_bytes() { return workspace().peak_bytes; }
 
-std::uint64_t thread_futile_replays() { return workspace().futile_replays; }
-
 OrderBuilds thread_order_builds() { return workspace().order_builds; }
 
 SearchEngine::SearchEngine(SearchConfig config) : config_(config) {}
@@ -671,13 +620,7 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
                "SearchEngine: phase batch above kMaxBatchTasks");
 
   Workspace& ws = workspace();
-  if (replay_futile(ws, config_, batch, base_loads, delivery_time, net,
-                    vertex_budget, result.stats)) {
-    return result;
-  }
   const std::uint32_t m = net.num_workers();
-  // The snapshot is about to take a new root; the record it held goes.
-  ws.futile.net.reset();
 
   // kBatchOrder is the identity permutation, and so is any order of one
   // task: skip building (and chasing) the index vector entirely.
@@ -808,20 +751,12 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
   const std::size_t bytes = workspace_bytes(ws);
   ws.peak_bytes = std::max(ws.peak_bytes, bytes);
   if (bytes > kRetainBytes) {
-    // Release the snapshot with its order and futile record, the arena and
-    // every buffer; only the thread's counters stay.
+    // Release the snapshot with its order, the arena and every buffer; only
+    // the thread's counters stay.
     Workspace released;
     released.peak_bytes = ws.peak_bytes;
-    released.futile_replays = ws.futile_replays;
     released.order_builds = ws.order_builds;
     ws = std::move(released);
-  } else if (result.schedule.empty() && !stats.budget_exhausted &&
-             root_candidates_fixed(config_)) {
-    // The root had no feasible successor, and the budget did not cut its
-    // expansion short: keep the run for replay_futile.
-    ws.futile.net.emplace(net);
-    ws.futile.config = config_;
-    ws.futile.stats = stats;
   }
   return result;
 }

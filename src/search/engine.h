@@ -124,8 +124,6 @@ struct SearchConfig {
   /// dies forever once P_0 saturates would be a strawman comparator.
   /// Disable for the strict round-robin reading (ablation ABL-H).
   bool skip_saturated_processors{true};
-
-  bool operator==(const SearchConfig&) const = default;
 };
 
 /// Counters describing one search run.
@@ -137,6 +135,8 @@ struct SearchStats {
   bool reached_leaf{false};
   bool dead_end{false};
   bool budget_exhausted{false};
+
+  bool operator==(const SearchStats&) const = default;
 };
 
 /// Result of one scheduling-phase search: a feasible (partial or complete)
@@ -166,10 +166,6 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 /// understate what a big batch actually used).
 [[nodiscard]] std::size_t thread_workspace_peak_bytes();
 
-/// Runs on the calling thread that SearchEngine::run answered from its
-/// futile-search record instead of searching.
-[[nodiscard]] std::uint64_t thread_futile_replays();
-
 /// How the searches on one thread came by their consideration orders.
 struct OrderBuilds {
   /// Searches that needed no order: kBatchOrder, or a one-task batch.
@@ -180,8 +176,7 @@ struct OrderBuilds {
   std::uint64_t reused{0};
 };
 
-/// Consideration orders built on the calling thread so far (replayed runs
-/// build none).
+/// Consideration orders built on the calling thread so far.
 [[nodiscard]] OrderBuilds thread_order_builds();
 
 /// Depth-first search over the task-space tree. One engine can be reused
@@ -229,12 +224,9 @@ class SearchEngine {
   /// place. A first run, a switch of sort kind or an unrelated batch is an
   /// empty prefix.
   ///
-  /// The workspace also keeps the last run that returned an empty schedule
-  /// without exhausting its budget. A run with the same config,
-  /// interconnect and batch, no worker free earlier (see
-  /// PartialSchedule::dominates_root) and at least the recorded vertex
-  /// count in its budget returns that empty result and its stats without
-  /// searching: the root had no feasible successor, and it still has none.
+  /// Every run searches. The phases that would repeat an empty,
+  /// unexhausted search are the pipeline's to skip
+  /// (sched::PhaseAlgorithm::futile_answer_persists).
   [[nodiscard]] SearchResult run(const std::vector<Task>& batch,
                                  const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,

@@ -20,7 +20,11 @@ void PartialSchedule::reset(const std::vector<Task>* batch,
                             const machine::Interconnect* net) {
   RTDS_REQUIRE(batch != nullptr && net != nullptr,
                "PartialSchedule: null batch or interconnect");
-  check_base_loads(base_loads, *net);
+  RTDS_REQUIRE(base_loads.size() == net->num_workers(),
+               "PartialSchedule: base_loads size != worker count");
+  for (SimDuration d : base_loads) {
+    RTDS_REQUIRE(!d.is_negative(), "PartialSchedule: negative base load");
+  }
   batch_ = batch;
   net_ = net;
   delivery_time_ = delivery_time;
@@ -64,42 +68,6 @@ void PartialSchedule::reset(const std::vector<Task>* batch,
   path_.clear();
   path_.reserve(n);
   gang_undo_.clear();
-}
-
-void PartialSchedule::check_base_loads(
-    const std::vector<SimDuration>& base_loads,
-    const machine::Interconnect& net) {
-  RTDS_REQUIRE(base_loads.size() == net.num_workers(),
-               "PartialSchedule: base_loads size != worker count");
-  for (SimDuration d : base_loads) {
-    RTDS_REQUIRE(!d.is_negative(), "PartialSchedule: negative base load");
-  }
-}
-
-bool PartialSchedule::dominates_root(
-    const std::vector<Task>& batch, const std::vector<SimDuration>& base_loads,
-    SimTime delivery_time) const {
-  RTDS_ASSERT(path_.empty());
-  if (batch.size() != p_us_.size() || base_loads.size() != ce_us_.size()) {
-    return false;
-  }
-  // With the path empty, ce_us_[k] is worker k's base load here, so A_k
-  // is no earlier there iff shift + base_loads[k] >= ce_us_[k].
-  const std::int64_t shift = (delivery_time - delivery_time_).us;
-  for (std::size_t k = 0; k < ce_us_.size(); ++k) {
-    if (shift + base_loads[k].us < ce_us_[k]) return false;
-  }
-  // An earliest start at or before this delivery time is clamped to 0 on
-  // both sides, which is sound: every A_k there is at or after it.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Task& t = batch[i];
-    if (t.processing.us != p_us_[i] || es_off_us(t) != es_us_[i] ||
-        (t.deadline - delivery_time_).us != d_us_[i] ||
-        t.affinity.raw() != aff_bits_[i] || t.workers_required != width_[i]) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void PartialSchedule::reset_unassigned_bits() {

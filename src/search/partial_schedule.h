@@ -106,25 +106,6 @@ class PartialSchedule {
              const std::vector<SimDuration>& base_loads,
              SimTime delivery_time, const machine::Interconnect* net);
 
-  /// The base-load check reset() makes: InvalidArgument unless
-  /// `base_loads` holds one non-negative load per worker of `net`.
-  static void check_base_loads(const std::vector<SimDuration>& base_loads,
-                               const machine::Interconnect& net);
-
-  /// True when a root over (`batch`, `base_loads`, `delivery_time`) has this
-  /// root's per-task constants and no worker free earlier: the instant
-  /// worker k can take new work, A_k = delivery_time + base_loads[k], is no
-  /// earlier than here for any k. The constants are compared as this root
-  /// holds them, relative to its own delivery time, so no copy of its batch
-  /// is needed. Every placement infeasible here is then infeasible there:
-  /// Fig. 4 accepts T_l on P_k iff max(A_k, e_l) + p_l + c_lk <= d_l (A_k
-  /// the max over a gang's block), monotone in every A_k. Only meaningful
-  /// while the path is empty; reads no Task of this root's batch, which
-  /// may be gone.
-  [[nodiscard]] bool dominates_root(const std::vector<Task>& batch,
-                                    const std::vector<SimDuration>& base_loads,
-                                    SimTime delivery_time) const;
-
   /// Declares the consideration order the search iterates tasks in, so the
   /// unassigned bitset lives in order-position space and find-first scans
   /// return positions in heuristic order. `order` must be a permutation of

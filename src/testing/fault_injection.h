@@ -40,6 +40,11 @@ class FaultInjectingBackend final : public sched::ExecutionBackend {
                                  SimTime t) const override {
     return inner_.load(worker, t);
   }
+  /// Refusals happen only inside deliver(), which a fast-forwarded phase
+  /// never calls, so the inner backend's answer stands.
+  [[nodiscard]] bool analytic_loads() const override {
+    return inner_.analytic_loads();
+  }
   void wait_until(SimTime t) override { inner_.wait_until(t); }
   void advance(SimDuration host_busy) override { inner_.advance(host_busy); }
 

@@ -16,6 +16,7 @@
 #include "sched/registry.h"
 #include "sim/simulator.h"
 #include "testing/fault_injection.h"
+#include "testing/phase_by_phase.h"
 
 namespace rtds::testing {
 namespace {
@@ -137,6 +138,12 @@ void apply_mutation(Mutation mutation, BackendRun& run) {
       // Handled in run_scenario: this mutation doctors the workload copy
       // the gang-occupancy oracle sees, not the BackendRun.
       return;
+    case Mutation::kLosePhase:
+      if (run.has_phases && !run.phases.empty()) {
+        run.phases.pop_back();
+        --run.metrics.phases;
+      }
+      return;
   }
 }
 
@@ -210,7 +217,7 @@ ScenarioResult run_scenario(const Scenario& scenario,
           ? doctor_gang_widths(workload)
           : workload;
 
-  // -- sim: the reference run ------------------------------------------------
+  // -- sim: the simulated run -----------------------------------------------
   // The only cluster whose completion log is read: the schedule-validity
   // and gang-occupancy oracles audit it.
   machine::Cluster sim_cluster(
@@ -220,13 +227,32 @@ ScenarioResult run_scenario(const Scenario& scenario,
   sim::Simulator simulator;
   sched::SimBackend sim_inner(sim_cluster, simulator);
   FaultInjectingBackend sim_backend(sim_inner, scenario.refusal_period);
+  const CallCountingAlgorithm counted(*algorithm);
   result.sim.name = "sim";
   // SimBackend reports a phase's executions at its next clock call, so its
   // ledger holds at most the admission bound plus one phase's deliveries.
   result.sim.max_pending = open ? scenario.max_pending : 0;
-  const bool sim_ok = run_pipeline(scenario, *algorithm, *quantum, des_config,
+  const bool sim_ok = run_pipeline(scenario, counted, *quantum, des_config,
                                    workload, sim_backend, result.sim,
                                    result.violations);
+  result.fast_forwarded_phases =
+      sim_ok ? result.sim.metrics.phases - counted.calls() : 0;
+
+  // The same run phase by phase: a backend that declares no analytic loads
+  // keeps the pipeline from fast-forwarding.
+  machine::Cluster reference_cluster(
+      scenario.workers,
+      machine::Interconnect::cut_through(scenario.workers, comm), reclaim);
+  sim::Simulator reference_simulator;
+  sched::SimBackend reference_sim(reference_cluster, reference_simulator);
+  FaultInjectingBackend reference_faults(reference_sim,
+                                         scenario.refusal_period);
+  PhaseByPhaseBackend reference_backend(reference_faults);
+  result.sim_reference.name = "sim-phase-by-phase";
+  const bool reference_ok = run_pipeline(
+      scenario, *algorithm, *quantum, des_config, workload, reference_backend,
+      result.sim_reference, result.violations);
+
   if (sim_ok) {
     apply_mutation(options.mutation, result.sim);
     oracle_correction_theorem(result.sim, result.violations);
@@ -236,6 +262,10 @@ ScenarioResult run_scenario(const Scenario& scenario,
     oracle_gang_occupancy("sim", sim_cluster, oracle_workload,
                           result.violations);
     oracle_stream_accounting(result.sim, result.violations);
+    if (reference_ok) {
+      oracle_fast_forward_parity(result.sim, result.sim_reference,
+                                 result.violations);
+    }
   }
 
   // -- multi-shard audit (scenario.num_shards > 1) ---------------------------

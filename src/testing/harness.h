@@ -6,7 +6,10 @@
 //
 //   sim       SimBackend (simulated clock) — ledger + phase trace +
 //             execution-log validation; fault injection via
-//             FaultInjectingBackend
+//             FaultInjectingBackend. The pipeline fast-forwards its futile
+//             runs, so the scenario runs a second time through
+//             PhaseByPhaseBackend (testing/phase_by_phase.h), and the two
+//             runs must be equal (fast-forward-parity)
 //   shards    when the scenario has shards > 1, run_partitioned() over the
 //             same workload — per-shard correction theorem + cross-shard
 //             conservation
@@ -55,6 +58,10 @@ enum class Mutation {
   /// candidate that drops the gang dial also drops the failure, so the
   /// minimal scenario must keep a gang.
   kCorruptGangWidth,
+  /// Drop the sim run's last phase from its books, record and count, as a
+  /// fast-forward that stops one phase short without charging it would.
+  /// Caught by the fast-forward-parity oracle.
+  kLosePhase,
 };
 
 struct HarnessOptions {
@@ -72,6 +79,11 @@ struct ScenarioResult {
   std::vector<std::string> violations;
 
   BackendRun sim;
+  /// The sim run again, phase by phase: the fast-forward's reference.
+  BackendRun sim_reference;
+  /// Phases of the sim run the pipeline fast-forwarded: its phases minus
+  /// its algorithm calls.
+  std::uint64_t fast_forwarded_phases{0};
   BackendRun threaded;
   std::vector<BackendRun> shard_runs;  ///< multi-shard audit (shards > 1)
   bool threaded_ran{false};

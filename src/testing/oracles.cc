@@ -28,7 +28,7 @@ const std::vector<std::string>& oracle_names() {
   static const std::vector<std::string> names = {
       "correction-theorem", "conservation",    "schedule-validity",
       "quantum-bound",      "threaded-parity", "stream-accounting",
-      "gang-occupancy",
+      "gang-occupancy",     "fast-forward-parity",
   };
   return names;
 }
@@ -169,12 +169,15 @@ void oracle_quantum_bound(const Scenario& scenario, const BackendRun& run,
             std::uint64_t(run.phases.size()));
 }
 
-void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
-                          std::vector<std::string>& out) {
+namespace {
+
+/// Every RunMetrics field and the latency histograms of two runs, reported
+/// under `oracle`.
+void expect_same_metrics(const BackendRun& a, const BackendRun& b,
+                         const char* oracle, std::vector<std::string>& out) {
   const std::string pair = a.name + " vs " + b.name;
   const sched::RunMetrics& x = a.metrics;
   const sched::RunMetrics& y = b.metrics;
-  const char* oracle = "metric-parity";
   expect_eq(out, oracle, pair, "algorithm", x.algorithm, y.algorithm);
   expect_eq(out, oracle, pair, "total_tasks", x.total_tasks, y.total_tasks);
   expect_eq(out, oracle, pair, "scheduled", x.scheduled, y.scheduled);
@@ -212,10 +215,85 @@ void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
             y.min_quantum_seen.us);
   expect_eq(out, oracle, pair, "max_quantum_seen.us", x.max_quantum_seen.us,
             y.max_quantum_seen.us);
-  // Streaming runs also record a latency histogram; two replays of the
-  // same scenario must agree on it slot for slot.
+  // Streaming runs also record a latency histogram; two runs of the same
+  // scenario must agree on it slot for slot.
   if (a.latency != b.latency) {
     violation(out, oracle, pair, "latency histograms differ");
+  }
+}
+
+/// The first field in which two phase records differ, search_wall_ns (host
+/// time) aside; empty when none does.
+std::string first_difference(const sched::PhaseRecord& x,
+                             const sched::PhaseRecord& y) {
+#define RTDS_SAME(field) \
+  if (!(x.field == y.field)) return #field
+  RTDS_SAME(algorithm);
+  RTDS_SAME(index);
+  RTDS_SAME(start);
+  RTDS_SAME(end);
+  RTDS_SAME(batch_size);
+  RTDS_SAME(arrivals);
+  RTDS_SAME(culled);
+  RTDS_SAME(admission_rejected);
+  RTDS_SAME(min_slack);
+  RTDS_SAME(min_load);
+  RTDS_SAME(quantum);
+  RTDS_SAME(vertex_budget);
+  RTDS_SAME(quantum_floor_override);
+  RTDS_SAME(search);
+  RTDS_SAME(scheduled);
+  RTDS_SAME(delivered);
+  RTDS_SAME(overflow_drops);
+  RTDS_SAME(readmitted);
+  RTDS_SAME(rejected);
+#undef RTDS_SAME
+  return {};
+}
+
+}  // namespace
+
+void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
+                          std::vector<std::string>& out) {
+  expect_same_metrics(a, b, "metric-parity", out);
+}
+
+void oracle_fast_forward_parity(const BackendRun& run,
+                                const BackendRun& reference,
+                                std::vector<std::string>& out) {
+  const char* oracle = "fast-forward-parity";
+  const std::string pair = run.name + " vs " + reference.name;
+  expect_same_metrics(run, reference, oracle, out);
+  const sched::LedgerCounts& x = run.ledger;
+  const sched::LedgerCounts& y = reference.ledger;
+  expect_eq(out, oracle, pair, "ledger.total", x.total, y.total);
+  expect_eq(out, oracle, pair, "ledger.deadline_hits", x.deadline_hits,
+            y.deadline_hits);
+  expect_eq(out, oracle, pair, "ledger.exec_misses", x.exec_misses,
+            y.exec_misses);
+  expect_eq(out, oracle, pair, "ledger.culled", x.culled, y.culled);
+  expect_eq(out, oracle, pair, "ledger.rejected", x.rejected, y.rejected);
+  expect_eq(out, oracle, pair, "ledger.admission_rejected",
+            x.admission_rejected, y.admission_rejected);
+  expect_eq(out, oracle, pair, "ledger.in_flight", x.in_flight, y.in_flight);
+  expect_eq(out, oracle, pair, "ledger.schedule_events", x.schedule_events,
+            y.schedule_events);
+  expect_eq(out, oracle, pair, "ledger.delivery_events", x.delivery_events,
+            y.delivery_events);
+  expect_eq(out, oracle, pair, "ledger.drop_events", x.drop_events,
+            y.drop_events);
+  expect_eq(out, oracle, pair, "ledger high-water", run.ledger_high_water,
+            reference.ledger_high_water);
+  expect_eq(out, oracle, pair, "phase records", run.phases.size(),
+            reference.phases.size());
+  const std::size_t n = std::min(run.phases.size(), reference.phases.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string field = first_difference(run.phases[i],
+                                               reference.phases[i]);
+    if (field.empty()) continue;
+    violation(out, oracle, pair,
+              "phase " + std::to_string(i) + ": " + field + " differs");
+    return;  // one phase names the divergence; the rest follow from it
   }
 }
 

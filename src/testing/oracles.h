@@ -27,10 +27,13 @@
 //   gang-occupancy      gang jobs occupy exactly their contiguous worker
 //                       block, are never split, and no instant commits
 //                       more worker-slots than the machine has
+//   fast-forward-parity the simulated run, which fast-forwards futile runs,
+//                       equals the same scenario run phase by phase:
+//                       RunMetrics, latency histogram, ledger counts and
+//                       high-water, and every PhaseRecord but its host time
 //
-// oracle_metric_parity is not in the registry: run_scenario has one
-// simulated run per scenario, so the replay-determinism tests apply it to
-// two runs of the same scenario instead.
+// oracle_metric_parity is not in the registry: the replay-determinism tests
+// apply it to two runs of the same scenario.
 #pragma once
 
 #include <cstddef>
@@ -101,6 +104,14 @@ void oracle_quantum_bound(const Scenario& scenario, const BackendRun& run,
 /// simulated runs (a replay must reproduce its original exactly).
 void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
                           std::vector<std::string>& out);
+
+/// `run` (the pipeline free to fast-forward futile runs) against
+/// `reference` (the same scenario through PhaseByPhaseBackend): every
+/// RunMetrics field, the latency histograms, the ledger counts and
+/// high-water, and every PhaseRecord field except search_wall_ns.
+void oracle_fast_forward_parity(const BackendRun& run,
+                                const BackendRun& reference,
+                                std::vector<std::string>& out);
 
 /// scheduled / culled / deadline_hits agreement for parity-class scenarios.
 void oracle_threaded_parity(const BackendRun& sim, const BackendRun& threaded,

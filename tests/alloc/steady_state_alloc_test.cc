@@ -11,8 +11,6 @@
 //     best-first search, on batches of 1, 16, 17 and 1000 tasks, allocates
 //     nothing when the result is empty and at most once (the returned
 //     schedule, copied out of the search's path) otherwise;
-//   * a run answered from the engine's futile-search record allocates
-//     nothing;
 //   * so do the runs of two phase sequences over one batch mutated in
 //     place, as the pipeline's is, where the engine derives each order
 //     from the previous root: a fig5-shaped 1000-task batch that only
@@ -230,33 +228,6 @@ TEST(SteadyStateAllocTest, SearchAllocatesOnlyTheReturnedSchedule) {
         EXPECT_LE(allocations, result.schedule.empty() ? 0u : 1u);
       }
     }
-  }
-}
-
-TEST(SteadyStateAllocTest, ReplayedSearchAllocatesNothing) {
-  const auto net = machine::Interconnect::cut_through(kWorkers, usec(50));
-  const std::vector<SimDuration> loads(kWorkers, usec(300));
-  const std::vector<SimDuration> later_loads(kWorkers, usec(400));
-  const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
-  const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
-  for (const sched::PhaseAlgorithm* algorithm : {rt_sads.get(), d_cols.get()}) {
-    SCOPED_TRACE(algorithm->name());
-    const search::SearchEngine engine(config_of(*algorithm));
-    // 16 unplaceable tasks charge 64 vertices, well inside the budget.
-    const auto batch = make_batch(16, false);
-    const search::SearchResult futile =
-        engine.run(batch, loads, kDelivery, net, kBudget);
-    ASSERT_TRUE(futile.schedule.empty());
-    ASSERT_FALSE(futile.stats.budget_exhausted);
-    const std::uint64_t replays = search::thread_futile_replays();
-    const AllocationCounter counter;
-    const search::SearchResult result =
-        engine.run(batch, later_loads, kDelivery + usec(100), net, kBudget);
-    const std::uint64_t allocations = counter.count();
-    EXPECT_EQ(search::thread_futile_replays(), replays + 1);
-    EXPECT_TRUE(result.schedule.empty());
-    EXPECT_EQ(result.stats.vertices_generated, futile.stats.vertices_generated);
-    EXPECT_EQ(allocations, 0u);
   }
 }
 

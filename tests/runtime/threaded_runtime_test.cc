@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/ledger.h"
@@ -182,6 +184,35 @@ TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
   // 20 tasks * <=4ms at scale 0.25 over 2 workers: well under a second.
   EXPECT_LT(r.finish_time - SimTime::zero(), sec(2));
+}
+
+TEST(ThreadedRuntimeTest, LoadPlansTheScaledSleep) {
+  // load() reads the horizon a worker will actually sleep to, not the
+  // unscaled cost the search prices: at time_scale 0.1 a 10 ms task keeps
+  // its worker 1 ms, and at 2.0 a 1 ms task keeps it 2 ms. The horizon is
+  // planned at the delivery instant, somewhere in [before, after].
+  const auto task = [](SimDuration p) {
+    tasks::Task t;
+    t.processing = p;
+    t.deadline = SimTime::zero() + sec(10);
+    t.affinity = tasks::AffinitySet::single(0);
+    return t;
+  };
+  for (const auto& [scale, p, sleep] :
+       {std::tuple{0.1, msec(10), msec(1)}, std::tuple{2.0, msec(1), msec(2)}}) {
+    RuntimeConfig cfg = fast_config(1);
+    cfg.time_scale = scale;
+    ThreadedBackend backend(cfg);
+    EXPECT_EQ(backend.interconnect().link_cost(), msec(1));
+    const SimTime before = backend.now();
+    const sched::DeliveryResult delivered = backend.deliver({{task(p), 0}});
+    const SimTime after = backend.now();
+    ASSERT_EQ(delivered.accepted, 1u);
+    EXPECT_GE(backend.load(0, before), sleep);
+    EXPECT_LE(backend.load(0, after), sleep);
+    EXPECT_EQ(backend.load(0, after + sleep), SimDuration::zero());
+    EXPECT_EQ(backend.drain().deadline_hits, 1u);
+  }
 }
 
 TEST(ThreadedRuntimeTest, WorkerWaitsForEarliestStart) {

@@ -303,35 +303,5 @@ TEST(SearchCapacityTest, RetentionBoundCoversEveryWorkspaceBuffer) {
   EXPECT_LE(thread_workspace_bytes(), kRetainBytes);
 }
 
-TEST(SearchCapacityTest, FutileRecordGoesWithAnOversizedSnapshot) {
-  // A snapshot past the 64 MB retention bound (about 90 B per task)
-  // releases the whole workspace after its run, and the futile-search
-  // record with it: the same futile search, repeated, searches again.
-  constexpr std::uint32_t kTasks = 1u << 20;
-  std::vector<Task> batch(kTasks);
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    batch[i].id = i;
-    batch[i].processing = usec(100);
-    batch[i].deadline = SimTime::zero() + usec(50);
-    batch[i].affinity = AffinitySet::single(0);
-  }
-  const auto net = machine::Interconnect::cut_through(1, usec(10));
-  const std::vector<SimDuration> loads{SimDuration::zero()};
-  SearchConfig cfg;
-  cfg.task_order = TaskOrder::kBatchOrder;
-  const SearchEngine engine(cfg);
-  const SearchResult first =
-      engine.run(batch, loads, SimTime::zero(), net, kTasks + 1);
-  ASSERT_TRUE(first.schedule.empty());
-  ASSERT_FALSE(first.stats.budget_exhausted);
-  ASSERT_EQ(first.stats.vertices_generated, kTasks);
-  const std::uint64_t replays = thread_futile_replays();
-  const SearchResult second =
-      engine.run(batch, loads, SimTime::zero(), net, kTasks + 1);
-  EXPECT_EQ(thread_futile_replays(), replays);
-  EXPECT_TRUE(second.schedule.empty());
-  EXPECT_EQ(second.stats.vertices_generated, kTasks);
-}
-
 }  // namespace
 }  // namespace rtds::search

@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "machine/interconnect.h"
+#include "sched/algorithm.h"
 #include "search/engine.h"
 #include "support/reference_engine.h"
 
@@ -261,36 +262,16 @@ struct Call {
   std::uint64_t vertex_budget{1};
 };
 
-/// Runs `call` through both engines, requires bit-identical results and
-/// reports whether the engine answered from its futile record.
-SearchResult run_both(const Call& call, std::uint64_t scenario,
-                      bool& replayed) {
-  const std::uint64_t replays = thread_futile_replays();
+/// Runs `call` through both engines and requires bit-identical results.
+SearchResult run_both(const Call& call, std::uint64_t scenario) {
   SearchResult fast = SearchEngine(call.config)
                           .run(call.batch, call.base_loads, call.delivery_time,
                                call.net, call.vertex_budget);
-  replayed = thread_futile_replays() != replays;
   const SearchResult ref =
       reference::run(call.config, call.batch, call.base_loads,
                      call.delivery_time, call.net, call.vertex_budget);
   expect_identical(fast, ref, call.config, scenario);
   return fast;
-}
-
-/// Leaves the calling thread with no futile record: a run that places a
-/// task is a miss, and a miss drops the record.
-void forget_futile(const Call& like) {
-  Call placeable = like;
-  placeable.batch.assign(1, Task{});
-  placeable.batch[0].processing = usec(1);
-  placeable.batch[0].deadline = like.delivery_time + msec(100000);
-  placeable.batch[0].affinity = AffinitySet::all(like.net.num_workers());
-  placeable.vertex_budget = 1000;
-  const SearchResult r = SearchEngine(placeable.config)
-                             .run(placeable.batch, placeable.base_loads,
-                                  placeable.delivery_time, placeable.net,
-                                  placeable.vertex_budget);
-  ASSERT_FALSE(r.schedule.empty());
 }
 
 /// The scenario under `config`, its base loads lifted by the smallest step
@@ -326,25 +307,26 @@ std::optional<Call> futile_call(const SearchConfig& config, const Scenario& s,
 }
 
 /// A call that follows a futile one, the prior call, and whether the
-/// engine must answer it from its record.
+/// futile root dominates it: the same batch, config and interconnect, no
+/// worker free earlier and a budget covering the futile call's charge.
 struct FollowUp {
   std::string kind;
   Call prior;
   Call call;
-  bool replayed{false};
+  bool dominated{false};
 };
 
 /// The follow-ups of the futile call `base`, which charged `vertices`:
-/// (a) calls its root dominates, and (b) calls that differ in one way the
-/// record must not look past.
+/// (a) calls its root dominates, and (b) calls that differ from one in a
+/// single way.
 std::vector<FollowUp> follow_ups(const Call& base, std::uint64_t vertices,
                                  const SearchConfig& other_config,
                                  std::uint64_t scenario, Xoshiro256ss& rng) {
   const std::uint32_t m = base.net.num_workers();
   const auto i = static_cast<std::size_t>(scenario % base.batch.size());
   std::vector<FollowUp> out;
-  const auto add = [&](std::string kind, bool replayed, auto mutate) {
-    FollowUp f{std::move(kind), base, base, replayed};
+  const auto add = [&](std::string kind, bool dominated, auto mutate) {
+    FollowUp f{std::move(kind), base, base, dominated};
     mutate(f.call, f.prior);
     out.push_back(std::move(f));
   };
@@ -373,7 +355,7 @@ std::vector<FollowUp> follow_ups(const Call& base, std::uint64_t vertices,
   add("budget equal to the charge", true,
       [&](Call& c, Call&) { c.vertex_budget = vertices; });
 
-  // (b) Not dominated, or not the recorded search.
+  // (b) Not dominated, or not the same search.
   const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, m - 1));
   if (base.base_loads[k] > SimDuration::zero()) {
     add("one worker free earlier", false,
@@ -421,14 +403,16 @@ std::vector<FollowUp> follow_ups(const Call& base, std::uint64_t vertices,
   return out;
 }
 
-TEST(SearchEquivalenceTest, FutileReplayIsExactAndAnswersOnlyDominatedCalls) {
+TEST(SearchEquivalenceTest, CallsAfterAFutileRootMatchReference) {
   // Every config, over fuzz scenarios, all-gang batches and mesh routing:
   // one futile call, then each follow-up. Every result must equal the
-  // reference, and the engine must replay exactly the dominated calls.
+  // reference. Where sched::TreeSearchAlgorithm says a futile answer
+  // persists, each dominated follow-up must also answer empty with the
+  // futile call's stats: the rule the pipeline's fast-forward relies on.
   constexpr std::uint64_t kScenarios = 60;
   const std::vector<SearchConfig> configs = all_configs();
   Xoshiro256ss rng(0xF07113ULL);
-  std::uint64_t replayed_calls = 0, searched_calls = 0, cases = 0;
+  std::uint64_t persisted = 0, other = 0, cases = 0;
   for (std::uint64_t sc = 0; sc < kScenarios; ++sc) {
     Scenario s = make_scenario(rng);
     if (sc % 3 == 2 && s.num_workers >= 2) {
@@ -444,10 +428,10 @@ TEST(SearchEquivalenceTest, FutileReplayIsExactAndAnswersOnlyDominatedCalls) {
       const std::optional<Call> base = futile_call(configs[ci], s, net, rng);
       if (!base) continue;
       ++cases;
-      bool replayed = false;
-      forget_futile(*base);
-      const SearchResult first = run_both(*base, sc, replayed);
-      ASSERT_FALSE(replayed);
+      const bool persists =
+          sched::TreeSearchAlgorithm("search", configs[ci])
+              .futile_answer_persists();
+      const SearchResult first = run_both(*base, sc);
       ASSERT_TRUE(first.schedule.empty());
       ASSERT_FALSE(first.stats.budget_exhausted);
       const std::uint64_t vertices = first.stats.vertices_generated;
@@ -456,52 +440,22 @@ TEST(SearchEquivalenceTest, FutileReplayIsExactAndAnswersOnlyDominatedCalls) {
                       sc, rng)) {
         SCOPED_TRACE(describe(configs[ci]) + " scenario " +
                      std::to_string(sc) + ": " + f.kind);
-        forget_futile(*base);
-        (void)run_both(f.prior, sc, replayed);
-        ASSERT_FALSE(replayed);
-        (void)run_both(f.call, sc, replayed);
-        ASSERT_EQ(replayed, f.replayed);
-        (replayed ? replayed_calls : searched_calls) += 1;
+        (void)run_both(f.prior, sc);
+        const SearchResult r = run_both(f.call, sc);
+        if (!(f.dominated && persists)) {
+          ++other;
+          continue;
+        }
+        ++persisted;
+        ASSERT_TRUE(r.schedule.empty());
+        ASSERT_EQ(r.stats, first.stats);
       }
     }
   }
   // Most (scenario, config) pairs become futile under some lift.
   EXPECT_GT(cases, kScenarios * configs.size() / 2);
-  EXPECT_GT(replayed_calls, 1000u);
-  EXPECT_GT(searched_calls, 1000u);
-}
-
-TEST(SearchEquivalenceTest, LeastLoadedLevelWithoutSkippingIsNeverReplayed) {
-  // The one config whose root candidates the loads choose: a
-  // sequence-oriented search that tries only the least-loaded worker.
-  // Worker 0 is tried first and fails on the comm cost; once worker 0 is
-  // the busier one, worker 1 is tried and fits, although no A_k is
-  // earlier.
-  SearchConfig cfg;
-  cfg.representation = Representation::kSequenceOriented;
-  cfg.level_processor_order = LevelProcessorOrder::kLeastLoaded;
-  cfg.skip_saturated_processors = false;
-  Call call;
-  call.config = cfg;
-  call.net = machine::Interconnect::cut_through(2, msec(5));
-  call.delivery_time = SimTime::zero() + msec(1);
-  call.batch.resize(1);
-  call.batch[0].processing = msec(1);
-  call.batch[0].deadline = call.delivery_time + msec(3);
-  call.batch[0].affinity = AffinitySet::single(1);
-  call.base_loads = {SimDuration::zero(), usec(1500)};
-  call.vertex_budget = 100;
-  bool replayed = false;
-  forget_futile(call);
-  const SearchResult futile = run_both(call, 0, replayed);
-  ASSERT_TRUE(futile.schedule.empty());
-  ASSERT_FALSE(futile.stats.budget_exhausted);
-
-  call.base_loads = {msec(2), usec(1500)};
-  const SearchResult placed = run_both(call, 0, replayed);
-  EXPECT_FALSE(replayed);
-  ASSERT_EQ(placed.schedule.size(), 1u);
-  EXPECT_EQ(placed.schedule[0].worker, 1u);
+  EXPECT_GT(persisted, 1000u);
+  EXPECT_GT(other, 1000u);
 }
 
 /// A task whose deadline and d - p come from small sets, so tasks a batch
@@ -531,8 +485,8 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
   // each batch is the previous vector mutated in place (positions removed,
   // arrivals appended), with keys from small sets so kept tasks and
   // arrivals tie. Interleaved: other sort kinds and kBatchOrder, one-task
-  // batches, futile searches and their replays, unrelated batches that
-  // reuse the ids, and shuffled survivors. Every result must equal the
+  // batches, futile searches repeated at a later delivery time, unrelated
+  // batches that reuse the ids, and shuffled survivors. Every result must equal the
   // reference, which sorts every batch from scratch.
   constexpr std::uint64_t kSequences = 40;
   constexpr std::uint32_t kSteps = 60;
@@ -551,7 +505,7 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
                                   batch_order};
 
   Xoshiro256ss rng(0x0DE12ED5ULL);
-  std::uint64_t merged = 0, whole = 0, fresh = 0, replays = 0;
+  std::uint64_t merged = 0, whole = 0, fresh = 0;
   for (std::uint64_t sq = 0; sq < kSequences; ++sq) {
     const auto m = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
     const auto net = machine::Interconnect::cut_through(
@@ -584,7 +538,7 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
         case 3:  // another algorithm's phase
           config = rng.uniform_int(0, std::size(configs) - 1);
           break;
-        case 4:  // a root no task fits, searched and then replayed
+        case 4:  // a root no task fits, searched twice
           futile = true;
           break;
         default: {  // a phase: culled and delivered tasks leave, arrivals
@@ -611,7 +565,6 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
           futile ? std::uint64_t{m} * batch.size() + 1
                  : std::uint64_t(rng.uniform_int(1, 3000));
       const OrderBuilds before = thread_order_builds();
-      const std::uint64_t replays_before = thread_futile_replays();
       const SearchResult fast =
           SearchEngine(cfg).run(batch, loads, delivery, net, budget);
       const OrderBuilds after = thread_order_builds();
@@ -626,7 +579,6 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
                          reference::run(cfg, batch, loads, delivery + usec(1),
                                         net, budget),
                          cfg, sq);
-        replays += thread_futile_replays() - replays_before;
       }
       if (after.sorted == before.sorted) continue;
       const std::uint64_t reused = after.reused - before.reused;
@@ -638,7 +590,6 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
   EXPECT_GT(merged, 300u);
   EXPECT_GT(whole, 100u);
   EXPECT_GT(fresh, 100u);
-  EXPECT_GT(replays, 50u);
 }
 
 /// A D-COLS-shaped phase input: a burst of hundreds of tasks, so a

@@ -80,6 +80,30 @@ TEST(HarnessTest, QuantumMutationIsCaughtByQuantumOracle) {
       << r.to_string();
 }
 
+TEST(HarnessTest, LostPhaseIsCaughtByFastForwardParityOracle) {
+  HarnessOptions opts = des_only();
+  opts.mutation = Mutation::kLosePhase;
+  const ScenarioResult r = run_scenario(Scenario{}, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(any_violation_contains(
+      r, "fast-forward-parity(sim vs sim-phase-by-phase)"))
+      << r.to_string();
+}
+
+TEST(HarnessTest, SweepFastForwardsPhasesTheParityOracleChecks) {
+  // The fuzzer's first scenarios of a fixed seed: the sim runs skip
+  // phases, and still equal their phase-by-phase references.
+  std::uint64_t fast_forwarded = 0;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const ScenarioResult r = run_scenario(generate_scenario(0xFF, i),
+                                          des_only());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    EXPECT_EQ(r.sim_reference.metrics.phases, r.sim.metrics.phases);
+    fast_forwarded += r.fast_forwarded_phases;
+  }
+  EXPECT_GT(fast_forwarded, 0u);
+}
+
 TEST(HarnessTest, CleanGangScenarioPassesAllOracles) {
   Scenario s;
   s.gang_permille = 600;

@@ -201,6 +201,8 @@ int main(int argc, char** argv) {
   std::uint64_t sharded_runs = 0;
   std::uint64_t total_tasks = 0;
   std::uint64_t total_vertices = 0;
+  std::uint64_t sim_phases = 0;
+  std::uint64_t fast_forwarded = 0;
   const auto sweep_start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < args.scenarios; ++i) {
     rtds::testing::Scenario scenario =
@@ -238,6 +240,8 @@ int main(int argc, char** argv) {
     sharded_runs += result.shard_runs.empty() ? 0 : 1;
     total_tasks += result.sim.metrics.total_tasks;
     total_vertices += result.sim.metrics.vertices_generated;
+    sim_phases += result.sim.metrics.phases;
+    fast_forwarded += result.fast_forwarded_phases;
     if ((i + 1) % 100 == 0) {
       std::cerr << "  " << (i + 1) << "/" << args.scenarios
                 << " scenarios clean\n";
@@ -250,7 +254,9 @@ int main(int argc, char** argv) {
   std::cout << "rtds_fuzz: " << args.scenarios << " scenarios (seed 0x"
             << std::hex << args.seed << std::dec << "), " << total_tasks
             << " tasks, " << threaded_runs << " threaded runs, "
-            << sharded_runs << " sharded runs — all oracles passed\n";
+            << sharded_runs << " sharded runs, " << fast_forwarded << " of "
+            << sim_phases
+            << " sim phases fast-forwarded — all oracles passed\n";
   std::cout << "rtds_fuzz: " << total_vertices
             << " search vertices generated, ";
   if (sweep_secs > 0) {
