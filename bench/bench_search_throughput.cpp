@@ -6,7 +6,9 @@
 //                           [--capacity-max N]
 //
 // Sweeps (n, m, strategy, task order, representation) cells; each cell runs
-// both engines on identical phase inputs, checks the results are
+// both engines on identical phase inputs — the optimized one over a pending
+// set built once per input, as the pipeline keeps it, the reference over
+// that set's tasks — checks the results are
 // bit-identical (the equivalence suite's guarantee, re-asserted here so a
 // perf number can never come from a divergent search), and reports
 // vertices/sec, ns/vertex, expansions/sec and p50/p99 per-phase search
@@ -38,6 +40,7 @@
 #include "machine/interconnect.h"
 #include "search/engine.h"
 #include "support/reference_engine.h"
+#include "tasks/batch.h"
 #include "tasks/workload.h"
 
 namespace {
@@ -108,9 +111,11 @@ std::vector<Cell> make_cells() {
 
 /// One phase input matching the paper's workload shape: bursty arrivals,
 /// p in [1, 10]ms, degree of affinity R = 0.3, SF = 1 (laxity 10), C = 5ms
-/// (the FIG5/ExperimentConfig defaults), generous delivery at +5ms.
+/// (the FIG5/ExperimentConfig defaults), generous delivery at +5ms. The
+/// batch is a pending set in the searched order, built before any timing:
+/// the pipeline keeps it from phase to phase, so a search never pays for it.
 struct PhaseInput {
-  std::vector<tasks::Task> batch;
+  tasks::Batch set;
   std::vector<SimDuration> base_loads;
   SimTime delivery{SimTime::zero()};
   std::uint64_t budget{0};
@@ -123,7 +128,8 @@ PhaseInput make_input(const Cell& cell, std::uint64_t rep) {
   wc.affinity_degree = 0.3;
   Xoshiro256ss rng(bench::bench_seed("search_throughput", rep));
   PhaseInput in;
-  in.batch = tasks::generate_workload(wc, rng);
+  in.set.reset(cell.config.task_order);
+  in.set.merge_arrivals(tasks::generate_workload(wc, rng));
   in.base_loads.assign(cell.m, SimDuration::zero());
   in.delivery = SimTime::zero() + msec(5);
   in.budget = std::uint64_t{200} * cell.n;  // 200k vertices at n=1000
@@ -220,9 +226,9 @@ PhaseInput make_capacity_input(std::uint32_t n, std::uint32_t m,
   PhaseInput in;
   in.delivery = SimTime::zero() + msec(5);
   const std::int64_t horizon_us = std::int64_t{n} * 1500 + 1'000'000;
-  in.batch.resize(n);
+  std::vector<tasks::Task> batch(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    tasks::Task& t = in.batch[i];
+    tasks::Task& t = batch[i];
     t.id = i;
     t.processing = usec(rng.uniform_int(100, 1000));
     t.deadline = in.delivery + usec(horizon_us);
@@ -236,6 +242,8 @@ PhaseInput make_capacity_input(std::uint32_t n, std::uint32_t m,
       }
     }
   }
+  in.set.reset(tasks::TaskOrder::kEarliestDeadline);  // RT-SADS defaults
+  in.set.merge_arrivals(batch);
   in.base_loads.assign(m, SimDuration::zero());
   in.budget = std::uint64_t{n} * m + 1000;
   return in;
@@ -253,18 +261,19 @@ void check_capacity_invariants(const SearchResult& r, const PhaseInput& in,
               << where << " depth " << depth << "\n";
     std::exit(1);
   };
-  if (!r.stats.reached_leaf || r.schedule.size() != in.batch.size()) {
+  const std::vector<tasks::Task>& batch = in.set.tasks();
+  if (!r.stats.reached_leaf || r.schedule.size() != batch.size()) {
     die("reached_leaf with full schedule", r.schedule.size());
   }
   std::vector<std::int64_t> ce(m, 0);
-  std::vector<char> seen(in.batch.size(), 0);
+  std::vector<char> seen(batch.size(), 0);
   std::int64_t max_ce = 0;
   for (std::size_t i = 0; i < r.schedule.size(); ++i) {
     const search::Assignment& a = r.schedule[i];
-    if (a.task_index >= in.batch.size() || a.worker >= m) die("bounds", i);
+    if (a.task_index >= batch.size() || a.worker >= m) die("bounds", i);
     if (seen[a.task_index] != 0) die("task assigned once", i);
     seen[a.task_index] = 1;
-    const tasks::Task& t = in.batch[a.task_index];
+    const tasks::Task& t = batch[a.task_index];
     const std::int64_t want_comm =
         t.affinity.contains(a.worker) ? 0 : comm.us;
     if (a.exec_cost.us != t.processing.us + want_comm) die("exec_cost", i);
@@ -374,10 +383,10 @@ int main(int argc, char** argv) {
     // Safety: perf numbers only count if both engines agree bit-for-bit.
     for (const PhaseInput& in : inputs) {
       const SearchResult fast = search::SearchEngine(cell.config)
-                                    .run(in.batch, in.base_loads, in.delivery,
+                                    .run(in.set, in.base_loads, in.delivery,
                                          net, in.budget);
       const SearchResult ref =
-          search::reference::run(cell.config, in.batch, in.base_loads,
+          search::reference::run(cell.config, in.set.tasks(), in.base_loads,
                                  in.delivery, net, in.budget);
       require_identical(fast, ref, cell.name);
       // A search that places nothing with budget to spare expands only the
@@ -393,13 +402,14 @@ int main(int argc, char** argv) {
 
     const EngineNumbers ref = measure(
         inputs, net, iters, [&](const PhaseInput& in, const auto& n) {
-          return search::reference::run(cell.config, in.batch, in.base_loads,
-                                        in.delivery, n, in.budget);
+          return search::reference::run(cell.config, in.set.tasks(),
+                                        in.base_loads, in.delivery, n,
+                                        in.budget);
         });
     const EngineNumbers opt = measure(
         inputs, net, iters, [&](const PhaseInput& in, const auto& n) {
           return search::SearchEngine(cell.config)
-              .run(in.batch, in.base_loads, in.delivery, n, in.budget);
+              .run(in.set, in.base_loads, in.delivery, n, in.budget);
         });
     const double speedup = ref.vertices_per_sec > 0
                                ? opt.vertices_per_sec / ref.vertices_per_sec
@@ -458,12 +468,12 @@ int main(int argc, char** argv) {
     // Proof obligations before any timing counts.
     const search::SearchEngine engine(cfg);
     const SearchResult opt_result =
-        engine.run(in.batch, in.base_loads, in.delivery, net, in.budget);
+        engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
     check_capacity_invariants(opt_result, in, cap_m, cap_comm, name);
     bool ref_checked = false;
     if (cap_n <= 100'000u) {
       const SearchResult ref_result = search::reference::run(
-          cfg, in.batch, in.base_loads, in.delivery, net, in.budget);
+          cfg, in.set.tasks(), in.base_loads, in.delivery, net, in.budget);
       require_identical(opt_result, ref_result, name);
       ref_checked = true;
     }
@@ -473,7 +483,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t it = 0; it < cap_iters; ++it) {
       const auto t0 = std::chrono::steady_clock::now();
       const SearchResult r =
-          engine.run(in.batch, in.base_loads, in.delivery, net, in.budget);
+          engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
       total_ns += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)

@@ -21,6 +21,13 @@ SearchResult TreeSearchAlgorithm::schedule_phase(
   return engine_.run(batch, base_loads, delivery_time, net, vertex_budget);
 }
 
+SearchResult TreeSearchAlgorithm::schedule_pending(
+    const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+    SimTime delivery_time, const machine::Interconnect& net,
+    std::uint64_t vertex_budget) const {
+  return engine_.run(batch, base_loads, delivery_time, net, vertex_budget);
+}
+
 bool TreeSearchAlgorithm::futile_answer_persists() const {
   // An empty, unexhausted search evaluated every root candidate and found
   // none feasible. Fig. 4 accepts T_l on P_k iff max(A_k, e_l) + p_l + c_lk
@@ -58,7 +65,8 @@ SearchResult GreedyAlgorithm::schedule_phase(
   if (batch.empty() || vertex_budget == 0) return result;
 
   const std::uint32_t m = net.num_workers();
-  PartialSchedule ps(&batch, base_loads, delivery_time, &net);
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, base_loads, delivery_time, &net);
   const std::vector<std::uint32_t> order = search::task_consideration_order(
       batch, search::TaskOrder::kEarliestDeadline);
 

@@ -1,8 +1,11 @@
 // Per-phase scheduling algorithms.
 //
-// A PhaseAlgorithm turns a batch snapshot into a feasible (partial or
+// A PhaseAlgorithm turns a phase's batch into a feasible (partial or
 // complete) schedule under a vertex budget — the unit of scheduling cost
-// charged against Q_s(j). Implementations:
+// charged against Q_s(j). The pipeline hands it its pending set
+// (tasks::Batch), kept in the order pending_order() names; a search reads
+// that set in place, every other entrant a vector of its tasks.
+// Implementations:
 //   * TreeSearchAlgorithm — wraps search::SearchEngine; this is RT-SADS
 //     (assignment-oriented) and D-COLS (sequence-oriented) depending on the
 //     SearchConfig, and the EDF first-fit baseline, which is the
@@ -23,6 +26,7 @@
 #include "common/time.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
+#include "tasks/batch.h"
 #include "tasks/task.h"
 
 namespace rtds::sched {
@@ -35,7 +39,8 @@ class PhaseAlgorithm {
  public:
   virtual ~PhaseAlgorithm() = default;
 
-  /// Produces a feasible schedule for `batch`.
+  /// Produces a feasible schedule for `batch`; task indices in the result
+  /// are indices into `batch`.
   ///
   /// `base_loads[k]` — residual worker load at delivery time (borrowed for
   ///                   the duration of the call; implementations snapshot
@@ -49,6 +54,29 @@ class PhaseAlgorithm {
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const = 0;
+
+  /// The order the pipeline keeps its pending set in for this algorithm:
+  /// the order its search considers tasks in. kBatchOrder (arrival order)
+  /// by default, which is what every entrant that is not a search, and
+  /// every decorator that does not forward it, sees.
+  [[nodiscard]] virtual tasks::TaskOrder pending_order() const {
+    return tasks::TaskOrder::kBatchOrder;
+  }
+
+  /// The pipeline's entry: the same schedule for the pending set `batch`,
+  /// which the pipeline keeps in pending_order(). Task indices in the
+  /// result are positions in the set. The default forwards batch.tasks()
+  /// to schedule_phase, so an entrant or a decorator that overrides only
+  /// the vector entry is run through it; a search overrides this to read
+  /// the set in place, and its answer must equal the vector entry's over
+  /// batch.tasks() (the fast-forward-parity fuzz oracle compares the two).
+  [[nodiscard]] virtual SearchResult schedule_pending(
+      const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+      SimTime delivery_time, const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const {
+    return schedule_phase(batch.tasks(), base_loads, delivery_time, net,
+                          vertex_budget);
+  }
 
   /// True when an empty answer that did not exhaust its budget stays empty,
   /// with equal SearchStats, over the same batch and interconnect at any
@@ -70,10 +98,22 @@ class TreeSearchAlgorithm final : public PhaseAlgorithm {
  public:
   TreeSearchAlgorithm(std::string name, search::SearchConfig config);
 
+  /// The vector adapter: SearchEngine::run over `batch`.
   [[nodiscard]] SearchResult schedule_phase(
       const std::vector<Task>& batch,
       const std::vector<SimDuration>& base_loads, SimTime delivery_time,
       const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override;
+  /// The search's task order.
+  [[nodiscard]] tasks::TaskOrder pending_order() const override {
+    return engine_.config().task_order;
+  }
+  /// The search over the set in place: SearchEngine::run over `batch`,
+  /// which must be kept in pending_order() (InvalidArgument otherwise; a
+  /// decorator forwards both or neither).
+  [[nodiscard]] SearchResult schedule_pending(
+      const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+      SimTime delivery_time, const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
   /// Every config but sequence-oriented + least-loaded + no skipping.
   [[nodiscard]] bool futile_answer_persists() const override;

@@ -77,25 +77,31 @@ struct FutilePhase {
 /// earliest start (where that task's slack starts to fall), get a budget
 /// below the recorded vertices, or deliver earlier than futile.delivery
 /// (which neither built-in quantum policy does: t + Q_s never decreases).
+/// It reads the set's columns once and never the search's root.
 SimTime skip_futile_phases(const QuantumPolicy& policy,
                            const PipelineConfig& config,
                            const FutilePhase& futile,
-                           const std::vector<Task>& batch,
+                           const tasks::Batch& batch,
                            std::optional<SimTime> next_arrival,
                            RunMetrics& metrics, PhaseObserver* observer) {
   const SimTime from = futile.start + futile.spent;
-  // One read of the batch. A task whose earliest start has passed has
+  // One read of the columns. A task whose earliest start has passed has
   // slack (d - p) - t, falling 1:1 with t; the slack of one still waiting
   // is d - e - p, constant until t passes e.
-  SimTime started_key = SimTime::max();  // min d - p of the started tasks
-  SimDuration waiting_slack = SimDuration::max();
-  SimTime first_start = SimTime::max();  // earliest start still ahead
-  for (const Task& task : batch) {
-    if (task.earliest_start > from) {
-      waiting_slack = min_duration(waiting_slack, task.slack_at(from));
-      first_start = std::min(first_start, task.earliest_start);
+  const std::span<const std::int64_t> deadline = batch.deadline_us();
+  const std::span<const std::int64_t> processing = batch.processing_us();
+  const std::span<const std::int64_t> earliest_start =
+      batch.earliest_start_us();
+  std::int64_t started_key = SimTime::max().us;  // min d - p, started tasks
+  std::int64_t waiting_slack = SimDuration::max().us;
+  std::int64_t first_start = SimTime::max().us;  // earliest start ahead
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (earliest_start[i] > from.us) {
+      waiting_slack = std::min(
+          waiting_slack, deadline[i] - earliest_start[i] - processing[i]);
+      first_start = std::min(first_start, earliest_start[i]);
     } else {
-      started_key = std::min(started_key, task.deadline - task.processing);
+      started_key = std::min(started_key, deadline[i] - processing[i]);
     }
   }
   PhaseRecord record;
@@ -106,8 +112,8 @@ SimTime skip_futile_phases(const QuantumPolicy& policy,
   }
   SimTime t = from;
   while (!(next_arrival.has_value() && *next_arrival <= t) &&
-         t <= first_start) {
-    const SimDuration min_slack = min_duration(waiting_slack, started_key - t);
+         t.us <= first_start) {
+    const SimDuration min_slack{std::min(waiting_slack, started_key - t.us)};
     if (min_slack.is_negative()) break;
     const SimDuration min_load =
         max_duration(SimDuration::zero(), futile.min_load - (t - futile.start));
@@ -197,7 +203,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     ~Unbind() { backend.bind_ledger(nullptr); }
   } const unbind{backend};
 
-  tasks::Batch batch;
+  // The one pending set: kept in the order the algorithm considers tasks
+  // in, with the columns its search and this loop read (tasks/batch.h).
+  tasks::Batch batch(algorithm_.pending_order());
   const SimDuration vcost = config_.vertex_generation_cost;
   // Both answers are false unless declared (sched/backend.h,
   // sched/algorithm.h): a decorator that forwards neither keeps the run on
@@ -210,7 +218,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   std::vector<Task> arrived;
   std::vector<Task> culled;
   std::vector<SimDuration> loads(num_workers);  // Load_k(t_s)
-  // schedule_phase borrows it by const reference.
+  // schedule_pending borrows it by const reference.
   std::vector<SimDuration> base_loads(num_workers);
   std::vector<machine::ScheduledAssignment> delivery;
   // What became of each delivery slot, and the batch positions retired.
@@ -287,8 +295,8 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     // read when an observer is attached, and not otherwise.
     std::chrono::steady_clock::time_point search_start;
     if (observer != nullptr) search_start = std::chrono::steady_clock::now();
-    const SearchResult result = algorithm_.schedule_phase(
-        batch.tasks(), base_loads, planned_delivery, backend.interconnect(),
+    const SearchResult result = algorithm_.schedule_pending(
+        batch, base_loads, planned_delivery, backend.interconnect(),
         allocation.budget);
     std::uint64_t search_wall_ns = 0;
     if (observer != nullptr) {
@@ -307,7 +315,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     const SimTime phase_end = t + spent;
     count_phase(metrics, allocation, result.stats, spent);
 
-    // Materialize S_j against the batch snapshot: delivery slot i holds
+    // Materialize S_j against the pending set: delivery slot i holds
     // result.schedule[i]. The scheduled tasks are retired from the batch
     // only after deliver() reports which of them the backend actually
     // accepted — a refused assignment must not disappear.
@@ -431,7 +439,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
         !result.stats.budget_exhausted) {
       const SimTime resume = skip_futile_phases(
           quantum_, config_,
-          {t, min_load, planned_delivery, spent, result.stats}, batch.tasks(),
+          {t, min_load, planned_delivery, spent, result.stats}, batch,
           source.peek(), metrics, observer);
       if (resume > phase_end) backend.advance(resume - phase_end);
     }

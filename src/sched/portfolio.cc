@@ -45,7 +45,8 @@ SearchResult PartitionScheduler::schedule_phase(
 
   const std::uint32_t m = net.num_workers();
   const std::uint32_t n = static_cast<std::uint32_t>(batch.size());
-  PartialSchedule ps(&batch, base_loads, delivery_time, &net);
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, base_loads, delivery_time, &net);
 
   std::uint64_t budget_left = vertex_budget;
   auto& stats = result.stats;
@@ -121,7 +122,7 @@ SearchResult PartitionScheduler::schedule_phase(
 
   constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
   std::vector<std::uint32_t> home(n, kUnassigned);
-  PartialSchedule packed(&batch, base_loads, delivery_time, &net);
+  PartialSchedule packed(&set, base_loads, delivery_time, &net);
 
   // Every probe is a candidate evaluation and charges one budget unit
   // (Sec. 4.1). First fit and next fit keep the first feasible worker of

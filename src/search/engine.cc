@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -95,9 +94,8 @@ inline Candidate make_candidate(const SearchConfig& config,
 }
 
 /// One expansion of the vertex `ps` currently ends at. Fills `out` with the
-/// sorted feasible successors. `level_order` and `task_ids` are
-/// caller-owned scratch (reused across calls; task_ids holds the lanes of
-/// the task-word kernel).
+/// sorted feasible successors. `level_order` is caller-owned scratch
+/// (reused across calls).
 ///
 /// This is the exact budget-interleaved successor generation: every
 /// generated vertex (feasible or not) charges the budget, unplaceable tasks
@@ -107,7 +105,8 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// An assignment-oriented expansion either bulk-charges a task no worker
 /// can take or evaluates it on each worker with evaluate_fast. A
 /// sequence-oriented one tests a whole unassigned-bitset word against the
-/// level's worker at once (PartialSchedule::feasible_tasks_mask) when the
+/// level's worker at once (PartialSchedule::feasible_tasks_mask, which reads
+/// the word's lanes where the set keeps them) when the
 /// result provably equals the scalar loop's, accounting included: the batch
 /// is tasks_mask_eligible, no max_successors cap applies and budget_left
 /// covers the word's popcount. Outside those gates the scalar loop runs, so
@@ -115,8 +114,7 @@ inline Candidate make_candidate(const SearchConfig& config,
 inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
                           std::uint32_t m, std::uint64_t& budget_left,
                           SearchStats& stats, std::vector<Candidate>& out,
-                          std::vector<ProcessorId>& level_order,
-                          std::vector<std::uint32_t>& task_ids) {
+                          std::vector<ProcessorId>& level_order) {
   ++stats.expansions;
   out.clear();
   const std::uint32_t n = ps.batch_size();
@@ -136,14 +134,14 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
     // worker cannot meet the deadline, all m placements are infeasible
     // and the budget is charged in one step (identical accounting to
     // evaluating each) without touching the queues.
+    // Set positions are consideration-order positions, so a task is its
+    // own position.
     const SimDuration lo = ps.min_ce();
-    std::uint32_t scan =
-        depth == 0 ? 0 : ps.pos_of(ps.path().back().task_index);
-    while (scan < n) {
-      // Find the next unassigned task at or after `scan`.
-      scan = ps.first_unassigned_at_or_after(scan);
-      if (scan == n) break;
-      const std::uint32_t task = ps.task_at(scan);
+    std::uint32_t task = depth == 0 ? 0 : ps.path().back().task_index;
+    while (task < n) {
+      // Find the next unassigned task at or after `task`.
+      task = ps.first_unassigned_at_or_after(task);
+      if (task == n) break;
       if (ps.task_unplaceable(task, lo)) {
         const std::uint64_t charged = std::min<std::uint64_t>(m, budget_left);
         budget_left -= charged;
@@ -171,7 +169,7 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
           !config.skip_unplaceable_tasks) {
         break;
       }
-      ++scan;  // task unplaceable in this whole subtree: skip it
+      ++task;  // task unplaceable in this whole subtree: skip it
     }
   } else {
     // Select the level's processor (round-robin per Fig. 1, or the
@@ -213,45 +211,38 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
             static_cast<std::uint32_t>(std::popcount(bits));
         if (batchable && budget_left >= count) {
           // Batched Fig. 4 test for this whole bitset word against the
-          // level's worker: up to 64 candidate tasks per kernel call. The
-          // word is charged whole and no cap applies, so accounting matches
-          // the interleaved loop exactly; the j-th set bit carries branch
-          // index branch+j, exactly what the scalar loop would have
-          // assigned it.
-          task_ids.clear();
-          std::uint64_t scan_bits = bits;
-          while (scan_bits != 0) {
-            const auto pos = static_cast<std::uint32_t>(
-                (w << 6) + std::uint32_t(std::countr_zero(scan_bits)));
-            scan_bits &= scan_bits - 1;
-            task_ids.push_back(ps.task_at(pos));
-          }
+          // level's worker: up to 64 candidate tasks per kernel call, read
+          // in place. The word is charged whole and no cap applies, so
+          // accounting matches the interleaved loop exactly; the set bit
+          // at lane b carries branch index branch + (set bits below b),
+          // exactly what the scalar loop would have assigned it.
           budget_left -= count;
           stats.vertices_generated += count;
-          std::uint64_t feasible =
-              ps.feasible_tasks_mask(worker, task_ids.data(), count);
+          std::uint64_t feasible = ps.feasible_tasks_mask(worker, w);
           while (feasible != 0) {
-            const auto j =
+            const auto b =
                 static_cast<std::uint32_t>(std::countr_zero(feasible));
             feasible &= feasible - 1;
+            const auto task = static_cast<std::uint32_t>((w << 6) + b);
+            const auto below = static_cast<std::uint32_t>(
+                std::popcount(bits & ((std::uint64_t{1} << b) - 1)));
             // Only the cost function's key reads the evaluation; the
             // branch index does not.
             if (config.use_load_balance_cost) {
-              const bool ok = ps.evaluate_fast(task_ids[j], worker, a);
+              const bool ok = ps.evaluate_fast(task, worker, a);
               RTDS_ASSERT(ok);
               (void)ok;
             }
-            out.push_back(make_candidate(config, ps, task_ids[j], worker, a,
-                                         branch + j));
+            out.push_back(
+                make_candidate(config, ps, task, worker, a, branch + below));
           }
           branch += count;
           continue;
         }
         while (bits != 0) {
-          const auto pos = static_cast<std::uint32_t>(
+          const auto i = static_cast<std::uint32_t>(
               (w << 6) + std::uint32_t(std::countr_zero(bits)));
           bits &= bits - 1;
-          const std::uint32_t i = ps.task_at(pos);
           if (budget_left == 0) {
             stats.budget_exhausted = true;
             stop = true;
@@ -432,33 +423,23 @@ class CandidateList {
 
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
-/// largest batch seen (capacity is retained by clear()/reset(); the arena
+/// largest set seen (capacity is retained by clear()/reset(); the arena
 /// pools its chunks). A run that leaves more than kRetainBytes releases it
-/// all but the counters. thread_local keeps the engine safely shareable
+/// all but the counter. thread_local keeps the engine safely shareable
 /// across backend threads.
 struct Workspace {
-  /// The consideration order of the snapshot's root under `order_kind`.
-  std::vector<std::uint32_t> order;
-  /// The sort kind `order` ranks the snapshot's root by; empty when it
-  /// ranks none (an identity-order root, a released workspace, or a run
-  /// that failed between building the order and snapshotting its root).
-  std::optional<TaskOrder> order_kind;
-  /// Sort keys of the batch being ordered, and the scratch build_order
-  /// uses in turn as its match map, sort buffer and merge output.
-  std::vector<std::int64_t> order_keys;
-  std::vector<std::uint32_t> order_scratch;
-  /// The search snapshot, reset() for every run (constructed by the first).
+  /// The search state, reset() for every run (constructed by the first).
   std::optional<PartialSchedule> schedule;
+  /// The set the vector adapter builds from its batch.
+  tasks::Batch adapter;
   NodeArena nodes;
   std::vector<Candidate> candidates;
   std::vector<std::int32_t> cl_stack;
   std::vector<CandidateList::Entry> cl_heap;
   std::vector<tasks::ProcessorId> level_order;
-  std::vector<std::uint32_t> task_ids;
   std::vector<std::int32_t> chain;
-  // The thread's counters: a released workspace keeps them.
+  // The thread's counter: a released workspace keeps it.
   std::size_t peak_bytes{0};
-  OrderBuilds order_builds;
 };
 
 Workspace& workspace() {
@@ -470,181 +451,41 @@ std::size_t workspace_bytes(const Workspace& ws) {
   const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return ws.nodes.capacity_bytes() +
          (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
-         bytes(ws.order) + bytes(ws.order_keys) + bytes(ws.order_scratch) +
-         bytes(ws.candidates) + bytes(ws.cl_stack) + bytes(ws.cl_heap) +
-         bytes(ws.level_order) + bytes(ws.task_ids) + bytes(ws.chain);
+         ws.adapter.footprint_bytes() + bytes(ws.candidates) +
+         bytes(ws.cl_stack) + bytes(ws.cl_heap) + bytes(ws.level_order) +
+         bytes(ws.chain);
 }
 
-/// EDF sorts by deadline. Slack ordering (d - t - p) is time-independent
-/// within a phase: min-slack sorts by d - p.
-std::int64_t order_key(const Task& t, TaskOrder kind) {
-  return kind == TaskOrder::kEarliestDeadline ? t.deadline.us
-                                              : (t.deadline - t.processing).us;
-}
-
-/// order_key of task j of the root `ps` holds, read back from its
-/// delivery-relative constants.
-std::int64_t root_key(const PartialSchedule& ps, std::uint32_t j,
-                      TaskOrder kind) {
-  const std::int64_t deadline = ps.d_off_us(j) + ps.delivery_time().us;
-  return kind == TaskOrder::kEarliestDeadline ? deadline
-                                              : deadline - ps.processing_us(j);
-}
-
-/// Stable sort of the `n` positions at `idx` by key[idx[i]] that allocates
-/// nothing once `merge` has grown: insertion-sorted runs of kRun tasks
-/// (at most kRun tasks are one run), then bottom-up std::merge passes
-/// between `idx` and `merge` (std::merge is stable). The same scheme as
-/// libstdc++'s std::stable_sort, which allocates its buffer on every call.
-void stable_sort_by_key(std::uint32_t* idx, std::size_t n,
-                        const std::vector<std::int64_t>& key,
-                        std::vector<std::uint32_t>& merge) {
-  constexpr std::size_t kRun = 16;
-  const auto less = [&key](std::uint32_t a, std::uint32_t b) {
-    return key[a] < key[b];
-  };
-  for (std::size_t lo = 0; lo < n; lo += kRun) {
-    const std::size_t hi = std::min(lo + kRun, n);
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      const std::uint32_t v = idx[i];
-      std::size_t j = i;
-      for (; j > lo && less(v, idx[j - 1]); --j) idx[j] = idx[j - 1];
-      idx[j] = v;
-    }
+/// Records the run's workspace in the thread's peak and releases all of it
+/// but the counter when it grew past kRetainBytes.
+void retain_or_release(Workspace& ws) {
+  const std::size_t bytes = workspace_bytes(ws);
+  ws.peak_bytes = std::max(ws.peak_bytes, bytes);
+  if (bytes > kRetainBytes) {
+    Workspace released;
+    released.peak_bytes = ws.peak_bytes;
+    ws = std::move(released);
   }
-  if (n <= kRun) return;
-  merge.resize(n);
-  std::uint32_t* from = idx;
-  std::uint32_t* to = merge.data();
-  for (std::size_t width = kRun; width < n; width *= 2) {
-    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, n);
-      const std::size_t hi = std::min(lo + 2 * width, n);
-      std::merge(from + lo, from + mid, from + mid, from + hi, to + lo, less);
-    }
-    std::swap(from, to);
-  }
-  if (from != idx) std::copy(from, from + n, idx);
 }
 
-/// Fills ws.order with task_consideration_order(batch, kind), deriving it
-/// from the root the workspace still holds when ws.order ranks that root by
-/// the same kind. A stable order depends only on the key sequence: if the
-/// keys of batch[0, L) embed, in order, in the root's key sequence, the
-/// embedded root tasks rank among themselves exactly as batch[0, L) does.
-/// So one filtering pass over the previous order ranks that prefix, only
-/// batch[L, n) is sorted, and a merge that takes the prefix first on ties
-/// (it precedes the tail in the batch) joins them. Reads the root's keys
-/// from the snapshot, never a Task of its batch: the caller may have
-/// mutated that very vector into `batch`.
-void build_order(Workspace& ws, const std::vector<Task>& batch,
-                 TaskOrder kind) {
-  constexpr std::uint32_t kUnmatched =
-      std::numeric_limits<std::uint32_t>::max();
-  // Until the snapshot holds this batch's root, ws.order ranks no root.
-  const std::optional<TaskOrder> ranked = std::exchange(ws.order_kind, {});
-  const auto n = static_cast<std::uint32_t>(batch.size());
-  std::vector<std::int64_t>& key = ws.order_keys;
-  key.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) key[i] = order_key(batch[i], kind);
-
-  std::vector<std::uint32_t>& order = ws.order;
-  std::vector<std::uint32_t>& scratch = ws.order_scratch;
-  std::uint32_t prefix = 0;
-  if (ranked == kind) {
-    // Greedy earliest matching finds the longest embeddable prefix in one
-    // pass; scratch[j] is the batch task root task j stands for.
-    RTDS_ASSERT(ws.schedule.has_value());
-    const PartialSchedule& root = *ws.schedule;
-    const std::uint32_t root_n = root.snapshot_size();
-    RTDS_ASSERT(order.size() == root_n);
-    scratch.assign(root_n, kUnmatched);
-    for (std::uint32_t j = 0; j < root_n && prefix < n; ++j) {
-      if (root_key(root, j, kind) == key[prefix]) scratch[j] = prefix++;
-    }
-    std::uint32_t kept = 0;
-    for (const std::uint32_t j : order) {
-      if (scratch[j] != kUnmatched) order[kept++] = scratch[j];
-    }
-    RTDS_ASSERT(kept == prefix);
-  }
-  order.resize(n);
-  std::iota(order.begin() + prefix, order.end(), prefix);
-  stable_sort_by_key(order.data() + prefix, n - prefix, key, scratch);
-  if (prefix != 0 && prefix != n) {
-    scratch.resize(n);
-    std::merge(order.begin(), order.begin() + prefix, order.begin() + prefix,
-               order.end(), scratch.begin(),
-               [&key](std::uint32_t a, std::uint32_t b) {
-                 return key[a] < key[b];
-               });
-    order.swap(scratch);
-  }
-  ws.order_builds.sorted += 1;
-  ws.order_builds.tasks += n;
-  ws.order_builds.reused += prefix;
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> task_consideration_order(
-    const std::vector<Task>& batch, TaskOrder order) {
-  std::vector<std::uint32_t> idx(batch.size());
-  std::iota(idx.begin(), idx.end(), 0u);
-  if (order != TaskOrder::kBatchOrder) {
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return order_key(batch[a], order) <
-                              order_key(batch[b], order);
-                     });
-  }
-  return idx;
-}
-
-std::size_t thread_workspace_bytes() { return workspace_bytes(workspace()); }
-
-std::size_t thread_workspace_peak_bytes() { return workspace().peak_bytes; }
-
-OrderBuilds thread_order_builds() { return workspace().order_builds; }
-
-SearchEngine::SearchEngine(SearchConfig config) : config_(config) {}
-
-SearchResult SearchEngine::run(const std::vector<Task>& batch,
-                               const std::vector<SimDuration>& base_loads,
-                               SimTime delivery_time,
-                               const machine::Interconnect& net,
-                               std::uint64_t vertex_budget) const {
-  SearchResult result;
-  if (batch.empty() || vertex_budget == 0) return result;
-  RTDS_REQUIRE(batch.size() <= kMaxBatchTasks,
-               "SearchEngine: phase batch above kMaxBatchTasks");
-
-  Workspace& ws = workspace();
+/// The search: walks the tree over `set` (non-empty, in config.task_order)
+/// and writes the chosen path and the stats into `result`. Both run()
+/// entries end here.
+void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
+          const std::vector<SimDuration>& base_loads, SimTime delivery_time,
+          const machine::Interconnect& net, std::uint64_t vertex_budget,
+          SearchResult& result) {
   const std::uint32_t m = net.num_workers();
-
-  // kBatchOrder is the identity permutation, and so is any order of one
-  // task: skip building (and chasing) the index vector entirely.
-  const bool identity =
-      config_.task_order == TaskOrder::kBatchOrder || batch.size() == 1;
-  if (identity) {
-    ws.order_kind.reset();
-    ws.order_builds.identity += 1;
-  } else {
-    build_order(ws, batch, config_.task_order);
-  }
-
   if (ws.schedule) {
-    ws.schedule->reset(&batch, base_loads, delivery_time, &net);
+    ws.schedule->reset(&set, base_loads, delivery_time, &net);
   } else {
-    ws.schedule.emplace(&batch, base_loads, delivery_time, &net);
+    ws.schedule.emplace(&set, base_loads, delivery_time, &net);
   }
   PartialSchedule& ps = *ws.schedule;
-  ps.set_consideration_order(identity ? nullptr : ws.order.data());
-  if (!identity) ws.order_kind = config_.task_order;
 
   NodeArena& arena = ws.nodes;
   arena.clear();
-  CandidateList cl(config_.strategy, ws.cl_stack, ws.cl_heap);
+  CandidateList cl(config.strategy, ws.cl_stack, ws.cl_heap);
 
   SearchStats& stats = result.stats;
   std::uint64_t budget_left = vertex_budget;
@@ -663,8 +504,8 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
   // and pushes them onto CL best-on-top.
   std::vector<Candidate>& candidates = ws.candidates;
   const auto expand_current = [&] {
-    expand_vertex(config_, ps, m, budget_left, stats, candidates,
-                  ws.level_order, ws.task_ids);
+    expand_vertex(config, ps, m, budget_left, stats, candidates,
+                  ws.level_order);
     // Push worst-first so the best candidate ends on top of the stack
     // (front of CL).
     const std::uint32_t depth = ps.depth() + 1;
@@ -747,17 +588,70 @@ SearchResult SearchEngine::run(const std::vector<Task>& batch,
   // allocation, and an empty one allocates nothing.
   switch_to(best_node);
   result.schedule.assign(ps.path().begin(), ps.path().end());
+}
 
-  const std::size_t bytes = workspace_bytes(ws);
-  ws.peak_bytes = std::max(ws.peak_bytes, bytes);
-  if (bytes > kRetainBytes) {
-    // Release the snapshot with its order, the arena and every buffer; only
-    // the thread's counters stay.
-    Workspace released;
-    released.peak_bytes = ws.peak_bytes;
-    released.order_builds = ws.order_builds;
-    ws = std::move(released);
+
+}  // namespace
+
+std::vector<std::uint32_t> task_consideration_order(
+    const std::vector<Task>& batch, TaskOrder order) {
+  std::vector<std::uint32_t> idx(batch.size());
+  std::iota(idx.begin(), idx.end(), 0u);
+  if (order != TaskOrder::kBatchOrder) {
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return tasks::consideration_key(batch[a], order) <
+                              tasks::consideration_key(batch[b], order);
+                     });
   }
+  return idx;
+}
+
+std::size_t thread_workspace_bytes() { return workspace_bytes(workspace()); }
+
+std::size_t thread_workspace_peak_bytes() { return workspace().peak_bytes; }
+
+SearchEngine::SearchEngine(SearchConfig config) : config_(config) {}
+
+SearchResult SearchEngine::run(const tasks::Batch& set,
+                               const std::vector<SimDuration>& base_loads,
+                               SimTime delivery_time,
+                               const machine::Interconnect& net,
+                               std::uint64_t vertex_budget) const {
+  SearchResult result;
+  if (set.empty() || vertex_budget == 0) return result;
+  RTDS_REQUIRE(set.order() == config_.task_order,
+               "SearchEngine: the set keeps another consideration order");
+  RTDS_REQUIRE(set.size() <= kMaxBatchTasks,
+               "SearchEngine: phase batch above kMaxBatchTasks");
+  Workspace& ws = workspace();
+  walk(config_, ws, set, base_loads, delivery_time, net, vertex_budget,
+       result);
+  retain_or_release(ws);
+  return result;
+}
+
+SearchResult SearchEngine::run(const std::vector<Task>& batch,
+                               const std::vector<SimDuration>& base_loads,
+                               SimTime delivery_time,
+                               const machine::Interconnect& net,
+                               std::uint64_t vertex_budget) const {
+  SearchResult result;
+  if (batch.empty() || vertex_budget == 0) return result;
+  RTDS_REQUIRE(batch.size() <= kMaxBatchTasks,
+               "SearchEngine: phase batch above kMaxBatchTasks");
+  Workspace& ws = workspace();
+  tasks::Batch& set = ws.adapter;
+  set.reset(config_.task_order);
+  set.merge_arrivals(batch);
+  walk(config_, ws, set, base_loads, delivery_time, net, vertex_budget,
+       result);
+  // A fresh set numbers its arrivals 0, 1, ...: a task's arrival number is
+  // its index in `batch`.
+  for (Assignment& a : result.schedule) {
+    a.task_index = static_cast<std::uint32_t>(set.sequence(a.task_index));
+  }
+  retain_or_release(ws);
   return result;
 }
 

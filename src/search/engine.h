@@ -34,6 +34,7 @@
 #include "common/time.h"
 #include "machine/interconnect.h"
 #include "search/partial_schedule.h"
+#include "tasks/batch.h"
 #include "tasks/task.h"
 
 namespace rtds::search {
@@ -55,12 +56,9 @@ enum class SearchStrategy {
   kBestFirst,
 };
 
-/// Order in which tasks are considered (the task-selection heuristic).
-enum class TaskOrder {
-  kBatchOrder,        ///< arrival/merge order, no heuristic
-  kEarliestDeadline,  ///< EDF — the classic real-time heuristic
-  kMinSlack,          ///< least-laxity (d - p)
-};
+/// Order in which tasks are considered (the task-selection heuristic). A
+/// pending set keeps its tasks in it (tasks/batch.h).
+using tasks::TaskOrder;
 
 /// How the sequence-oriented representation picks the processor for each
 /// level. The paper shows round-robin in Fig. 1 but notes "a heuristic
@@ -152,32 +150,18 @@ struct SearchResult {
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bytes currently retained by the calling thread's search workspace: the
-/// pooled node arena, the reused PartialSchedule snapshot, and every
-/// scratch buffer (consideration order and its sort buffers, candidates,
-/// the depth-first CL's id stack and the best-first CL's heap, level
-/// order, task ids, LCA chain). The bound is on their sum: a run that
-/// leaves more than 64 MB releases the whole workspace, so this is at most
-/// 64 MB between runs. For the bench memory column; cheap enough to call
-/// between runs.
+/// pooled node arena, the reused PartialSchedule, the set the vector
+/// adapter builds, and every scratch buffer (candidates, the depth-first
+/// CL's id stack and the best-first CL's heap, level order, LCA chain).
+/// The bound is on their sum: a run that leaves more than 64 MB releases
+/// the whole workspace, so this is at most 64 MB between runs. For the
+/// bench memory column; cheap enough to call between runs.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
 /// High-water mark of thread_workspace_bytes() on the calling thread (an
 /// oversized run releases the workspace, so the current value can
 /// understate what a big batch actually used).
 [[nodiscard]] std::size_t thread_workspace_peak_bytes();
-
-/// How the searches on one thread came by their consideration orders.
-struct OrderBuilds {
-  /// Searches that needed no order: kBatchOrder, or a one-task batch.
-  std::uint64_t identity{0};
-  std::uint64_t sorted{0};  ///< EDF and min-slack orders built
-  std::uint64_t tasks{0};   ///< tasks in the sorted orders
-  /// Of those tasks, the ones in a prefix the previous root already ranked.
-  std::uint64_t reused{0};
-};
-
-/// Consideration orders built on the calling thread so far.
-[[nodiscard]] OrderBuilds thread_order_builds();
 
 /// Depth-first search over the task-space tree. One engine can be reused
 /// across phases and threads; a run's answer depends only on its arguments.
@@ -187,10 +171,13 @@ class SearchEngine {
 
   [[nodiscard]] const SearchConfig& config() const { return config_; }
 
-  /// Runs one scheduling phase's search.
+  /// Runs one scheduling phase's search over the pending set `set`, read
+  /// in place.
   ///
-  /// `batch`          — snapshot of Batch(j) (tasks to schedule); at most
-  ///                    kMaxBatchTasks tasks (InvalidArgument beyond);
+  /// `set`            — Batch(j), kept in config().task_order
+  ///                    (InvalidArgument otherwise); at most kMaxBatchTasks
+  ///                    tasks (InvalidArgument beyond). It must not change
+  ///                    during the call;
   /// `base_loads`     — per-worker residual load at delivery time,
   ///                    max(0, Load_k(j-1) - Q_s(j));
   /// `delivery_time`  — t_s + Q_s(j);
@@ -200,33 +187,38 @@ class SearchEngine {
   /// Returns the path to the deepest vertex the search entered (more tasks
   /// scheduled this phase) and, among equally deep ones, the first entered
   /// with the lowest CE — whether the search stopped at a leaf, a dead end
-  /// or the budget.
+  /// or the budget. Task indices are positions in `set`.
+  ///
+  /// The tree is searched from scratch: the set supplies the root's tasks,
+  /// columns and consideration order, so starting a search sorts nothing
+  /// and copies nothing per task (docs/ARCHITECTURE.md, "The pending set").
   ///
   /// Thread-safe: per-thread scratch buffers are reused across calls — the
-  /// PartialSchedule snapshot, the consideration order and its sort
-  /// buffers, the candidate list, and a node arena that grows in pooled
-  /// chunks. Once they have grown to the largest batch seen, a run's only
-  /// heap allocation is the returned schedule: the chosen vertex's path,
-  /// copied out of the snapshot at its exact length (none when it is
-  /// empty). A workspace grown past 64 MB is released whole after its
-  /// run, and the next run grows it again. Tested
-  /// by tests/alloc/steady_state_alloc_test.cc; docs/ARCHITECTURE.md,
-  /// "Search hot path".
-  ///
-  /// The consideration order equals task_consideration_order(batch,
-  /// config.task_order). A one-task batch, like kBatchOrder, needs none. An
-  /// EDF or min-slack order is derived from the previous root the workspace
-  /// still holds: the longest prefix of `batch` whose sort keys embed, in
-  /// order, in that root's keys keeps the root's relative order, only the
-  /// rest is sorted, and one merge that puts the prefix first on ties
-  /// joins the two. It reads only keys — the snapshot's, never a Task of
-  /// the previous batch — so `batch` may be the previous vector mutated in
-  /// place. A first run, a switch of sort kind or an unrelated batch is an
-  /// empty prefix.
+  /// PartialSchedule, the candidate list, and a node arena that grows in
+  /// pooled chunks. Once they have grown to the largest set seen, a run's
+  /// only heap allocation is the returned schedule: the chosen vertex's
+  /// path, copied out at its exact length (none when it is empty). A
+  /// workspace grown past 64 MB is released whole after its run, and the
+  /// next run grows it again. Tested by
+  /// tests/alloc/steady_state_alloc_test.cc; docs/ARCHITECTURE.md, "Search
+  /// hot path".
   ///
   /// Every run searches. The phases that would repeat an empty,
   /// unexhausted search are the pipeline's to skip
   /// (sched::PhaseAlgorithm::futile_answer_persists).
+  [[nodiscard]] SearchResult run(const tasks::Batch& set,
+                                 const std::vector<SimDuration>& base_loads,
+                                 SimTime delivery_time,
+                                 const machine::Interconnect& net,
+                                 std::uint64_t vertex_budget) const;
+
+  /// The same search over a vector of tasks: a thin adapter that builds a
+  /// set of them in config().task_order in the thread's workspace, runs
+  /// the search above on it and reports task indices into `batch`. Its
+  /// answer equals run(tasks::Batch(batch, config().task_order), ...) with
+  /// each position mapped to the index of its task in `batch`. Like the
+  /// in-place run, once the workspace has grown it allocates only the
+  /// returned schedule.
   [[nodiscard]] SearchResult run(const std::vector<Task>& batch,
                                  const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,
@@ -242,7 +234,7 @@ class SearchEngine {
 /// order is computed once): batch positions stable-sorted by deadline
 /// (EDF) or by d - p (min-slack), so ties keep batch order. kBatchOrder is
 /// the identity. The greedy baselines and the reference engine use it, and
-/// it is the specification SearchEngine::run's derived order must meet.
+/// it is the specification the order a pending set keeps must meet.
 std::vector<std::uint32_t> task_consideration_order(
     const std::vector<Task>& batch, TaskOrder order);
 

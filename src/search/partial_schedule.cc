@@ -7,27 +7,27 @@
 
 namespace rtds::search {
 
-PartialSchedule::PartialSchedule(const std::vector<Task>* batch,
+PartialSchedule::PartialSchedule(const tasks::Batch* set,
                                  const std::vector<SimDuration>& base_loads,
                                  SimTime delivery_time,
                                  const machine::Interconnect* net) {
-  reset(batch, base_loads, delivery_time, net);
+  reset(set, base_loads, delivery_time, net);
 }
 
-void PartialSchedule::reset(const std::vector<Task>* batch,
+void PartialSchedule::reset(const tasks::Batch* set,
                             const std::vector<SimDuration>& base_loads,
                             SimTime delivery_time,
                             const machine::Interconnect* net) {
-  RTDS_REQUIRE(batch != nullptr && net != nullptr,
-               "PartialSchedule: null batch or interconnect");
+  RTDS_REQUIRE(set != nullptr && net != nullptr,
+               "PartialSchedule: null set or interconnect");
   RTDS_REQUIRE(base_loads.size() == net->num_workers(),
                "PartialSchedule: base_loads size != worker count");
   for (SimDuration d : base_loads) {
     RTDS_REQUIRE(!d.is_negative(), "PartialSchedule: negative base load");
   }
-  batch_ = batch;
+  set_ = set;
   net_ = net;
-  delivery_time_ = delivery_time;
+  delivery_us_ = delivery_time.us;
   ce_us_.resize(base_loads.size());
   max_ce_us_ = 0;
   for (std::size_t k = 0; k < base_loads.size(); ++k) {
@@ -38,100 +38,64 @@ void PartialSchedule::reset(const std::vector<Task>* batch,
   cut_through_ = net_->model() == machine::RoutingModel::kCutThrough;
   comm_us_ = net_->link_cost().us;
 
-  const std::size_t n = batch_->size();
-  p_us_.resize(n);
-  es_us_.resize(n);
-  d_us_.resize(n);
-  aff_bits_.resize(n);
-  width_.resize(n);
-  has_gangs_ = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Task& t = (*batch_)[i];
-    p_us_[i] = t.processing.us;
-    es_us_[i] = es_off_us(t);
-    d_us_[i] = (t.deadline - delivery_time_).us;
-    aff_bits_[i] = t.affinity.raw();
-    RTDS_REQUIRE(t.workers_required >= 1,
-                 "PartialSchedule: workers_required must be >= 1");
-    RTDS_REQUIRE(!t.affinity.empty(),
-                 "PartialSchedule: task has no data holder");
-    width_[i] = t.workers_required;
-    has_gangs_ = has_gangs_ || t.workers_required > 1;
-  }
+  n_ = static_cast<std::uint32_t>(set->size());
+  d_ = set->deadline_us().data();
+  p_ = set->processing_us().data();
+  es_ = set->earliest_start_us().data();
+  aff_ = set->affinity_bits().data();
+  width_ = set->widths().data();
+  has_gangs_ = set->has_gangs();
 
-  // Back to the identity order and an empty path: nothing of the previous
-  // batch's order, assignments or gang undo values may survive.
-  order_ = nullptr;
-  pos_of_task_.clear();
-  unassigned_.resize((n + 63) / 64);
-  reset_unassigned_bits();
+  // An empty path: nothing of the previous run's assignments or gang undo
+  // values may survive.
+  unassigned_.assign((n_ + 63) / 64, ~std::uint64_t{0});
+  if (n_ % 64 != 0) unassigned_.back() = (std::uint64_t{1} << (n_ % 64)) - 1;
   path_.clear();
-  path_.reserve(n);
+  path_.reserve(n_);
   gang_undo_.clear();
-}
-
-void PartialSchedule::reset_unassigned_bits() {
-  const std::size_t n = batch_->size();
-  std::fill(unassigned_.begin(), unassigned_.end(), ~std::uint64_t{0});
-  if (n % 64 != 0 && !unassigned_.empty()) {
-    unassigned_.back() = (std::uint64_t{1} << (n % 64)) - 1;
-  }
-}
-
-void PartialSchedule::set_consideration_order(const std::uint32_t* order) {
-  RTDS_REQUIRE(path_.empty(),
-               "set_consideration_order: schedule already has assignments");
-  order_ = order;
-  pos_of_task_.clear();
-  if (order != nullptr) {
-    const auto n = static_cast<std::uint32_t>(batch_->size());
-    pos_of_task_.assign(n, n);  // sentinel: not yet seen
-    for (std::uint32_t pos = 0; pos < n; ++pos) {
-      const std::uint32_t task = order[pos];
-      RTDS_REQUIRE(task < n && pos_of_task_[task] == n,
-                   "set_consideration_order: not a permutation of the batch");
-      pos_of_task_[task] = pos;
-    }
-  }
-  reset_unassigned_bits();
 }
 
 std::uint32_t PartialSchedule::first_unassigned_at_or_after(
     std::uint32_t pos) const {
-  const auto n = static_cast<std::uint32_t>(batch_->size());
-  if (pos >= n) return n;
+  if (pos >= n_) return n_;
   std::size_t word = pos >> 6;
   // Mask off positions below `pos` in the first word.
   std::uint64_t bits = unassigned_[word] & (~std::uint64_t{0} << (pos & 63));
   while (bits == 0) {
-    if (++word == unassigned_.size()) return n;
+    if (++word == unassigned_.size()) return n_;
     bits = unassigned_[word];
   }
   return static_cast<std::uint32_t>((word << 6) +
                                     std::uint32_t(std::countr_zero(bits)));
 }
 
-std::uint64_t PartialSchedule::feasible_tasks_mask(
-    ProcessorId worker, const std::uint32_t* tasks, std::uint32_t count) const {
+std::uint64_t PartialSchedule::feasible_tasks_mask(ProcessorId worker,
+                                                   std::size_t word) const {
   RTDS_ASSERT(tasks_mask_eligible());
+  RTDS_ASSERT(word < unassigned_.size());
   // Locals, not members: with C in a register the compiler selects comm
-  // without a branch, which a random affinity bit would mispredict.
-  const std::int64_t ce_w = ce_us_[worker];
+  // without a branch, which a random affinity bit would mispredict. The
+  // test runs in absolute time: max(ce_w + D, e) is the start offset plus
+  // D (see evaluate_fast), so it compares with d directly.
+  const std::int64_t start_lo = ce_us_[worker] + delivery_us_;
   const std::int64_t comm_us = comm_us_;
+  const std::int64_t* d = d_ + (word << 6);
+  const std::int64_t* p = p_ + (word << 6);
+  const std::int64_t* es = es_ + (word << 6);
+  const std::uint64_t* aff = aff_ + (word << 6);
   std::uint64_t mask = 0;
-  for (std::uint32_t j = 0; j < count; ++j) {
-    const std::uint32_t t = tasks[j];
-    const std::int64_t comm =
-        ((aff_bits_[t] >> worker) & 1u) != 0 ? 0 : comm_us;
-    const std::int64_t start = ce_w > es_us_[t] ? ce_w : es_us_[t];
-    if (start + p_us_[t] + comm <= d_us_[t]) mask |= std::uint64_t{1} << j;
+  for (std::uint64_t bits = unassigned_[word]; bits != 0; bits &= bits - 1) {
+    const int b = std::countr_zero(bits);
+    const std::int64_t comm = ((aff[b] >> worker) & 1u) != 0 ? 0 : comm_us;
+    const std::int64_t start = start_lo > es[b] ? start_lo : es[b];
+    if (start + p[b] + comm <= d[b]) mask |= std::uint64_t{1} << b;
   }
   return mask;
 }
 
 std::optional<Assignment> PartialSchedule::evaluate(
     std::uint32_t task_index, ProcessorId worker) const {
-  RTDS_REQUIRE(task_index < batch_->size(), "evaluate: bad task index");
+  RTDS_REQUIRE(task_index < n_, "evaluate: bad task index");
   RTDS_REQUIRE(worker < net_->num_workers(), "evaluate: bad worker id");
   RTDS_REQUIRE(!assigned(task_index), "evaluate: task already assigned");
 
@@ -146,8 +110,7 @@ void PartialSchedule::push(const Assignment& a) {
   // Integrity: the assignment must have been evaluated at this exact state.
   RTDS_ASSERT(ce_us_[a.worker] == a.prev_ce.us);
   RTDS_ASSERT(max_ce_us_ == a.prev_max_ce.us);
-  const std::uint32_t pos = pos_of(a.task_index);
-  unassigned_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+  unassigned_[a.task_index >> 6] &= ~(std::uint64_t{1} << (a.task_index & 63));
   // A gang charges its whole worker block to the same end offset; the
   // siblings' pre-push offsets go on the side undo stack (the lead's is
   // Assignment::prev_ce).
@@ -164,8 +127,7 @@ void PartialSchedule::push(const Assignment& a) {
 void PartialSchedule::pop() {
   RTDS_REQUIRE(!path_.empty(), "pop: empty path");
   const Assignment& a = path_.back();
-  const std::uint32_t pos = pos_of(a.task_index);
-  unassigned_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+  unassigned_[a.task_index >> 6] |= std::uint64_t{1} << (a.task_index & 63);
   const std::uint32_t k = width_[a.task_index];
   for (std::uint32_t j = k; j-- > 1;) {
     ce_us_[a.worker + j] = gang_undo_.back().us;
@@ -182,10 +144,8 @@ std::size_t PartialSchedule::footprint_bytes() const {
   const auto vec_bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  return vec_bytes(ce_us_) + vec_bytes(p_us_) +
-         vec_bytes(es_us_) + vec_bytes(d_us_) + vec_bytes(aff_bits_) +
-         vec_bytes(width_) + vec_bytes(unassigned_) +
-         vec_bytes(pos_of_task_) + vec_bytes(path_) + vec_bytes(gang_undo_);
+  return vec_bytes(ce_us_) + vec_bytes(unassigned_) + vec_bytes(path_) +
+         vec_bytes(gang_undo_);
 }
 
 }  // namespace rtds::search

@@ -17,19 +17,22 @@
 // paper's correction theorem, and it is what makes scheduled tasks immune to
 // scheduling overhead: the whole quantum is charged up front.
 //
-// Hot-path layout (see docs/ARCHITECTURE.md "Search hot path"): the search
-// charges its entire vertex budget through evaluate/push/pop, so this class
-// keeps flat structure-of-arrays state sized at reset() and touches nothing
-// else:
-//   * p_us_/es_us_/d_us_/aff_bits_/width_ — the per-task constants, one
-//     contiguous array per field in raw delivery-relative microseconds, so
-//     evaluation never dereferences the 56-byte Task and the task-word
-//     kernel (feasible_tasks_mask) reads its lanes straight out of them;
+// Hot-path layout (see docs/ARCHITECTURE.md "Search hot path" and "The
+// pending set"): the search charges its entire vertex budget through
+// evaluate/push/pop, so this class keeps only one search's state and reads
+// the tasks in place:
+//   * the per-task constants are the pending set's columns (tasks::Batch:
+//     deadline, processing time and earliest start in absolute
+//     microseconds, affinity word, width), read where they are; the
+//     delivery time is subtracted where a test compares, so starting a
+//     search copies nothing per task and evaluation never dereferences the
+//     56-byte Task;
 //   * ce_us_ — per-worker completion offsets (m contiguous 8-byte counts);
-//   * unassigned_ — a 64-bit-word bitset over *consideration-order
-//     positions* (bit set = still unassigned), giving O(n/64) find-first
-//     scans instead of a std::vector<bool> walk, and supplying the words
-//     the task-word kernel tests at once.
+//   * unassigned_ — a 64-bit-word bitset over set positions (bit set =
+//     still unassigned), giving O(n/64) find-first scans instead of a
+//     std::vector<bool> walk. The set keeps its tasks in the search's
+//     consideration order, so a scan returns tasks in heuristic order and
+//     the task-word kernel tests the lanes of one word where they lie.
 // Backtracking is O(1): every Assignment carries the undo values prev_ce and
 // prev_max_ce, so pop() restores both the worker's queue and CE without the
 // historical O(m) rescan.
@@ -43,6 +46,7 @@
 #include "common/error.h"
 #include "common/time.h"
 #include "machine/interconnect.h"
+#include "tasks/batch.h"
 #include "tasks/task.h"
 
 namespace rtds::search {
@@ -52,7 +56,9 @@ using tasks::Task;
 
 /// One task-to-processor assignment (a vertex of G).
 struct Assignment {
-  std::uint32_t task_index{0};  ///< index into the phase's batch snapshot
+  /// The task's position in the pending set searched, or its index in the
+  /// vector a vector entry was given.
+  std::uint32_t task_index{0};
   ProcessorId worker{0};
   SimDuration exec_cost{SimDuration::zero()};  ///< p_l + c_lk
   /// Queue offset of the worker when this assignment was evaluated — the
@@ -68,13 +74,14 @@ struct Assignment {
   SimDuration end_offset{SimDuration::zero()};    ///< se_lk, from delivery
 };
 
-/// Mutable path state for depth-first search with backtracking.
+/// Mutable path state for depth-first search with backtracking, over the
+/// tasks of one pending set. Task indices are set positions, and the
+/// consideration order is the set's order.
 class PartialSchedule {
  public:
-  /// Per-task constants in raw microseconds relative to the delivery time.
-  /// Storage is one array per field (see header comment); this struct is the
-  /// assembled by-value view for cold-path callers (portfolio heuristics,
-  /// tests).
+  /// Per-task constants in raw microseconds relative to the delivery time,
+  /// assembled by value for cold-path callers (portfolio heuristics,
+  /// tests); the search reads the set's columns.
   struct TaskConstants {
     std::int64_t processing_us{0};  ///< p_l
     std::int64_t es_off_us{0};      ///< max(0, earliest_start - delivery)
@@ -86,69 +93,40 @@ class PartialSchedule {
   };
 
   /// Equivalent to reset() on a fresh object.
-  PartialSchedule(const std::vector<Task>* batch,
+  PartialSchedule(const tasks::Batch* set,
                   const std::vector<SimDuration>& base_loads,
                   SimTime delivery_time, const machine::Interconnect* net);
 
-  /// Starts a new empty path over `batch`, refilling every array in place:
-  /// once the capacities have grown to the largest batch seen, a reset
-  /// allocates nothing, so one schedule can serve every phase. The result
-  /// is indistinguishable from a freshly constructed schedule — identity
-  /// consideration order, empty path, no gang undo state.
-  ///
-  /// `batch` must outlive the next reset and must not be mutated while it
-  /// is in use: task parameters are snapshotted into the per-task constants
-  /// here (delivery-relative offsets can only be precomputed once).
+  /// Starts a new empty path over `set`. It copies nothing per task: the
+  /// set's columns are read in place, so `set` must outlive the schedule's
+  /// use and must not change while the schedule is in use. Only the
+  /// per-worker offsets, the unassigned bitset (n/64 words) and the path
+  /// are reset; once their capacities have grown to the largest set seen,
+  /// a reset allocates nothing, so one schedule can serve every phase. The
+  /// result is indistinguishable from a freshly constructed schedule.
   /// `base_loads[k]` is the worker's residual load at delivery time:
   /// max(0, Load_k(j-1) - Q_s(j)). `delivery_time` is t_s + Q_s(j), the
   /// time the schedule will reach the ready queues. `net` prices c_lk.
-  void reset(const std::vector<Task>* batch,
+  void reset(const tasks::Batch* set,
              const std::vector<SimDuration>& base_loads,
              SimTime delivery_time, const machine::Interconnect* net);
-
-  /// Declares the consideration order the search iterates tasks in, so the
-  /// unassigned bitset lives in order-position space and find-first scans
-  /// return positions in heuristic order. `order` must be a permutation of
-  /// [0, batch_size) that outlives this object, or nullptr for the identity
-  /// order (the kBatchOrder fast path — no index vector needed at all).
-  /// Must be called before the first push.
-  void set_consideration_order(const std::uint32_t* order);
 
   [[nodiscard]] std::uint32_t depth() const {
     return static_cast<std::uint32_t>(path_.size());
   }
-  [[nodiscard]] std::uint32_t batch_size() const {
-    return static_cast<std::uint32_t>(batch_->size());
-  }
-  /// Tasks in the root the last reset() snapshotted. Unlike batch_size(),
-  /// it reads nothing of that root's batch, which may have changed since.
-  [[nodiscard]] std::uint32_t snapshot_size() const {
-    return static_cast<std::uint32_t>(p_us_.size());
-  }
+  [[nodiscard]] std::uint32_t batch_size() const { return n_; }
   [[nodiscard]] bool complete() const { return depth() == batch_size(); }
   [[nodiscard]] bool assigned(std::uint32_t task_index) const {
-    const std::uint32_t pos = pos_of(task_index);
-    return ((unassigned_[pos >> 6] >> (pos & 63)) & 1u) == 0;
+    return ((unassigned_[task_index >> 6] >> (task_index & 63)) & 1u) == 0;
   }
-  [[nodiscard]] SimTime delivery_time() const { return delivery_time_; }
 
-  /// First consideration-order position >= `pos` holding an unassigned
-  /// task, or batch_size() when none. O(n/64) word scan.
+  /// First position >= `pos` holding an unassigned task, or batch_size()
+  /// when none. O(n/64) word scan.
   [[nodiscard]] std::uint32_t first_unassigned_at_or_after(
       std::uint32_t pos) const;
 
-  /// Task index at consideration-order position `pos`.
-  [[nodiscard]] std::uint32_t task_at(std::uint32_t pos) const {
-    return order_ == nullptr ? pos : order_[pos];
-  }
-
-  /// Consideration-order position of task `task_index` (task_at's inverse).
-  [[nodiscard]] std::uint32_t pos_of(std::uint32_t task_index) const {
-    return pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
-  }
-
-  /// Raw unassigned bitset (bit = consideration-order position), for
-  /// zero-overhead iteration in the sequence-oriented expansion loop.
+  /// Raw unassigned bitset (bit = set position), for zero-overhead
+  /// iteration in the sequence-oriented expansion loop.
   [[nodiscard]] const std::vector<std::uint64_t>& unassigned_words() const {
     return unassigned_;
   }
@@ -180,49 +158,47 @@ class PartialSchedule {
   /// leads (block past worker m) are infeasible by definition.
   [[nodiscard]] bool task_unplaceable(std::uint32_t task_index,
                                       SimDuration min_ce) const {
-    const std::int64_t es = es_us_[task_index];
-    const std::int64_t start = min_ce.us > es ? min_ce.us : es;
-    return start + p_us_[task_index] > d_us_[task_index];
+    // In absolute time: min_ce >= 0, so max(min_ce, e - D) equals the
+    // clamped offset max(min_ce, max(0, e - D)).
+    const std::int64_t lo = min_ce.us + delivery_us_;
+    const std::int64_t es = es_[task_index];
+    return (lo > es ? lo : es) + p_[task_index] > d_[task_index];
   }
 
-  /// Assembled per-task constants (by value — storage is SoA).
+  /// Assembled per-task constants (by value).
   [[nodiscard]] TaskConstants constants(std::uint32_t task_index) const {
-    return TaskConstants{p_us_[task_index], es_us_[task_index],
-                         d_us_[task_index], aff_bits_[task_index],
+    const std::int64_t es_off = es_[task_index] - delivery_us_;
+    return TaskConstants{p_[task_index], es_off > 0 ? es_off : 0,
+                         d_[task_index] - delivery_us_, aff_[task_index],
                          width_[task_index]};
   }
 
-  /// Direct SoA field reads for the hot loops.
+  /// p_l, for the hot loops.
   [[nodiscard]] std::int64_t processing_us(std::uint32_t i) const {
-    return p_us_[i];
+    return p_[i];
   }
-  [[nodiscard]] std::int64_t d_off_us(std::uint32_t i) const {
-    return d_us_[i];
-  }
-  [[nodiscard]] std::uint32_t workers_required(std::uint32_t i) const {
-    return width_[i];
-  }
-  /// True when any task in the batch is a gang (width > 1).
+  /// True when any task in the set is a gang (width > 1).
   [[nodiscard]] bool has_gangs() const { return has_gangs_; }
 
   // -- batched evaluation (sequence-oriented expansion) ----------------------
 
-  /// True when feasible_tasks_mask is exact for this whole batch: constant
+  /// True when feasible_tasks_mask is exact for this whole set: constant
   /// cut-through communication and no gangs anywhere (the per-word batches
   /// come off the unassigned bitset, which doesn't know widths).
   [[nodiscard]] bool tasks_mask_eligible() const {
     return cut_through_ && !has_gangs_;
   }
 
-  /// Bit j set iff evaluate_fast(tasks[j], worker) would be feasible: the
-  /// Fig. 4 test of one worker against a word of candidate tasks,
+  /// The Fig. 4 test of one worker against a word of the unassigned bitset:
+  /// bit b set iff position 64 * word + b is unassigned and
+  /// evaluate_fast(that task, worker) would be feasible,
   ///   max(ce_w, es) + p + (affinity bit of worker set ? 0 : C) <= d,
   /// with the same 64-bit arithmetic as evaluate_fast, so the mask equals
-  /// its verdicts bit for bit. `tasks` holds `count` <= 64 unassigned task
-  /// ids. Preconditions: tasks_mask_eligible().
-  [[nodiscard]] std::uint64_t feasible_tasks_mask(
-      ProcessorId worker, const std::uint32_t* tasks,
-      std::uint32_t count) const;
+  /// its verdicts bit for bit. The lanes are read from the set's columns
+  /// where they lie. Preconditions: tasks_mask_eligible(), word below
+  /// unassigned_words().size().
+  [[nodiscard]] std::uint64_t feasible_tasks_mask(ProcessorId worker,
+                                                  std::size_t word) const;
 
   /// Evaluates the candidate vertex (T_l -> P_k): computes cost and end
   /// offset, and applies the feasibility test of Fig. 4. Returns nullopt
@@ -257,38 +233,30 @@ class PartialSchedule {
   /// Assignments along the current path, in path order.
   [[nodiscard]] const std::vector<Assignment>& path() const { return path_; }
 
-  /// Bytes of heap state this schedule holds (SoA constants, bitset, path) —
-  /// for the bench memory column.
+  /// Bytes of heap state this schedule holds (queue offsets, bitset, path,
+  /// gang undo stack) — for the bench memory column. The set's columns are
+  /// the set's.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  /// max(0, earliest_start - delivery_time_), the es_us_ entry of `t`.
-  [[nodiscard]] std::int64_t es_off_us(const Task& t) const {
-    return t.earliest_start > delivery_time_
-               ? (t.earliest_start - delivery_time_).us
-               : 0;
-  }
-  void reset_unassigned_bits();
-
-  const std::vector<Task>* batch_{nullptr};
+  const tasks::Batch* set_{nullptr};
   const machine::Interconnect* net_{nullptr};
-  SimTime delivery_time_{SimTime::zero()};
-  /// Per-worker completion offsets in raw microseconds (SoA hot vector).
-  std::vector<std::int64_t> ce_us_;
-  std::int64_t max_ce_us_{0};
-  // Per-task constants, one contiguous array per field (SoA).
-  std::vector<std::int64_t> p_us_;
-  std::vector<std::int64_t> es_us_;
-  std::vector<std::int64_t> d_us_;
-  std::vector<std::uint64_t> aff_bits_;
-  std::vector<std::uint32_t> width_;
+  std::int64_t delivery_us_{0};
+  // The set's columns, read in place (see header comment).
+  const std::int64_t* d_{nullptr};
+  const std::int64_t* p_{nullptr};
+  const std::int64_t* es_{nullptr};
+  const std::uint64_t* aff_{nullptr};
+  const std::uint32_t* width_{nullptr};
+  std::uint32_t n_{0};
   bool has_gangs_{false};
   bool cut_through_{true};
   std::int64_t comm_us_{0};  ///< constant C (cut-through model only)
-  /// Bit (per consideration-order position) set while unassigned.
+  /// Per-worker completion offsets in raw microseconds.
+  std::vector<std::int64_t> ce_us_;
+  std::int64_t max_ce_us_{0};
+  /// Bit (per set position) set while unassigned.
   std::vector<std::uint64_t> unassigned_;
-  const std::uint32_t* order_{nullptr};        ///< nullptr = identity
-  std::vector<std::uint32_t> pos_of_task_;     ///< empty = identity
   std::vector<Assignment> path_;
   /// Sibling undo values for gang assignments: push() of a k-worker gang
   /// appends the k-1 pre-push completion offsets of workers
@@ -300,13 +268,13 @@ class PartialSchedule {
 inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
                                            ProcessorId worker,
                                            Assignment& out) const {
-  // c_lk: 0 on a data holder, else C under cut-through routing (reset()
+  // c_lk: 0 on a data holder, else C under cut-through routing (the set
   // rejected any task with no data holder). A mask, not a branch: mixed
   // affinity sets make the holder bit unpredictable.
-  const std::uint64_t remote = ((aff_bits_[task_index] >> worker) & 1u) ^ 1u;
+  const std::uint64_t remote = ((aff_[task_index] >> worker) & 1u) ^ 1u;
   std::int64_t comm_us = comm_us_ & -static_cast<std::int64_t>(remote);
   if (!cut_through_ && remote != 0) {
-    comm_us = net_->comm_cost((*batch_)[task_index].affinity, worker).us;
+    comm_us = net_->comm_cost(set_->tasks()[task_index].affinity, worker).us;
   }
 
   const std::int64_t prev_ce_us = ce_us_[worker];
@@ -323,17 +291,19 @@ inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
     }
   }
   // Execution cannot start before the task's start-time constraint; the
-  // worker idles until then (footnote 1 task model).
-  const std::int64_t es_us = es_us_[task_index];
+  // worker idles until then (footnote 1 task model). Offsets are from the
+  // delivery time; block_ce_us >= 0, so an earliest start already passed
+  // (a negative offset) never wins the max.
+  const std::int64_t es_us = es_[task_index] - delivery_us_;
   const std::int64_t start_us = block_ce_us > es_us ? block_ce_us : es_us;
-  const std::int64_t end_us = start_us + p_us_[task_index] + comm_us;
+  const std::int64_t end_us = start_us + p_[task_index] + comm_us;
 
   // Fig. 4: t_c + RQ_s(j) + se_lk <= d_l, with t_c + RQ_s == delivery_time.
-  if (end_us > d_us_[task_index]) return false;
+  if (end_us > d_[task_index] - delivery_us_) return false;
 
   out.task_index = task_index;
   out.worker = worker;
-  out.exec_cost = SimDuration{p_us_[task_index] + comm_us};
+  out.exec_cost = SimDuration{p_[task_index] + comm_us};
   out.prev_ce = SimDuration{prev_ce_us};
   out.prev_max_ce = SimDuration{max_ce_us_};
   out.start_offset = SimDuration{start_us};

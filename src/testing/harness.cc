@@ -48,15 +48,46 @@ sched::PipelineConfig pipeline_config(const Scenario& s, bool threaded) {
 }
 
 /// Records every phase, and the most entries the ledger held at the end of
-/// any phase (after its deliveries, before the backend reports them).
+/// any phase (after its deliveries, before the backend reports them). Given
+/// the run's CallCountingAlgorithm, it also tells a searched phase (the
+/// algorithm was called since the previous phase) from a fast-forwarded
+/// one, and classifies each run of fast-forwarded phases into `stops` by
+/// the phase that followed it.
 class PhaseAndLedgerRecorder final : public sched::PhaseObserver {
  public:
-  explicit PhaseAndLedgerRecorder(const sched::TaskLedger& ledger)
-      : ledger_(ledger) {}
+  PhaseAndLedgerRecorder(const sched::TaskLedger& ledger,
+                         const CallCountingAlgorithm* counted,
+                         FastForwardStops* stops)
+      : ledger_(ledger), counted_(counted), stops_(stops) {}
 
   void on_phase(const sched::PhaseRecord& record) override {
     trace_.on_phase(record);
     high_water_ = std::max(high_water_, ledger_.size());
+    if (counted_ == nullptr || stops_ == nullptr) return;
+    const bool searched = counted_->calls() != calls_;
+    calls_ = counted_->calls();
+    if (!searched) {
+      skipped_vertices_ = record.search.vertices_generated;
+      in_run_ = true;
+      return;
+    }
+    if (!in_run_) return;
+    in_run_ = false;
+    if (record.arrivals > 0 || record.admission_rejected > 0) {
+      ++stops_->arrival;
+    } else if (record.culled > 0) {
+      ++stops_->cull;
+    } else if (record.vertex_budget < skipped_vertices_) {
+      ++stops_->budget;
+    } else {
+      ++stops_->other;
+    }
+  }
+
+  /// Classifies a run of fast-forwarded phases no phase followed.
+  void finish() {
+    if (in_run_ && stops_ != nullptr) ++stops_->other;
+    in_run_ = false;
   }
 
   [[nodiscard]] const std::vector<sched::PhaseRecord>& records() const {
@@ -66,8 +97,49 @@ class PhaseAndLedgerRecorder final : public sched::PhaseObserver {
 
  private:
   const sched::TaskLedger& ledger_;
+  const CallCountingAlgorithm* counted_;
+  FastForwardStops* stops_;
   sched::PhaseTraceRecorder trace_;
   std::size_t high_water_{0};
+  std::uint64_t calls_{0};
+  bool in_run_{false};
+  std::uint64_t skipped_vertices_{0};
+};
+
+/// kSplitEntries: the in-place entry drops the last assignment of every
+/// non-empty schedule; the vector entry forwards unchanged.
+class SplitEntriesAlgorithm final : public sched::PhaseAlgorithm {
+ public:
+  explicit SplitEntriesAlgorithm(const sched::PhaseAlgorithm& inner)
+      : inner_(inner) {}
+
+  [[nodiscard]] sched::SearchResult schedule_phase(
+      const std::vector<tasks::Task>& batch,
+      const std::vector<SimDuration>& base_loads, SimTime delivery_time,
+      const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    return inner_.schedule_phase(batch, base_loads, delivery_time, net,
+                                 vertex_budget);
+  }
+  [[nodiscard]] tasks::TaskOrder pending_order() const override {
+    return inner_.pending_order();
+  }
+  [[nodiscard]] sched::SearchResult schedule_pending(
+      const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+      SimTime delivery_time, const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    sched::SearchResult result = inner_.schedule_pending(
+        batch, base_loads, delivery_time, net, vertex_budget);
+    if (!result.schedule.empty()) result.schedule.pop_back();
+    return result;
+  }
+  [[nodiscard]] bool futile_answer_persists() const override {
+    return inner_.futile_answer_persists();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  const sched::PhaseAlgorithm& inner_;
 };
 
 /// Runs the pipeline over `backend`, filling `run`. Open scenarios run the
@@ -82,10 +154,12 @@ bool run_pipeline(const Scenario& scenario,
                   const sched::PipelineConfig& config,
                   const std::vector<tasks::Task>& workload,
                   sched::ExecutionBackend& backend, BackendRun& run,
-                  std::vector<std::string>& violations) {
+                  std::vector<std::string>& violations,
+                  const CallCountingAlgorithm* counted = nullptr,
+                  FastForwardStops* stops = nullptr) {
   const sched::PhasePipeline pipeline(algorithm, quantum, config);
   sched::TaskLedger ledger;
-  PhaseAndLedgerRecorder trace(ledger);
+  PhaseAndLedgerRecorder trace(ledger, counted, stops);
   try {
     if (scenario.open_arrival != kOpenClosed) {
       const std::unique_ptr<tasks::ArrivalSource> source =
@@ -104,6 +178,7 @@ bool run_pipeline(const Scenario& scenario,
                          "): exception: " + e.what());
     return false;
   }
+  trace.finish();
   run.ledger = ledger.counts();
   run.ledger_size = ledger.size();
   run.ledger_high_water = trace.ledger_high_water();
@@ -137,6 +212,10 @@ void apply_mutation(Mutation mutation, BackendRun& run) {
     case Mutation::kCorruptGangWidth:
       // Handled in run_scenario: this mutation doctors the workload copy
       // the gang-occupancy oracle sees, not the BackendRun.
+      return;
+    case Mutation::kSplitEntries:
+      // Handled in run_scenario: this mutation decorates the sim run's
+      // algorithm, not the BackendRun.
       return;
     case Mutation::kLosePhase:
       if (run.has_phases && !run.phases.empty()) {
@@ -227,19 +306,24 @@ ScenarioResult run_scenario(const Scenario& scenario,
   sim::Simulator simulator;
   sched::SimBackend sim_inner(sim_cluster, simulator);
   FaultInjectingBackend sim_backend(sim_inner, scenario.refusal_period);
-  const CallCountingAlgorithm counted(*algorithm);
+  const SplitEntriesAlgorithm split(*algorithm);
+  const CallCountingAlgorithm counted(
+      options.mutation == Mutation::kSplitEntries
+          ? static_cast<const sched::PhaseAlgorithm&>(split)
+          : *algorithm);
   result.sim.name = "sim";
   // SimBackend reports a phase's executions at its next clock call, so its
   // ledger holds at most the admission bound plus one phase's deliveries.
   result.sim.max_pending = open ? scenario.max_pending : 0;
-  const bool sim_ok = run_pipeline(scenario, counted, *quantum, des_config,
-                                   workload, sim_backend, result.sim,
-                                   result.violations);
+  const bool sim_ok = run_pipeline(
+      scenario, counted, *quantum, des_config, workload, sim_backend,
+      result.sim, result.violations, &counted, &result.fast_forward_stops);
   result.fast_forwarded_phases =
       sim_ok ? result.sim.metrics.phases - counted.calls() : 0;
 
   // The same run phase by phase: a backend that declares no analytic loads
-  // keeps the pipeline from fast-forwarding.
+  // keeps the pipeline from fast-forwarding, and an algorithm that forwards
+  // only the vector entry is searched through its vector adapter.
   machine::Cluster reference_cluster(
       scenario.workers,
       machine::Interconnect::cut_through(scenario.workers, comm), reclaim);
@@ -248,10 +332,11 @@ ScenarioResult run_scenario(const Scenario& scenario,
   FaultInjectingBackend reference_faults(reference_sim,
                                          scenario.refusal_period);
   PhaseByPhaseBackend reference_backend(reference_faults);
+  const VectorEntryAlgorithm vector_entry(*algorithm);
   result.sim_reference.name = "sim-phase-by-phase";
   const bool reference_ok = run_pipeline(
-      scenario, *algorithm, *quantum, des_config, workload, reference_backend,
-      result.sim_reference, result.violations);
+      scenario, vector_entry, *quantum, des_config, workload,
+      reference_backend, result.sim_reference, result.violations);
 
   if (sim_ok) {
     apply_mutation(options.mutation, result.sim);

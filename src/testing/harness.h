@@ -7,9 +7,12 @@
 //   sim       SimBackend (simulated clock) — ledger + phase trace +
 //             execution-log validation; fault injection via
 //             FaultInjectingBackend. The pipeline fast-forwards its futile
-//             runs, so the scenario runs a second time through
-//             PhaseByPhaseBackend (testing/phase_by_phase.h), and the two
-//             runs must be equal (fast-forward-parity)
+//             runs and searches its pending set in place, so the scenario
+//             runs a second time through PhaseByPhaseBackend with the
+//             algorithm behind VectorEntryAlgorithm
+//             (testing/phase_by_phase.h) — every phase searched, through
+//             the vector entry — and the two runs must be equal
+//             (fast-forward-parity)
 //   shards    when the scenario has shards > 1, run_partitioned() over the
 //             same workload — per-shard correction theorem + cross-shard
 //             conservation
@@ -62,6 +65,12 @@ enum class Mutation {
   /// fast-forward that stops one phase short without charging it would.
   /// Caught by the fast-forward-parity oracle.
   kLosePhase,
+  /// Run the sim run's algorithm behind a decorator whose in-place entry
+  /// (schedule_pending) drops the last assignment of every non-empty
+  /// schedule while its vector entry answers unchanged: an in-place search
+  /// that disagrees with its vector adapter. Caught by the
+  /// fast-forward-parity oracle, whose reference takes the vector entry.
+  kSplitEntries,
 };
 
 struct HarnessOptions {
@@ -70,6 +79,30 @@ struct HarnessOptions {
   /// scaled by this; the DES figures are unaffected).
   double threaded_time_scale{0.02};
   Mutation mutation{Mutation::kNone};
+};
+
+/// How the fast-forwarded runs of a sim run ended, each classified by the
+/// phase that followed its last skipped phase (the first one searched
+/// again), in this order of precedence.
+struct FastForwardStops {
+  std::uint64_t arrival{0};  ///< it merged an arrival or turned one away
+  std::uint64_t cull{0};     ///< it culled a task
+  /// Its vertex budget was below the skipped searches' vertices.
+  std::uint64_t budget{0};
+  /// Anything else — an earliest start passed, an earlier delivery — or no
+  /// phase followed.
+  std::uint64_t other{0};
+
+  [[nodiscard]] std::uint64_t runs() const {
+    return arrival + cull + budget + other;
+  }
+  FastForwardStops& operator+=(const FastForwardStops& o) {
+    arrival += o.arrival;
+    cull += o.cull;
+    budget += o.budget;
+    other += o.other;
+    return *this;
+  }
 };
 
 /// Outcome of one scenario across all backends.
@@ -84,6 +117,8 @@ struct ScenarioResult {
   /// Phases of the sim run the pipeline fast-forwarded: its phases minus
   /// its algorithm calls.
   std::uint64_t fast_forwarded_phases{0};
+  /// The sim run's fast-forwarded runs, by the phase that ended each.
+  FastForwardStops fast_forward_stops;
   BackendRun threaded;
   std::vector<BackendRun> shard_runs;  ///< multi-shard audit (shards > 1)
   bool threaded_ran{false};

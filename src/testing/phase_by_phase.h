@@ -6,9 +6,17 @@
 // algorithm. It is the reference a fast-forwarded run must equal field for
 // field (the fast-forward-parity oracle, testing/oracles.h).
 //
-// CallCountingAlgorithm forwards every call to its inner algorithm,
-// futile_answer_persists() included, and counts the schedule_phase calls: a
-// run's phases minus its calls are the phases the pipeline fast-forwarded.
+// VectorEntryAlgorithm forwards only schedule_phase and name(): a pipeline
+// run through it keeps its pending set in arrival order and hands the
+// algorithm a vector of its tasks every phase, phase by phase. The
+// reference run drives the algorithm through it, so the parity oracle
+// also compares a search that reads the pending set in place with the
+// same search through its vector adapter.
+//
+// CallCountingAlgorithm forwards every call to its inner algorithm, the
+// pending set's order, its in-place entry and futile_answer_persists()
+// included, and counts the calls of both entries: a run's phases minus its
+// calls are the phases the pipeline fast-forwarded.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +60,26 @@ class PhaseByPhaseBackend final : public sched::ExecutionBackend {
   sched::ExecutionBackend& inner_;
 };
 
+class VectorEntryAlgorithm final : public sched::PhaseAlgorithm {
+ public:
+  /// The inner algorithm must outlive this.
+  explicit VectorEntryAlgorithm(const sched::PhaseAlgorithm& inner)
+      : inner_(inner) {}
+
+  [[nodiscard]] sched::SearchResult schedule_phase(
+      const std::vector<tasks::Task>& batch,
+      const std::vector<SimDuration>& base_loads, SimTime delivery_time,
+      const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    return inner_.schedule_phase(batch, base_loads, delivery_time, net,
+                                 vertex_budget);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  const sched::PhaseAlgorithm& inner_;
+};
+
 class CallCountingAlgorithm final : public sched::PhaseAlgorithm {
  public:
   /// The inner algorithm must outlive this.
@@ -67,12 +95,23 @@ class CallCountingAlgorithm final : public sched::PhaseAlgorithm {
     return inner_.schedule_phase(batch, base_loads, delivery_time, net,
                                  vertex_budget);
   }
+  [[nodiscard]] tasks::TaskOrder pending_order() const override {
+    return inner_.pending_order();
+  }
+  [[nodiscard]] sched::SearchResult schedule_pending(
+      const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+      SimTime delivery_time, const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    ++calls_;
+    return inner_.schedule_pending(batch, base_loads, delivery_time, net,
+                                   vertex_budget);
+  }
   [[nodiscard]] bool futile_answer_persists() const override {
     return inner_.futile_answer_persists();
   }
   [[nodiscard]] std::string name() const override { return inner_.name(); }
 
-  /// schedule_phase calls so far.
+  /// schedule_phase and schedule_pending calls so far.
   [[nodiscard]] std::uint64_t calls() const { return calls_; }
 
  private:

@@ -371,6 +371,25 @@ Scenario generate_scenario(std::uint64_t base_seed, std::uint64_t index) {
   if (rng.bernoulli(0.004)) {
     apply_big_batch_profile(s, rng);
   }
+
+  // -- futile runs cut by their budget ---------------------------------------
+  // A slice (~20% of the multi-worker scenarios outside the parity class)
+  // whose fast-forwarded runs can end on a budget cut, the pipeline's
+  // budget stop: half the tasks are gangs up to the machine's width, under
+  // a self-adjusting quantum that may fall to 100 us. A gang waits for the
+  // busiest worker of its block while Min_Load, and with it Q_s, falls with
+  // the least-loaded worker, so a futile run's budget shrinks below the
+  // charge of the search it repeats while the gang still has slack. Drawn
+  // after every other dial, so the scenarios outside the slice are
+  // unchanged.
+  if (rng.bernoulli(0.3) && s.workers >= 2 && s.parity_class == 0 &&
+      s.big_batch == 0) {
+    s.gang_permille = 500;
+    s.gang_max_workers = s.workers;
+    s.num_shards = 1;
+    s.quantum_kind = 0;
+    s.min_quantum_us = 100;
+  }
   return s;
 }
 

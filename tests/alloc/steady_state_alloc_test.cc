@@ -11,10 +11,12 @@
 //     best-first search, on batches of 1, 16, 17 and 1000 tasks, allocates
 //     nothing when the result is empty and at most once (the returned
 //     schedule, copied out of the search's path) otherwise;
-//   * so do the runs of two phase sequences over one batch mutated in
-//     place, as the pipeline's is, where the engine derives each order
-//     from the previous root: a fig5-shaped 1000-task batch that only
-//     shrinks, and onoff-shaped bursts of arrivals appended to it;
+//   * so do the in-place searches of two phase sequences over one pending
+//     set kept as the pipeline keeps it: a fig5-shaped 1000-task set that
+//     only shrinks, and onoff-shaped bursts of arrivals merged into it;
+//   * the set's upkeep in those sequences — arrivals merged at their rank,
+//     the cull, retiring the delivered tasks and keeping the refused ones
+//     pending — allocates nothing at all;
 //   * a 20,000-task Poisson run_stream on SimBackend allocates at most 2.5
 //     times per offered task. What remains is per task, not per phase: the
 //     ledger's hash node of each task in flight (freed when the task
@@ -253,38 +255,48 @@ struct SequencePass {
   /// Runs that allocated more than their returned schedule.
   std::uint64_t over{0};
   std::uint64_t worst{0};  ///< most allocations of one such run
-  search::OrderBuilds orders;
+  /// Allocations of the set's upkeep: merges, culls and retirements.
+  std::uint64_t upkeep{0};
+  std::uint64_t readmitted{0};  ///< scheduled tasks left pending
 };
 
-/// One pass of `phases` phases 100 us apart through `engine`, on one Batch
-/// kept as the pipeline keeps it: each phase merges `burst(phase)` arrivals,
-/// culls, searches the batch's own vector in place and removes the tasks it
-/// scheduled, whose work then loads their workers. Only the search is
-/// counted.
+/// One pass of `phases` phases 100 us apart through `engine`, on the
+/// pending set `batch` kept as the pipeline keeps it (emptied first; its
+/// capacity and that of `culled` carry over from pass to pass, as they do
+/// from phase to phase): each phase merges `burst(phase)` arrivals at their
+/// rank, culls, searches the set in place and retires the tasks it
+/// scheduled but every fifth, which stays pending as a refused delivery
+/// does. The retired tasks' work then loads their workers. The search and
+/// the upkeep are counted apart.
 template <typename Burst>
 SequencePass run_sequence(const search::SearchEngine& engine,
-                          std::uint32_t phases, Burst burst) {
+                          std::uint32_t phases, Burst burst,
+                          tasks::Batch& batch, std::vector<tasks::Task>& culled,
+                          std::vector<std::uint32_t>& scheduled) {
   constexpr SimDuration kPhase = usec(100);
   const auto net = machine::Interconnect::cut_through(kWorkers, usec(50));
   std::vector<SimDuration> loads(kWorkers, SimDuration::zero());
   Xoshiro256ss rng(0xB0257);
   tasks::TaskId next_id = 0;
-  tasks::Batch batch;
-  std::vector<tasks::Task> culled;
-  std::vector<std::uint32_t> scheduled;
+  batch.reset(engine.config().task_order);
   SequencePass pass;
-  const search::OrderBuilds before = search::thread_order_builds();
   for (std::uint32_t phase = 0; phase < phases; ++phase) {
     const SimTime now = SimTime::zero() + kPhase * phase;
     for (SimDuration& load : loads) {
       load = load > kPhase ? load - kPhase : SimDuration::zero();
     }
-    batch.merge_arrivals(arrivals(rng, burst(phase), now, next_id));
-    (void)batch.cull_missed(now, culled);
+    const std::vector<tasks::Task> arrived =
+        arrivals(rng, burst(phase), now, next_id);
+    {
+      const AllocationCounter counter;
+      batch.merge_arrivals(arrived);
+      (void)batch.cull_missed(now, culled);
+      pass.upkeep += counter.count();
+    }
     if (batch.empty()) continue;
     const AllocationCounter counter;
     const search::SearchResult result =
-        engine.run(batch.tasks(), loads, now, net, kBudget);
+        engine.run(batch, loads, now, net, kBudget);
     const std::uint64_t allocations = counter.count();
     pass.runs += 1;
     if (allocations > (result.schedule.empty() ? 0u : 1u)) {
@@ -292,28 +304,41 @@ SequencePass run_sequence(const search::SearchEngine& engine,
       pass.worst = std::max(pass.worst, allocations);
     }
     scheduled.clear();
-    for (const search::Assignment& a : result.schedule) {
+    for (std::size_t i = 0; i < result.schedule.size(); ++i) {
+      const search::Assignment& a = result.schedule[i];
+      if (i % 5 == 4) {
+        pass.readmitted += 1;
+        continue;
+      }
       scheduled.push_back(a.task_index);
       loads[a.worker] = max_duration(loads[a.worker], a.end_offset);
     }
     std::sort(scheduled.begin(), scheduled.end());
+    const AllocationCounter retire;
     batch.remove_scheduled(scheduled);
+    pass.upkeep += retire.count();
   }
-  const search::OrderBuilds after = search::thread_order_builds();
-  pass.orders.sorted = after.sorted - before.sorted;
-  pass.orders.tasks = after.tasks - before.tasks;
-  pass.orders.reused = after.reused - before.reused;
   return pass;
 }
 
-TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
-  // fig5-shaped: 1000 tasks at t=0 and nothing after, so every batch is
-  // the previous one minus culled and scheduled tasks. onoff-shaped: a
-  // burst of 200 every 50 phases and a trickle between.
+/// fig5-shaped: 1000 tasks at t=0 and nothing after, so every set is the
+/// previous one minus culled and scheduled tasks. onoff-shaped: a burst of
+/// 200 every 50 phases and a trickle between. One set and its phase
+/// buffers serve every pass on the thread.
+SequencePass run_shape(const search::SearchEngine& engine, bool shrinking) {
+  static thread_local tasks::Batch batch;
+  static thread_local std::vector<tasks::Task> culled;
+  static thread_local std::vector<std::uint32_t> scheduled;
   const auto fig5 = [](std::uint32_t phase) { return phase == 0 ? 1000u : 0u; };
   const auto onoff = [](std::uint32_t phase) {
     return phase % 50 == 0 ? 200u : phase % 3;
   };
+  return shrinking
+             ? run_sequence(engine, 200, fig5, batch, culled, scheduled)
+             : run_sequence(engine, 200, onoff, batch, culled, scheduled);
+}
+
+TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
   const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto d_cols = sched::AlgorithmRegistry::builtin().make("d_cols");
   const auto best_first =
@@ -325,17 +350,33 @@ TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
     for (const bool shrinking : {true, false}) {
       SCOPED_TRACE(::testing::Message()
                    << algorithm->name() << (shrinking ? " fig5" : " onoff"));
-      const auto pass = [&] {
-        return shrinking ? run_sequence(engine, 200, fig5)
-                         : run_sequence(engine, 200, onoff);
-      };
-      (void)pass();  // warm-up: grows the workspace to the sequence's peak
-      const SequencePass counted = pass();
+      (void)run_shape(engine, shrinking);  // warm-up: grows the workspace
+      const SequencePass counted = run_shape(engine, shrinking);
       EXPECT_GT(counted.runs, 50u);
       EXPECT_EQ(counted.over, 0u)
           << "a run allocated up to " << counted.worst << " times";
-      // The orders were derived, not sorted afresh.
-      EXPECT_GT(counted.orders.reused * 2, counted.orders.tasks);
+    }
+  }
+}
+
+TEST(SteadyStateAllocTest, PendingSetUpkeepAllocatesNothing) {
+  // The warm-up pass grows the set's columns and its merge scratch to the
+  // sequence's peak; the counted pass then merges bursts and trickles at
+  // their rank, culls, retires and keeps refused tasks pending without one
+  // allocation, in every order a search keeps.
+  for (const search::TaskOrder order :
+       {search::TaskOrder::kEarliestDeadline, search::TaskOrder::kMinSlack,
+        search::TaskOrder::kBatchOrder}) {
+    search::SearchConfig config;
+    config.task_order = order;
+    const search::SearchEngine engine(config);
+    for (const bool shrinking : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "order " << int(order)
+                                        << (shrinking ? " fig5" : " onoff"));
+      (void)run_shape(engine, shrinking);
+      const SequencePass counted = run_shape(engine, shrinking);
+      EXPECT_GT(counted.readmitted, 20u);
+      EXPECT_EQ(counted.upkeep, 0u);
     }
   }
 }

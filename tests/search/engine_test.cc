@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace rtds::search {
@@ -77,8 +78,9 @@ TEST(TaskOrderTest, MinSlackUsesDeadlineMinusProcessing) {
 TEST(SearchEngineTest, EmptyBatchOrZeroBudget) {
   const SearchEngine engine(rt_sads_config());
   const auto n = net(2);
-  const auto r1 = engine.run({}, {SimDuration::zero(), SimDuration::zero()},
-                             SimTime::zero(), n, 100);
+  const std::vector<SimDuration> loads(2, SimDuration::zero());
+  const auto r1 =
+      engine.run(std::vector<Task>{}, loads, SimTime::zero(), n, 100);
   EXPECT_TRUE(r1.schedule.empty());
   EXPECT_EQ(r1.stats.vertices_generated, 0u);
 
@@ -87,6 +89,35 @@ TEST(SearchEngineTest, EmptyBatchOrZeroBudget) {
   const auto r2 = engine.run(batch, {SimDuration::zero(), SimDuration::zero()},
                              SimTime::zero(), n, 0);
   EXPECT_TRUE(r2.schedule.empty());
+}
+
+TEST(SearchEngineTest, InPlaceRunNeedsTheSetInItsTaskOrder) {
+  // The set supplies the consideration order; one kept in another order
+  // would be searched in the wrong order, so the engine refuses it. The
+  // same tasks in EDF order search like the vector adapter, whose indices
+  // the set's arrival numbers map back to.
+  std::vector<Task> batch;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    batch.push_back(make_task(i, msec(1), SimTime::zero() + msec(60 - 7 * i),
+                              AffinitySet::all(2)));
+  }
+  const SearchEngine engine(rt_sads_config());
+  const std::vector<SimDuration> loads(2, SimDuration::zero());
+  EXPECT_THROW((void)engine.run(tasks::Batch(batch), loads, SimTime::zero(),
+                                net(2), 1000),
+               InvalidArgument);
+  const tasks::Batch edf(batch, TaskOrder::kEarliestDeadline);
+  const SearchResult in_place =
+      engine.run(edf, loads, SimTime::zero(), net(2), 1000);
+  const SearchResult adapted =
+      engine.run(batch, loads, SimTime::zero(), net(2), 1000);
+  ASSERT_EQ(in_place.schedule.size(), adapted.schedule.size());
+  ASSERT_FALSE(in_place.schedule.empty());
+  for (std::size_t i = 0; i < in_place.schedule.size(); ++i) {
+    EXPECT_EQ(edf.tasks()[in_place.schedule[i].task_index].id,
+              batch[adapted.schedule[i].task_index].id);
+    EXPECT_EQ(in_place.schedule[i].worker, adapted.schedule[i].worker);
+  }
 }
 
 TEST(SearchEngineTest, SchedulesEverythingWithAmpleBudget) {

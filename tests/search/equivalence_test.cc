@@ -19,6 +19,7 @@
 #include "sched/algorithm.h"
 #include "search/engine.h"
 #include "support/reference_engine.h"
+#include "tasks/batch.h"
 
 namespace rtds::search {
 namespace {
@@ -480,14 +481,16 @@ Task tied_task(Xoshiro256ss& rng, std::uint32_t m, std::uint32_t id) {
 }
 
 TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
-  // The engine derives each EDF or min-slack order from the previous root
-  // it ran. Drive phase sequences on one thread the way the pipeline does:
-  // each batch is the previous vector mutated in place (positions removed,
-  // arrivals appended), with keys from small sets so kept tasks and
-  // arrivals tie. Interleaved: other sort kinds and kBatchOrder, one-task
-  // batches, futile searches repeated at a later delivery time, unrelated
-  // batches that reuse the ids, and shuffled survivors. Every result must equal the
-  // reference, which sorts every batch from scratch.
+  // The pipeline keeps one pending set per run, in its algorithm's order,
+  // and searches it in place. Drive phase sequences on one thread the way
+  // the pipeline does: cull at the phase's time, search, retire some of the
+  // scheduled tasks and leave the others pending (refused deliveries), then
+  // merge arrivals, with keys from small sets so pending tasks and arrivals
+  // tie. Interleaved: another algorithm's phase over the same order,
+  // one-task sets, futile searches repeated at a later delivery time, and
+  // unrelated sets that reuse the ids. Every phase runs three ways: in
+  // place, through the vector adapter over the set's tasks, and on the
+  // reference engine, which sorts every batch from scratch.
   constexpr std::uint64_t kSequences = 40;
   constexpr std::uint32_t kSteps = 60;
   SearchConfig rt_sads;
@@ -501,95 +504,124 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
   seq_min_slack.strategy = SearchStrategy::kBestFirst;
   SearchConfig batch_order;
   batch_order.task_order = TaskOrder::kBatchOrder;
-  const SearchConfig configs[] = {rt_sads, d_cols, min_slack, seq_min_slack,
-                                  batch_order};
+  SearchConfig seq_batch_order = d_cols;
+  seq_batch_order.task_order = TaskOrder::kBatchOrder;
+  // Pairs of configurations that keep a set in the same order.
+  const SearchConfig configs[][2] = {{rt_sads, d_cols},
+                                     {min_slack, seq_min_slack},
+                                     {batch_order, seq_batch_order}};
 
   Xoshiro256ss rng(0x0DE12ED5ULL);
-  std::uint64_t merged = 0, whole = 0, fresh = 0;
+  std::uint64_t phases = 0, readmitted = 0, culled = 0, scheduled = 0;
+  std::vector<Task> arrivals;
+  std::vector<Task> culled_tasks;
+  std::vector<std::uint32_t> retire;
   for (std::uint64_t sq = 0; sq < kSequences; ++sq) {
     const auto m = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
     const auto net = machine::Interconnect::cut_through(
         m, usec(rng.uniform_int(0, 3000)));
-    std::vector<Task> batch;  // the one vector every phase mutates
+    const std::size_t pair = rng.uniform_int(0, std::size(configs) - 1);
+    std::size_t config = 0;
+    tasks::Batch set(configs[pair][0].task_order);
     std::uint32_t next_id = 0;
-    std::size_t config = rng.uniform_int(0, std::size(configs) - 1);
     for (std::uint32_t step = 0; step < kSteps; ++step) {
       SCOPED_TRACE("sequence " + std::to_string(sq) + " step " +
                    std::to_string(step));
       bool futile = false;
+      const SimTime now = SimTime::zero() + usec(rng.uniform_int(0, 12000));
       switch (rng.uniform_int(0, 9)) {
-        case 0:  // one task
-          if (!batch.empty()) {
-            batch[0] = batch[rng.uniform_int(0, batch.size() - 1)];
+        case 0: {  // one task
+          retire.clear();
+          const std::size_t kept =
+              set.empty() ? 0 : rng.uniform_int(0, set.size() - 1);
+          for (std::uint32_t i = 0; i < set.size(); ++i) {
+            if (i != kept) retire.push_back(i);
           }
-          batch.resize(std::min<std::size_t>(batch.size(), 1));
-          break;
-        case 1: {  // an unrelated batch under the same ids
-          batch.clear();
-          const auto n = static_cast<std::uint32_t>(rng.uniform_int(2, 30));
-          for (std::uint32_t i = 0; i < n; ++i) {
-            batch.push_back(tied_task(rng, m, i));
-          }
+          set.remove_scheduled(retire);
           break;
         }
-        case 2:  // survivors in another order
-          rng.shuffle(batch);
+        case 1: {  // an unrelated set under the same ids
+          set.clear();
+          arrivals.clear();
+          const auto n = static_cast<std::uint32_t>(rng.uniform_int(2, 30));
+          for (std::uint32_t i = 0; i < n; ++i) {
+            arrivals.push_back(tied_task(rng, m, i));
+          }
+          set.merge_arrivals(arrivals);
           break;
-        case 3:  // another algorithm's phase
-          config = rng.uniform_int(0, std::size(configs) - 1);
+        }
+        case 2:  // another algorithm's phase over the same order
+          config = 1 - config;
           break;
-        case 4:  // a root no task fits, searched twice
+        case 3:  // a root no task fits, searched twice
           futile = true;
           break;
-        default: {  // a phase: culled and delivered tasks leave, arrivals
-          std::erase_if(batch,
-                        [&](const Task&) { return rng.bernoulli(0.25); });
-          const auto arrivals = rng.uniform_int(0, 8);
-          for (std::int64_t a = 0; a < arrivals; ++a) {
-            batch.push_back(tied_task(rng, m, next_id++));
+        default: {  // a phase's arrivals, then its cull
+          arrivals.clear();
+          const auto n = rng.uniform_int(0, 8);
+          for (std::int64_t a = 0; a < n; ++a) {
+            arrivals.push_back(tied_task(rng, m, next_id++));
           }
+          set.merge_arrivals(arrivals);
+          (void)set.cull_missed(now, culled_tasks);
+          culled += culled_tasks.size();
           break;
         }
       }
-      if (batch.empty()) batch.push_back(tied_task(rng, m, next_id++));
+      if (set.empty()) {
+        arrivals.assign(1, tied_task(rng, m, next_id++));
+        set.merge_arrivals(arrivals);
+      }
 
-      const SearchConfig& cfg = configs[config];
+      const SearchConfig& cfg = configs[pair][config];
       std::vector<SimDuration> loads(m);
       for (SimDuration& load : loads) load = usec(rng.uniform_int(0, 4000));
       // Past every deadline nothing fits, and the root is charged once per
       // (task, worker) pair.
-      const SimTime delivery =
-          SimTime::zero() +
-          (futile ? msec(40) : usec(rng.uniform_int(0, 6000)));
+      const SimTime delivery = futile ? SimTime::zero() + msec(40) : now;
       const std::uint64_t budget =
-          futile ? std::uint64_t{m} * batch.size() + 1
+          futile ? std::uint64_t{m} * set.size() + 1
                  : std::uint64_t(rng.uniform_int(1, 3000));
-      const OrderBuilds before = thread_order_builds();
-      const SearchResult fast =
-          SearchEngine(cfg).run(batch, loads, delivery, net, budget);
-      const OrderBuilds after = thread_order_builds();
+      const SearchEngine engine(cfg);
+      const SearchResult in_place =
+          engine.run(set, loads, delivery, net, budget);
+      expect_identical(in_place,
+                       engine.run(set.tasks(), loads, delivery, net, budget),
+                       cfg, sq);
       expect_identical(
-          fast, reference::run(cfg, batch, loads, delivery, net, budget), cfg,
+          in_place,
+          reference::run(cfg, set.tasks(), loads, delivery, net, budget), cfg,
           sq);
+      ++phases;
       if (futile) {
-        ASSERT_TRUE(fast.schedule.empty());
-        const SearchResult again = SearchEngine(cfg).run(
-            batch, loads, delivery + usec(1), net, budget);
+        ASSERT_TRUE(in_place.schedule.empty());
+        const SearchResult again =
+            engine.run(set, loads, delivery + usec(1), net, budget);
         expect_identical(again,
-                         reference::run(cfg, batch, loads, delivery + usec(1),
-                                        net, budget),
+                         reference::run(cfg, set.tasks(), loads,
+                                        delivery + usec(1), net, budget),
                          cfg, sq);
+        continue;
       }
-      if (after.sorted == before.sorted) continue;
-      const std::uint64_t reused = after.reused - before.reused;
-      (reused == 0 ? fresh : reused == batch.size() ? whole : merged) += 1;
+      // Retire the delivered tasks; a refused one stays pending.
+      retire.clear();
+      for (const Assignment& a : in_place.schedule) {
+        if (rng.bernoulli(0.2)) {
+          ++readmitted;
+        } else {
+          retire.push_back(a.task_index);
+        }
+      }
+      std::sort(retire.begin(), retire.end());
+      scheduled += retire.size();
+      set.remove_scheduled(retire);
     }
   }
-  // Every shape of derivation happened: a prefix merged with a sorted
-  // tail, a whole batch kept, and orders sorted from scratch.
-  EXPECT_GT(merged, 300u);
-  EXPECT_GT(whole, 100u);
-  EXPECT_GT(fresh, 100u);
+  // The sequences merged, culled, retired and readmitted.
+  EXPECT_EQ(phases, kSequences * kSteps);
+  EXPECT_GT(scheduled, 4000u);
+  EXPECT_GT(readmitted, 1000u);
+  EXPECT_GT(culled, 500u);
 }
 
 /// A D-COLS-shaped phase input: a burst of hundreds of tasks, so a

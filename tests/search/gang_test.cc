@@ -46,7 +46,8 @@ TEST(GangFeasibilityTest, StartBoundByBusiestWorkerOfBlock) {
   const auto batch = gang_batch();
   const auto net = net3();
   // Worker 1 carries 5ms of residual load; workers 0 and 2 are idle.
-  PartialSchedule ps(&batch, {SimDuration::zero(), msec(5), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), msec(5), SimDuration::zero()},
                      SimTime::zero(), &net);
   // Lead 0 occupies {0, 1}: the gang waits for worker 1 -> ends at 9ms.
   const auto a = ps.evaluate(0, 0);
@@ -62,7 +63,8 @@ TEST(GangFeasibilityTest, StartBoundByBusiestWorkerOfBlock) {
 TEST(GangFeasibilityTest, BlockExceedingMachineIsInfeasible) {
   const auto batch = gang_batch();
   const auto net = net3();
-  PartialSchedule ps(&batch,
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set,
                      std::vector<SimDuration>(3, SimDuration::zero()),
                      SimTime::zero(), &net);
   // Width 2 with lead 2 would need worker 3: structurally infeasible.
@@ -72,7 +74,8 @@ TEST(GangFeasibilityTest, BlockExceedingMachineIsInfeasible) {
   // A width wider than the machine is infeasible everywhere.
   std::vector<Task> wide = batch;
   wide[0].workers_required = 4;
-  PartialSchedule wps(&wide, std::vector<SimDuration>(3, SimDuration::zero()),
+  const tasks::Batch wps_set(wide);
+  PartialSchedule wps(&wps_set, std::vector<SimDuration>(3, SimDuration::zero()),
                       SimTime::zero(), &net);
   for (std::uint32_t k = 0; k < 3; ++k) {
     EXPECT_FALSE(wps.evaluate(0, k).has_value()) << "lead " << k;
@@ -84,7 +87,8 @@ TEST(GangFeasibilityTest, DeadlineTestChargesWholeBlockOccupancy) {
   const auto net = net3();
   // Delivery at 37ms: the 4ms gang ends at 41 > 40 -> infeasible; the 2ms
   // singleton still fits (39 <= 40).
-  PartialSchedule ps(&batch, std::vector<SimDuration>(3, SimDuration::zero()),
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, std::vector<SimDuration>(3, SimDuration::zero()),
                      SimTime::zero() + msec(37), &net);
   EXPECT_FALSE(ps.evaluate(0, 0).has_value());
   EXPECT_TRUE(ps.evaluate(1, 0).has_value());
@@ -93,7 +97,8 @@ TEST(GangFeasibilityTest, DeadlineTestChargesWholeBlockOccupancy) {
 TEST(GangPushPopTest, PushChargesEveryBlockMemberAndPopRestores) {
   const auto batch = gang_batch();
   const auto net = net3();
-  PartialSchedule ps(&batch, {msec(1), SimDuration::zero(), msec(2)},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {msec(1), SimDuration::zero(), msec(2)},
                      SimTime::zero(), &net);
   const SimDuration ce0 = ps.ce(0);
   const SimDuration ce1 = ps.ce(1);
@@ -128,7 +133,8 @@ TEST(GangPushPopTest, CommPricedAgainstLeadAffinityOnly) {
   batch[0].affinity = AffinitySet::single(0);
   batch[0].workers_required = 2;
   const auto net = machine::Interconnect::cut_through(3, msec(2));
-  PartialSchedule ps(&batch, std::vector<SimDuration>(3, SimDuration::zero()),
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, std::vector<SimDuration>(3, SimDuration::zero()),
                      SimTime::zero(), &net);
   const auto affine = ps.evaluate(0, 0);  // lead affine: no comm
   ASSERT_TRUE(affine.has_value());
@@ -159,7 +165,8 @@ TEST(GangPropertyTest, RandomGangPushPopRestoresExactState) {
     }
     std::vector<SimDuration> base(kWorkers);
     for (auto& l : base) l = rng.uniform_duration(SimDuration::zero(), msec(2));
-    PartialSchedule ps(&batch, base, SimTime::zero(), &net);
+    const tasks::Batch set(batch);
+    PartialSchedule ps(&set, base, SimTime::zero(), &net);
     std::uint32_t pushed = 0;
     for (std::uint32_t i = 0; i < batch.size(); ++i) {
       const auto lead = static_cast<ProcessorId>(
@@ -199,10 +206,8 @@ TEST(GangConstructionTest, RejectsZeroWidth) {
   batch[0].deadline = SimTime::zero() + msec(10);
   batch[0].affinity = AffinitySet::single(0);
   batch[0].workers_required = 0;
-  const auto net = machine::Interconnect::cut_through(2, msec(1));
-  const std::vector<SimDuration> loads(2, SimDuration::zero());
-  EXPECT_THROW(PartialSchedule(&batch, loads, SimTime::zero(), &net),
-               InvalidArgument);
+  // The pending set refuses it, so no search ever sees a zero width.
+  EXPECT_THROW(tasks::Batch{batch}, InvalidArgument);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // PartialSchedule::reset() must leave a reused schedule indistinguishable
 // from a freshly constructed one: the search keeps one schedule per thread
 // and resets it every phase, so any state that survives a reset would leak
-// from one phase's batch into the next. Back-to-back equivalence runs only
+// from one phase's set into the next. Back-to-back equivalence runs only
 // hit most of these cases by chance; this file drives them on purpose:
-//   * pos_of_task_ left over from an EDF run, read by assigned() and push()
-//     when the next batch uses the identity order;
+//   * assignments of a set kept in EDF order, read by assigned() and push()
+//     when the next set keeps arrival order;
 //   * the unassigned bitset's tail word when the batch shrinks to a whole
 //     number of words and grows past it again (70 -> 64 -> 65 tasks);
 //   * has_gangs_ after a batch with gangs, which gates the task-mask kernel;
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "search/engine.h"
 #include "search/partial_schedule.h"
+#include "tasks/batch.h"
 
 namespace rtds::search {
 namespace {
@@ -75,9 +76,6 @@ void expect_same_state(const PartialSchedule& got, const PartialSchedule& want,
     ASSERT_EQ(got.first_unassigned_at_or_after(pos),
               want.first_unassigned_at_or_after(pos))
         << "pos " << pos;
-    if (pos < n) {
-      ASSERT_EQ(got.task_at(pos), want.task_at(pos));
-    }
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     ASSERT_EQ(got.assigned(i), want.assigned(i)) << "task " << i;
@@ -90,23 +88,16 @@ void expect_same_state(const PartialSchedule& got, const PartialSchedule& want,
     }
   }
   if (!want.tasks_mask_eligible()) return;
-  const std::vector<std::uint64_t>& words = want.unassigned_words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::vector<std::uint32_t> ids;
-    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-      ids.push_back(want.task_at(static_cast<std::uint32_t>(
-          (w << 6) + std::uint32_t(std::countr_zero(bits)))));
-    }
+  for (std::size_t w = 0; w < want.unassigned_words().size(); ++w) {
     for (std::uint32_t k = 0; k < m; ++k) {
-      EXPECT_EQ(got.feasible_tasks_mask(k, ids.data(), std::uint32_t(ids.size())),
-                want.feasible_tasks_mask(k, ids.data(), std::uint32_t(ids.size())))
+      EXPECT_EQ(got.feasible_tasks_mask(k, w), want.feasible_tasks_mask(k, w))
           << "word " << w << " worker " << k;
     }
   }
 }
 
 /// Pushes the first feasible placement of up to `steps` tasks, in
-/// consideration order, onto both schedules.
+/// position (consideration) order, onto both schedules.
 void push_both(PartialSchedule& got, PartialSchedule& want, std::uint32_t m,
                std::uint32_t steps) {
   const std::uint32_t n = want.batch_size();
@@ -114,7 +105,7 @@ void push_both(PartialSchedule& got, PartialSchedule& want, std::uint32_t m,
   for (std::uint32_t pos = want.first_unassigned_at_or_after(0);
        pos < n && pushed < steps;
        pos = want.first_unassigned_at_or_after(pos + 1)) {
-    const std::uint32_t task = want.task_at(pos);
+    const std::uint32_t task = pos;
     for (std::uint32_t k = 0; k < m; ++k) {
       const std::optional<Assignment> w = want.evaluate(task, k);
       if (!w) continue;
@@ -154,19 +145,15 @@ TEST(PartialScheduleReuseTest, ResetMatchesFreshAcrossShrinkingAndGrowingBatches
     const auto net = step.mesh ? machine::Interconnect::mesh(step.m, usec(300))
                                : machine::Interconnect::cut_through(step.m, usec(500));
     const SimTime delivery = SimTime::zero() + msec(1);
-    const std::vector<std::uint32_t> order =
-        task_consideration_order(batch, TaskOrder::kEarliestDeadline);
+    const tasks::Batch set(batch, step.edf ? TaskOrder::kEarliestDeadline
+                                           : TaskOrder::kBatchOrder);
 
     if (reused) {
-      reused->reset(&batch, loads, delivery, &net);
+      reused->reset(&set, loads, delivery, &net);
     } else {
-      reused.emplace(&batch, loads, delivery, &net);
+      reused.emplace(&set, loads, delivery, &net);
     }
-    PartialSchedule fresh(&batch, loads, delivery, &net);
-    if (step.edf) {
-      reused->set_consideration_order(order.data());
-      fresh.set_consideration_order(order.data());
-    }
+    PartialSchedule fresh(&set, loads, delivery, &net);
     expect_same_state(*reused, fresh, step.m);
 
     push_both(*reused, fresh, step.m, 24);
@@ -182,8 +169,9 @@ TEST(PartialScheduleReuseTest, ResetMatchesFreshAcrossShrinkingAndGrowingBatches
 }
 
 TEST(PartialScheduleReuseTest, ResetDropsTheEdfPositionsOfThePreviousRun) {
-  // Deadlines descend, so the EDF order is the reverse of batch order and
-  // a stale pos_of_task_ would map task 0 to the last bitset position.
+  // Deadlines descend, so the EDF set holds the batch in reverse: task
+  // kN-1 at position 0. A reset onto the same tasks in arrival order must
+  // keep nothing of the assignment made at that position.
   constexpr std::uint32_t kN = 10;
   const auto net = machine::Interconnect::cut_through(2, usec(500));
   const std::vector<SimDuration> loads(2, SimDuration::zero());
@@ -192,15 +180,18 @@ TEST(PartialScheduleReuseTest, ResetDropsTheEdfPositionsOfThePreviousRun) {
     batch[i].earliest_start = SimTime::zero();
     batch[i].deadline = SimTime::zero() + msec(100 - 5 * std::int64_t(i));
   }
-  const auto order = task_consideration_order(batch, TaskOrder::kEarliestDeadline);
-  ASSERT_EQ(order.front(), kN - 1);
+  const tasks::Batch edf(batch, TaskOrder::kEarliestDeadline);
+  ASSERT_EQ(edf.tasks().front().id, kN - 1);
+  const tasks::Batch arrival(batch);
 
-  PartialSchedule ps(&batch, loads, SimTime::zero(), &net);
-  ps.set_consideration_order(order.data());
-  ps.push(*ps.evaluate(kN - 1, 0));
-  ps.reset(&batch, loads, SimTime::zero(), &net);  // identity order now
+  PartialSchedule ps(&edf, loads, SimTime::zero(), &net);
+  ps.push(*ps.evaluate(0, 0));
+  ps.reset(&arrival, loads, SimTime::zero(), &net);
 
-  for (std::uint32_t pos = 0; pos < kN; ++pos) EXPECT_EQ(ps.task_at(pos), pos);
+  for (std::uint32_t pos = 0; pos < kN; ++pos) {
+    EXPECT_EQ(arrival.tasks()[pos].id, pos);
+    EXPECT_FALSE(ps.assigned(pos));
+  }
   ps.push(*ps.evaluate(0, 0));
   EXPECT_TRUE(ps.assigned(0));
   EXPECT_FALSE(ps.assigned(kN - 1));
@@ -210,11 +201,12 @@ TEST(PartialScheduleReuseTest, ResetDropsTheEdfPositionsOfThePreviousRun) {
 TEST(PartialScheduleReuseTest, ResetClearsTheUnassignedTailWord) {
   const auto net = machine::Interconnect::cut_through(2, usec(500));
   const std::vector<SimDuration> loads(2, SimDuration::zero());
-  const auto b70 = make_batch(70, 2, false, 1);
-  const auto b64 = make_batch(64, 2, false, 2);
-  auto b65 = make_batch(65, 2, false, 3);
-  b65[64].earliest_start = SimTime::zero();
-  b65[64].deadline = SimTime::zero() + msec(100);  // placeable below
+  const tasks::Batch b70(make_batch(70, 2, false, 1));
+  const tasks::Batch b64(make_batch(64, 2, false, 2));
+  auto tasks65 = make_batch(65, 2, false, 3);
+  tasks65[64].earliest_start = SimTime::zero();
+  tasks65[64].deadline = SimTime::zero() + msec(100);  // placeable below
+  const tasks::Batch b65(tasks65);
 
   PartialSchedule ps(&b70, loads, SimTime::zero(), &net);
   ps.reset(&b64, loads, SimTime::zero(), &net);
@@ -231,8 +223,8 @@ TEST(PartialScheduleReuseTest, ResetClearsTheUnassignedTailWord) {
 TEST(PartialScheduleReuseTest, ResetFromAGangBatchReenablesTheTaskMask) {
   const auto net = machine::Interconnect::cut_through(4, usec(500));
   const std::vector<SimDuration> loads(4, SimDuration::zero());
-  const auto gangs = make_batch(20, 4, true, 4);
-  const auto plain = make_batch(20, 4, false, 5);
+  const tasks::Batch gangs(make_batch(20, 4, true, 4));
+  const tasks::Batch plain(make_batch(20, 4, false, 5));
 
   PartialSchedule ps(&gangs, loads, SimTime::zero(), &net);
   ASSERT_TRUE(ps.has_gangs());
@@ -252,10 +244,11 @@ TEST(PartialScheduleReuseTest, RepeatedResetsDoNotAccumulatePathOrGangUndo) {
     t.earliest_start = SimTime::zero();
     t.deadline = SimTime::zero() + msec(1000);  // everything fits
   }
-  PartialSchedule ps(&batch, loads, SimTime::zero(), &net);
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, loads, SimTime::zero(), &net);
   std::size_t footprint = 0;
   for (int cycle = 0; cycle < 50; ++cycle) {
-    ps.reset(&batch, loads, SimTime::zero(), &net);
+    ps.reset(&set, loads, SimTime::zero(), &net);
     ASSERT_EQ(ps.depth(), 0u);
     for (std::uint32_t k = 0; k < 4; ++k) ASSERT_EQ(ps.ce(k), SimDuration::zero());
     for (std::uint32_t i = 0; i < batch.size(); i += 5) {  // the gangs

@@ -35,7 +35,8 @@ machine::Interconnect net2() {
 TEST(PartialScheduleTest, InitialState) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {msec(1), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {msec(1), SimDuration::zero()},
                      SimTime::zero() + msec(10), &net);
   EXPECT_EQ(ps.depth(), 0u);
   EXPECT_EQ(ps.batch_size(), 3u);
@@ -49,17 +50,19 @@ TEST(PartialScheduleTest, InitialState) {
 TEST(PartialScheduleTest, ValidatesConstruction) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  EXPECT_THROW(PartialSchedule(&batch, {msec(1)}, SimTime::zero(), &net),
+  const tasks::Batch set(batch);
+  EXPECT_THROW(PartialSchedule(&set, {msec(1)}, SimTime::zero(), &net),
                InvalidArgument);  // wrong base_loads size
   EXPECT_THROW(
-      PartialSchedule(&batch, {msec(1), usec(-1)}, SimTime::zero(), &net),
+      PartialSchedule(&set, {msec(1), usec(-1)}, SimTime::zero(), &net),
       InvalidArgument);  // negative load
 }
 
 TEST(PartialScheduleTest, EvaluateComputesCostAndEnd) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(10), &net);
   // Task 0 on worker 0 (affine): cost 4ms, ends at offset 4ms.
   const auto a = ps.evaluate(0, 0);
@@ -78,13 +81,15 @@ TEST(PartialScheduleTest, FeasibilityTestMatchesFig4) {
   // Task 1: p=2ms, d=16ms, affine to worker 1.
   // delivery 10ms: on worker 1 end offset 2 -> 12 <= 16 feasible.
   // on worker 0: cost 4 -> 14 <= 16 feasible.
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(10), &net);
   EXPECT_TRUE(ps.evaluate(1, 1).has_value());
   EXPECT_TRUE(ps.evaluate(1, 0).has_value());
   // With delivery at 13ms, worker 0 gives 13+4=17 > 16: infeasible, while
   // the affine worker 1 gives 13+2=15 <= 16: still feasible.
-  PartialSchedule late(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch late_set(batch);
+  PartialSchedule late(&late_set, {SimDuration::zero(), SimDuration::zero()},
                        SimTime::zero() + msec(13), &net);
   EXPECT_FALSE(late.evaluate(1, 0).has_value());
   EXPECT_TRUE(late.evaluate(1, 1).has_value());
@@ -94,11 +99,13 @@ TEST(PartialScheduleTest, FeasibilityBoundaryExactDeadlineIsFeasible) {
   const auto batch = three_task_batch();
   const auto net = net2();
   // Task 1 on worker 1: delivery 14ms + 2ms = 16ms == deadline -> feasible.
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(14), &net);
   EXPECT_TRUE(ps.evaluate(1, 1).has_value());
   // One microsecond later it flips.
-  PartialSchedule ps2(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch ps2_set(batch);
+  PartialSchedule ps2(&ps2_set, {SimDuration::zero(), SimDuration::zero()},
                       SimTime::zero() + msec(14) + usec(1), &net);
   EXPECT_FALSE(ps2.evaluate(1, 1).has_value());
 }
@@ -106,7 +113,8 @@ TEST(PartialScheduleTest, FeasibilityBoundaryExactDeadlineIsFeasible) {
 TEST(PartialScheduleTest, BaseLoadDelaysQueue) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {msec(5), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {msec(5), SimDuration::zero()},
                      SimTime::zero() + msec(10), &net);
   const auto a = ps.evaluate(0, 0);
   ASSERT_TRUE(a.has_value());
@@ -116,7 +124,8 @@ TEST(PartialScheduleTest, BaseLoadDelaysQueue) {
 TEST(PartialSchedulePushTest, UpdatesState) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(10), &net);
   const auto a = ps.evaluate(0, 0);
   ps.push(*a);
@@ -136,7 +145,8 @@ TEST(PartialSchedulePushTest, UpdatesState) {
 TEST(PartialSchedulePushTest, CompleteAtFullDepth) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(1), &net);
   ps.push(*ps.evaluate(0, 0));
   ps.push(*ps.evaluate(1, 1));
@@ -148,7 +158,8 @@ TEST(PartialSchedulePushTest, CompleteAtFullDepth) {
 TEST(PartialSchedulePushTest, EvaluateRejectsAssignedTask) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(1), &net);
   ps.push(*ps.evaluate(0, 0));
   EXPECT_THROW(static_cast<void>(ps.evaluate(0, 1)), InvalidArgument);
@@ -157,7 +168,8 @@ TEST(PartialSchedulePushTest, EvaluateRejectsAssignedTask) {
 TEST(PartialSchedulePopTest, RestoresExactState) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {msec(1), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {msec(1), SimDuration::zero()},
                      SimTime::zero() + msec(5), &net);
   const SimDuration ce0 = ps.ce(0);
   const SimDuration max0 = ps.max_ce();
@@ -173,7 +185,8 @@ TEST(PartialSchedulePopTest, RestoresExactState) {
 TEST(PartialSchedulePopTest, MaxCeRecomputedAfterPop) {
   const auto batch = three_task_batch();
   const auto net = net2();
-  PartialSchedule ps(&batch, {SimDuration::zero(), SimDuration::zero()},
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, {SimDuration::zero(), SimDuration::zero()},
                      SimTime::zero() + msec(1), &net);
   ps.push(*ps.evaluate(1, 1));            // ce1 = 2ms
   ps.push(*ps.evaluate(2, 0));            // ce0 = 6ms, max = 6ms
@@ -197,7 +210,8 @@ TEST(PartialSchedulePropertyTest, RandomPushPopKeepsInvariants) {
       batch[i].affinity.add(static_cast<tasks::ProcessorId>(
           rng.uniform_int(0, kWorkers - 1)));
     }
-    PartialSchedule ps(&batch, std::vector<SimDuration>(kWorkers, usec(50)),
+    const tasks::Batch set(batch);
+    PartialSchedule ps(&set, std::vector<SimDuration>(kWorkers, usec(50)),
                        SimTime::zero() + msec(1), &net);
     std::vector<Assignment> stack;
     for (int step = 0; step < 200; ++step) {

@@ -91,10 +91,10 @@ FuzzInput make_input(Xoshiro256ss& rng, bool allow_gangs) {
 /// rescan of the queue offsets.
 void check_schedule_parity(const FuzzInput& s, Xoshiro256ss& rng) {
   const auto net = machine::Interconnect::cut_through(s.m, s.comm);
-  PartialSchedule ps(&s.batch, s.base_loads, s.delivery, &net);
+  const tasks::Batch set(s.batch);
+  PartialSchedule ps(&set, s.base_loads, s.delivery, &net);
   const auto n = static_cast<std::uint32_t>(s.batch.size());
 
-  std::vector<std::uint32_t> word_tasks;
   Assignment a;
   for (std::uint32_t step = 0; step < 64 && !ps.complete(); ++step) {
     SimDuration lo = ps.ce(0);
@@ -110,22 +110,17 @@ void check_schedule_parity(const FuzzInput& s, Xoshiro256ss& rng) {
       const auto worker =
           static_cast<ProcessorId>(rng.uniform_int(0, s.m - 1));
       for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t bits = words[w];
-        if (bits == 0) continue;
-        word_tasks.clear();
-        while (bits != 0) {
-          const auto pos = static_cast<std::uint32_t>(
-              (w << 6) + std::uint32_t(std::countr_zero(bits)));
-          bits &= bits - 1;
-          word_tasks.push_back(ps.task_at(pos));
+        const std::uint64_t mask = ps.feasible_tasks_mask(worker, w);
+        for (std::uint32_t b = 0; b < 64 && (w << 6) + b < n; ++b) {
+          const auto i = static_cast<std::uint32_t>((w << 6) + b);
+          const bool feasible =
+              !ps.assigned(i) && ps.evaluate_fast(i, worker, a);
+          ASSERT_EQ((mask >> b) & 1u, feasible ? 1u : 0u)
+              << "word " << w << " lane " << b << " step " << step;
         }
-        const std::uint64_t mask = ps.feasible_tasks_mask(
-            worker, word_tasks.data(),
-            static_cast<std::uint32_t>(word_tasks.size()));
-        for (std::size_t j = 0; j < word_tasks.size(); ++j) {
-          ASSERT_EQ((mask >> j) & 1u,
-                    ps.evaluate_fast(word_tasks[j], worker, a) ? 1u : 0u)
-              << "word " << w << " lane " << j << " step " << step;
+        // Lanes past the set's end are never set.
+        if ((w << 6) + 64 > n) {
+          ASSERT_EQ(mask >> (n - (w << 6)), 0u) << "word " << w;
         }
       }
     }

@@ -15,7 +15,8 @@ SearchResult edf_first_fit(const std::vector<Task>& batch,
   if (batch.empty() || vertex_budget == 0) return result;
 
   const std::uint32_t m = net.num_workers();
-  PartialSchedule ps(&batch, base_loads, delivery_time, &net);
+  const tasks::Batch set(batch);
+  PartialSchedule ps(&set, base_loads, delivery_time, &net);
   const std::vector<std::uint32_t> order =
       task_consideration_order(batch, TaskOrder::kEarliestDeadline);
 

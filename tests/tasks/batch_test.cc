@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "search/engine.h"
 
 namespace rtds::tasks {
 namespace {
@@ -202,6 +208,160 @@ TEST(BatchTest, RemoveScheduledRejectsBadIndices) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 1u);
   EXPECT_EQ(b.tasks()[1].id, 2u);
+}
+
+/// A task whose deadline lies on a 2 ms grid and whose processing time is
+/// 1-3 ms, so arrivals tie with each other and with pending tasks under
+/// both sort keys; some gangs, some start offsets.
+Task tied_task(Xoshiro256ss& rng, TaskId id, SimTime now) {
+  Task t;
+  t.id = id;
+  t.arrival = now;
+  t.processing = msec(rng.uniform_int(1, 3));
+  t.deadline = SimTime::zero() + msec(2 * (now.us / 2000 + rng.uniform_int(2, 8)));
+  if (rng.bernoulli(0.2)) {
+    t.earliest_start = now + msec(rng.uniform_int(0, 4));
+  }
+  t.affinity.add(static_cast<ProcessorId>(rng.uniform_int(0, 3)));
+  if (rng.bernoulli(0.2)) {
+    t.workers_required = static_cast<std::uint32_t>(rng.uniform_int(2, 4));
+  }
+  return t;
+}
+
+/// The set against its specification: `model` holds the same tasks in
+/// arrival order, and the set must be its stable sort by key, with every
+/// column equal to its task's field.
+void expect_matches_model(const Batch& set, const std::vector<Task>& model,
+                          SimTime now) {
+  const std::vector<Task>& tasks = set.tasks();
+  ASSERT_EQ(tasks.size(), model.size());
+  const std::vector<std::uint32_t> order =
+      search::task_consideration_order(model, set.order());
+  bool gangs = false;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_EQ(tasks[i].id, model[order[i]].id) << "position " << i;
+    const Task& t = tasks[i];
+    ASSERT_EQ(set.deadline_us()[i], t.deadline.us);
+    ASSERT_EQ(set.processing_us()[i], t.processing.us);
+    ASSERT_EQ(set.earliest_start_us()[i], t.earliest_start.us);
+    ASSERT_EQ(set.affinity_bits()[i], t.affinity.raw());
+    ASSERT_EQ(set.widths()[i], t.workers_required);
+    if (i > 0 && consideration_key(tasks[i - 1], set.order()) ==
+                     consideration_key(t, set.order())) {
+      ASSERT_LT(set.sequence(i - 1), set.sequence(i)) << "position " << i;
+    }
+    gangs = gangs || t.workers_required > 1;
+  }
+  // The set is in its own consideration order: the spec sorts it to itself.
+  const std::vector<std::uint32_t> own =
+      search::task_consideration_order(tasks, set.order());
+  for (std::uint32_t i = 0; i < own.size(); ++i) ASSERT_EQ(own[i], i);
+  EXPECT_EQ(set.has_gangs(), gangs);
+  if (!tasks.empty()) {
+    SimDuration slack = SimDuration::max();
+    for (const Task& t : model) slack = min_duration(slack, t.slack_at(now));
+    EXPECT_EQ(set.min_slack(now), slack);
+  }
+}
+
+TEST(BatchTest, OrderAndColumnsFollowEveryMutation) {
+  // Random merges (bursts and trickles, equal keys), culls, retirements of
+  // scheduled tasks and refused deliveries left pending, under every order
+  // a search keeps; after each step the set equals its specification.
+  Xoshiro256ss rng(0x5E7);
+  std::uint64_t merged = 0, culled_total = 0, retired = 0, kept = 0;
+  for (const TaskOrder order : {TaskOrder::kEarliestDeadline,
+                                TaskOrder::kMinSlack, TaskOrder::kBatchOrder}) {
+    for (int sequence = 0; sequence < 30; ++sequence) {
+      SCOPED_TRACE("order " + std::to_string(int(order)) + " sequence " +
+                   std::to_string(sequence));
+      Batch set(order);
+      std::vector<Task> model;  // the same tasks, in arrival order
+      std::vector<Task> arrived;
+      std::vector<Task> culled;
+      std::vector<std::uint32_t> positions;
+      TaskId next_id = 0;
+      SimTime now = SimTime::zero();
+      for (int step = 0; step < 80; ++step) {
+        now += usec(rng.uniform_int(0, 1500));
+        switch (rng.uniform_int(0, 3)) {
+          case 0: {  // arrivals: a burst or a trickle
+            arrived.clear();
+            const auto n = rng.uniform_int(0, rng.bernoulli(0.2) ? 40 : 4);
+            for (std::int64_t a = 0; a < n; ++a) {
+              arrived.push_back(tied_task(rng, next_id++, now));
+            }
+            set.merge_arrivals(arrived);
+            model.insert(model.end(), arrived.begin(), arrived.end());
+            merged += arrived.size();
+            break;
+          }
+          case 1: {  // the cull, with the survivors' Min_Slack
+            SimDuration slack = SimDuration::max();
+            std::vector<TaskId> gone;
+            for (const Task& t : model) {
+              if (t.deadline_unreachable(now)) {
+                gone.push_back(t.id);
+              } else {
+                slack = min_duration(slack, t.slack_at(now));
+              }
+            }
+            EXPECT_EQ(set.cull_missed(now, culled), slack);
+            ASSERT_EQ(culled.size(), gone.size());
+            for (const Task& t : culled) {
+              EXPECT_NE(std::find(gone.begin(), gone.end(), t.id), gone.end());
+            }
+            std::erase_if(model, [&](const Task& t) {
+              return t.deadline_unreachable(now);
+            });
+            culled_total += culled.size();
+            break;
+          }
+          default: {  // a delivery: some scheduled tasks leave, refused stay
+            positions.clear();
+            std::vector<TaskId> gone;
+            for (std::uint32_t i = 0; i < set.size(); ++i) {
+              if (!rng.bernoulli(0.3)) continue;  // not scheduled
+              if (rng.bernoulli(0.25)) {
+                ++kept;  // refused: readmitted, stays pending
+                continue;
+              }
+              positions.push_back(i);
+              gone.push_back(set.tasks()[i].id);
+            }
+            set.remove_scheduled(positions);
+            std::erase_if(model, [&](const Task& t) {
+              return std::find(gone.begin(), gone.end(), t.id) != gone.end();
+            });
+            retired += gone.size();
+            break;
+          }
+        }
+        expect_matches_model(set, model, now);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(merged, 3000u);
+  EXPECT_GT(culled_total, 500u);
+  EXPECT_GT(retired, 500u);
+  EXPECT_GT(kept, 200u);
+}
+
+TEST(BatchTest, InvalidArrivalLeavesTheSetUntouched) {
+  Batch set(TaskOrder::kEarliestDeadline);
+  set.merge_arrivals({make_task(1, msec(1), SimTime{100000})});
+  Task no_holder = make_task(2, msec(1), SimTime{50000});
+  no_holder.affinity = AffinitySet::none();
+  Task no_width = make_task(3, msec(1), SimTime{50000});
+  no_width.workers_required = 0;
+  EXPECT_THROW(set.merge_arrivals({make_task(4, msec(1), SimTime{1}), no_holder}),
+               InvalidArgument);
+  EXPECT_THROW(set.merge_arrivals({no_width}), InvalidArgument);
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.tasks()[0].id, 1u);
+  EXPECT_EQ(set.deadline_us().size(), 1u);
 }
 
 }  // namespace

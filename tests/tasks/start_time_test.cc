@@ -38,7 +38,8 @@ TEST(StartTimeSearchTest, FeasibilityAccountsForIdleGap) {
   batch[0].earliest_start = SimTime::zero() + msec(8);
   batch[0].affinity.add(0);
   const auto net = machine::Interconnect::cut_through(1, SimDuration::zero());
-  search::PartialSchedule ps(&batch, {SimDuration::zero()},
+  const tasks::Batch set(batch);
+  search::PartialSchedule ps(&set, {SimDuration::zero()},
                              SimTime::zero() + msec(1), &net);
   EXPECT_FALSE(ps.evaluate(0, 0).has_value());
 
@@ -48,7 +49,8 @@ TEST(StartTimeSearchTest, FeasibilityAccountsForIdleGap) {
   // search hot path precomputes per-task constants), so evaluate through a
   // fresh schedule.
   batch[0].earliest_start = SimTime::zero() + msec(7);
-  search::PartialSchedule relaxed(&batch, {SimDuration::zero()},
+  const tasks::Batch relaxed_set(batch);
+  search::PartialSchedule relaxed(&relaxed_set, {SimDuration::zero()},
                                   SimTime::zero() + msec(1), &net);
   const auto a = relaxed.evaluate(0, 0);
   ASSERT_TRUE(a.has_value());
@@ -67,7 +69,8 @@ TEST(StartTimeSearchTest, PushPopRestoreAcrossIdleGaps) {
   }
   batch[0].earliest_start = SimTime::zero() + msec(10);
   const auto net = machine::Interconnect::cut_through(1, SimDuration::zero());
-  search::PartialSchedule ps(&batch, {msec(1)}, SimTime::zero() + msec(1),
+  const tasks::Batch set(batch);
+  search::PartialSchedule ps(&set, {msec(1)}, SimTime::zero() + msec(1),
                              &net);
   const auto a = ps.evaluate(0, 0);
   ASSERT_TRUE(a.has_value());

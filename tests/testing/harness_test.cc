@@ -90,6 +90,37 @@ TEST(HarnessTest, LostPhaseIsCaughtByFastForwardParityOracle) {
       << r.to_string();
 }
 
+TEST(HarnessTest, InPlaceEntryThatDisagreesIsCaughtByFastForwardParityOracle) {
+  // The sim run's search reads its pending set in place; the reference run
+  // takes the vector entry. An in-place entry that drops an assignment the
+  // vector entry keeps must fail the parity oracle.
+  HarnessOptions opts = des_only();
+  opts.mutation = Mutation::kSplitEntries;
+  const ScenarioResult r = run_scenario(Scenario{}, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(any_violation_contains(
+      r, "fast-forward-parity(sim vs sim-phase-by-phase)"))
+      << r.to_string();
+}
+
+TEST(HarnessTest, SmokeSweepEndsAFutileRunOnABudgetCut) {
+  // fuzz_smoke's scenarios (seed 0xC1, 60 of them): their sim runs end
+  // fast-forwarded runs on every stop the pipeline has, the budget cut
+  // included, so a fast-forward that ignores one of them fails the smoke
+  // sweep's parity oracle.
+  FastForwardStops stops;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const ScenarioResult r = run_scenario(generate_scenario(0xC1, i),
+                                          des_only());
+    EXPECT_TRUE(r.ok()) << r.to_string();
+    stops += r.fast_forward_stops;
+  }
+  EXPECT_GT(stops.arrival, 0u);
+  EXPECT_GT(stops.cull, 0u);
+  EXPECT_GT(stops.budget, 0u);
+  EXPECT_GT(stops.other, 0u);
+}
+
 TEST(HarnessTest, SweepFastForwardsPhasesTheParityOracleChecks) {
   // The fuzzer's first scenarios of a fixed seed: the sim runs skip
   // phases, and still equal their phase-by-phase references.

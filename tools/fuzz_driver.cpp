@@ -203,6 +203,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_vertices = 0;
   std::uint64_t sim_phases = 0;
   std::uint64_t fast_forwarded = 0;
+  rtds::testing::FastForwardStops stops;
   const auto sweep_start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < args.scenarios; ++i) {
     rtds::testing::Scenario scenario =
@@ -242,6 +243,7 @@ int main(int argc, char** argv) {
     total_vertices += result.sim.metrics.vertices_generated;
     sim_phases += result.sim.metrics.phases;
     fast_forwarded += result.fast_forwarded_phases;
+    stops += result.fast_forward_stops;
     if ((i + 1) % 100 == 0) {
       std::cerr << "  " << (i + 1) << "/" << args.scenarios
                 << " scenarios clean\n";
@@ -255,8 +257,10 @@ int main(int argc, char** argv) {
             << std::hex << args.seed << std::dec << "), " << total_tasks
             << " tasks, " << threaded_runs << " threaded runs, "
             << sharded_runs << " sharded runs, " << fast_forwarded << " of "
-            << sim_phases
-            << " sim phases fast-forwarded — all oracles passed\n";
+            << sim_phases << " sim phases fast-forwarded in " << stops.runs()
+            << " runs (ended by arrival " << stops.arrival << ", cull "
+            << stops.cull << ", budget cut " << stops.budget << ", other "
+            << stops.other << ") — all oracles passed\n";
   std::cout << "rtds_fuzz: " << total_vertices
             << " search vertices generated, ";
   if (sweep_secs > 0) {
