@@ -1,4 +1,5 @@
-# Runs the bench BENCH and compares its stdout byte for byte with the
+# Runs the program BENCH (a paper bench or a deterministic example), fails
+# on a non-zero exit and compares its stdout byte for byte with the
 # committed GOLDEN file. The output is written to ACTUAL, so a failing case
 # leaves it for inspection; the diff is printed when `diff` is available.
 #

@@ -77,7 +77,7 @@ struct FutilePhase {
 /// earliest start (where that task's slack starts to fall), get a budget
 /// below the recorded vertices, or deliver earlier than futile.delivery
 /// (which neither built-in quantum policy does: t + Q_s never decreases).
-/// It reads the set's columns once and never the search's root.
+/// It reads the set's tasks once and never the search's root.
 SimTime skip_futile_phases(const QuantumPolicy& policy,
                            const PipelineConfig& config,
                            const FutilePhase& futile,
@@ -85,23 +85,21 @@ SimTime skip_futile_phases(const QuantumPolicy& policy,
                            std::optional<SimTime> next_arrival,
                            RunMetrics& metrics, PhaseObserver* observer) {
   const SimTime from = futile.start + futile.spent;
-  // One read of the columns. A task whose earliest start has passed has
+  // One read of the tasks. A task whose earliest start has passed has
   // slack (d - p) - t, falling 1:1 with t; the slack of one still waiting
   // is d - e - p, constant until t passes e.
-  const std::span<const std::int64_t> deadline = batch.deadline_us();
-  const std::span<const std::int64_t> processing = batch.processing_us();
-  const std::span<const std::int64_t> earliest_start =
-      batch.earliest_start_us();
   std::int64_t started_key = SimTime::max().us;  // min d - p, started tasks
   std::int64_t waiting_slack = SimDuration::max().us;
   std::int64_t first_start = SimTime::max().us;  // earliest start ahead
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (earliest_start[i] > from.us) {
-      waiting_slack = std::min(
-          waiting_slack, deadline[i] - earliest_start[i] - processing[i]);
-      first_start = std::min(first_start, earliest_start[i]);
+  for (const Task& task : batch.tasks()) {
+    const std::int64_t d = task.deadline.us;
+    const std::int64_t p = task.processing.us;
+    const std::int64_t e = task.earliest_start.us;
+    if (e > from.us) {
+      waiting_slack = std::min(waiting_slack, d - e - p);
+      first_start = std::min(first_start, e);
     } else {
-      started_key = std::min(started_key, deadline[i] - processing[i]);
+      started_key = std::min(started_key, d - p);
     }
   }
   PhaseRecord record;
@@ -204,7 +202,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   } const unbind{backend};
 
   // The one pending set: kept in the order the algorithm considers tasks
-  // in, with the columns its search and this loop read (tasks/batch.h).
+  // in; its search and this loop read the tasks in place (tasks/batch.h).
   tasks::Batch batch(algorithm_.pending_order());
   const SimDuration vcost = config_.vertex_generation_cost;
   // Both answers are false unless declared (sched/backend.h,

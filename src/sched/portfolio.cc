@@ -68,53 +68,52 @@ SearchResult PartitionScheduler::schedule_phase(
   // if the worker's queue were consumed in partition order. EDF
   // re-sequencing in pass 2 can only shuffle a worker's internal order, so
   // the final commit re-checks feasibility.
+  //
+  // The sort keys are read from the tasks. A task's slack at the delivery
+  // time is the room between its earliest start there and its deadline,
+  // less p; its density is p over that room, slack + p, floored at 1 µs.
+  // `set` keeps arrival order, so its positions are indices into `batch`.
   std::vector<std::uint32_t> order(n);
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+  const auto slack_of = [&](std::uint32_t i) {
+    return batch[i].slack_at(delivery_time).us;
+  };
   const auto span_of = [&](std::uint32_t i) -> std::int64_t {
-    const auto& tc = ps.constants(i);
-    const std::int64_t span = tc.d_off_us - tc.es_off_us;
+    const std::int64_t span = slack_of(i) + batch[i].processing.us;
     return span > 1 ? span : 1;
+  };
+  const auto earlier_deadline = [&](std::uint32_t a, std::uint32_t b) {
+    const SimTime da = batch[a].deadline;
+    const SimTime db = batch[b].deadline;
+    return da != db ? da < db : a < b;
   };
   switch (config_.sort) {
     case PartitionSort::kDensity:
       std::sort(order.begin(), order.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
-                  const auto& ta = ps.constants(a);
-                  const auto& tb = ps.constants(b);
-                  if (denser(ta.processing_us, span_of(a), tb.processing_us,
-                             span_of(b)))
-                    return true;
-                  if (denser(tb.processing_us, span_of(b), ta.processing_us,
-                             span_of(a)))
-                    return false;
+                  const std::int64_t pa = batch[a].processing.us;
+                  const std::int64_t pb = batch[b].processing.us;
+                  if (denser(pa, span_of(a), pb, span_of(b))) return true;
+                  if (denser(pb, span_of(b), pa, span_of(a))) return false;
                   return a < b;
                 });
       break;
     case PartitionSort::kDeadline:
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const std::int64_t da = ps.constants(a).d_off_us;
-                  const std::int64_t db = ps.constants(b).d_off_us;
-                  return da != db ? da < db : a < b;
-                });
+      std::sort(order.begin(), order.end(), earlier_deadline);
       break;
     case PartitionSort::kMinSlack:
       std::sort(order.begin(), order.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
-                  const auto& ta = ps.constants(a);
-                  const auto& tb = ps.constants(b);
-                  const std::int64_t sa =
-                      ta.d_off_us - ta.es_off_us - ta.processing_us;
-                  const std::int64_t sb =
-                      tb.d_off_us - tb.es_off_us - tb.processing_us;
+                  const std::int64_t sa = slack_of(a);
+                  const std::int64_t sb = slack_of(b);
                   return sa != sb ? sa < sb : a < b;
                 });
       break;
     case PartitionSort::kLpt:
       std::sort(order.begin(), order.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
-                  const std::int64_t pa = ps.constants(a).processing_us;
-                  const std::int64_t pb = ps.constants(b).processing_us;
+                  const std::int64_t pa = batch[a].processing.us;
+                  const std::int64_t pb = batch[b].processing.us;
                   return pa != pb ? pa > pb : a < b;
                 });
       break;
@@ -163,9 +162,7 @@ SearchResult PartitionScheduler::schedule_phase(
   std::sort(share.begin(), share.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               if (home[a] != home[b]) return home[a] < home[b];
-              const std::int64_t da = ps.constants(a).d_off_us;
-              const std::int64_t db = ps.constants(b).d_off_us;
-              return da != db ? da < db : a < b;
+              return earlier_deadline(a, b);
             });
   for (std::uint32_t i : share) {
     if (home[i] == kUnassigned) continue;  // sorted last; rest are too

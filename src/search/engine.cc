@@ -106,7 +106,7 @@ inline Candidate make_candidate(const SearchConfig& config,
 /// can take or evaluates it on each worker with evaluate_fast. A
 /// sequence-oriented one tests a whole unassigned-bitset word against the
 /// level's worker at once (PartialSchedule::feasible_tasks_mask, which reads
-/// the word's lanes where the set keeps them) when the
+/// the word's 64 adjacent tasks of the set in place) when the
 /// result provably equals the scalar loop's, accounting included: the batch
 /// is tasks_mask_eligible, no max_successors cap applies and budget_left
 /// covers the word's popcount. Outside those gates the scalar loop runs, so

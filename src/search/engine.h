@@ -189,9 +189,10 @@ class SearchEngine {
   /// with the lowest CE — whether the search stopped at a leaf, a dead end
   /// or the budget. Task indices are positions in `set`.
   ///
-  /// The tree is searched from scratch: the set supplies the root's tasks,
-  /// columns and consideration order, so starting a search sorts nothing
-  /// and copies nothing per task (docs/ARCHITECTURE.md, "The pending set").
+  /// The tree is searched from scratch: the set supplies the root's tasks
+  /// and their consideration order, and the search reads each task in
+  /// place, so starting a search sorts nothing and copies nothing per task
+  /// (docs/ARCHITECTURE.md, "The pending set").
   ///
   /// Thread-safe: per-thread scratch buffers are reused across calls — the
   /// PartialSchedule, the candidate list, and a node arena that grows in

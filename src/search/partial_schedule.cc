@@ -25,7 +25,6 @@ void PartialSchedule::reset(const tasks::Batch* set,
   for (SimDuration d : base_loads) {
     RTDS_REQUIRE(!d.is_negative(), "PartialSchedule: negative base load");
   }
-  set_ = set;
   net_ = net;
   delivery_us_ = delivery_time.us;
   ce_us_.resize(base_loads.size());
@@ -38,12 +37,8 @@ void PartialSchedule::reset(const tasks::Batch* set,
   cut_through_ = net_->model() == machine::RoutingModel::kCutThrough;
   comm_us_ = net_->link_cost().us;
 
+  tasks_ = set->tasks().data();
   n_ = static_cast<std::uint32_t>(set->size());
-  d_ = set->deadline_us().data();
-  p_ = set->processing_us().data();
-  es_ = set->earliest_start_us().data();
-  aff_ = set->affinity_bits().data();
-  width_ = set->widths().data();
   has_gangs_ = set->has_gangs();
 
   // An empty path: nothing of the previous run's assignments or gang undo
@@ -79,16 +74,18 @@ std::uint64_t PartialSchedule::feasible_tasks_mask(ProcessorId worker,
   // D (see evaluate_fast), so it compares with d directly.
   const std::int64_t start_lo = ce_us_[worker] + delivery_us_;
   const std::int64_t comm_us = comm_us_;
-  const std::int64_t* d = d_ + (word << 6);
-  const std::int64_t* p = p_ + (word << 6);
-  const std::int64_t* es = es_ + (word << 6);
-  const std::uint64_t* aff = aff_ + (word << 6);
+  const Task* lanes = tasks_ + (word << 6);
   std::uint64_t mask = 0;
   for (std::uint64_t bits = unassigned_[word]; bits != 0; bits &= bits - 1) {
     const int b = std::countr_zero(bits);
-    const std::int64_t comm = ((aff[b] >> worker) & 1u) != 0 ? 0 : comm_us;
-    const std::int64_t start = start_lo > es[b] ? start_lo : es[b];
-    if (start + p[b] + comm <= d[b]) mask |= std::uint64_t{1} << b;
+    const Task& task = lanes[b];
+    const std::int64_t comm =
+        ((task.affinity.raw() >> worker) & 1u) != 0 ? 0 : comm_us;
+    const std::int64_t es = task.earliest_start.us;
+    const std::int64_t start = start_lo > es ? start_lo : es;
+    if (start + task.processing.us + comm <= task.deadline.us) {
+      mask |= std::uint64_t{1} << b;
+    }
   }
   return mask;
 }
@@ -106,7 +103,8 @@ std::optional<Assignment> PartialSchedule::evaluate(
 
 void PartialSchedule::push(const Assignment& a) {
   RTDS_ASSERT(!assigned(a.task_index));
-  RTDS_ASSERT(std::size_t{a.worker} + width_[a.task_index] <= ce_us_.size());
+  const std::uint32_t k = tasks_[a.task_index].workers_required;
+  RTDS_ASSERT(std::size_t{a.worker} + k <= ce_us_.size());
   // Integrity: the assignment must have been evaluated at this exact state.
   RTDS_ASSERT(ce_us_[a.worker] == a.prev_ce.us);
   RTDS_ASSERT(max_ce_us_ == a.prev_max_ce.us);
@@ -114,7 +112,6 @@ void PartialSchedule::push(const Assignment& a) {
   // A gang charges its whole worker block to the same end offset; the
   // siblings' pre-push offsets go on the side undo stack (the lead's is
   // Assignment::prev_ce).
-  const std::uint32_t k = width_[a.task_index];
   for (std::uint32_t j = 1; j < k; ++j) {
     gang_undo_.push_back(SimDuration{ce_us_[a.worker + j]});
     ce_us_[a.worker + j] = a.end_offset.us;
@@ -128,7 +125,7 @@ void PartialSchedule::pop() {
   RTDS_REQUIRE(!path_.empty(), "pop: empty path");
   const Assignment& a = path_.back();
   unassigned_[a.task_index >> 6] |= std::uint64_t{1} << (a.task_index & 63);
-  const std::uint32_t k = width_[a.task_index];
+  const std::uint32_t k = tasks_[a.task_index].workers_required;
   for (std::uint32_t j = k; j-- > 1;) {
     ce_us_[a.worker + j] = gang_undo_.back().us;
     gang_undo_.pop_back();

@@ -21,18 +21,17 @@
 // pending set"): the search charges its entire vertex budget through
 // evaluate/push/pop, so this class keeps only one search's state and reads
 // the tasks in place:
-//   * the per-task constants are the pending set's columns (tasks::Batch:
-//     deadline, processing time and earliest start in absolute
-//     microseconds, affinity word, width), read where they are; the
-//     delivery time is subtracted where a test compares, so starting a
-//     search copies nothing per task and evaluation never dereferences the
-//     56-byte Task;
+//   * each task's constants are read from the pending set's tasks
+//     (tasks::Batch) where they lie: deadline, processing time and earliest
+//     start in absolute microseconds, affinity word and width, all in one
+//     64-byte Task; the delivery time is subtracted where a test compares,
+//     so starting a search copies nothing per task;
 //   * ce_us_ — per-worker completion offsets (m contiguous 8-byte counts);
 //   * unassigned_ — a 64-bit-word bitset over set positions (bit set =
 //     still unassigned), giving O(n/64) find-first scans instead of a
 //     std::vector<bool> walk. The set keeps its tasks in the search's
 //     consideration order, so a scan returns tasks in heuristic order and
-//     the task-word kernel tests the lanes of one word where they lie.
+//     the task-word kernel tests the 64 adjacent tasks of one word.
 // Backtracking is O(1): every Assignment carries the undo values prev_ce and
 // prev_max_ce, so pop() restores both the worker's queue and CE without the
 // historical O(m) rescan.
@@ -79,26 +78,13 @@ struct Assignment {
 /// consideration order is the set's order.
 class PartialSchedule {
  public:
-  /// Per-task constants in raw microseconds relative to the delivery time,
-  /// assembled by value for cold-path callers (portfolio heuristics,
-  /// tests); the search reads the set's columns.
-  struct TaskConstants {
-    std::int64_t processing_us{0};  ///< p_l
-    std::int64_t es_off_us{0};      ///< max(0, earliest_start - delivery)
-    std::int64_t d_off_us{0};       ///< deadline - delivery (may be < 0)
-    std::uint64_t affinity_bits{0};  ///< AffinitySet::raw()
-    /// Gang width k: the job occupies the contiguous worker block
-    /// [worker, worker+k). k == 1 is the sequential task model.
-    std::uint32_t workers_required{1};
-  };
-
   /// Equivalent to reset() on a fresh object.
   PartialSchedule(const tasks::Batch* set,
                   const std::vector<SimDuration>& base_loads,
                   SimTime delivery_time, const machine::Interconnect* net);
 
   /// Starts a new empty path over `set`. It copies nothing per task: the
-  /// set's columns are read in place, so `set` must outlive the schedule's
+  /// set's tasks are read in place, so `set` must outlive the schedule's
   /// use and must not change while the schedule is in use. Only the
   /// per-worker offsets, the unassigned bitset (n/64 words) and the path
   /// are reset; once their capacities have grown to the largest set seen,
@@ -160,22 +146,15 @@ class PartialSchedule {
                                       SimDuration min_ce) const {
     // In absolute time: min_ce >= 0, so max(min_ce, e - D) equals the
     // clamped offset max(min_ce, max(0, e - D)).
+    const Task& task = tasks_[task_index];
     const std::int64_t lo = min_ce.us + delivery_us_;
-    const std::int64_t es = es_[task_index];
-    return (lo > es ? lo : es) + p_[task_index] > d_[task_index];
-  }
-
-  /// Assembled per-task constants (by value).
-  [[nodiscard]] TaskConstants constants(std::uint32_t task_index) const {
-    const std::int64_t es_off = es_[task_index] - delivery_us_;
-    return TaskConstants{p_[task_index], es_off > 0 ? es_off : 0,
-                         d_[task_index] - delivery_us_, aff_[task_index],
-                         width_[task_index]};
+    const std::int64_t es = task.earliest_start.us;
+    return (lo > es ? lo : es) + task.processing.us > task.deadline.us;
   }
 
   /// p_l, for the hot loops.
   [[nodiscard]] std::int64_t processing_us(std::uint32_t i) const {
-    return p_[i];
+    return tasks_[i].processing.us;
   }
   /// True when any task in the set is a gang (width > 1).
   [[nodiscard]] bool has_gangs() const { return has_gangs_; }
@@ -194,9 +173,9 @@ class PartialSchedule {
   /// evaluate_fast(that task, worker) would be feasible,
   ///   max(ce_w, es) + p + (affinity bit of worker set ? 0 : C) <= d,
   /// with the same 64-bit arithmetic as evaluate_fast, so the mask equals
-  /// its verdicts bit for bit. The lanes are read from the set's columns
-  /// where they lie. Preconditions: tasks_mask_eligible(), word below
-  /// unassigned_words().size().
+  /// its verdicts bit for bit. The lanes are the word's 64 adjacent tasks
+  /// of the set, read in place. Preconditions: tasks_mask_eligible(), word
+  /// below unassigned_words().size().
   [[nodiscard]] std::uint64_t feasible_tasks_mask(ProcessorId worker,
                                                   std::size_t word) const;
 
@@ -234,20 +213,15 @@ class PartialSchedule {
   [[nodiscard]] const std::vector<Assignment>& path() const { return path_; }
 
   /// Bytes of heap state this schedule holds (queue offsets, bitset, path,
-  /// gang undo stack) — for the bench memory column. The set's columns are
+  /// gang undo stack) — for the bench memory column. The set's tasks are
   /// the set's.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  const tasks::Batch* set_{nullptr};
   const machine::Interconnect* net_{nullptr};
   std::int64_t delivery_us_{0};
-  // The set's columns, read in place (see header comment).
-  const std::int64_t* d_{nullptr};
-  const std::int64_t* p_{nullptr};
-  const std::int64_t* es_{nullptr};
-  const std::uint64_t* aff_{nullptr};
-  const std::uint32_t* width_{nullptr};
+  /// The set's tasks, read in place (see header comment).
+  const Task* tasks_{nullptr};
   std::uint32_t n_{0};
   bool has_gangs_{false};
   bool cut_through_{true};
@@ -268,13 +242,14 @@ class PartialSchedule {
 inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
                                            ProcessorId worker,
                                            Assignment& out) const {
+  const Task& task = tasks_[task_index];
   // c_lk: 0 on a data holder, else C under cut-through routing (the set
   // rejected any task with no data holder). A mask, not a branch: mixed
   // affinity sets make the holder bit unpredictable.
-  const std::uint64_t remote = ((aff_[task_index] >> worker) & 1u) ^ 1u;
+  const std::uint64_t remote = ((task.affinity.raw() >> worker) & 1u) ^ 1u;
   std::int64_t comm_us = comm_us_ & -static_cast<std::int64_t>(remote);
   if (!cut_through_ && remote != 0) {
-    comm_us = net_->comm_cost(set_->tasks()[task_index].affinity, worker).us;
+    comm_us = net_->comm_cost(task.affinity, worker).us;
   }
 
   const std::int64_t prev_ce_us = ce_us_[worker];
@@ -283,7 +258,7 @@ inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
   // running past worker m-1 is no placement at all. k == 1 (the common
   // case) skips the block scan entirely.
   std::int64_t block_ce_us = prev_ce_us;
-  const std::uint32_t width = width_[task_index];
+  const std::uint32_t width = task.workers_required;
   if (width > 1) {
     if (std::size_t{worker} + width > ce_us_.size()) return false;
     for (std::uint32_t j = 1; j < width; ++j) {
@@ -294,16 +269,16 @@ inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
   // worker idles until then (footnote 1 task model). Offsets are from the
   // delivery time; block_ce_us >= 0, so an earliest start already passed
   // (a negative offset) never wins the max.
-  const std::int64_t es_us = es_[task_index] - delivery_us_;
+  const std::int64_t es_us = task.earliest_start.us - delivery_us_;
   const std::int64_t start_us = block_ce_us > es_us ? block_ce_us : es_us;
-  const std::int64_t end_us = start_us + p_[task_index] + comm_us;
+  const std::int64_t end_us = start_us + task.processing.us + comm_us;
 
   // Fig. 4: t_c + RQ_s(j) + se_lk <= d_l, with t_c + RQ_s == delivery_time.
-  if (end_us > d_[task_index] - delivery_us_) return false;
+  if (end_us > task.deadline.us - delivery_us_) return false;
 
   out.task_index = task_index;
   out.worker = worker;
-  out.exec_cost = SimDuration{p_[task_index] + comm_us};
+  out.exec_cost = SimDuration{task.processing.us + comm_us};
   out.prev_ce = SimDuration{prev_ce_us};
   out.prev_max_ce = SimDuration{max_ce_us_};
   out.start_offset = SimDuration{start_us};

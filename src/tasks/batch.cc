@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <type_traits>
 
 #include "common/error.h"
@@ -25,54 +24,36 @@ Batch::Batch(const std::vector<Task>& tasks, TaskOrder order) : order_(order) {
   merge_arrivals(tasks);
 }
 
-std::int64_t Batch::key_at(std::size_t i) const {
-  switch (order_) {
-    case TaskOrder::kEarliestDeadline:
-      return deadline_[i];
-    case TaskOrder::kMinSlack:
-      return deadline_[i] - processing_[i];
-    case TaskOrder::kBatchOrder:
-      break;
-  }
-  return 0;
-}
-
-void Batch::put(std::size_t i, const Task& task, std::uint64_t seq) {
-  tasks_[i] = task;
-  deadline_[i] = task.deadline.us;
-  processing_[i] = task.processing.us;
-  earliest_start_[i] = task.earliest_start.us;
-  affinity_[i] = task.affinity.raw();
-  width_[i] = task.workers_required;
-  sequence_[i] = seq;
-}
-
 static_assert(std::is_trivially_copyable_v<Task>);
+
+namespace {
+
+/// Moves `count` entries of `data` from `first` to `dest`.
+template <typename T>
+void move_block(T* data, std::size_t first, std::size_t count,
+                std::size_t dest) {
+  // A light stream's sets hold a few tasks, and a memmove call costs more
+  // than copying a few entries.
+  if (count > 4) {
+    std::memmove(data + dest, data + first, count * sizeof(T));
+  } else if (dest < first) {
+    for (std::size_t i = 0; i < count; ++i) data[dest + i] = data[first + i];
+  } else {
+    for (std::size_t i = count; i-- > 0;) data[dest + i] = data[first + i];
+  }
+}
+
+}  // namespace
 
 void Batch::shift(std::size_t first, std::size_t last, std::size_t dest) {
   if (first == dest || first == last) return;
-  const std::size_t count = last - first;
-  each_column([first, dest, count](auto& column) {
-    auto* data = column.data();
-    // A light stream's sets hold a few tasks, and a memmove call per
-    // column costs more than copying a few entries.
-    if (count > 4) {
-      std::memmove(data + dest, data + first, count * sizeof(data[0]));
-    } else if (dest < first) {
-      for (std::size_t i = 0; i < count; ++i) data[dest + i] = data[first + i];
-    } else {
-      for (std::size_t i = count; i-- > 0;) data[dest + i] = data[first + i];
-    }
-  });
+  move_block(tasks_.data(), first, last - first, dest);
+  move_block(sequence_.data(), first, last - first, dest);
 }
 
 void Batch::resize(std::size_t n) {
   tasks_.resize(n);
-  if (n > deadline_.size()) {
-    each_column([n](auto& column) {
-      if (column.size() < n) column.resize(n);
-    });
-  }
+  sequence_.resize(n);
 }
 
 void Batch::merge_arrivals(const std::vector<Task>& arrived) {
@@ -88,7 +69,8 @@ void Batch::merge_arrivals(const std::vector<Task>& arrived) {
   for (const Task& task : arrived) gangs_ += task.workers_required > 1;
   if (order_ == TaskOrder::kBatchOrder) {
     for (std::size_t j = 0; j < k; ++j) {
-      put(n + j, arrived[j], next_sequence_ + j);
+      tasks_[n + j] = arrived[j];
+      sequence_[n + j] = next_sequence_ + j;
     }
     next_sequence_ += k;
     return;
@@ -108,8 +90,11 @@ void Batch::merge_arrivals(const std::vector<Task>& arrived) {
   if (k > 1) std::sort(rank_.begin(), rank_.end());
   // Place the group from its last arrival back. The pending tasks ranked
   // behind an arrival — those with a greater key; one with an equal key
-  // arrived earlier and stays ahead — move up in one block per column,
+  // arrived earlier and stays ahead — move up in one block per array,
   // leaving room for it and the arrivals ranked before it.
+  const auto key_at = [this](std::size_t i) {
+    return consideration_key(tasks_[i], order_);
+  };
   std::size_t pending = n;  // pending tasks not yet moved: [0, pending)
   for (std::size_t j = k; j > 0; --j) {
     const unsigned __int128 word = rank_[j - 1];
@@ -129,7 +114,8 @@ void Batch::merge_arrivals(const std::vector<Task>& arrived) {
     }
     shift(lo, pending, lo + j);
     pending = lo;
-    put(pending + j - 1, arrived[index], next_sequence_ + index);
+    tasks_[pending + j - 1] = arrived[index];
+    sequence_[pending + j - 1] = next_sequence_ + index;
   }
   next_sequence_ += k;
 }
@@ -145,7 +131,7 @@ void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
   // positions move down as one block.
   std::size_t keep = indices.front();
   for (std::size_t j = 0; j < indices.size(); ++j) {
-    gangs_ -= width_[indices[j]] > 1;
+    gangs_ -= tasks_[indices[j]].workers_required > 1;
     const std::size_t first = indices[j] + std::size_t{1};
     const std::size_t last =
         j + 1 < indices.size() ? indices[j + 1] : tasks_.size();
@@ -157,18 +143,16 @@ void Batch::remove_scheduled(const std::vector<std::uint32_t>& indices) {
 
 SimDuration Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
   culled.clear();
-  const std::int64_t now = t.us;
   const std::size_t n = tasks_.size();
+  // A task is unreachable (Task::deadline_unreachable) exactly when its
+  // slack is negative.
   std::int64_t min_slack = SimDuration::max().us;
-  // p + max(e, t) > d is unreachable (Task::deadline_unreachable); the
-  // slack of a reachable task is d - max(e, t) - p (Task::slack_at).
-  const auto slack = [&](std::size_t i) {
-    return deadline_[i] - std::max(earliest_start_[i], now) - processing_[i];
-  };
   std::size_t first = 0;
   // Nothing moves before the first culled task.
-  for (; first < n && slack(first) >= 0; ++first) {
-    min_slack = std::min(min_slack, slack(first));
+  for (; first < n; ++first) {
+    const std::int64_t s = tasks_[first].slack_at(t).us;
+    if (s < 0) break;
+    min_slack = std::min(min_slack, s);
   }
   if (first == n) return SimDuration{min_slack};
   // From there the survivors move down one block per run between culled
@@ -176,13 +160,13 @@ SimDuration Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
   std::size_t keep = first;  // where the current run of survivors belongs
   std::size_t run = first;   // first survivor not yet moved
   for (std::size_t i = first; i < n; ++i) {
-    const std::int64_t s = slack(i);
+    const std::int64_t s = tasks_[i].slack_at(t).us;
     if (s >= 0) {
       min_slack = std::min(min_slack, s);
       continue;
     }
     culled.push_back(tasks_[i]);
-    gangs_ -= width_[i] > 1;
+    gangs_ -= tasks_[i].workers_required > 1;
     shift(run, i, keep);
     keep += i - run;
     run = i + 1;
@@ -195,17 +179,8 @@ SimDuration Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
 SimDuration Batch::min_slack(SimTime t) const {
   RTDS_REQUIRE(!tasks_.empty(), "min_slack of empty batch");
   std::int64_t best = SimDuration::max().us;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    best = std::min(best, deadline_[i] - std::max(earliest_start_[i], t.us) -
-                              processing_[i]);
-  }
+  for (const Task& task : tasks_) best = std::min(best, task.slack_at(t).us);
   return SimDuration{best};
-}
-
-SimDuration Batch::total_processing() const {
-  const std::span<const std::int64_t> processing = processing_us();
-  return SimDuration{
-      std::accumulate(processing.begin(), processing.end(), std::int64_t{0})};
 }
 
 void Batch::clear() {
@@ -221,9 +196,7 @@ void Batch::reset(TaskOrder order) {
 
 std::size_t Batch::footprint_bytes() const {
   const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-  return bytes(tasks_) + bytes(deadline_) + bytes(processing_) +
-         bytes(earliest_start_) + bytes(affinity_) + bytes(width_) +
-         bytes(sequence_) + bytes(rank_);
+  return bytes(tasks_) + bytes(sequence_) + bytes(rank_);
 }
 
 }  // namespace rtds::tasks

@@ -6,18 +6,16 @@
 // tasks that arrived during phase j. Scheduled tasks never re-enter a later
 // batch (they are delivered to worker ready queues instead).
 //
-// The set is kept in the order the phase's search considers its tasks in,
-// and next to the tasks it keeps, one contiguous column per field, what
-// the search and the phase loop read of them: deadline, processing time
-// and earliest start in absolute microseconds, the affinity word and the
-// gang width. Every operation keeps the order and the columns current, so
-// a phase reads its root in place: nothing is sorted or copied per search
-// (docs/ARCHITECTURE.md, "The pending set").
+// The set is kept in the order the phase's search considers its tasks in:
+// each pending task is held once, with its arrival number beside it, and
+// every operation keeps the order current, so a phase reads its root in
+// place: nothing is sorted or copied per search, and the search and the
+// phase loop read each field from the task (docs/ARCHITECTURE.md, "The
+// pending set").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/time.h"
@@ -43,7 +41,7 @@ enum class TaskOrder {
 /// Positions run in the set's TaskOrder: ascending consideration key, ties
 /// in arrival order (sequence()), which is the order a stable sort of the
 /// arrival sequence by key gives. For kBatchOrder that is arrival order.
-/// Every index into the set — tasks(), the columns, remove_scheduled() and
+/// Every index into the set — tasks(), sequence(), remove_scheduled() and
 /// the task indices a search reports — is such a position.
 class Batch {
  public:
@@ -58,24 +56,6 @@ class Batch {
   /// The pending tasks, in position order.
   [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
 
-  // -- columns: entry i describes tasks()[i] ---------------------------------
-  [[nodiscard]] std::span<const std::int64_t> deadline_us() const {
-    return {deadline_.data(), size()};
-  }
-  [[nodiscard]] std::span<const std::int64_t> processing_us() const {
-    return {processing_.data(), size()};
-  }
-  [[nodiscard]] std::span<const std::int64_t> earliest_start_us() const {
-    return {earliest_start_.data(), size()};
-  }
-  /// AffinitySet::raw() of each task.
-  [[nodiscard]] std::span<const std::uint64_t> affinity_bits() const {
-    return {affinity_.data(), size()};
-  }
-  /// workers_required of each task.
-  [[nodiscard]] std::span<const std::uint32_t> widths() const {
-    return {width_.data(), size()};
-  }
   /// True when any pending task is a gang (width > 1).
   [[nodiscard]] bool has_gangs() const { return gangs_ != 0; }
   /// Arrival number of tasks()[i]: the merges since construction or the
@@ -105,9 +85,9 @@ class Batch {
   /// Culls tasks whose deadlines can no longer be met at time t
   /// (p_i + t_c > d_i, Sec. 4.1) and returns min_slack(t) of the tasks that
   /// remain (SimDuration::max() when none does), so a phase reads its set
-  /// once. It reads only the columns; from the first culled task on the
-  /// survivors are compacted in place in their order. `culled` is
-  /// overwritten with the culled tasks in position order (the experiment
+  /// once. Each task's Task::slack_at(t) decides; from the first culled
+  /// task on the survivors are compacted in place in their order. `culled`
+  /// is overwritten with the culled tasks in position order (the experiment
   /// harness counts them as deadline misses); pass the same vector every
   /// phase and its capacity is reused.
   SimDuration cull_missed(SimTime t, std::vector<Task>& culled);
@@ -116,47 +96,24 @@ class Batch {
   /// Requires a non-empty set.
   [[nodiscard]] SimDuration min_slack(SimTime t) const;
 
-  /// Total processing demand of the set (used by ablation benches).
-  [[nodiscard]] SimDuration total_processing() const;
-
   /// Empties the set and restarts the arrival numbering; capacity is kept.
   void clear();
   /// clear(), and keep `order` from now on.
   void reset(TaskOrder order);
 
-  /// Bytes of heap capacity the set holds (tasks, columns, scratch).
+  /// Bytes of heap capacity the set holds (tasks, arrival numbers, scratch).
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
-  [[nodiscard]] std::int64_t key_at(std::size_t i) const;
-  /// Applies `f` to the task vector and to every column.
-  template <typename F>
-  void each_column(F f) {
-    f(tasks_);
-    f(deadline_);
-    f(processing_);
-    f(earliest_start_);
-    f(affinity_);
-    f(width_);
-    f(sequence_);
-  }
-  /// Writes `task` with arrival number `seq` into position i.
-  void put(std::size_t i, const Task& task, std::uint64_t seq);
   /// Moves positions [first, last) to [dest, dest + last - first), one
-  /// block move per column.
+  /// block move per array.
   void shift(std::size_t first, std::size_t last, std::size_t dest);
-  /// Sets size() to n. Only the task vector is resized; the other columns
-  /// grow to the largest size seen and keep their length.
+  /// Sets size() to n.
   void resize(std::size_t n);
 
   TaskOrder order_;
-  std::vector<Task> tasks_;  ///< size() is its size
-  std::vector<std::int64_t> deadline_;
-  std::vector<std::int64_t> processing_;
-  std::vector<std::int64_t> earliest_start_;
-  std::vector<std::uint64_t> affinity_;
-  std::vector<std::uint32_t> width_;
-  std::vector<std::uint64_t> sequence_;
+  std::vector<Task> tasks_;
+  std::vector<std::uint64_t> sequence_;  ///< arrival number of tasks_[i]
   std::uint64_t next_sequence_{0};
   std::size_t gangs_{0};  ///< pending tasks with width > 1
   /// merge_arrivals' scratch: the group's (key, arrival index) pairs, one

@@ -5,7 +5,8 @@
 // communication cost c_ij toward each processor P_j. In the paper's
 // cut-through (wormhole) cost model c_ij is 0 when T_i has affinity with P_j
 // (its referenced data lives in P_j's local memory) and a constant C
-// otherwise; affinity is therefore represented as a per-task processor set.
+// otherwise; affinity is therefore represented as a per-task processor set,
+// and machine::Interconnect prices c_ij from it.
 #pragma once
 
 #include <cstdint>
@@ -63,17 +64,6 @@ class AffinitySet {
   }
   [[nodiscard]] std::uint64_t raw() const { return bits_; }
 
-  [[nodiscard]] AffinitySet intersect(AffinitySet o) const {
-    AffinitySet s;
-    s.bits_ = bits_ & o.bits_;
-    return s;
-  }
-  [[nodiscard]] AffinitySet unite(AffinitySet o) const {
-    AffinitySet s;
-    s.bits_ = bits_ | o.bits_;
-    return s;
-  }
-
   /// Worker ids in ascending order.
   [[nodiscard]] std::vector<ProcessorId> to_vector() const;
 
@@ -124,19 +114,6 @@ struct Task {
   /// The demand a worker actually executes.
   [[nodiscard]] SimDuration effective_processing() const {
     return actual_processing.is_zero() ? processing : actual_processing;
-  }
-
-  /// Communication cost c_ij for executing on worker p, given the machine's
-  /// constant cut-through cost C.
-  [[nodiscard]] SimDuration comm_cost(ProcessorId p,
-                                      SimDuration constant_c) const {
-    return affinity.contains(p) ? SimDuration::zero() : constant_c;
-  }
-
-  /// Total execution cost p_i + c_ij on worker p.
-  [[nodiscard]] SimDuration execution_cost(ProcessorId p,
-                                           SimDuration constant_c) const {
-    return processing + comm_cost(p, constant_c);
   }
 
   /// Slack at time t: the maximum delay before execution must start for

@@ -360,7 +360,7 @@ TEST(SteadyStateAllocTest, PhaseSequencesAllocateOnlyTheirSchedules) {
 }
 
 TEST(SteadyStateAllocTest, PendingSetUpkeepAllocatesNothing) {
-  // The warm-up pass grows the set's columns and its merge scratch to the
+  // The warm-up pass grows the set's two arrays and its merge scratch to the
   // sequence's peak; the counted pass then merges bursts and trickles at
   // their rank, culls, retires and keeps refused tasks pending without one
   // allocation, in every order a search keeps.

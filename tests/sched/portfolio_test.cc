@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -168,6 +169,28 @@ TEST(PartitionTest, LptLetsTheLongTaskSurviveTightCapacity) {
   const auto edf = schedule_with(PartitionSort::kDeadline);
   ASSERT_EQ(edf.schedule.size(), 1u);
   EXPECT_EQ(batch[edf.schedule.front().task_index].id, 0u);
+
+  // A start-time constraint moves the slack and density keys. T1 may not
+  // start before 5ms: its slack at the 1ms delivery is 9 - 5 - 3 = 1ms
+  // (5ms if the constraint were ignored) against T0's 10 - 1 - 5.5 =
+  // 3.5ms, and its density 3 / (9 - 5) = 0.75 (3/8 ignoring it) against
+  // T0's 5.5 / 9. Either task packed first leaves no room for the other,
+  // so min-slack, density and EDF keep T1, and LPT keeps T0.
+  batch.clear();
+  batch.push_back(make_task(0, usec(5500), SimTime::zero() + msec(10),
+                            AffinitySet::all(1)));
+  batch.push_back(
+      make_task(1, msec(3), SimTime::zero() + msec(9), AffinitySet::all(1)));
+  batch[1].earliest_start = SimTime::zero() + msec(5);
+  for (const auto& [sort, kept] :
+       {std::pair{PartitionSort::kMinSlack, 1u},
+        std::pair{PartitionSort::kDensity, 1u},
+        std::pair{PartitionSort::kDeadline, 1u},
+        std::pair{PartitionSort::kLpt, 0u}}) {
+    const auto r = schedule_with(sort);
+    ASSERT_EQ(r.schedule.size(), 1u) << int(sort);
+    EXPECT_EQ(batch[r.schedule.front().task_index].id, kept) << int(sort);
+  }
 }
 
 TEST(PartitionTest, HonorsAffinityUnderExpensiveComm) {

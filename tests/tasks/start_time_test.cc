@@ -42,16 +42,18 @@ TEST(StartTimeSearchTest, FeasibilityAccountsForIdleGap) {
   search::PartialSchedule ps(&set, {SimDuration::zero()},
                              SimTime::zero() + msec(1), &net);
   EXPECT_FALSE(ps.evaluate(0, 0).has_value());
+  // The bulk lower bound sees the gap too: no worker can take the task.
+  EXPECT_TRUE(ps.task_unplaceable(0, ps.min_ce()));
 
   // Relax the constraint to 7ms: 7 + 3 = 10 <= 10, feasible, and the
-  // start/end offsets reflect the idle gap from the 1ms delivery. Task
-  // parameters are snapshotted when the PartialSchedule is built (the
-  // search hot path precomputes per-task constants), so evaluate through a
-  // fresh schedule.
+  // start/end offsets reflect the idle gap from the 1ms delivery. The set
+  // holds its own copy of the tasks, so evaluate through a fresh set and
+  // schedule.
   batch[0].earliest_start = SimTime::zero() + msec(7);
   const tasks::Batch relaxed_set(batch);
   search::PartialSchedule relaxed(&relaxed_set, {SimDuration::zero()},
                                   SimTime::zero() + msec(1), &net);
+  EXPECT_FALSE(relaxed.task_unplaceable(0, relaxed.min_ce()));
   const auto a = relaxed.evaluate(0, 0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->start_offset, msec(6));  // idles 6ms past delivery

@@ -56,20 +56,6 @@ TEST(AffinitySetTest, BoundsChecked) {
   EXPECT_THROW(AffinitySet::all(65), InvalidArgument);
 }
 
-TEST(AffinitySetTest, SetOperations) {
-  AffinitySet a;
-  a.add(1);
-  a.add(2);
-  AffinitySet b;
-  b.add(2);
-  b.add(3);
-  const AffinitySet inter = a.intersect(b);
-  EXPECT_EQ(inter.count(), 1u);
-  EXPECT_TRUE(inter.contains(2));
-  const AffinitySet uni = a.unite(b);
-  EXPECT_EQ(uni.count(), 3u);
-}
-
 TEST(AffinitySetTest, ToVectorAscending) {
   AffinitySet s;
   s.add(9);
@@ -80,17 +66,6 @@ TEST(AffinitySetTest, ToVectorAscending) {
   EXPECT_EQ(v[0], 0u);
   EXPECT_EQ(v[1], 9u);
   EXPECT_EQ(v[2], 42u);
-}
-
-TEST(TaskTest, CommAndExecutionCost) {
-  Task t;
-  t.processing = msec(4);
-  t.affinity.add(1);
-  const SimDuration c = msec(2);
-  EXPECT_EQ(t.comm_cost(1, c), SimDuration::zero());
-  EXPECT_EQ(t.comm_cost(0, c), msec(2));
-  EXPECT_EQ(t.execution_cost(1, c), msec(4));
-  EXPECT_EQ(t.execution_cost(0, c), msec(6));
 }
 
 TEST(TaskTest, SlackComputation) {
