@@ -101,10 +101,21 @@ std::vector<Cell> make_cells() {
                        [](SearchConfig& c) {
                          c.task_order = TaskOrder::kMinSlack;
                        }));
-  // D-COLS shape: sequence-oriented round-robin.
+  // D-COLS shape: sequence-oriented round-robin, with the cost function
+  // of the SearchConfig default.
   cells.push_back(cell("n1000_m10_dfs_seq", 1000, 10, true,
                        [](SearchConfig& c) {
                          c.representation = Representation::kSequenceOriented;
+                       }));
+  // D-COLS as the registry builds it: sequence-oriented, EDF, round robin
+  // and no cost function, so its successor groups are already in order.
+  cells.push_back(cell("n1000_m10_dfs_seq_d_cols", 1000, 10, true,
+                       [](SearchConfig& c) {
+                         c.representation = Representation::kSequenceOriented;
+                         c.task_order = TaskOrder::kEarliestDeadline;
+                         c.use_load_balance_cost = false;
+                         c.level_processor_order =
+                             search::LevelProcessorOrder::kRoundRobin;
                        }));
   return cells;
 }

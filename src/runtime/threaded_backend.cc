@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/log.h"
 
 namespace rtds::runtime {
 
@@ -144,16 +143,9 @@ sched::DeliveryResult ThreadedBackend::deliver(
     plan.task.actual_processing = SimDuration::zero();
   }
   cluster_.deliver(planned_, now());
+  // Refused assignments are readmitted by the pipeline and counted in
+  // PhaseRecord::overflow_drops and RunMetrics::overflow_drops.
   out.accepted = planned_.size();
-  if (!out.undelivered.empty()) {
-    // One aggregated warning per phase, not one per dropped task.
-    RTDS_WARN << "mailbox overflow: " << out.undelivered.size() << " of "
-              << schedule.size() << " assignments refused this phase "
-              << "(capacity " << config_.mailbox_capacity << ", "
-              << config_.delivery_retries << " retries of "
-              << config_.delivery_backoff.us
-              << "us); refused tasks are readmitted";
-  }
   return out;
 }
 

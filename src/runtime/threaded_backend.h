@@ -17,10 +17,10 @@
 // outcomes the workers judged since the last such call to the ledger.
 //
 // Overflow policy: delivery into a full mailbox is retried a few times
-// with a short bounded backoff, then refused loudly — the refusal is
-// counted, reported back to the pipeline by task identity (readmission),
-// and summarized in one warning per phase — instead of blocking the host
-// thread indefinitely behind a slow worker; see
+// with a short bounded backoff, then refused — the refusal is reported
+// back to the pipeline by task identity (readmission) and counted in
+// PhaseRecord::overflow_drops and RunMetrics::overflow_drops — instead of
+// blocking the host thread indefinitely behind a slow worker; see
 // RuntimeConfig::mailbox_capacity / delivery_retries / delivery_backoff.
 #pragma once
 

@@ -1,8 +1,10 @@
 #include "sched/ledger.h"
 
+#include <bit>
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -23,9 +25,16 @@ const char* to_string(TaskState state) {
   return "unknown";
 }
 
+namespace {
+
+/// The table starts at this many slots on its first arrival.
+constexpr std::size_t kMinSlots = 16;
+
+}  // namespace
+
 void TaskLedger::arrive(tasks::TaskId id) {
   RTDS_CHECK_MSG(insert_seen(id), "TaskLedger: task arrived twice");
-  states_.emplace(id, Entry{});
+  insert(id);
   ++counts_.total;
   ++counts_.in_flight;
 }
@@ -100,50 +109,116 @@ void TaskLedger::check_conserved() const {
 }
 
 void TaskLedger::clear() {
-  states_.clear();
+  for (Slot& slot : slots_) slot.live = false;
+  size_ = 0;
   seen_.clear();
   counts_ = LedgerCounts{};
 }
 
-TaskLedger::States::iterator TaskLedger::expect(tasks::TaskId id,
-                                                TaskState from, TaskState to) {
-  const auto it = states_.find(id);
-  if (it == states_.end() || it->second.state != from) {
+std::size_t TaskLedger::home_slot(tasks::TaskId id, std::size_t capacity) {
+  // Fibonacci hashing: the top bits of the product spread ids that differ
+  // only in high bits, or arrive consecutively, over the whole table; the
+  // low bits of the id alone would put every in-flight id in one run.
+  const auto bits = static_cast<unsigned>(std::countr_zero(capacity));
+  if (bits == 0) return 0;
+  return static_cast<std::size_t>(
+      (std::uint64_t{id} * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+}
+
+std::size_t TaskLedger::find(tasks::TaskId id) const {
+  const std::size_t capacity = slots_.size();
+  if (capacity == 0) return 0;
+  const std::size_t mask = capacity - 1;
+  for (std::size_t i = home_slot(id, capacity);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (!slot.live) return capacity;
+    if (slot.id == id) return i;
+  }
+}
+
+void TaskLedger::insert(tasks::TaskId id) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    const std::vector<Slot> old = std::exchange(
+        slots_, std::vector<Slot>(std::max(kMinSlots, 2 * slots_.size())));
+    for (const Slot& slot : old) {
+      if (slot.live) place(slot);
+    }
+  }
+  place(Slot{id, 0, TaskState::kArrived, true});
+  ++size_;
+}
+
+void TaskLedger::place(const Slot& slot) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_slot(slot.id, slots_.size());
+  while (slots_[i].live) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
+void TaskLedger::erase(std::size_t i) {
+  const std::size_t mask = slots_.size() - 1;
+  // Backward shift: an entry later in the run moves into the hole unless
+  // its home lies cyclically after the hole, where a probe for it would
+  // never look back.
+  for (std::size_t j = (i + 1) & mask; slots_[j].live; j = (j + 1) & mask) {
+    const std::size_t home = home_slot(slots_[j].id, slots_.size());
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i].live = false;
+  --size_;
+}
+
+TaskLedger::Slot& TaskLedger::expect(tasks::TaskId id, TaskState from,
+                                     TaskState to) {
+  const std::size_t i = find(id);
+  if (i == slots_.size() || slots_[i].state != from) {
     std::ostringstream os;
     os << "TaskLedger: task " << id << " is ";
-    if (it != states_.end()) {
-      os << to_string(it->second.state);
+    if (i != slots_.size()) {
+      os << to_string(slots_[i].state);
     } else {
       os << (known(id) ? "retired" : "unknown");
     }
     os << ", cannot move " << to_string(from) << " -> " << to_string(to);
     RTDS_CHECK_MSG(false, os.str());
   }
-  return it;
+  return slots_[i];
 }
 
-TaskLedger::Entry& TaskLedger::transition(tasks::TaskId id, TaskState from,
-                                          TaskState to) {
-  Entry& e = expect(id, from, to)->second;
-  e.state = to;
-  return e;
+TaskLedger::Slot& TaskLedger::transition(tasks::TaskId id, TaskState from,
+                                         TaskState to) {
+  Slot& slot = expect(id, from, to);
+  slot.state = to;
+  return slot;
 }
 
-const TaskLedger::Entry& TaskLedger::entry(tasks::TaskId id) const {
-  const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(),
+const TaskLedger::Slot& TaskLedger::entry(tasks::TaskId id) const {
+  const std::size_t i = find(id);
+  RTDS_CHECK_MSG(i != slots_.size(),
                  known(id) ? "TaskLedger: task already retired"
                            : "TaskLedger: unknown task id");
-  return it->second;
+  return slots_[i];
 }
 
 void TaskLedger::retire(tasks::TaskId id, TaskState from, TaskState to) {
-  states_.erase(expect(id, from, to));
+  erase(static_cast<std::size_t>(&expect(id, from, to) - slots_.data()));
   --counts_.in_flight;
 }
 
 bool TaskLedger::insert_seen(tasks::TaskId id) {
   constexpr tasks::TaskId kMax = std::numeric_limits<tasks::TaskId>::max();
+  // Every built-in source numbers its tasks consecutively, so the id
+  // usually extends the last range, which no range follows.
+  if (!seen_.empty()) {
+    const auto last = std::prev(seen_.end());
+    if (last->second != kMax && last->second + 1 == id) {
+      last->second = id;
+      return true;
+    }
+  }
   // The first range starting above id, and the one before it (if any),
   // which is the only range that can contain id or end just below it.
   const auto next = seen_.upper_bound(id);

@@ -34,9 +34,13 @@
 //
 // Memory is O(tasks in flight), so a streaming service can run without
 // end: a task's entry is erased on its terminal transition, and only the
-// counters remember it. The ids seen so far are kept as disjoint ranges,
-// so a repeated id is still caught after the first copy retired, at O(1)
-// memory while ids arrive consecutively.
+// counters remember it. The entries live in one flat open-addressing table
+// (linear probing, a multiplicative hash of the id, backward-shift
+// erasure) whose power-of-two capacity grows with the peak number of
+// tasks in flight and never shrinks, so once grown an arrival allocates
+// nothing and a terminal transition frees nothing. The ids seen so far
+// are kept as disjoint ranges, so a repeated id is still caught after the
+// first copy retired, at O(1) memory while ids arrive consecutively.
 //
 // The ledger is host-thread-only: backends with worker threads buffer
 // outcomes internally and flush them on the host thread (see
@@ -46,7 +50,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "tasks/task.h"
 
@@ -127,7 +131,14 @@ class TaskLedger {
   [[nodiscard]] std::uint32_t refusals(tasks::TaskId id) const;
   [[nodiscard]] const LedgerCounts& counts() const { return counts_; }
   /// Entries held: the tasks in flight (terminal tasks leave the ledger).
-  [[nodiscard]] std::size_t size() const { return states_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Slots of the entry table: 0 before the first arrival, then a power of
+  /// two at least twice size(), grown to the peak of tasks in flight.
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// The slot where a table of `capacity` slots (a power of two) starts
+  /// looking for `id`; ids that share one collide.
+  [[nodiscard]] static std::size_t home_slot(tasks::TaskId id,
+                                             std::size_t capacity);
   /// Disjoint id ranges the seen ids occupy: 1 while ids arrive
   /// consecutively, whatever their number.
   [[nodiscard]] std::size_t seen_ranges() const { return seen_.size(); }
@@ -135,28 +146,42 @@ class TaskLedger {
   /// Throws InvariantViolation unless counts().conserved().
   void check_conserved() const;
 
-  /// Forgets every entry, counter and seen id.
+  /// Forgets every entry, counter and seen id; the table keeps its slots.
   void clear();
 
  private:
-  struct Entry {
-    TaskState state{TaskState::kArrived};
+  /// One slot of the entry table; `live` is false in a free slot.
+  struct Slot {
+    tasks::TaskId id{0};
     std::uint32_t refusals{0};
+    TaskState state{TaskState::kArrived};
+    bool live{false};
   };
-  using States = std::unordered_map<tasks::TaskId, Entry>;
 
-  /// The entry of `id`, which must be in state `from` (about to become
+  /// Index of the slot holding `id`, or capacity() when it holds none.
+  [[nodiscard]] std::size_t find(tasks::TaskId id) const;
+  /// Stores a new entry for `id`, which holds none, growing the table to
+  /// keep it at most half full.
+  void insert(tasks::TaskId id);
+  /// Stores `slot` in the first free slot of its probe run.
+  void place(const Slot& slot);
+  /// Frees slot `i`, moving later entries of its probe run back so every
+  /// entry stays reachable from its home slot.
+  void erase(std::size_t i);
+  /// The slot of `id`, which must be in state `from` (about to become
   /// `to`); throws InvariantViolation otherwise.
-  States::iterator expect(tasks::TaskId id, TaskState from, TaskState to);
-  Entry& transition(tasks::TaskId id, TaskState from, TaskState to);
-  /// The entry of an in-flight id; throws for a retired or unknown one.
-  const Entry& entry(tasks::TaskId id) const;
+  Slot& expect(tasks::TaskId id, TaskState from, TaskState to);
+  Slot& transition(tasks::TaskId id, TaskState from, TaskState to);
+  /// The slot of an in-flight id; throws for a retired or unknown one.
+  const Slot& entry(tasks::TaskId id) const;
   /// Terminal transition: the entry is erased, the counters remember it.
   void retire(tasks::TaskId id, TaskState from, TaskState to);
   /// Records `id` as seen; false if it already was.
   bool insert_seen(tasks::TaskId id);
 
-  States states_;
+  /// Open-addressing table of the in-flight entries (see header comment).
+  std::vector<Slot> slots_;
+  std::size_t size_{0};
   /// Seen ids as disjoint, non-adjacent inclusive ranges: first → last.
   std::map<tasks::TaskId, tasks::TaskId> seen_;
   LedgerCounts counts_;

@@ -22,7 +22,8 @@ namespace {
 /// significant component is the branch index or worker id, unique per
 /// candidate), so any comparison sort produces the historical stable_sort
 /// permutation. The successor's Assignment is built only if the search
-/// enters it (SearchEngine::run's switch_to).
+/// enters it (SearchEngine::run's switch_to). A depth-first D-COLS group
+/// builds none (expand_vertex).
 struct Candidate {
   std::int64_t key1{0};
   std::int64_t key2{0};
@@ -35,13 +36,22 @@ struct Candidate {
   }
 };
 
+/// A successor in a depth-first group: the (task, worker) pair it adds to
+/// its group's parent path. It becomes an arena Node only if the search
+/// enters it.
+struct Member {
+  std::uint32_t task{0};
+  ProcessorId worker{0};
+};
+
 /// Stable in-place insertion sort; O(k) on the nearly-sorted groups the
 /// heuristics produce, and no temp-buffer allocation (std::stable_sort
 /// allocates one per call in libstdc++). Larger groups go to std::sort
 /// unless they are already in key order, as every sequence-oriented group
-/// without the cost function is (its key is the branch index) — safe
-/// because candidate keys are strictly totally ordered within a group, so
-/// every comparison sort yields the same permutation.
+/// without the cost function is (its key is the branch index; only
+/// best-first builds Candidates for it) — safe because candidate keys are
+/// strictly totally ordered within a group, so every comparison sort
+/// yields the same permutation.
 inline void sort_candidates(std::vector<Candidate>& c) {
   if (c.size() > 48) {
     if (!std::is_sorted(c.begin(), c.end())) std::sort(c.begin(), c.end());
@@ -94,7 +104,11 @@ inline Candidate make_candidate(const SearchConfig& config,
 }
 
 /// One expansion of the vertex `ps` currently ends at. Fills `out` with the
-/// sorted feasible successors. `level_order` is caller-owned scratch
+/// sorted feasible successors, except where the group is D-COLS's:
+/// sequence-oriented without the cost function, its key is the branch
+/// index, so the successors come in priority order. A depth-first search
+/// then appends them to `members` as (task, worker) pairs, builds no
+/// Candidate and leaves `out` empty. `level_order` is caller-owned scratch
 /// (reused across calls).
 ///
 /// This is the exact budget-interleaved successor generation: every
@@ -114,6 +128,7 @@ inline Candidate make_candidate(const SearchConfig& config,
 inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
                           std::uint32_t m, std::uint64_t& budget_left,
                           SearchStats& stats, std::vector<Candidate>& out,
+                          std::vector<Member>& members,
                           std::vector<ProcessorId>& level_order) {
   ++stats.expansions;
   out.clear();
@@ -196,6 +211,9 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
         config.skip_saturated_processors ? m : 1;
     const bool batchable =
         config.max_successors == 0 && ps.tasks_mask_eligible();
+    const bool direct = config.strategy == SearchStrategy::kDepthFirst &&
+                        !config.use_load_balance_cost;
+    std::size_t found = 0;  // successors in the group so far
     const std::vector<std::uint64_t>& words = ps.unassigned_words();
     for (std::uint32_t rot = 0; rot < max_rotations; ++rot) {
       const ProcessorId worker = level_order[rot];
@@ -215,10 +233,21 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
           // in place. The word is charged whole and no cap applies, so
           // accounting matches the interleaved loop exactly; the set bit
           // at lane b carries branch index branch + (set bits below b),
-          // exactly what the scalar loop would have assigned it.
+          // exactly what the scalar loop would have assigned it. A direct
+          // group takes the bits in that order and leaves none for the
+          // Candidate loop.
           budget_left -= count;
           stats.vertices_generated += count;
           std::uint64_t feasible = ps.feasible_tasks_mask(worker, w);
+          found += static_cast<std::size_t>(std::popcount(feasible));
+          if (direct) {
+            for (; feasible != 0; feasible &= feasible - 1) {
+              members.push_back(Member{
+                  static_cast<std::uint32_t>(
+                      (w << 6) + std::uint32_t(std::countr_zero(feasible))),
+                  worker});
+            }
+          }
           while (feasible != 0) {
             const auto b =
                 static_cast<std::uint32_t>(std::countr_zero(feasible));
@@ -251,9 +280,14 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
           --budget_left;
           ++stats.vertices_generated;
           if (ps.evaluate_fast(i, worker, a)) {
-            out.push_back(make_candidate(config, ps, i, worker, a, branch));
+            if (direct) {
+              members.push_back(Member{i, worker});
+            } else {
+              out.push_back(make_candidate(config, ps, i, worker, a, branch));
+            }
+            ++found;
             if (config.max_successors != 0 &&
-                out.size() >= config.max_successors) {
+                found >= config.max_successors) {
               stop = true;
               break;
             }
@@ -261,17 +295,18 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
           ++branch;
         }
       }
-      if (!out.empty() || stats.budget_exhausted) break;
+      if (found != 0 || stats.budget_exhausted) break;
     }
   }
 
   sort_candidates(out);
 }
 
-/// A generated vertex kept in the search arena: the (task, worker) pair it
-/// adds to its parent's path, not its Assignment, which switch_to evaluates
-/// when the search enters the vertex. 32-bit fields serve every batch up to
-/// kMaxBatchTasks.
+/// A vertex kept in the search arena: the (task, worker) pair it adds to
+/// its parent's path, not its Assignment, which switch_to evaluates when
+/// the search enters the vertex. Depth-first makes one only for a vertex
+/// it enters; best-first, for every successor it generates, since its heap
+/// holds arena ids. 32-bit fields serve every batch up to kMaxBatchTasks.
 struct Node {
   std::int32_t parent{-1};  ///< arena index, or -1 for children of the root
   std::uint32_t depth{0};   ///< number of assignments on the path to here
@@ -280,12 +315,16 @@ struct Node {
 };
 
 static_assert(sizeof(Node) == 16);
+static_assert(sizeof(Member) == 8);
 
 /// Bound on the workspace a thread keeps between runs: a million-task run
 /// can legitimately grow the arena and the candidate list to hundreds of
 /// MB each, which must not stay captive on a long-lived backend thread once
 /// the phase is over.
 constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
+
+/// Arena node ids and group member indices travel as 32-bit values.
+constexpr std::size_t kMaxIndex = std::size_t{1} << 31;
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
 /// a million-node run does not copy its nodes while it grows, and clear()
@@ -298,20 +337,18 @@ class NodeArena {
   [[nodiscard]] std::size_t size() const { return size_; }
   void clear() { size_ = 0; }
 
-  Node& emplace_back() {
-    // Arena indices travel as int32 (node ids, CL entries).
-    RTDS_REQUIRE(size_ < (std::size_t{1} << 31),
-                 "SearchEngine: node arena above 2^31 nodes");
+  /// Appends a node and returns its id.
+  std::int32_t add(std::int32_t parent, std::uint32_t depth,
+                   std::uint32_t task, ProcessorId worker) {
+    RTDS_REQUIRE(size_ < kMaxIndex, "SearchEngine: node arena above 2^31 nodes");
     const std::size_t c = size_ >> kChunkShift;
     if (c == chunks_.size()) {
       chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
     }
-    return chunks_[c][size_++ & (kChunkNodes - 1)];
+    chunks_[c][size_ & (kChunkNodes - 1)] = Node{parent, depth, task, worker};
+    return static_cast<std::int32_t>(size_++);
   }
 
-  [[nodiscard]] Node& operator[](std::size_t i) {
-    return chunks_[i >> kChunkShift][i & (kChunkNodes - 1)];
-  }
   [[nodiscard]] const Node& operator[](std::size_t i) const {
     return chunks_[i >> kChunkShift][i & (kChunkNodes - 1)];
   }
@@ -325,12 +362,72 @@ class NodeArena {
   std::size_t size_{0};
 };
 
-/// The candidate list CL over caller-owned storage. Depth-first consumes it
-/// as a stack of node ids (successor groups are pushed best-on-top, Sec.
-/// 4.1); best-first is a 4-ary min-heap on (k1, k2, k3, seq) — seq makes
-/// the order strictly total, so the pop sequence is independent of heap
-/// shape and identical to the historical std::push_heap/pop_heap binary
-/// heap (FIFO among key-equal entries).
+/// The depth-first candidate list CL over caller-owned storage: a stack of
+/// successor groups, one per expansion that found any (Sec. 4.1 adds a
+/// sorted group to the FRONT of CL). A group is its parent vertex, its
+/// members' depth and its members in priority order. All groups share one
+/// member array, of which the top group's members are the tail, and `next`
+/// is the first member not yet entered. A group leaves the stack with its
+/// last member, so each group on it has one left.
+class GroupStack {
+ public:
+  struct Group {
+    std::int32_t parent;  ///< arena index of the expanded vertex, -1 the root
+    std::uint32_t depth;  ///< depth of its members
+    std::uint32_t begin;  ///< its first member
+    std::uint32_t next;   ///< its next member to enter
+  };
+  static_assert(sizeof(Group) == 16);
+
+  /// The top group's next member, with the group's parent and depth.
+  struct Entry {
+    Member member;
+    std::int32_t parent;
+    std::uint32_t depth;
+  };
+
+  GroupStack(std::vector<Group>& groups, std::vector<Member>& members)
+      : groups_(groups), members_(members) {
+    groups_.clear();
+    members_.clear();
+  }
+
+  [[nodiscard]] bool empty() const { return groups_.empty(); }
+
+  /// Makes the members appended since `begin` the top group; an expansion
+  /// that appended none pushes nothing.
+  void push(std::int32_t parent, std::uint32_t depth, std::size_t begin) {
+    if (members_.size() == begin) return;
+    RTDS_REQUIRE(members_.size() <= kMaxIndex,
+                 "SearchEngine: successor groups above 2^31 members");
+    const auto first = static_cast<std::uint32_t>(begin);
+    groups_.push_back(Group{parent, depth, first, first});
+  }
+
+  /// Takes the top group's next member: the best successor of the latest
+  /// expansion that has one left.
+  Entry pop() {
+    RTDS_ASSERT(!empty());
+    Group& top = groups_.back();
+    RTDS_ASSERT(top.next < members_.size());
+    const Entry e{members_[top.next], top.parent, top.depth};
+    if (++top.next == members_.size()) {
+      members_.resize(top.begin);
+      groups_.pop_back();
+    }
+    return e;
+  }
+
+ private:
+  std::vector<Group>& groups_;
+  std::vector<Member>& members_;
+};
+
+/// The best-first candidate list CL over caller-owned storage: a 4-ary
+/// min-heap of arena nodes on (k1, k2, k3, seq) — seq makes the order
+/// strictly total, so the pop sequence is independent of heap shape and
+/// identical to the historical std::push_heap/pop_heap binary heap (FIFO
+/// among key-equal entries).
 class CandidateList {
  public:
   struct Entry {
@@ -342,37 +439,19 @@ class CandidateList {
   };
   static_assert(sizeof(Entry) == 32);
 
-  CandidateList(SearchStrategy strategy, std::vector<std::int32_t>& stack,
-                std::vector<Entry>& heap)
-      : best_first_(strategy == SearchStrategy::kBestFirst),
-        stack_(stack),
-        heap_(heap) {
-    stack_.clear();
+  explicit CandidateList(std::vector<Entry>& heap) : heap_(heap) {
     heap_.clear();
   }
 
-  [[nodiscard]] bool empty() const {
-    return best_first_ ? heap_.empty() : stack_.empty();
-  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// Depth-first callers must push a successor group in reverse priority
-  /// order (worst first) so the best ends on top.
   void push(const Candidate& c, std::int32_t node) {
-    if (!best_first_) {
-      stack_.push_back(node);
-      return;
-    }
     heap_.push_back(Entry{c.key1, c.key2, c.key3, node, seq_++});
     sift_up(heap_.size() - 1);
   }
 
   std::int32_t pop() {
     RTDS_ASSERT(!empty());
-    if (!best_first_) {
-      const std::int32_t node = stack_.back();
-      stack_.pop_back();
-      return node;
-    }
     const std::int32_t node = heap_.front().node;
     heap_.front() = heap_.back();
     heap_.pop_back();
@@ -415,9 +494,7 @@ class CandidateList {
     heap_[i] = e;
   }
 
-  bool best_first_;
   std::uint64_t seq_{0};
-  std::vector<std::int32_t>& stack_;
   std::vector<Entry>& heap_;
 };
 
@@ -434,7 +511,8 @@ struct Workspace {
   tasks::Batch adapter;
   NodeArena nodes;
   std::vector<Candidate> candidates;
-  std::vector<std::int32_t> cl_stack;
+  std::vector<GroupStack::Group> cl_groups;
+  std::vector<Member> cl_members;
   std::vector<CandidateList::Entry> cl_heap;
   std::vector<tasks::ProcessorId> level_order;
   std::vector<std::int32_t> chain;
@@ -452,8 +530,8 @@ std::size_t workspace_bytes(const Workspace& ws) {
   return ws.nodes.capacity_bytes() +
          (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
          ws.adapter.footprint_bytes() + bytes(ws.candidates) +
-         bytes(ws.cl_stack) + bytes(ws.cl_heap) + bytes(ws.level_order) +
-         bytes(ws.chain);
+         bytes(ws.cl_groups) + bytes(ws.cl_members) + bytes(ws.cl_heap) +
+         bytes(ws.level_order) + bytes(ws.chain);
 }
 
 /// Records the run's workspace in the thread's peak and releases all of it
@@ -485,7 +563,9 @@ void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
 
   NodeArena& arena = ws.nodes;
   arena.clear();
-  CandidateList cl(config.strategy, ws.cl_stack, ws.cl_heap);
+  const bool depth_first = config.strategy == SearchStrategy::kDepthFirst;
+  GroupStack groups(ws.cl_groups, ws.cl_members);
+  CandidateList heap(ws.cl_heap);
 
   SearchStats& stats = result.stats;
   std::uint64_t budget_left = vertex_budget;
@@ -499,24 +579,40 @@ void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
     return id < 0 ? 0u : arena[std::size_t(id)].depth;
   };
 
-  // Expands the current vertex (expand_vertex above): charges the budget,
-  // collects sorted feasible successors, then registers them in the arena
-  // and pushes them onto CL best-on-top.
+  // Expands the current vertex (expand_vertex above): charges the budget
+  // and collects its feasible successors in priority order. Depth-first
+  // pushes them onto CL as one group; best-first registers each in the
+  // arena and pushes it onto the heap, worst first.
   std::vector<Candidate>& candidates = ws.candidates;
+  std::vector<Member>& members = ws.cl_members;
   const auto expand_current = [&] {
-    expand_vertex(config, ps, m, budget_left, stats, candidates,
+    const std::size_t begin = members.size();
+    expand_vertex(config, ps, m, budget_left, stats, candidates, members,
                   ws.level_order);
-    // Push worst-first so the best candidate ends on top of the stack
-    // (front of CL).
     const std::uint32_t depth = ps.depth() + 1;
-    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      Node& node = arena.emplace_back();
-      node.parent = current;
-      node.depth = depth;
-      node.task = it->task;
-      node.worker = it->worker;
-      cl.push(*it, static_cast<std::int32_t>(arena.size() - 1));
+    if (depth_first) {
+      for (const Candidate& c : candidates) {
+        members.push_back(Member{c.task, c.worker});
+      }
+      groups.push(current, depth, begin);
+      return;
     }
+    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+      heap.push(*it, arena.add(current, depth, it->task, it->worker));
+    }
+  };
+
+  // Takes the first vertex of CL, counting a backtrack when it is not a
+  // child of the current vertex; depth-first gives it its arena node here.
+  const auto pop_next = [&]() -> std::int32_t {
+    if (!depth_first) {
+      const std::int32_t node = heap.pop();
+      if (arena[std::size_t(node)].parent != current) ++stats.backtracks;
+      return node;
+    }
+    const GroupStack::Entry e = groups.pop();
+    if (e.parent != current) ++stats.backtracks;
+    return arena.add(e.parent, e.depth, e.member.task, e.member.worker);
   };
 
   // Switches CPS from `current` to arena vertex `target` (-1: the root) via
@@ -559,13 +655,11 @@ void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
       break;
     }
     expand_current();
-    if (cl.empty()) {
+    if (depth_first ? groups.empty() : heap.empty()) {
       if (!ps.complete()) stats.dead_end = true;
       break;
     }
-    const std::int32_t next = cl.pop();
-    if (arena[std::size_t(next)].parent != current) ++stats.backtracks;
-    switch_to(next);
+    switch_to(pop_next());
 
     if (ps.depth() > stats.max_depth) stats.max_depth = ps.depth();
     const bool deeper = ps.depth() > best_depth;

@@ -3,12 +3,16 @@
 // Schedule construction is an incremental depth-first search in the
 // task-space tree G. Vertices are task-to-processor assignments; a path from
 // the root is a feasible partial schedule. The engine maintains:
-//   * an arena of generated vertices, each stored as the (task, worker) pair
-//     it adds to its parent's path (parent links give paths);
 //   * the candidate list CL: feasible successors are sorted by
 //     heuristic/cost value and added to the FRONT of CL; each iteration
 //     removes the first vertex of CL and expands it (LIFO => depth-first,
-//     with sorted-group insertion exactly as described in Sec. 4.1);
+//     with sorted-group insertion exactly as described in Sec. 4.1).
+//     Depth-first keeps CL as a stack of successor groups, one record per
+//     expansion with its members' (task, worker) pairs in priority order;
+//     best-first keeps a heap;
+//   * an arena of vertices, each stored as the (task, worker) pair it adds
+//     to its parent's path (parent links give paths). Depth-first adds a
+//     vertex when it enters it, best-first when it generates it;
 //   * the current partial schedule, kept in sync with the vertex being
 //     expanded via lowest-common-ancestor path switching (backtracking).
 //     Entering a vertex evaluates its pair at its parent's state, so a
@@ -145,14 +149,15 @@ struct SearchResult {
 };
 
 /// Hard structural ceiling on one phase batch, checked with InvalidArgument
-/// (it bounds the 32-bit depth and task fields of the 16-byte search node —
-/// docs/ARCHITECTURE.md, "Search hot path").
+/// (it bounds the 32-bit depth and task fields of the 16-byte arena node
+/// and the 8-byte group member — docs/ARCHITECTURE.md, "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bytes currently retained by the calling thread's search workspace: the
 /// pooled node arena, the reused PartialSchedule, the set the vector
 /// adapter builds, and every scratch buffer (candidates, the depth-first
-/// CL's id stack and the best-first CL's heap, level order, LCA chain).
+/// CL's groups and members and the best-first CL's heap, level order, LCA
+/// chain).
 /// The bound is on their sum: a run that leaves more than 64 MB releases
 /// the whole workspace, so this is at most 64 MB between runs. For the
 /// bench memory column; cheap enough to call between runs.
@@ -195,12 +200,13 @@ class SearchEngine {
   /// (docs/ARCHITECTURE.md, "The pending set").
   ///
   /// Thread-safe: per-thread scratch buffers are reused across calls — the
-  /// PartialSchedule, the candidate list, and a node arena that grows in
-  /// pooled chunks. Once they have grown to the largest set seen, a run's
-  /// only heap allocation is the returned schedule: the chosen vertex's
-  /// path, copied out at its exact length (none when it is empty). A
-  /// workspace grown past 64 MB is released whole after its run, and the
-  /// next run grows it again. Tested by
+  /// PartialSchedule, the candidate list (depth-first: its group records
+  /// and their members), and a node arena that grows in pooled chunks.
+  /// Once they have grown to the largest set seen, a run's only heap
+  /// allocation is the returned schedule: the chosen vertex's path, copied
+  /// out at its exact length (none when it is empty). A workspace grown
+  /// past 64 MB is released whole after its run, and the next run grows it
+  /// again. Tested by
   /// tests/alloc/steady_state_alloc_test.cc; docs/ARCHITECTURE.md, "Search
   /// hot path".
   ///

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace rtds::sched {
 namespace {
@@ -241,6 +248,191 @@ TEST(TaskLedgerTest, ExtremeIdsDoNotWrap) {
   EXPECT_THROW(ledger.arrive(kMax), InvariantViolation);
   EXPECT_THROW(ledger.arrive(0), InvariantViolation);
   EXPECT_FALSE(ledger.known(1));
+}
+
+/// What a transition of `id` from `from` to `to` must throw when the
+/// ledger's entry for it is not in `from`.
+std::string move_error(tasks::TaskId id, const char* now, TaskState from,
+                       TaskState to) {
+  return "TaskLedger: task " + std::to_string(id) + " is " + now +
+         ", cannot move " + to_string(from) + " -> " + to_string(to);
+}
+
+bool ends_with(const std::string& text, const std::string& tail) {
+  return text.size() >= tail.size() &&
+         text.compare(text.size() - tail.size(), tail.size(), tail) == 0;
+}
+
+TEST(TaskLedgerTest, FlatTableMatchesAMapModel) {
+  // Random transition sequences, legal and illegal, against a std::map
+  // model. The ids are not consecutive, and some are picked to collide:
+  // at every table size the run passes through, several share the last
+  // slot (their probe run wraps to slot 0) and several the first. The
+  // in-flight count rises and falls twice, so the table grows and entries
+  // are erased across its wrap.
+  Xoshiro256ss rng(0x1ED6E5ULL);
+  constexpr tasks::TaskId kMax = std::numeric_limits<tasks::TaskId>::max();
+  std::vector<tasks::TaskId> pool = {0, 1, kMax - 1, kMax};
+  std::set<tasks::TaskId> picked(pool.begin(), pool.end());
+  for (std::size_t capacity = 16; capacity <= 1024; capacity *= 2) {
+    std::size_t last = 0, first = 0;
+    while (last < 12 || first < 3) {
+      const auto id = static_cast<tasks::TaskId>(rng.next());
+      const std::size_t home = TaskLedger::home_slot(id, capacity);
+      const bool want = (home == capacity - 1 && last < 12) ||
+                        (home == 0 && first < 3);
+      if (!want || !picked.insert(id).second) continue;
+      (home == 0 ? first : last) += 1;
+      pool.push_back(id);
+    }
+  }
+  while (pool.size() < 1500) {
+    const auto id = static_cast<tasks::TaskId>(rng.next());
+    if (picked.insert(id).second) pool.push_back(id);
+  }
+  for (std::size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[rng.next() % i]);
+  }
+
+  struct Model {
+    TaskState state;
+    std::uint32_t refusals;
+  };
+  std::map<tasks::TaskId, Model> live;
+  std::set<tasks::TaskId> seen;
+  TaskLedger ledger;
+  std::size_t arrived = 0, peak_capacity = 0, wrapped = 0, wrap_erased = 0;
+  // Live ids homed at the table's last slot; two or more wrap.
+  const auto at_last_slot = [&] {
+    std::size_t n = 0;
+    for (const auto& [id, m] : live) {
+      n += TaskLedger::home_slot(id, ledger.capacity()) ==
+                   ledger.capacity() - 1
+               ? 1
+               : 0;
+    }
+    return n;
+  };
+
+  constexpr std::uint32_t kSteps = 40000;
+  for (std::uint32_t step = 0; step < kSteps; ++step) {
+    // Arrivals outpace retirements in the first and third quarters.
+    const bool filling = (step / (kSteps / 4)) % 2 == 0;
+    if (arrived < pool.size() && rng.bernoulli(filling ? 0.35 : 0.05)) {
+      const tasks::TaskId id = pool[arrived++];
+      ledger.arrive(id);
+      live[id] = Model{TaskState::kArrived, 0};
+      seen.insert(id);
+      continue;
+    }
+    // A transition of a live id (mostly) or of any pool id (illegal when
+    // the id is unknown, retired or in another state).
+    tasks::TaskId id;
+    if (!live.empty() && rng.bernoulli(0.9)) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.next() % live.size()));
+      id = it->first;
+    } else {
+      id = pool[rng.next() % pool.size()];
+    }
+    struct Move {
+      TaskState from;
+      TaskState to;
+    };
+    static constexpr Move kMoves[] = {
+        {TaskState::kArrived, TaskState::kBatched},
+        {TaskState::kBatched, TaskState::kScheduled},
+        {TaskState::kScheduled, TaskState::kDelivered},
+        {TaskState::kScheduled, TaskState::kBatched},
+        {TaskState::kBatched, TaskState::kCulled},
+        {TaskState::kScheduled, TaskState::kRejected},
+        {TaskState::kArrived, TaskState::kAdmissionRejected},
+        {TaskState::kDelivered, TaskState::kDeadlineHit},
+        {TaskState::kDelivered, TaskState::kExecMiss},
+        {TaskState::kArrived, TaskState::kArrived},  // arrive again
+    };
+    const std::size_t pick = rng.next() % std::size(kMoves);
+    const Move move = kMoves[pick];
+    const auto apply = [&] {
+      switch (pick) {
+        case 0: ledger.admit(id); break;
+        case 1: ledger.schedule(id); break;
+        case 2: ledger.deliver(id); break;
+        case 3: ledger.drop(id); break;
+        case 4: ledger.cull(id); break;
+        case 5: ledger.reject(id); break;
+        case 6: ledger.reject_admission(id); break;
+        case 7: ledger.execute(id, true); break;
+        case 8: ledger.execute(id, false); break;
+        default: ledger.arrive(id); break;
+      }
+    };
+    const auto found = live.find(id);
+    if (pick == 9) {
+      // Arriving twice throws whatever the id's state.
+      if (seen.count(id) == 0) continue;
+      try {
+        apply();
+        ADD_FAILURE() << "arrive(" << id << ") again did not throw";
+      } catch (const InvariantViolation& e) {
+        EXPECT_TRUE(ends_with(e.what(), "TaskLedger: task arrived twice"))
+            << e.what();
+      }
+      continue;
+    }
+    if (found == live.end() || found->second.state != move.from) {
+      const std::string now =
+          found != live.end() ? to_string(found->second.state)
+          : seen.count(id) != 0 ? "retired"
+                                : "unknown";
+      try {
+        apply();
+        ADD_FAILURE() << "illegal move of " << id << " did not throw";
+      } catch (const InvariantViolation& e) {
+        EXPECT_TRUE(ends_with(e.what(),
+                              move_error(id, now.c_str(), move.from, move.to)))
+            << e.what();
+      }
+      continue;
+    }
+    const bool terminal = pick >= 4 && pick <= 8;
+    const bool wraps = terminal &&
+                       TaskLedger::home_slot(id, ledger.capacity()) ==
+                           ledger.capacity() - 1 &&
+                       at_last_slot() >= 2;
+    apply();
+    if (terminal) {
+      live.erase(found);
+      wrap_erased += wraps ? 1 : 0;
+    } else {
+      found->second.state = move.to;
+      found->second.refusals += pick == 3 ? 1 : 0;
+    }
+
+    ASSERT_EQ(ledger.size(), live.size()) << "step " << step;
+    ASSERT_GE(ledger.capacity(), 2 * ledger.size());
+    peak_capacity = std::max(peak_capacity, ledger.capacity());
+    wrapped += at_last_slot() >= 2 ? 1 : 0;
+    if (step % 64 == 0) {
+      for (const auto& [live_id, m] : live) {
+        ASSERT_EQ(ledger.state(live_id), m.state) << live_id;
+        ASSERT_EQ(ledger.refusals(live_id), m.refusals) << live_id;
+      }
+      for (const tasks::TaskId other : pool) {
+        ASSERT_EQ(ledger.known(other), seen.count(other) != 0) << other;
+        if (live.count(other) == 0) {
+          EXPECT_THROW((void)ledger.state(other), InvariantViolation);
+        }
+      }
+    }
+  }
+  // The run passed through growth, wrapped probe runs and erasures inside
+  // them.
+  EXPECT_GE(peak_capacity, 512u);
+  EXPECT_GT(wrapped, 100u);
+  EXPECT_GT(wrap_erased, 5u);
+  EXPECT_EQ(ledger.counts().total, seen.size());
+  EXPECT_EQ(ledger.counts().in_flight, live.size());
 }
 
 TEST(TaskLedgerTest, StateNamesAreStable) {

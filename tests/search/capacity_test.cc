@@ -14,12 +14,14 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
 #include "support/reference_engine.h"
+#include "tasks/batch.h"
 
 namespace rtds::search {
 namespace {
@@ -272,15 +274,42 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
   EXPECT_GT(thread_workspace_peak_bytes(), 0u);
 }
 
+TEST(SearchCapacityTest, DepthFirstWorkspaceHoldsEnteredVerticesOnly) {
+  // A depth-first walk to the leaf at n = 10^5, m = 10 over a set built
+  // beforehand, as the pipeline keeps it. It generates about 10^6
+  // successors and enters 10^5 of them. The candidate list keeps each
+  // successor as an 8-byte member of its group, and the arena holds a
+  // 16-byte node only for the vertices entered: the walk peaks at 17.1 MB,
+  // where a node per successor and a stack of node ids took 25.3 MB. The
+  // peak is computed from capacities, so it is exact; a fresh thread
+  // starts from an empty workspace.
+  constexpr std::size_t kBound = std::size_t{20} << 20;
+  Xoshiro256ss rng(0x5EC7E9ULL);
+  const Scenario s = make_capacity_scenario(rng, 100000, 10);
+  tasks::Batch set(s.batch, TaskOrder::kEarliestDeadline);
+  const auto net = machine::Interconnect::cut_through(s.num_workers, s.comm);
+  SearchResult result;
+  std::size_t peak = 0;
+  std::thread([&] {
+    result = SearchEngine(SearchConfig{}).run(set, s.base_loads,
+                                              s.delivery_time, net,
+                                              s.vertex_budget);
+    peak = thread_workspace_peak_bytes();
+  }).join();
+  ASSERT_TRUE(result.stats.reached_leaf);
+  ASSERT_EQ(result.schedule.size(), s.batch.size());
+  RecordProperty("workspace_peak_bytes", std::to_string(peak));
+  EXPECT_LE(peak, kBound);
+}
+
 TEST(SearchCapacityTest, RetentionBoundCoversEveryWorkspaceBuffer) {
-  // A depth-first walk at m = 64 leaves 63 siblings on the candidate list
-  // per level. A node is a 16-byte (task, worker) record and the list a
-  // stack of 4-byte node ids, so 280,000 levels are needed to grow the
-  // stack past 2^24 entries (128 MB of capacity) next to about 287 MB of
-  // arena.
+  // A depth-first walk at m = 64 pushes a group of 64 successors per
+  // level, and a group keeps its 8-byte members until its last is
+  // entered, so 280,000 levels grow the group storage past 2^24 members
+  // (128 MB of capacity) by themselves.
   // The 64 MB bound is on the whole workspace: a run that leaves more
-  // releases the arena, the stack, the snapshot and every other buffer.
-  // A run under the bound keeps its buffers for the next one.
+  // releases the arena, the group storage, the snapshot and every other
+  // buffer. A run under the bound keeps its buffers for the next one.
   constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
   constexpr std::uint32_t kTasks = 280000;
   Xoshiro256ss rng(0x2E7A1ULL);

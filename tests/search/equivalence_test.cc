@@ -673,11 +673,12 @@ Scenario make_wide_scenario(Xoshiro256ss& rng, bool gangs, bool loose) {
 TEST(SearchEquivalenceTest, WideSuccessorGroupsMatchReference) {
   // Successor groups of hundreds, past the 48 where the engine stops
   // insertion-sorting. Sequence-oriented groups without the cost function
-  // are generated in key order and are not sorted again; with it they are
-  // out of order and must be. Best-first searches switch between subtrees,
-  // so entering a vertex can push a chain of several; a vertex entered
-  // must be evaluated at its parent's state, not the one the switch
-  // started from.
+  // are generated in key order; a depth-first search stores them as they
+  // come and a best-first one does not sort them again. With the cost
+  // function they are out of order and must be. Best-first searches switch
+  // between subtrees, so entering a vertex can push a chain of several; a
+  // vertex entered must be evaluated at its parent's state, not the one
+  // the switch started from.
   constexpr std::uint64_t kScenarios = 96;
   std::vector<SearchConfig> configs;
   for (const auto strategy :
@@ -697,6 +698,11 @@ TEST(SearchEquivalenceTest, WideSuccessorGroupsMatchReference) {
   SearchConfig least_loaded = configs.front();
   least_loaded.level_processor_order = LevelProcessorOrder::kLeastLoaded;
   configs.push_back(least_loaded);
+  // D-COLS with a successor cap: its groups go straight to the candidate
+  // list, and only the scalar loop may fill them.
+  SearchConfig capped = configs.front();
+  capped.max_successors = 5;
+  configs.push_back(capped);
   configs.push_back(SearchConfig{});  // RT-SADS on the same bursts
   SearchConfig assign_best;
   assign_best.strategy = SearchStrategy::kBestFirst;
