@@ -18,8 +18,9 @@
 // sweep is the CAPACITY table: generous-deadline
 // batches at n ∈ {10^5, 10^6} (gated by --capacity-max; 0 skips, the
 // --quick default) walked to a full-depth leaf, reporting vertices/sec
-// plus the memory columns — process peak RSS and the engine's pooled
-// arena/workspace bytes. n = 10^5 is still
+// plus the memory columns — process peak RSS and the peak of the engine's
+// pooled arena/workspace bytes, read on a fresh thread that makes only
+// that cell's engine calls. n = 10^5 is still
 // verified bit-identical against the reference engine; n = 10^6 (where the
 // reference's per-vertex node heap is the bottleneck) is checked against a
 // from-scratch schedule-invariant oracle instead. Writes the
@@ -32,8 +33,10 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -127,6 +130,9 @@ std::vector<Cell> make_cells() {
 /// the pipeline keeps it from phase to phase, so a search never pays for it.
 struct PhaseInput {
   tasks::Batch set;
+  /// The set's tasks in its order, the reference engine's input, copied
+  /// once so that no timed call copies them (empty in a capacity input).
+  std::vector<tasks::Task> tasks;
   std::vector<SimDuration> base_loads;
   SimTime delivery{SimTime::zero()};
   std::uint64_t budget{0};
@@ -141,6 +147,7 @@ PhaseInput make_input(const Cell& cell, std::uint64_t rep) {
   PhaseInput in;
   in.set.reset(cell.config.task_order);
   in.set.merge_arrivals(tasks::generate_workload(wc, rng));
+  in.tasks.assign(in.set.tasks().begin(), in.set.tasks().end());
   in.base_loads.assign(cell.m, SimDuration::zero());
   in.delivery = SimTime::zero() + msec(5);
   in.budget = std::uint64_t{200} * cell.n;  // 200k vertices at n=1000
@@ -272,7 +279,7 @@ void check_capacity_invariants(const SearchResult& r, const PhaseInput& in,
               << where << " depth " << depth << "\n";
     std::exit(1);
   };
-  const std::vector<tasks::Task>& batch = in.set.tasks();
+  const std::span<const tasks::Task> batch = in.set.tasks();
   if (!r.stats.reached_leaf || r.schedule.size() != batch.size()) {
     die("reached_leaf with full schedule", r.schedule.size());
   }
@@ -397,7 +404,7 @@ int main(int argc, char** argv) {
                                     .run(in.set, in.base_loads, in.delivery,
                                          net, in.budget);
       const SearchResult ref =
-          search::reference::run(cell.config, in.set.tasks(), in.base_loads,
+          search::reference::run(cell.config, in.tasks, in.base_loads,
                                  in.delivery, net, in.budget);
       require_identical(fast, ref, cell.name);
       // A search that places nothing with budget to spare expands only the
@@ -413,9 +420,8 @@ int main(int argc, char** argv) {
 
     const EngineNumbers ref = measure(
         inputs, net, iters, [&](const PhaseInput& in, const auto& n) {
-          return search::reference::run(cell.config, in.set.tasks(),
-                                        in.base_loads, in.delivery, n,
-                                        in.budget);
+          return search::reference::run(cell.config, in.tasks, in.base_loads,
+                                        in.delivery, n, in.budget);
         });
     const EngineNumbers opt = measure(
         inputs, net, iters, [&](const PhaseInput& in, const auto& n) {
@@ -476,37 +482,46 @@ int main(int argc, char** argv) {
     const PhaseInput in = make_capacity_input(cap_n, cap_m, 0);
     SearchConfig cfg;  // RT-SADS defaults: DFS, assignment-oriented, CE.
 
-    // Proof obligations before any timing counts.
-    const search::SearchEngine engine(cfg);
-    const SearchResult opt_result =
-        engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
+    // The cell's engine calls run on a thread of their own, whose search
+    // workspace starts empty, so its peak is this cell's alone and not a
+    // high-water left by the cells before it.
+    const std::uint32_t cap_iters = cap_n >= 1'000'000u ? 1 : 2;
+    SearchResult opt_result;
+    std::uint64_t total_ns = 0, total_vertices = 0, workspace = 0;
+    std::thread([&] {
+      const search::SearchEngine engine(cfg);
+      // The run the proof obligations below check; the timing counts only
+      // once they pass.
+      opt_result =
+          engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
+      // Timing: the sequential engine on the pooled warm arena.
+      for (std::uint32_t it = 0; it < cap_iters; ++it) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const SearchResult r =
+            engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
+        total_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        total_vertices += r.stats.vertices_generated;
+      }
+      workspace = search::thread_workspace_peak_bytes();
+    }).join();
     check_capacity_invariants(opt_result, in, cap_m, cap_comm, name);
     bool ref_checked = false;
     if (cap_n <= 100'000u) {
+      const std::vector<tasks::Task> pending(in.set.tasks().begin(),
+                                             in.set.tasks().end());
       const SearchResult ref_result = search::reference::run(
-          cfg, in.set.tasks(), in.base_loads, in.delivery, net, in.budget);
+          cfg, pending, in.base_loads, in.delivery, net, in.budget);
       require_identical(opt_result, ref_result, name);
       ref_checked = true;
-    }
-    // Timing: the sequential engine on the pooled warm arena.
-    const std::uint32_t cap_iters = cap_n >= 1'000'000u ? 1 : 2;
-    std::uint64_t total_ns = 0, total_vertices = 0;
-    for (std::uint32_t it = 0; it < cap_iters; ++it) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const SearchResult r =
-          engine.run(in.set, in.base_loads, in.delivery, net, in.budget);
-      total_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      total_vertices += r.stats.vertices_generated;
     }
     const double secs = double(total_ns) * 1e-9;
     const double vps = secs > 0 ? double(total_vertices) / secs : 0;
     const double nspv =
         total_vertices > 0 ? double(total_ns) / double(total_vertices) : 0;
     const std::uint64_t rss = peak_rss_bytes();
-    const std::uint64_t workspace = search::thread_workspace_peak_bytes();
 
     std::cout << name;
     for (std::size_t pad = name.size(); pad < 32; ++pad) std::cout << ' ';

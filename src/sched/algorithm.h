@@ -65,16 +65,19 @@ class PhaseAlgorithm {
 
   /// The pipeline's entry: the same schedule for the pending set `batch`,
   /// which the pipeline keeps in pending_order(). Task indices in the
-  /// result are positions in the set. The default forwards batch.tasks()
-  /// to schedule_phase, so an entrant or a decorator that overrides only
-  /// the vector entry is run through it; a search overrides this to read
-  /// the set in place, and its answer must equal the vector entry's over
+  /// result are positions in the set. The default copies batch.tasks()
+  /// into a vector and forwards it to schedule_phase, so an entrant or a
+  /// decorator that overrides only the vector entry is run through it
+  /// (only the non-search entrants and decorators do, and they copy the
+  /// batch on every call already); a search overrides this to read the set
+  /// in place, and its answer must equal the vector entry's over
   /// batch.tasks() (the fast-forward-parity fuzz oracle compares the two).
   [[nodiscard]] virtual SearchResult schedule_pending(
       const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
       SimTime delivery_time, const machine::Interconnect& net,
       std::uint64_t vertex_budget) const {
-    return schedule_phase(batch.tasks(), base_loads, delivery_time, net,
+    const std::vector<Task> tasks(batch.tasks().begin(), batch.tasks().end());
+    return schedule_phase(tasks, base_loads, delivery_time, net,
                           vertex_budget);
   }
 

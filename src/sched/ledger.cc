@@ -84,6 +84,7 @@ void TaskLedger::execute(tasks::TaskId id, bool hit) {
 }
 
 bool TaskLedger::known(tasks::TaskId id) const {
+  if (has_tail_ && id >= tail_first_) return id <= tail_last_;
   const auto next = seen_.upper_bound(id);
   return next != seen_.begin() && id <= std::prev(next)->second;
 }
@@ -109,9 +110,12 @@ void TaskLedger::check_conserved() const {
 }
 
 void TaskLedger::clear() {
-  for (Slot& slot : slots_) slot.live = false;
+  if (size_ != 0) {
+    for (Slot& slot : slots_) slot.live = false;
+  }
   size_ = 0;
   seen_.clear();
+  has_tail_ = false;
   counts_ = LedgerCounts{};
 }
 
@@ -211,16 +215,34 @@ void TaskLedger::retire(tasks::TaskId id, TaskState from, TaskState to) {
 bool TaskLedger::insert_seen(tasks::TaskId id) {
   constexpr tasks::TaskId kMax = std::numeric_limits<tasks::TaskId>::max();
   // Every built-in source numbers its tasks consecutively, so the id
-  // usually extends the last range, which no range follows.
-  if (!seen_.empty()) {
-    const auto last = std::prev(seen_.end());
-    if (last->second != kMax && last->second + 1 == id) {
-      last->second = id;
+  // usually extends the tail range, which no range follows.
+  if (!has_tail_ || id > tail_last_) {
+    if (has_tail_ && id - 1 == tail_last_) {
+      tail_last_ = id;
       return true;
     }
+    if (has_tail_) seen_.emplace_hint(seen_.end(), tail_first_, tail_last_);
+    tail_first_ = id;
+    tail_last_ = id;
+    has_tail_ = true;
+    return true;
   }
-  // The first range starting above id, and the one before it (if any),
-  // which is the only range that can contain id or end just below it.
+  if (id >= tail_first_) return false;
+  if (id + 1 == tail_first_) {
+    // The tail extends downwards and may reach the highest map range.
+    tail_first_ = id;
+    if (!seen_.empty()) {
+      const auto last = std::prev(seen_.end());
+      if (last->second + 1 == id) {
+        tail_first_ = last->first;
+        seen_.erase(last);
+      }
+    }
+    return true;
+  }
+  // Below the tail and not next to it. The first range starting above id,
+  // and the one before it (if any), which is the only range that can
+  // contain id or end just below it.
   const auto next = seen_.upper_bound(id);
   const bool joins_next = next != seen_.end() && next->first == id + 1;
   if (next != seen_.begin()) {

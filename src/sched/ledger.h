@@ -40,7 +40,10 @@
 // tasks in flight and never shrinks, so once grown an arrival allocates
 // nothing and a terminal transition frees nothing. The ids seen so far
 // are kept as disjoint ranges, so a repeated id is still caught after the
-// first copy retired, at O(1) memory while ids arrive consecutively.
+// first copy retired, at O(1) memory while ids arrive consecutively: the
+// highest range is held beside the range map, so ids that arrive
+// consecutively touch no map node, and a cleared ledger that sees them
+// again allocates nothing.
 //
 // The ledger is host-thread-only: backends with worker threads buffer
 // outcomes internally and flush them on the host thread (see
@@ -141,12 +144,20 @@ class TaskLedger {
                                              std::size_t capacity);
   /// Disjoint id ranges the seen ids occupy: 1 while ids arrive
   /// consecutively, whatever their number.
-  [[nodiscard]] std::size_t seen_ranges() const { return seen_.size(); }
+  [[nodiscard]] std::size_t seen_ranges() const {
+    return seen_.size() + (has_tail_ ? 1 : 0);
+  }
+  /// Bytes of heap the entry table holds.
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return slots_.capacity() * sizeof(Slot);
+  }
 
   /// Throws InvariantViolation unless counts().conserved().
   void check_conserved() const;
 
   /// Forgets every entry, counter and seen id; the table keeps its slots.
+  /// O(1) when no task is in flight, as after a conserved run: the table
+  /// is then already empty.
   void clear();
 
  private:
@@ -182,8 +193,13 @@ class TaskLedger {
   /// Open-addressing table of the in-flight entries (see header comment).
   std::vector<Slot> slots_;
   std::size_t size_{0};
-  /// Seen ids as disjoint, non-adjacent inclusive ranges: first → last.
+  /// Seen ids as disjoint, non-adjacent inclusive ranges: first → last,
+  /// all below the tail range and none adjacent to it.
   std::map<tasks::TaskId, tasks::TaskId> seen_;
+  /// The highest seen range [tail_first_, tail_last_], when has_tail_.
+  tasks::TaskId tail_first_{0};
+  tasks::TaskId tail_last_{0};
+  bool has_tail_{false};
   LedgerCounts counts_;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "search/engine.h"
 #include "tasks/batch.h"
 
 namespace rtds::sched {
@@ -137,6 +138,67 @@ SimTime skip_futile_phases(const QuantumPolicy& policy,
   return t;
 }
 
+/// What became of a delivery slot.
+enum class Fate : std::uint8_t { kAccepted, kRejected, kReadmitted };
+
+/// The buffers a run keeps from phase to phase: its ledger, its pending
+/// set and the per-phase vectors, declared once so each phase reuses their
+/// capacity. A steady-state phase makes no heap allocation of its own.
+struct RunBuffers {
+  TaskLedger ledger;
+  /// The one pending set: kept in the order the algorithm considers tasks
+  /// in; its search and the phase loop read the tasks in place
+  /// (tasks/batch.h).
+  tasks::Batch batch{tasks::TaskOrder::kBatchOrder};
+  std::vector<Task> arrived;
+  std::vector<tasks::TaskId> culled;
+  std::vector<SimDuration> loads;  // Load_k(t_s)
+  // schedule_pending borrows it by const reference.
+  std::vector<SimDuration> base_loads;
+  std::vector<machine::ScheduledAssignment> delivery;
+  // What became of each delivery slot, and the batch positions retired.
+  std::vector<Fate> fates;
+  std::vector<std::uint32_t> retired;
+
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    const auto bytes = [](const auto& v) {
+      return v.capacity() * sizeof(v[0]);
+    };
+    return ledger.footprint_bytes() + batch.footprint_bytes() +
+           bytes(arrived) + bytes(culled) + bytes(loads) + bytes(base_loads) +
+           bytes(delivery) + bytes(fates) + bytes(retired);
+  }
+};
+
+/// The thread's idle run buffers. A run takes them and leaves the slot
+/// empty, so a run nested inside it (from an observer, on the same thread)
+/// grows buffers of its own; back-to-back runs reuse one set.
+RunBuffers& thread_run_buffers() {
+  static thread_local RunBuffers slot;
+  return slot;
+}
+
+/// Borrows the thread's run buffers for one run and gives them back,
+/// emptied, however the run ends — unless they grew past the retention
+/// bound the search workspace keeps, in which case they are released.
+class BorrowedBuffers {
+ public:
+  BorrowedBuffers() : buffers_(std::exchange(thread_run_buffers(), {})) {}
+  BorrowedBuffers(const BorrowedBuffers&) = delete;
+  BorrowedBuffers& operator=(const BorrowedBuffers&) = delete;
+  ~BorrowedBuffers() {
+    if (buffers_.footprint_bytes() > search::kWorkspaceRetainBytes) return;
+    buffers_.ledger.clear();
+    buffers_.batch.clear();
+    thread_run_buffers() = std::move(buffers_);
+  }
+
+  RunBuffers& operator*() { return buffers_; }
+
+ private:
+  RunBuffers buffers_;
+};
+
 }  // namespace
 
 PhasePipeline::PhasePipeline(const PhaseAlgorithm& algorithm,
@@ -190,20 +252,22 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     return metrics;
   }
 
+  // The run's buffers come from the thread and go back to it, emptied, so
+  // back-to-back runs do not grow them again.
+  BorrowedBuffers borrowed;
+  RunBuffers& buffers = *borrowed;
   // Every run keeps a ledger — conservation is enforced, not opt-in. The
   // backend reports into it at every clock call, so it is detached however
   // the run ends, by return or by exception.
-  TaskLedger local_ledger;
-  TaskLedger& ledger = external_ledger ? *external_ledger : local_ledger;
+  TaskLedger& ledger = external_ledger ? *external_ledger : buffers.ledger;
   backend.bind_ledger(&ledger);
   struct Unbind {
     ExecutionBackend& backend;
     ~Unbind() { backend.bind_ledger(nullptr); }
   } const unbind{backend};
 
-  // The one pending set: kept in the order the algorithm considers tasks
-  // in; its search and this loop read the tasks in place (tasks/batch.h).
-  tasks::Batch batch(algorithm_.pending_order());
+  tasks::Batch& batch = buffers.batch;
+  batch.reset(algorithm_.pending_order());
   const SimDuration vcost = config_.vertex_generation_cost;
   // Both answers are false unless declared (sched/backend.h,
   // sched/algorithm.h): a decorator that forwards neither keeps the run on
@@ -211,18 +275,15 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   const bool fast_forward =
       backend.analytic_loads() && algorithm_.futile_answer_persists();
   const std::uint32_t num_workers = backend.num_workers();
-  // Per-phase buffers, declared once so each phase reuses their capacity:
-  // a steady-state phase makes no heap allocation of its own.
-  std::vector<Task> arrived;
-  std::vector<Task> culled;
-  std::vector<SimDuration> loads(num_workers);  // Load_k(t_s)
-  // schedule_pending borrows it by const reference.
-  std::vector<SimDuration> base_loads(num_workers);
-  std::vector<machine::ScheduledAssignment> delivery;
-  // What became of each delivery slot, and the batch positions retired.
-  enum class Fate : std::uint8_t { kAccepted, kRejected, kReadmitted };
-  std::vector<Fate> fates;
-  std::vector<std::uint32_t> retired;
+  std::vector<Task>& arrived = buffers.arrived;
+  std::vector<tasks::TaskId>& culled = buffers.culled;
+  std::vector<SimDuration>& loads = buffers.loads;
+  std::vector<SimDuration>& base_loads = buffers.base_loads;
+  loads.assign(num_workers, SimDuration::zero());
+  base_loads.assign(num_workers, SimDuration::zero());
+  std::vector<machine::ScheduledAssignment>& delivery = buffers.delivery;
+  std::vector<Fate>& fates = buffers.fates;
+  std::vector<std::uint32_t>& retired = buffers.retired;
 
   // Nothing to do before the first arrival.
   backend.wait_until(*first_arrival);
@@ -256,7 +317,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     batch.merge_arrivals(arrived);
     // One read of the batch culls it and yields the survivors' Min_Slack.
     const SimDuration min_slack = batch.cull_missed(t, culled);
-    for (const Task& task : culled) ledger.cull(task.id);
+    for (const tasks::TaskId id : culled) ledger.cull(id);
     metrics.culled += culled.size();
     const std::size_t batch_size = batch.size();
 

@@ -182,6 +182,17 @@ struct StreamStats {
 };
 
 /// Drives a PhaseAlgorithm + QuantumPolicy over an ExecutionBackend.
+///
+/// A run borrows its buffers from the calling thread: the ledger it keeps
+/// when none is supplied, the pending set and the per-phase vectors. It
+/// takes them from a per-thread slot, leaving the slot empty, and gives
+/// them back emptied when it ends, by return or by exception, so
+/// back-to-back runs on one thread grow them once; buffers grown past the
+/// search workspace's retention bound (search::kWorkspaceRetainBytes) are
+/// released instead. A run started on the same thread while another is in
+/// progress (from a PhaseObserver, say) finds the slot empty and grows
+/// buffers of its own, so the two runs never share one; each returns what
+/// it returns alone.
 class PhasePipeline {
  public:
   /// The algorithm and quantum policy must outlive the pipeline.

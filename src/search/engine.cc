@@ -317,12 +317,6 @@ struct Node {
 static_assert(sizeof(Node) == 16);
 static_assert(sizeof(Member) == 8);
 
-/// Bound on the workspace a thread keeps between runs: a million-task run
-/// can legitimately grow the arena and the candidate list to hundreds of
-/// MB each, which must not stay captive on a long-lived backend thread once
-/// the phase is over.
-constexpr std::size_t kRetainBytes = std::size_t{64} << 20;
-
 /// Arena node ids and group member indices travel as 32-bit values.
 constexpr std::size_t kMaxIndex = std::size_t{1} << 31;
 
@@ -501,9 +495,9 @@ class CandidateList {
 /// Per-thread scratch buffers reused across run() calls so a run allocates
 /// nothing but its returned schedule once the capacities have grown to the
 /// largest set seen (capacity is retained by clear()/reset(); the arena
-/// pools its chunks). A run that leaves more than kRetainBytes releases it
-/// all but the counter. thread_local keeps the engine safely shareable
-/// across backend threads.
+/// pools its chunks). A run that leaves more than kWorkspaceRetainBytes
+/// releases it all but the counter. thread_local keeps the engine safely
+/// shareable across backend threads.
 struct Workspace {
   /// The search state, reset() for every run (constructed by the first).
   std::optional<PartialSchedule> schedule;
@@ -535,11 +529,11 @@ std::size_t workspace_bytes(const Workspace& ws) {
 }
 
 /// Records the run's workspace in the thread's peak and releases all of it
-/// but the counter when it grew past kRetainBytes.
+/// but the counter when it grew past kWorkspaceRetainBytes.
 void retain_or_release(Workspace& ws) {
   const std::size_t bytes = workspace_bytes(ws);
   ws.peak_bytes = std::max(ws.peak_bytes, bytes);
-  if (bytes > kRetainBytes) {
+  if (bytes > kWorkspaceRetainBytes) {
     Workspace released;
     released.peak_bytes = ws.peak_bytes;
     ws = std::move(released);

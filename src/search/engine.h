@@ -153,6 +153,13 @@ struct SearchResult {
 /// and the 8-byte group member — docs/ARCHITECTURE.md, "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
+/// Bound on the buffers a thread keeps between runs, for the search
+/// workspace and for a pipeline run's buffers alike: a million-task run
+/// can legitimately grow the arena and the candidate list to hundreds of
+/// MB each, which must not stay captive on a long-lived backend thread once
+/// the phase is over.
+inline constexpr std::size_t kWorkspaceRetainBytes = std::size_t{64} << 20;
+
 /// Bytes currently retained by the calling thread's search workspace: the
 /// pooled node arena, the reused PartialSchedule, the set the vector
 /// adapter builds, and every scratch buffer (candidates, the depth-first

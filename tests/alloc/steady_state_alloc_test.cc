@@ -17,6 +17,9 @@
 //   * the set's upkeep in those sequences — arrivals merged at their rank,
 //     the cull, retiring the delivered tasks and keeping the refused ones
 //     pending — allocates nothing at all;
+//   * a second run_stream on the same thread borrows the ledger, the
+//     pending set and the per-phase vectors the first one grew: outside its
+//     searches and backend calls it allocates nothing;
 //   * a 20,000-task Poisson run_stream on SimBackend allocates at most 1.5
 //     times per offered task. What remains is per task, not per phase: the
 //     schedule a non-empty search returns. The ledger keeps its tasks in
@@ -34,6 +37,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -272,7 +277,8 @@ struct SequencePass {
 template <typename Burst>
 SequencePass run_sequence(const search::SearchEngine& engine,
                           std::uint32_t phases, Burst burst,
-                          tasks::Batch& batch, std::vector<tasks::Task>& culled,
+                          tasks::Batch& batch,
+                          std::vector<tasks::TaskId>& culled,
                           std::vector<std::uint32_t>& scheduled) {
   constexpr SimDuration kPhase = usec(100);
   const auto net = machine::Interconnect::cut_through(kWorkers, usec(50));
@@ -328,7 +334,7 @@ SequencePass run_sequence(const search::SearchEngine& engine,
 /// buffers serve every pass on the thread.
 SequencePass run_shape(const search::SearchEngine& engine, bool shrinking) {
   static thread_local tasks::Batch batch;
-  static thread_local std::vector<tasks::Task> culled;
+  static thread_local std::vector<tasks::TaskId> culled;
   static thread_local std::vector<std::uint32_t> scheduled;
   const auto fig5 = [](std::uint32_t phase) { return phase == 0 ? 1000u : 0u; };
   const auto onoff = [](std::uint32_t phase) {
@@ -416,6 +422,148 @@ TEST(SteadyStateAllocTest,
   EXPECT_LE(allocations, 3u * kTasks / 2)
       << double(allocations) / kTasks << " allocations per task, "
       << double(allocations) / double(metrics.phases) << " per phase";
+}
+
+/// Forwards every call of an algorithm and counts the allocations made
+/// inside its searches, the returned schedules included.
+class SearchAllocations final : public sched::PhaseAlgorithm {
+ public:
+  explicit SearchAllocations(const sched::PhaseAlgorithm& inner)
+      : inner_(inner) {}
+
+  [[nodiscard]] sched::SearchResult schedule_phase(
+      const std::vector<tasks::Task>& batch,
+      const std::vector<SimDuration>& base_loads, SimTime delivery_time,
+      const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    const AllocationCounter counter;
+    sched::SearchResult result = inner_.schedule_phase(
+        batch, base_loads, delivery_time, net, vertex_budget);
+    allocations_ += counter.count();
+    return result;
+  }
+  [[nodiscard]] tasks::TaskOrder pending_order() const override {
+    return inner_.pending_order();
+  }
+  [[nodiscard]] sched::SearchResult schedule_pending(
+      const tasks::Batch& batch, const std::vector<SimDuration>& base_loads,
+      SimTime delivery_time, const machine::Interconnect& net,
+      std::uint64_t vertex_budget) const override {
+    const AllocationCounter counter;
+    sched::SearchResult result = inner_.schedule_pending(
+        batch, base_loads, delivery_time, net, vertex_budget);
+    allocations_ += counter.count();
+    return result;
+  }
+  [[nodiscard]] bool futile_answer_persists() const override {
+    return inner_.futile_answer_persists();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
+
+ private:
+  const sched::PhaseAlgorithm& inner_;
+  mutable std::uint64_t allocations_{0};
+};
+
+/// Forwards every call of a backend and counts the allocations made inside
+/// them: the cluster's queues and the outcomes it buffers for the ledger.
+class BackendAllocations final : public sched::ExecutionBackend {
+ public:
+  explicit BackendAllocations(sched::ExecutionBackend& inner)
+      : inner_(inner) {}
+
+  [[nodiscard]] std::uint32_t num_workers() const override {
+    return inner_.num_workers();
+  }
+  [[nodiscard]] const machine::Interconnect& interconnect() const override {
+    return inner_.interconnect();
+  }
+  [[nodiscard]] SimTime now() const override { return inner_.now(); }
+  [[nodiscard]] SimDuration load(std::uint32_t worker,
+                                 SimTime t) const override {
+    return inner_.load(worker, t);
+  }
+  [[nodiscard]] bool analytic_loads() const override {
+    return inner_.analytic_loads();
+  }
+  void wait_until(SimTime t) override {
+    const AllocationCounter counter;
+    inner_.wait_until(t);
+    allocations_ += counter.count();
+  }
+  void advance(SimDuration host_busy) override {
+    const AllocationCounter counter;
+    inner_.advance(host_busy);
+    allocations_ += counter.count();
+  }
+  sched::DeliveryResult deliver(
+      const std::vector<machine::ScheduledAssignment>& schedule) override {
+    const AllocationCounter counter;
+    sched::DeliveryResult result = inner_.deliver(schedule);
+    allocations_ += counter.count();
+    return result;
+  }
+  sched::BackendStats drain() override {
+    const AllocationCounter counter;
+    const sched::BackendStats stats = inner_.drain();
+    allocations_ += counter.count();
+    return stats;
+  }
+  void bind_ledger(sched::TaskLedger* ledger) override {
+    inner_.bind_ledger(ledger);
+  }
+
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
+
+ private:
+  sched::ExecutionBackend& inner_;
+  std::uint64_t allocations_{0};
+};
+
+TEST(SteadyStateAllocTest, SecondStreamReusesTheRunBuffers) {
+  // Two equal 5,000-task Poisson streams, one after the other on a fresh
+  // thread: the first run grows the ledger, the pending set and the
+  // per-phase vectors, and the second borrows them back from the thread,
+  // so outside its searches and backend calls it allocates nothing.
+  constexpr std::uint32_t kTasks = 5000;
+  tasks::StreamConfig cfg;
+  cfg.seed = 0x5EED;
+  cfg.max_tasks = kTasks;
+  cfg.body.num_processors = kWorkers;
+  sched::StreamOptions options;
+  options.max_pending = 128;
+  const auto rt_sads = sched::AlgorithmRegistry::builtin().make("rt_sads");
+  const auto quantum = sched::make_self_adjusting_quantum();
+  std::uint64_t own[2] = {0, 0};
+  std::uint64_t searched[2] = {0, 0};
+  sched::RunMetrics metrics[2];
+  std::thread([&] {
+    for (int run = 0; run < 2; ++run) {
+      machine::Cluster cluster(
+          kWorkers, machine::Interconnect::cut_through(kWorkers, usec(50)));
+      sim::Simulator simulator;
+      sched::SimBackend sim_backend(cluster, simulator);
+      BackendAllocations backend(sim_backend);
+      const SearchAllocations algorithm(*rt_sads);
+      const sched::PhasePipeline pipeline(algorithm, *quantum);
+      tasks::PoissonArrivalSource source(cfg, usec(2000));
+      const AllocationCounter counter;
+      metrics[run] = pipeline.run_stream(source, backend, options);
+      const std::uint64_t total = counter.count();
+      searched[run] = algorithm.allocations();
+      own[run] = total - searched[run] - backend.allocations();
+    }
+  }).join();
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_EQ(metrics[run].total_tasks, kTasks);
+    EXPECT_GT(searched[run], 0u);  // the returned schedules
+  }
+  EXPECT_EQ(metrics[1].scheduled, metrics[0].scheduled);
+  RecordProperty("first_run_own_allocations", std::to_string(own[0]));
+  EXPECT_GT(own[0], 0u);
+  EXPECT_EQ(own[1], 0u);
 }
 
 /// Fails the run unless, at every phase end, the ledger holds at most the

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/backend.h"
@@ -314,6 +318,96 @@ TEST(PhaseSchedulerTest, ObservedRunStillTimesTheSearch) {
     search_wall_ns += r.search_wall_ns;
   }
   EXPECT_GT(search_wall_ns, 0u);
+}
+
+/// Every RunMetrics field of two runs.
+void expect_same_metrics(const RunMetrics& a, const RunMetrics& b) {
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.total_tasks, b.total_tasks);
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.deadline_hits, b.deadline_hits);
+  EXPECT_EQ(a.exec_misses, b.exec_misses);
+  EXPECT_EQ(a.culled, b.culled);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.admission_rejected, b.admission_rejected);
+  EXPECT_EQ(a.overflow_drops, b.overflow_drops);
+  EXPECT_EQ(a.readmissions, b.readmissions);
+  EXPECT_EQ(a.backpressure_waits, b.backpressure_waits);
+  EXPECT_EQ(a.quantum_floor_overrides, b.quantum_floor_overrides);
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.vertices_generated, b.vertices_generated);
+  EXPECT_EQ(a.expansions, b.expansions);
+  EXPECT_EQ(a.backtracks, b.backtracks);
+  EXPECT_EQ(a.dead_ends, b.dead_ends);
+  EXPECT_EQ(a.leaves, b.leaves);
+  EXPECT_EQ(a.budget_exhaustions, b.budget_exhaustions);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  EXPECT_EQ(a.scheduling_time, b.scheduling_time);
+  EXPECT_EQ(a.allocated_quantum, b.allocated_quantum);
+  EXPECT_EQ(a.min_quantum_seen, b.min_quantum_seen);
+  EXPECT_EQ(a.max_quantum_seen, b.max_quantum_seen);
+}
+
+/// Starts a run of its own from inside another run's phases.
+class NestedRun final : public PhaseObserver {
+ public:
+  NestedRun(const PhasePipeline& pipeline, const std::vector<Task>& workload,
+            std::vector<std::uint64_t> at_phases)
+      : pipeline_(pipeline), workload_(workload), at_(std::move(at_phases)) {}
+
+  void on_phase(const PhaseRecord& record) override {
+    if (std::find(at_.begin(), at_.end(), record.index) == at_.end()) return;
+    Fixture f(4);
+    results_.push_back(f.run(pipeline_, workload_));
+  }
+
+  [[nodiscard]] const std::vector<RunMetrics>& results() const {
+    return results_;
+  }
+
+ private:
+  const PhasePipeline& pipeline_;
+  const std::vector<Task>& workload_;
+  std::vector<std::uint64_t> at_;
+  std::vector<RunMetrics> results_;
+};
+
+TEST(PhaseSchedulerTest, RunStartedFromAnObserverLeavesBothRunsAlone) {
+  // A run borrows its ledger, pending set and phase buffers from its
+  // thread. A run started from another run's observer, on the same thread,
+  // finds them lent out and uses its own; both runs return what they
+  // return alone, and so does a run after them.
+  const auto rt_sads = AlgorithmRegistry::builtin().make("rt_sads");
+  const auto d_cols = AlgorithmRegistry::builtin().make("d_cols");
+  const auto q = make_self_adjusting_quantum(usec(100), msec(5));
+  const PhasePipeline outer(*rt_sads, *q);
+  const PhasePipeline inner(*d_cols, *q);
+  tasks::WorkloadConfig wc;
+  wc.num_tasks = 150;
+  wc.num_processors = 3;
+  Xoshiro256ss rng(11);
+  const auto outer_wl = tasks::generate_workload(wc, rng);
+  wc.num_tasks = 90;
+  wc.num_processors = 4;
+  const auto inner_wl = tasks::generate_workload(wc, rng);
+
+  Fixture alone_outer(3);
+  const RunMetrics outer_alone = alone_outer.run(outer, outer_wl);
+  Fixture alone_inner(4);
+  const RunMetrics inner_alone = alone_inner.run(inner, inner_wl);
+  ASSERT_GT(outer_alone.phases, 4u);
+
+  NestedRun nested(inner, inner_wl, {0, 3});
+  Fixture f(3);
+  SimBackend backend(f.cluster, f.sim);
+  const RunMetrics outer_nested = outer.run(outer_wl, backend, &nested);
+  expect_same_metrics(outer_nested, outer_alone);
+  ASSERT_EQ(nested.results().size(), 2u);
+  for (const RunMetrics& m : nested.results()) {
+    expect_same_metrics(m, inner_alone);
+  }
+  Fixture again(3);
+  expect_same_metrics(again.run(outer, outer_wl), outer_alone);
 }
 
 TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {

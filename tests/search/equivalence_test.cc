@@ -514,7 +514,7 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
   Xoshiro256ss rng(0x0DE12ED5ULL);
   std::uint64_t phases = 0, readmitted = 0, culled = 0, scheduled = 0;
   std::vector<Task> arrivals;
-  std::vector<Task> culled_tasks;
+  std::vector<tasks::TaskId> culled_tasks;
   std::vector<std::uint32_t> retire;
   for (std::uint64_t sq = 0; sq < kSequences; ++sq) {
     const auto m = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
@@ -583,22 +583,22 @@ TEST(SearchEquivalenceTest, DerivedOrdersMatchOverMutatedBatchSequences) {
           futile ? std::uint64_t{m} * set.size() + 1
                  : std::uint64_t(rng.uniform_int(1, 3000));
       const SearchEngine engine(cfg);
+      const std::vector<Task> pending(set.tasks().begin(), set.tasks().end());
       const SearchResult in_place =
           engine.run(set, loads, delivery, net, budget);
       expect_identical(in_place,
-                       engine.run(set.tasks(), loads, delivery, net, budget),
-                       cfg, sq);
+                       engine.run(pending, loads, delivery, net, budget), cfg,
+                       sq);
       expect_identical(
-          in_place,
-          reference::run(cfg, set.tasks(), loads, delivery, net, budget), cfg,
-          sq);
+          in_place, reference::run(cfg, pending, loads, delivery, net, budget),
+          cfg, sq);
       ++phases;
       if (futile) {
         ASSERT_TRUE(in_place.schedule.empty());
         const SearchResult again =
             engine.run(set, loads, delivery + usec(1), net, budget);
         expect_identical(again,
-                         reference::run(cfg, set.tasks(), loads,
+                         reference::run(cfg, pending, loads,
                                         delivery + usec(1), net, budget),
                          cfg, sq);
         continue;
