@@ -61,6 +61,18 @@ struct Cell {
   std::uint32_t m;
   SearchConfig config;
   bool quick;  ///< part of the --quick sweep
+  SimDuration comm{msec(5)};               ///< the interconnect's C
+  SimDuration base_load{SimDuration::zero()};  ///< every worker's
+  std::uint64_t budget{0};                 ///< 0: 200 vertices per task
+  std::uint32_t inputs{0};                 ///< 0: --reps phase inputs
+  /// Every search must end by budget, and the cell's searches must
+  /// backtrack at least once per three vertices they enter (the bench
+  /// refuses the cell otherwise).
+  bool backtracking{false};
+
+  [[nodiscard]] std::uint64_t vertex_budget() const {
+    return budget != 0 ? budget : std::uint64_t{200} * n;
+  }
 };
 
 struct EngineNumbers {
@@ -70,6 +82,8 @@ struct EngineNumbers {
   std::uint64_t p50_ns{0};
   std::uint64_t p99_ns{0};
   std::uint64_t vertices{0};
+  std::uint64_t expansions{0};
+  std::uint64_t backtracks{0};
 };
 
 std::vector<Cell> make_cells() {
@@ -120,12 +134,26 @@ std::vector<Cell> make_cells() {
                          c.level_processor_order =
                              search::LevelProcessorOrder::kRoundRobin;
                        }));
+  // A backtracking RT-SADS walk, the onoff_burst shape: every worker
+  // already loaded 40 ms, so most tasks fit nowhere and each one that does
+  // is tried on each worker in turn. Every search ends by budget after
+  // about 264 backtracks over 625 expansions, where every other cell
+  // dives. C = 50 us, as in the streaming workloads; 20 inputs, because
+  // one search is short.
+  Cell backtrack = cell("n64_m4_dfs_assign_backtrack", 64, 4, true, nop);
+  backtrack.comm = usec(50);
+  backtrack.base_load = msec(40);
+  backtrack.budget = 2300;
+  backtrack.inputs = 20;
+  backtrack.backtracking = true;
+  cells.push_back(backtrack);
   return cells;
 }
 
 /// One phase input matching the paper's workload shape: bursty arrivals,
 /// p in [1, 10]ms, degree of affinity R = 0.3, SF = 1 (laxity 10), C = 5ms
-/// (the FIG5/ExperimentConfig defaults), generous delivery at +5ms. The
+/// (the FIG5/ExperimentConfig defaults; a cell can set its own C, base
+/// loads and budget), generous delivery at +5ms. The
 /// batch is a pending set in the searched order, built before any timing:
 /// the pipeline keeps it from phase to phase, so a search never pays for it.
 struct PhaseInput {
@@ -148,9 +176,9 @@ PhaseInput make_input(const Cell& cell, std::uint64_t rep) {
   in.set.reset(cell.config.task_order);
   in.set.merge_arrivals(tasks::generate_workload(wc, rng));
   in.tasks.assign(in.set.tasks().begin(), in.set.tasks().end());
-  in.base_loads.assign(cell.m, SimDuration::zero());
+  in.base_loads.assign(cell.m, cell.base_load);
   in.delivery = SimTime::zero() + msec(5);
-  in.budget = std::uint64_t{200} * cell.n;  // 200k vertices at n=1000
+  in.budget = cell.vertex_budget();  // by default 200k vertices at n=1000
   return in;
 }
 
@@ -212,6 +240,7 @@ EngineNumbers measure(const std::vector<PhaseInput>& inputs,
       total_ns += ns;
       total_vertices += r.stats.vertices_generated;
       total_expansions += r.stats.expansions;
+      out.backtracks += r.stats.backtracks;
     }
   }
   std::sort(latencies.begin(), latencies.end());
@@ -223,6 +252,7 @@ EngineNumbers measure(const std::vector<PhaseInput>& inputs,
   out.p50_ns = percentile(latencies, 0.50);
   out.p99_ns = percentile(latencies, 0.99);
   out.vertices = total_vertices;
+  out.expansions = total_expansions;
   return out;
 }
 
@@ -392,13 +422,16 @@ int main(int argc, char** argv) {
   for (const Cell& cell : make_cells()) {
     if (quick && !cell.quick) continue;
 
-    const auto net = machine::Interconnect::cut_through(cell.m, msec(5));
+    const auto net = machine::Interconnect::cut_through(cell.m, cell.comm);
+    const std::uint32_t cell_inputs = cell.inputs != 0 ? cell.inputs : reps;
     std::vector<PhaseInput> inputs;
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    for (std::uint32_t rep = 0; rep < cell_inputs; ++rep) {
       inputs.push_back(make_input(cell, rep));
     }
 
     // Safety: perf numbers only count if both engines agree bit-for-bit.
+    std::uint64_t backtracks = 0, expansions = 0;
+    bool all_exhausted = true;
     for (const PhaseInput& in : inputs) {
       const SearchResult fast = search::SearchEngine(cell.config)
                                     .run(in.set, in.base_loads, in.delivery,
@@ -416,6 +449,17 @@ int main(int argc, char** argv) {
                      "only a root expansion\n";
         std::exit(1);
       }
+      backtracks += fast.stats.backtracks;
+      expansions += fast.stats.expansions;
+      all_exhausted = all_exhausted && fast.stats.budget_exhausted;
+    }
+    // Each loop of the walk expands a vertex and enters one.
+    if (cell.backtracking && (!all_exhausted || 3 * backtracks < expansions)) {
+      std::cerr << "FATAL: " << cell.name << " is no backtracking walk: "
+                << backtracks << " backtracks over " << expansions
+                << " expansions"
+                << (all_exhausted ? "\n" : ", and a search ended early\n");
+      std::exit(1);
     }
 
     const EngineNumbers ref = measure(
@@ -448,9 +492,13 @@ int main(int argc, char** argv) {
          << strategy_name(cell.config) << "\", \"task_order\": \""
          << order_name(cell.config) << "\", \"representation\": \""
          << repr_name(cell.config)
-         << "\", \"vertex_budget\": " << (std::uint64_t{200} * cell.n)
-         << ", \"vertices_per_run\": " << (opt.vertices / (reps * iters))
-         << ",\n";
+         << "\", \"vertex_budget\": " << cell.vertex_budget()
+         << ", \"inputs\": " << cell_inputs
+         << ", \"vertices_per_run\": " << (opt.vertices / (cell_inputs * iters))
+         << ", \"expansions_per_run\": "
+         << (opt.expansions / (cell_inputs * iters))
+         << ", \"backtracks_per_run\": "
+         << (opt.backtracks / (cell_inputs * iters)) << ",\n";
     json_engine(json, "reference", ref);
     json << ",\n";
     json_engine(json, "optimized", opt);

@@ -22,8 +22,8 @@ namespace {
 /// significant component is the branch index or worker id, unique per
 /// candidate), so any comparison sort produces the historical stable_sort
 /// permutation. The successor's Assignment is built only if the search
-/// enters it (SearchEngine::run's switch_to). A depth-first D-COLS group
-/// builds none (expand_vertex).
+/// enters it (walk_depth_first, walk_best_first). A depth-first D-COLS
+/// group builds no Candidate (expand_vertex).
 struct Candidate {
   std::int64_t key1{0};
   std::int64_t key2{0};
@@ -37,8 +37,8 @@ struct Candidate {
 };
 
 /// A successor in a depth-first group: the (task, worker) pair it adds to
-/// its group's parent path. It becomes an arena Node only if the search
-/// enters it.
+/// its group's parent path. The walk evaluates it again only if it enters
+/// it.
 struct Member {
   std::uint32_t task{0};
   ProcessorId worker{0};
@@ -302,11 +302,12 @@ inline void expand_vertex(const SearchConfig& config, PartialSchedule& ps,
   sort_candidates(out);
 }
 
-/// A vertex kept in the search arena: the (task, worker) pair it adds to
-/// its parent's path, not its Assignment, which switch_to evaluates when
-/// the search enters the vertex. Depth-first makes one only for a vertex
-/// it enters; best-first, for every successor it generates, since its heap
-/// holds arena ids. 32-bit fields serve every batch up to kMaxBatchTasks.
+/// A vertex kept in the best-first arena: the (task, worker) pair it adds
+/// to its parent's path, not its Assignment, which switch_to evaluates when
+/// the search enters the vertex. Best-first makes one for every successor
+/// it generates, since its heap holds arena ids; the depth-first walk keeps
+/// no arena (walk_depth_first). 32-bit fields serve every batch up to
+/// kMaxBatchTasks.
 struct Node {
   std::int32_t parent{-1};  ///< arena index, or -1 for children of the root
   std::uint32_t depth{0};   ///< number of assignments on the path to here
@@ -358,25 +359,27 @@ class NodeArena {
 
 /// The depth-first candidate list CL over caller-owned storage: a stack of
 /// successor groups, one per expansion that found any (Sec. 4.1 adds a
-/// sorted group to the FRONT of CL). A group is its parent vertex, its
-/// members' depth and its members in priority order. All groups share one
-/// member array, of which the top group's members are the tail, and `next`
-/// is the first member not yet entered. A group leaves the stack with its
-/// last member, so each group on it has one left.
+/// sorted group to the FRONT of CL). A group is its members' depth and its
+/// members in priority order. All groups share one member array, of which
+/// the top group's members are the tail, and `next` is the first member not
+/// yet entered. A group leaves the stack with its last member, so each
+/// group on it has one left.
+///
+/// A group needs no parent: every group on the stack was pushed by a vertex
+/// on the current path, because the groups pushed after it were emptied
+/// first. So its parent is the path's vertex at its depth - 1.
 class GroupStack {
  public:
   struct Group {
-    std::int32_t parent;  ///< arena index of the expanded vertex, -1 the root
     std::uint32_t depth;  ///< depth of its members
     std::uint32_t begin;  ///< its first member
     std::uint32_t next;   ///< its next member to enter
   };
-  static_assert(sizeof(Group) == 16);
+  static_assert(sizeof(Group) == 12);
 
-  /// The top group's next member, with the group's parent and depth.
+  /// The top group's next member, with the group's depth.
   struct Entry {
     Member member;
-    std::int32_t parent;
     std::uint32_t depth;
   };
 
@@ -390,12 +393,12 @@ class GroupStack {
 
   /// Makes the members appended since `begin` the top group; an expansion
   /// that appended none pushes nothing.
-  void push(std::int32_t parent, std::uint32_t depth, std::size_t begin) {
+  void push(std::uint32_t depth, std::size_t begin) {
     if (members_.size() == begin) return;
     RTDS_REQUIRE(members_.size() <= kMaxIndex,
                  "SearchEngine: successor groups above 2^31 members");
     const auto first = static_cast<std::uint32_t>(begin);
-    groups_.push_back(Group{parent, depth, first, first});
+    groups_.push_back(Group{depth, first, first});
   }
 
   /// Takes the top group's next member: the best successor of the latest
@@ -404,7 +407,7 @@ class GroupStack {
     RTDS_ASSERT(!empty());
     Group& top = groups_.back();
     RTDS_ASSERT(top.next < members_.size());
-    const Entry e{members_[top.next], top.parent, top.depth};
+    const Entry e{members_[top.next], top.depth};
     if (++top.next == members_.size()) {
       members_.resize(top.begin);
       groups_.pop_back();
@@ -503,12 +506,16 @@ struct Workspace {
   std::optional<PartialSchedule> schedule;
   /// The set the vector adapter builds from its batch.
   tasks::Batch adapter;
-  NodeArena nodes;
   std::vector<Candidate> candidates;
+  std::vector<tasks::ProcessorId> level_order;
+  // Depth-first: CL's groups and their members, and the best vertex's path,
+  // copied once the walk has unwound past it.
   std::vector<GroupStack::Group> cl_groups;
   std::vector<Member> cl_members;
+  std::vector<Assignment> best_path;
+  // Best-first: its vertices, CL's heap of them and the chain of a switch.
+  NodeArena nodes;
   std::vector<CandidateList::Entry> cl_heap;
-  std::vector<tasks::ProcessorId> level_order;
   std::vector<std::int32_t> chain;
   // The thread's counter: a released workspace keeps it.
   std::size_t peak_bytes{0};
@@ -521,11 +528,11 @@ Workspace& workspace() {
 
 std::size_t workspace_bytes(const Workspace& ws) {
   const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-  return ws.nodes.capacity_bytes() +
-         (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
+  return (ws.schedule ? ws.schedule->footprint_bytes() : 0) +
          ws.adapter.footprint_bytes() + bytes(ws.candidates) +
-         bytes(ws.cl_groups) + bytes(ws.cl_members) + bytes(ws.cl_heap) +
-         bytes(ws.level_order) + bytes(ws.chain);
+         bytes(ws.level_order) + bytes(ws.cl_groups) + bytes(ws.cl_members) +
+         bytes(ws.best_path) + ws.nodes.capacity_bytes() + bytes(ws.cl_heap) +
+         bytes(ws.chain);
 }
 
 /// Records the run's workspace in the thread's peak and releases all of it
@@ -540,73 +547,134 @@ void retain_or_release(Workspace& ws) {
   }
 }
 
-/// The search: walks the tree over `set` (non-empty, in config.task_order)
-/// and writes the chosen path and the stats into `result`. Both run()
-/// entries end here.
-void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
-          const std::vector<SimDuration>& base_loads, SimTime delivery_time,
-          const machine::Interconnect& net, std::uint64_t vertex_budget,
-          SearchResult& result) {
-  const std::uint32_t m = net.num_workers();
-  if (ws.schedule) {
-    ws.schedule->reset(&set, base_loads, delivery_time, &net);
-  } else {
-    ws.schedule.emplace(&set, base_loads, delivery_time, &net);
+/// The vertex a run returns: the deepest one the search entered (more
+/// tasks scheduled this phase), then the one with the lowest CE, then the
+/// first entered. Depth 0 is the root, which stands until the search enters
+/// a vertex.
+struct BestVertex {
+  std::uint32_t depth{0};
+  SimDuration ce{SimDuration::max()};
+
+  /// Makes the vertex `ps` ends at the best when it beats it, and says
+  /// whether it did.
+  bool take(const PartialSchedule& ps) {
+    const bool deeper = ps.depth() > depth;
+    const bool same_depth_better = ps.depth() == depth && ps.max_ce() < ce;
+    if (!deeper && !same_depth_better) return false;
+    depth = ps.depth();
+    ce = ps.max_ce();
+    return true;
   }
-  PartialSchedule& ps = *ws.schedule;
+};
 
-  NodeArena& arena = ws.nodes;
-  arena.clear();
-  const bool depth_first = config.strategy == SearchStrategy::kDepthFirst;
+/// The depth-first walk (Sec. 4.1) from the root `ps` ends at: writes the
+/// chosen path and the stats into `result`.
+///
+/// Each expansion pushes its successors onto CL as one group (GroupStack),
+/// so every backtrack returns to a vertex on the current path, and the walk
+/// keeps no vertex but the path itself. Entering a member pops the path
+/// down to the member's parent, the path's vertex at the group's depth - 1,
+/// then evaluates the member at that state, the one it was generated in,
+/// and pushes it. The member is a child of the vertex the path ends at
+/// exactly when the path is one shorter than the group's depth; any other
+/// member is a backtrack.
+///
+/// The best vertex is a prefix of the path until the walk unwinds past it.
+/// Only then is its path copied into ws.best_path, and only from the first
+/// entry the buffer does not already hold: the buffer's first `kept`
+/// entries equal the path's, and an unwind lowers `kept` to the depth it
+/// stops at.
+void walk_depth_first(const SearchConfig& config, Workspace& ws,
+                      PartialSchedule& ps, std::uint32_t m,
+                      std::uint64_t budget_left, SearchResult& result) {
   GroupStack groups(ws.cl_groups, ws.cl_members);
-  CandidateList heap(ws.cl_heap);
-
-  SearchStats& stats = result.stats;
-  std::uint64_t budget_left = vertex_budget;
-
-  std::int32_t current = -1;  // arena index of the vertex CPS ends at
-  std::int32_t best_node = -1;
-  std::uint32_t best_depth = 0;
-  SimDuration best_ce = SimDuration::max();
-
-  const auto node_depth = [&](std::int32_t id) -> std::uint32_t {
-    return id < 0 ? 0u : arena[std::size_t(id)].depth;
-  };
-
-  // Expands the current vertex (expand_vertex above): charges the budget
-  // and collects its feasible successors in priority order. Depth-first
-  // pushes them onto CL as one group; best-first registers each in the
-  // arena and pushes it onto the heap, worst first.
-  std::vector<Candidate>& candidates = ws.candidates;
   std::vector<Member>& members = ws.cl_members;
-  const auto expand_current = [&] {
+  std::vector<Candidate>& candidates = ws.candidates;
+  std::vector<Assignment>& saved = ws.best_path;
+  saved.clear();
+  std::uint32_t kept = 0;
+  BestVertex best;
+  bool best_on_path = true;
+  SearchStats& stats = result.stats;
+  Assignment entered;
+
+  while (true) {
+    if (budget_left == 0) {
+      stats.budget_exhausted = true;
+      break;
+    }
+    // Expand the vertex the path ends at (expand_vertex above): its
+    // successors in priority order become the top group. A D-COLS group is
+    // in the member array already and leaves `candidates` empty.
     const std::size_t begin = members.size();
     expand_vertex(config, ps, m, budget_left, stats, candidates, members,
                   ws.level_order);
-    const std::uint32_t depth = ps.depth() + 1;
-    if (depth_first) {
-      for (const Candidate& c : candidates) {
-        members.push_back(Member{c.task, c.worker});
-      }
-      groups.push(current, depth, begin);
-      return;
+    for (const Candidate& c : candidates) {
+      members.push_back(Member{c.task, c.worker});
     }
-    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      heap.push(*it, arena.add(current, depth, it->task, it->worker));
+    groups.push(ps.depth() + 1, begin);
+    if (groups.empty()) {
+      if (!ps.complete()) stats.dead_end = true;
+      break;
     }
-  };
 
-  // Takes the first vertex of CL, counting a backtrack when it is not a
-  // child of the current vertex; depth-first gives it its arena node here.
-  const auto pop_next = [&]() -> std::int32_t {
-    if (!depth_first) {
-      const std::int32_t node = heap.pop();
-      if (arena[std::size_t(node)].parent != current) ++stats.backtracks;
-      return node;
-    }
     const GroupStack::Entry e = groups.pop();
-    if (e.parent != current) ++stats.backtracks;
-    return arena.add(e.parent, e.depth, e.member.task, e.member.worker);
+    if (ps.depth() + 1 != e.depth) {
+      ++stats.backtracks;
+      const std::uint32_t parent = e.depth - 1;
+      RTDS_ASSERT(parent < ps.depth());
+      if (best_on_path && parent < best.depth) {
+        // The unwind leaves the best vertex: save its path first. The
+        // buffer holds at most the batch, and grows only here.
+        const std::vector<Assignment>& path = ps.path();
+        saved.reserve(ps.batch_size());
+        saved.resize(kept);
+        saved.insert(saved.end(), path.begin() + kept,
+                     path.begin() + best.depth);
+        kept = best.depth;
+        best_on_path = false;
+      }
+      while (ps.depth() > parent) ps.pop();
+      kept = std::min(kept, parent);
+    }
+    const bool ok = ps.evaluate_fast(e.member.task, e.member.worker, entered);
+    RTDS_ASSERT(ok);
+    (void)ok;
+    ps.push(entered);
+
+    if (ps.depth() > stats.max_depth) stats.max_depth = ps.depth();
+    if (best.take(ps)) best_on_path = true;
+    if (ps.complete()) {
+      stats.reached_leaf = true;
+      break;
+    }
+  }
+
+  // Copy the best vertex's path out once at its exact length — the run's
+  // only allocation, and an empty one allocates nothing.
+  const Assignment* first = best_on_path ? ps.path().data() : saved.data();
+  result.schedule.assign(first, first + best.depth);
+}
+
+/// The best-first walk from the root `ps` ends at: writes the chosen path
+/// and the stats into `result`. CL is a heap of arena vertices, so the next
+/// vertex can lie anywhere in the tree, and entering it switches the path
+/// through the lowest common ancestor of the two vertices.
+void walk_best_first(const SearchConfig& config, Workspace& ws,
+                     PartialSchedule& ps, std::uint32_t m,
+                     std::uint64_t budget_left, SearchResult& result) {
+  NodeArena& arena = ws.nodes;
+  arena.clear();
+  CandidateList heap(ws.cl_heap);
+  std::vector<Candidate>& candidates = ws.candidates;
+  SearchStats& stats = result.stats;
+
+  std::int32_t current = -1;  // arena index of the vertex CPS ends at
+  std::int32_t best_node = -1;
+  BestVertex best;
+
+  const auto node_depth = [&](std::int32_t id) -> std::uint32_t {
+    return id < 0 ? 0u : arena[std::size_t(id)].depth;
   };
 
   // Switches CPS from `current` to arena vertex `target` (-1: the root) via
@@ -648,36 +716,55 @@ void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
       stats.budget_exhausted = true;
       break;
     }
-    expand_current();
-    if (depth_first ? groups.empty() : heap.empty()) {
+    // Expand the current vertex (expand_vertex above): each successor gets
+    // its arena node and goes onto the heap, worst first.
+    expand_vertex(config, ps, m, budget_left, stats, candidates,
+                  ws.cl_members, ws.level_order);
+    const std::uint32_t depth = ps.depth() + 1;
+    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+      heap.push(*it, arena.add(current, depth, it->task, it->worker));
+    }
+    if (heap.empty()) {
       if (!ps.complete()) stats.dead_end = true;
       break;
     }
-    switch_to(pop_next());
+    const std::int32_t next = heap.pop();
+    if (arena[std::size_t(next)].parent != current) ++stats.backtracks;
+    switch_to(next);
 
     if (ps.depth() > stats.max_depth) stats.max_depth = ps.depth();
-    const bool deeper = ps.depth() > best_depth;
-    const bool same_depth_better =
-        ps.depth() == best_depth && ps.max_ce() < best_ce;
-    if (best_node == -1 || deeper || same_depth_better) {
-      best_node = current;
-      best_depth = ps.depth();
-      best_ce = ps.max_ce();
-    }
-
+    if (best.take(ps)) best_node = current;
     if (ps.complete()) {
       stats.reached_leaf = true;
       break;
     }
   }
 
-  // Return the deepest (then best-balanced) vertex seen: CPS moves there
-  // and its path is copied out once at its exact length — the run's only
-  // allocation, and an empty one allocates nothing.
+  // CPS moves to the best vertex and its path is copied out once at its
+  // exact length.
   switch_to(best_node);
   result.schedule.assign(ps.path().begin(), ps.path().end());
 }
 
+/// The search: walks the tree over `set` (non-empty, in config.task_order)
+/// and writes the chosen path and the stats into `result`. Both run()
+/// entries end here.
+void walk(const SearchConfig& config, Workspace& ws, const tasks::Batch& set,
+          const std::vector<SimDuration>& base_loads, SimTime delivery_time,
+          const machine::Interconnect& net, std::uint64_t vertex_budget,
+          SearchResult& result) {
+  const std::uint32_t m = net.num_workers();
+  if (ws.schedule) {
+    ws.schedule->reset(&set, base_loads, delivery_time, &net);
+  } else {
+    ws.schedule.emplace(&set, base_loads, delivery_time, &net);
+  }
+  if (config.strategy == SearchStrategy::kDepthFirst) {
+    walk_depth_first(config, ws, *ws.schedule, m, vertex_budget, result);
+  } else {
+    walk_best_first(config, ws, *ws.schedule, m, vertex_budget, result);
+  }
+}
 
 }  // namespace
 

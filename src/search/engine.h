@@ -10,13 +10,18 @@
 //     Depth-first keeps CL as a stack of successor groups, one record per
 //     expansion with its members' (task, worker) pairs in priority order;
 //     best-first keeps a heap;
-//   * an arena of vertices, each stored as the (task, worker) pair it adds
-//     to its parent's path (parent links give paths). Depth-first adds a
-//     vertex when it enters it, best-first when it generates it;
-//   * the current partial schedule, kept in sync with the vertex being
-//     expanded via lowest-common-ancestor path switching (backtracking).
-//     Entering a vertex evaluates its pair at its parent's state, so a
-//     vertex's Assignment is built only if the search enters it.
+//   * the current partial schedule CPS, the path to the vertex being
+//     expanded. Depth-first, every backtrack returns to a vertex on it (a
+//     group leaves CL only after every group pushed after it), so entering
+//     a member pops CPS down to the member's parent and pushes the member:
+//     the walk keeps no other vertex. Its best vertex stays a prefix of
+//     CPS, and is copied aside only when the walk unwinds past it. Entering
+//     a vertex evaluates its pair at its parent's state, so a vertex's
+//     Assignment is built only if the search enters it;
+//   * best-first only: an arena of vertices, each stored as the (task,
+//     worker) pair it adds to its parent's path (parent links give paths)
+//     when the search generates it. Entering one switches CPS through the
+//     lowest common ancestor of the two vertices.
 //
 // The two search representations of Sec. 3:
 //   * assignment-oriented (Fig. 2, used by RT-SADS): each level selects the
@@ -149,8 +154,9 @@ struct SearchResult {
 };
 
 /// Hard structural ceiling on one phase batch, checked with InvalidArgument
-/// (it bounds the 32-bit depth and task fields of the 16-byte arena node
-/// and the 8-byte group member — docs/ARCHITECTURE.md, "Search hot path").
+/// (it bounds the 32-bit depth and task fields of the best-first arena node
+/// and of the depth-first group record and member — docs/ARCHITECTURE.md,
+/// "Search hot path").
 inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 
 /// Bound on the buffers a thread keeps between runs, for the search
@@ -161,10 +167,10 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 inline constexpr std::size_t kWorkspaceRetainBytes = std::size_t{64} << 20;
 
 /// Bytes currently retained by the calling thread's search workspace: the
-/// pooled node arena, the reused PartialSchedule, the set the vector
-/// adapter builds, and every scratch buffer (candidates, the depth-first
-/// CL's groups and members and the best-first CL's heap, level order, LCA
-/// chain).
+/// reused PartialSchedule, the set the vector adapter builds, and every
+/// scratch buffer (candidates and level order; depth-first, the CL's groups
+/// and members and the best-path buffer; best-first, the pooled node arena,
+/// the CL's heap and the LCA chain).
 /// The bound is on their sum: a run that leaves more than 64 MB releases
 /// the whole workspace, so this is at most 64 MB between runs. For the
 /// bench memory column; cheap enough to call between runs.
@@ -207,8 +213,12 @@ class SearchEngine {
   /// (docs/ARCHITECTURE.md, "The pending set").
   ///
   /// Thread-safe: per-thread scratch buffers are reused across calls — the
-  /// PartialSchedule, the candidate list (depth-first: its group records
-  /// and their members), and a node arena that grows in pooled chunks.
+  /// PartialSchedule and the candidate list (depth-first: its group records
+  /// and their members; best-first: its heap and a node arena that grows
+  /// in pooled chunks). Depth-first also keeps a best-path buffer, which
+  /// grows only in a run that unwinds past its best vertex, and then to
+  /// that run's set size, so it grows no more once a run over the largest
+  /// set has unwound past its best.
   /// Once they have grown to the largest set seen, a run's only heap
   /// allocation is the returned schedule: the chosen vertex's path, copied
   /// out at its exact length (none when it is empty). A workspace grown

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -107,7 +108,8 @@ class PartialSchedule {
   }
 
   /// First position >= `pos` holding an unassigned task, or batch_size()
-  /// when none. O(n/64) word scan.
+  /// when none. O(n/64) word scan. Inline, as push() and pop() are: the
+  /// engine calls all three for every vertex it expands or enters.
   [[nodiscard]] std::uint32_t first_unassigned_at_or_after(
       std::uint32_t pos) const;
 
@@ -284,6 +286,56 @@ inline bool PartialSchedule::evaluate_fast(std::uint32_t task_index,
   out.start_offset = SimDuration{start_us};
   out.end_offset = SimDuration{end_us};
   return true;
+}
+
+inline std::uint32_t PartialSchedule::first_unassigned_at_or_after(
+    std::uint32_t pos) const {
+  if (pos >= n_) return n_;
+  std::size_t word = pos >> 6;
+  // Mask off positions below `pos` in the first word.
+  std::uint64_t bits = unassigned_[word] & (~std::uint64_t{0} << (pos & 63));
+  while (bits == 0) {
+    if (++word == unassigned_.size()) return n_;
+    bits = unassigned_[word];
+  }
+  return static_cast<std::uint32_t>((word << 6) +
+                                    std::uint32_t(std::countr_zero(bits)));
+}
+
+inline void PartialSchedule::push(const Assignment& a) {
+  RTDS_ASSERT(!assigned(a.task_index));
+  const std::uint32_t k = tasks_[a.task_index].workers_required;
+  RTDS_ASSERT(std::size_t{a.worker} + k <= ce_us_.size());
+  // Integrity: the assignment must have been evaluated at this exact state.
+  RTDS_ASSERT(ce_us_[a.worker] == a.prev_ce.us);
+  RTDS_ASSERT(max_ce_us_ == a.prev_max_ce.us);
+  unassigned_[a.task_index >> 6] &= ~(std::uint64_t{1} << (a.task_index & 63));
+  // A gang charges its whole worker block to the same end offset; the
+  // siblings' pre-push offsets go on the side undo stack (the lead's is
+  // Assignment::prev_ce).
+  for (std::uint32_t j = 1; j < k; ++j) {
+    gang_undo_.push_back(SimDuration{ce_us_[a.worker + j]});
+    ce_us_[a.worker + j] = a.end_offset.us;
+  }
+  ce_us_[a.worker] = a.end_offset.us;
+  max_ce_us_ = std::max(max_ce_us_, a.end_offset.us);
+  path_.push_back(a);
+}
+
+inline void PartialSchedule::pop() {
+  RTDS_REQUIRE(!path_.empty(), "pop: empty path");
+  const Assignment& a = path_.back();
+  unassigned_[a.task_index >> 6] |= std::uint64_t{1} << (a.task_index & 63);
+  const std::uint32_t k = tasks_[a.task_index].workers_required;
+  for (std::uint32_t j = k; j-- > 1;) {
+    ce_us_[a.worker + j] = gang_undo_.back().us;
+    gang_undo_.pop_back();
+  }
+  ce_us_[a.worker] = a.prev_ce.us;
+  // LIFO discipline means the pre-push CE recorded on the assignment is
+  // exactly the post-pop CE — no rescan needed.
+  max_ce_us_ = a.prev_max_ce.us;
+  path_.pop_back();
 }
 
 }  // namespace rtds::search

@@ -274,16 +274,17 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
   EXPECT_GT(thread_workspace_peak_bytes(), 0u);
 }
 
-TEST(SearchCapacityTest, DepthFirstWorkspaceHoldsEnteredVerticesOnly) {
+TEST(SearchCapacityTest, DepthFirstWorkspaceHoldsOnlyThePathAndItsGroups) {
   // A depth-first walk to the leaf at n = 10^5, m = 10 over a set built
   // beforehand, as the pipeline keeps it. It generates about 10^6
   // successors and enters 10^5 of them. The candidate list keeps each
-  // successor as an 8-byte member of its group, and the arena holds a
-  // 16-byte node only for the vertices entered: the walk peaks at 17.1 MB,
-  // where a node per successor and a stack of node ids took 25.3 MB. The
-  // peak is computed from capacities, so it is exact; a fresh thread
-  // starts from an empty workspace.
-  constexpr std::size_t kBound = std::size_t{20} << 20;
+  // successor as an 8-byte member of its group, and the walk keeps no
+  // vertex but its path, so the workspace is the path, the groups and
+  // their members. Where an arena also held a 16-byte node per vertex
+  // entered, the walk peaked at 17.1 MB. The peak is computed from
+  // capacities, so it is exact; a fresh thread starts from an empty
+  // workspace.
+  constexpr std::size_t kBound = std::size_t{16} << 20;
   Xoshiro256ss rng(0x5EC7E9ULL);
   const Scenario s = make_capacity_scenario(rng, 100000, 10);
   tasks::Batch set(s.batch, TaskOrder::kEarliestDeadline);

@@ -190,7 +190,7 @@ TEST(SearchEquivalenceTest, BitIdenticalToReferenceAcrossFuzzScenarios) {
   constexpr std::uint64_t kScenarios = 220;
   const std::vector<SearchConfig> configs = all_configs();
   Xoshiro256ss rng(0x5EA4C4E05ULL);
-  std::uint64_t exhausted = 0, dead_ends = 0, leaves = 0;
+  std::uint64_t exhausted = 0, dead_ends = 0, leaves = 0, long_walks = 0;
   for (std::uint64_t sc = 0; sc < kScenarios; ++sc) {
     const Scenario s = make_scenario(rng);
     const auto net =
@@ -204,12 +204,21 @@ TEST(SearchEquivalenceTest, BitIdenticalToReferenceAcrossFuzzScenarios) {
       exhausted += fast.stats.budget_exhausted ? 1 : 0;
       dead_ends += fast.stats.dead_end ? 1 : 0;
       leaves += fast.stats.reached_leaf ? 1 : 0;
+      long_walks += cfg.strategy == SearchStrategy::kDepthFirst &&
+                            fast.stats.backtracks >= 100 &&
+                            !fast.schedule.empty()
+                        ? 1
+                        : 0;
     }
   }
   // The sweep must actually exercise every termination path.
   EXPECT_GT(exhausted, 100u);
   EXPECT_GT(dead_ends, 100u);
   EXPECT_GT(leaves, 100u);
+  // And depth-first walks that unwind their path often enough to leave
+  // and save a best vertex, then return a schedule.
+  RecordProperty("long_depth_first_walks", std::to_string(long_walks));
+  EXPECT_GT(long_walks, 100u);
 }
 
 TEST(SearchEquivalenceTest, MeshRoutingStillIdentical) {
